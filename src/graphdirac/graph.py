@@ -2,19 +2,24 @@
 
 Nodes are dense 0-based integers.  Every bond {i, k} is stored twice, as the
 directed edges (i, k) and (k, i); the directed-edge index enumerates, for each
-node i in ascending order, the edges (i, k) with k ascending.  This fixed
-layout is what all operator matrices downstream are built on, so Graph values
-are immutable after construction.
+node i in ascending order, the edges (i, k) with k ascending.  That order is
+compressed sparse row (CSR) order, and the two CSR arrays are the one stored
+form of a Graph: ``indices`` holds the heads in directed-edge order and node
+i's edges are ``indptr[i]:indptr[i+1]``.  This fixed layout is what all
+operator matrices downstream are built on, so Graph values are immutable
+after construction (the arrays are read-only).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class GraphParseError(ValueError):
@@ -34,113 +39,160 @@ class GenerationError(RuntimeError):
 # Rejection sampling for connected random graphs gives up after this many draws.
 MAX_RANDOM_RETRIES = 200
 
-# Builders refuse graphs beyond this many nodes (binary trees grow fast).
+# Graphs, builders and parsers refuse more nodes than this before allocating per node.
 NODE_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph stored as two int64 CSR arrays.
 
-    ``adjacency[i]`` is the sorted tuple of neighbours of node i.  Validity
-    (no self-loops, symmetry, no duplicates) is checked at construction.
-    Disconnected graphs are allowed -- they are a distinct validated state,
-    flagged by :attr:`connected` -- but every builder in this module produces
-    a connected graph.
+    ``Graph(adjacency)`` takes one sequence of neighbours per node and checks
+    validity (indices in range, no self-loops, sorted without duplicates,
+    every bond with its reverse); :meth:`from_edges` takes the bonds.  The
+    Python views (``adjacency[i]`` is the sorted tuple of neighbours of node
+    i, ``directed_edges``, ``edge_index``, ``bonds``) are derived from the
+    arrays on first use.  Disconnected graphs are allowed -- they are a
+    distinct validated state, flagged by :attr:`connected` -- but every
+    builder in this module produces a connected graph.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.adjacency)
-        for i, nbrs in enumerate(self.adjacency):
-            if any(k < 0 or k >= n for k in nbrs):
-                raise ValueError(f"node {i}: neighbour index out of range")
-            if i in nbrs:
-                raise ValueError(f"node {i}: self-loop")
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"node {i}: duplicate neighbour")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ValueError(f"node {i}: neighbours not sorted")
-            for k in nbrs:
-                if i not in self.adjacency[k]:
-                    raise ValueError(f"bond ({i},{k}) missing its reverse")
+    def __init__(self, adjacency):
+        n = len(adjacency)
+        _check_cap(n)
+        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        try:
+            heads = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                count=int(degrees.sum()))
+        except OverflowError:
+            i = next(i for i, row in enumerate(adjacency) if any(abs(k) >= 2 ** 63 for k in row))
+            raise ValueError(f"node {i}: neighbour index out of range") from None
+        tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        _reject((heads < 0) | (heads >= n), "node {}: neighbour index out of range", tails)
+        _reject(heads == tails, "node {}: self-loop", tails)
+        # node-major keys increase across rows, so a step <= 0 is inside one row
+        keys = tails * n + heads
+        step = np.diff(keys)
+        _reject(step < 0, "node {}: neighbours not sorted", tails[1:])
+        _reject(step == 0, "node {}: duplicate neighbour", tails[1:])
+        _reject(~np.isin(heads * n + tails, keys), "bond ({},{}) missing its reverse",
+                tails, heads)
+        self._store(degrees, heads)
+
+    def _store(self, degrees, heads):
+        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        for name, array in (("indptr", indptr), ("indices", heads)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_edges(cls, node_count, edges):
-        """Build a graph from undirected bonds given as (i, j) pairs."""
-        nbrs = [set() for _ in range(node_count)]
-        for i, j in edges:
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if j in nbrs[i]:
-                raise ValueError(f"duplicate bond ({i},{j})")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return cls(tuple(tuple(sorted(s)) for s in nbrs))
+        """Build a graph from undirected bonds given as (i, j) pairs, in any order."""
+        _check_cap(node_count)
+        try:
+            edges = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            i, j = next(e for e in edges if any(abs(k) >= 2 ** 63 for k in e))
+            raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes") from None
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"bonds must be (i, j) pairs, got an array of shape {edges.shape}")
+        i, j = edges.T
+        _reject((np.minimum(i, j) < 0) | (np.maximum(i, j) >= node_count),
+                f"bond ({{}},{{}}) out of range for {node_count} nodes", i, j)
+        _reject(i == j, "self-loop at node {}", i)
+        # one sort of the directed-edge keys gives CSR order, node-major then head
+        keys = np.sort(np.concatenate((i * node_count + j, j * node_count + i)))
+        tails, heads = np.divmod(keys, max(node_count, 1))
+        _reject(keys[1:] == keys[:-1], "duplicate bond ({},{})", tails, heads)
+        g = cls.__new__(cls)
+        g._store(np.bincount(tails, minlength=node_count), heads)
+        return g
 
     @property
     def node_count(self):
-        return len(self.adjacency)
-
-    @cached_property
-    def degrees(self):
-        return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
-
-    @cached_property
-    def directed_edges(self):
-        """Canonical (tail, head) list: node-major, then head ascending."""
-        return tuple((i, k) for i, nbrs in enumerate(self.adjacency) for k in nbrs)
-
-    @cached_property
-    def edge_index(self):
-        return {e: idx for idx, e in enumerate(self.directed_edges)}
-
-    @cached_property
-    def edge_tails(self):
-        return np.array([i for i, _ in self.directed_edges], dtype=np.int64)
-
-    @cached_property
-    def edge_heads(self):
-        return np.array([k for _, k in self.directed_edges], dtype=np.int64)
+        return len(self.indptr) - 1
 
     @property
     def directed_edge_count(self):
         """m = sum of degrees = twice the number of bonds."""
-        return len(self.directed_edges)
+        return len(self.indices)
+
+    @cached_property
+    def degrees(self):
+        return np.diff(self.indptr)
+
+    @cached_property
+    def edge_tails(self):
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+
+    @property
+    def edge_heads(self):
+        return self.indices
+
+    @cached_property
+    def adjacency(self):
+        heads, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def directed_edges(self):
+        """Canonical (tail, head) list: node-major, then head ascending."""
+        return tuple(zip(self.edge_tails.tolist(), self.indices.tolist()))
+
+    @cached_property
+    def edge_index(self):
+        return dict(zip(self.directed_edges, range(self.directed_edge_count)))
 
     @cached_property
     def bonds(self):
-        return tuple((i, k) for i, k in self.directed_edges if i < k)
+        up = self.edge_tails < self.indices
+        return tuple(zip(self.edge_tails[up].tolist(), self.indices[up].tolist()))
 
     @cached_property
     def connected(self):
         return component_count(self) <= 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self):
         return (f"Graph(nodes={self.node_count}, bonds={len(self.bonds)}, "
                 f"connected={self.connected})")
 
 
+def _check_cap(node_count):
+    if not 0 <= node_count <= NODE_CAP:
+        raise ValueError(f"node count {node_count} outside 0..{NODE_CAP}")
+
+
+def _reject(bad, message, *columns):
+    """Raise ValueError naming the first flagged entry of ``columns``, if any."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ValueError(message.format(*(int(c[hits[0]]) for c in columns)))
+
+
+def _csgraph(g):
+    n = g.node_count
+    return sp.csr_array((np.ones(g.directed_edge_count, dtype=np.int8), g.indices, g.indptr),
+                        shape=(n, n))
+
+
 def component_labels(g):
     """Per-node component id, assigned in order of first traversal."""
-    labels = np.full(g.node_count, -1, dtype=np.int64)
-    current = 0
-    for start in range(g.node_count):
-        if labels[start] >= 0:
-            continue
-        queue = deque([start])
-        labels[start] = current
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if labels[v] < 0:
-                    labels[v] = current
-                    queue.append(v)
-        current += 1
-    return labels
+    return csgraph.connected_components(_csgraph(g), directed=False)[1].astype(np.int64)
 
 
 def component_count(g):
@@ -153,14 +205,18 @@ def build_path(n):
     """Path graph on nodes 0..n-1 with bonds {i, i+1}."""
     if n < 2:
         raise ValueError(f"path graph needs at least 2 nodes, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    _check_cap(n)
+    i = np.arange(n - 1)
+    return Graph.from_edges(n, np.column_stack((i, i + 1)))
 
 
 def build_cycle(n):
     """Cycle 0-1-...-(n-1)-0; all degrees 2."""
     if n < 3:
         raise ValueError(f"cycle graph needs at least 3 nodes, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    _check_cap(n)
+    i = np.arange(n)
+    return Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
 
 
 def build_binary_tree(depth):
@@ -175,30 +231,28 @@ def build_binary_tree(depth):
     n = 2 ** (depth + 1) - 1
     if n > NODE_CAP:
         raise ValueError(f"depth {depth} exceeds the {NODE_CAP}-node cap")
-    edges = []
-    for i in range(n):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < n:
-                edges.append((i, child))
-    return Graph.from_edges(n, edges)
+    child = np.arange(1, n)
+    return Graph.from_edges(n, np.column_stack(((child - 1) // 2, child)))
 
 
 def build_random(n, p, seed):
     """Erdos-Renyi draw conditioned on connectedness.
 
     Deterministic for fixed (n, p, seed): attempt t uses the stream seeded by
-    (seed, t), and the first connected draw is returned.  Raises
-    GenerationError once MAX_RANDOM_RETRIES attempts were rejected.
+    (seed, t), draws one uniform per node pair i < j in row-major order, and
+    the first connected draw is returned.  Raises GenerationError once
+    MAX_RANDOM_RETRIES attempts were rejected.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"bond probability must be in (0, 1], got {p}")
     if n < 1:
         raise ValueError("need at least one node")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    _check_cap(n)
+    rows, cols = np.triu_indices(n, 1)
     for attempt in range(MAX_RANDOM_RETRIES):
         rng = np.random.default_rng((int(seed), attempt))
-        draw = rng.random(len(pairs)) < p
-        g = Graph.from_edges(n, [e for e, keep in zip(pairs, draw) if keep])
+        keep = rng.random(len(rows)) < p
+        g = Graph.from_edges(n, np.column_stack((rows[keep], cols[keep])))
         if g.connected:
             return g
     raise GenerationError(
@@ -207,16 +261,8 @@ def build_random(n, p, seed):
 
 def bfs_distances(g, source):
     """Hop counts from source; -1 marks unreachable nodes."""
-    dist = np.full(g.node_count, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    dist = csgraph.shortest_path(_csgraph(g), unweighted=True, indices=source)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 def combinatorial_distance(g, a, b):
@@ -233,21 +279,12 @@ def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
     _check_node(g, a)
     _check_node(g, b)
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for v in g.adjacency[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if b not in parent:
-        raise ValueError(f"no path between nodes {a} and {b}")
+    _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    while path[-1] != a:
+        if parent[path[-1]] < 0:
+            raise ValueError(f"no path between nodes {a} and {b}")
+        path.append(int(parent[path[-1]]))
     return path[::-1]
 
 
@@ -260,12 +297,13 @@ def induced_subgraph(g, nodes):
     kept = tuple(sorted(set(nodes)))
     if not kept:
         raise ValueError("node set must be nonempty")
-    for v in kept:
-        _check_node(g, v)
-    new_index = {old: new for new, old in enumerate(kept)}
-    edges = [(new_index[i], new_index[k])
-             for i, k in g.bonds if i in new_index and k in new_index]
-    return Graph.from_edges(len(kept), edges), kept
+    _check_node(g, kept[0])
+    _check_node(g, kept[-1])
+    new_index = np.full(g.node_count, -1, dtype=np.int64)
+    new_index[list(kept)] = np.arange(len(kept))
+    tails, heads = new_index[g.edge_tails], new_index[g.edge_heads]
+    up = (tails >= 0) & (tails < heads)
+    return Graph.from_edges(len(kept), np.column_stack((tails[up], heads[up]))), kept
 
 
 def _check_node(g, v):
@@ -314,6 +352,9 @@ def _parse_edgelist(text):
                     declared_nodes = int(body.split(":", 1)[1])
                 except ValueError:
                     raise GraphParseError("malformed node-count comment", lineno)
+                if declared_nodes > NODE_CAP:
+                    raise GraphParseError(
+                        f"{declared_nodes} nodes exceed the {NODE_CAP}-node cap", lineno)
             continue
         if not line:
             continue
@@ -324,8 +365,8 @@ def _parse_edgelist(text):
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"non-integer index in {line!r}", lineno)
-        if i < 0 or j < 0:
-            raise GraphParseError(f"negative node index in {line!r}", lineno)
+        if not (0 <= i < NODE_CAP and 0 <= j < NODE_CAP):
+            raise GraphParseError(f"node index outside 0..{NODE_CAP - 1} in {line!r}", lineno)
         if i == j:
             raise GraphParseError(f"self-loop at node {i}", lineno)
         key = (min(i, j), max(i, j))
@@ -353,6 +394,9 @@ def _parse_json(text):
     n = doc["nodes"]
     if not isinstance(n, int) or n < 0:
         raise GraphParseError(f'"nodes" must be a nonnegative integer, got {n!r}')
+    if n > NODE_CAP:
+        raise GraphParseError(f'"nodes" {n} exceeds the {NODE_CAP}-node cap',
+                              text.count("\n", 0, text.find('"nodes"')) + 1)
     seen = set()
     edges = []
     for pos, pair in enumerate(doc["edges"]):

@@ -209,9 +209,8 @@ def apply_adjoint_d(g, e):
 
 def adjacency_map(g):
     n = g.node_count
-    return LinearMap(
-        _coo(g.edge_tails, g.edge_heads, np.ones(g.directed_edge_count), (n, n)),
-        "H0", "H0")
+    ones = np.ones(g.directed_edge_count, dtype=np.int64)
+    return LinearMap(sp.csr_array((ones, g.indices, g.indptr), shape=(n, n)), "H0", "H0")
 
 
 def degree_map(g):
@@ -231,18 +230,18 @@ def incidence_map(g, orientation=None):
     explicit ``orientation`` is a +-1 sequence per bond flipping that choice.
     B B^t = V - A holds for any orientation.
     """
-    bonds = g.bonds
+    up = g.edge_tails < g.edge_heads
+    tails, heads = g.edge_tails[up], g.edge_heads[up]
     if orientation is None:
-        orientation = np.ones(len(bonds), dtype=np.int64)
+        orientation = np.ones(len(tails), dtype=np.int64)
     orientation = np.asarray(orientation)
-    if orientation.shape != (len(bonds),) or not np.all(np.abs(orientation) == 1):
+    if orientation.shape != (len(tails),) or not np.all(np.abs(orientation) == 1):
         raise ValueError("orientation must assign +-1 to every bond")
-    rows, cols, vals = [], [], []
-    for col, ((i, j), sign) in enumerate(zip(bonds, orientation)):
-        rows += [j, i]
-        cols += [col, col]
-        vals += [int(sign), -int(sign)]
-    return LinearMap(_coo(rows, cols, vals, (g.node_count, len(bonds))), "bonds", "H0")
+    sign = orientation.astype(np.int64)
+    rows = np.column_stack((heads, tails)).ravel()
+    vals = np.column_stack((sign, -sign)).ravel()
+    cols = np.repeat(np.arange(len(tails)), 2)
+    return LinearMap(_coo(rows, cols, vals, (g.node_count, len(tails))), "bonds", "H0")
 
 
 @dataclass(frozen=True)

@@ -137,14 +137,8 @@ def operator_norm(m, tol=1e-12, method="auto", max_iter=200_000):
 
 def prefix_average_degrees(g):
     """Prefix averages 2*bonds(G_j)/j for the induced subgraphs on nodes 0..j-1."""
-    n = g.node_count
-    averages = np.zeros(n)
-    inside = 0
-    for j in range(1, n + 1):
-        new = j - 1
-        inside += sum(1 for k in g.adjacency[new] if k < new)
-        averages[j - 1] = 2.0 * inside / j
-    return averages
+    lower = np.bincount(g.edge_tails[g.edge_heads < g.edge_tails], minlength=g.node_count)
+    return 2.0 * np.cumsum(lower) / np.arange(1, g.node_count + 1)
 
 
 def adjacency_norm_bounds(g, tol=1e-12):
@@ -154,7 +148,9 @@ def adjacency_norm_bounds(g, tol=1e-12):
     lower = float(np.max(prefix_average_degrees(g)))
     upper = float(np.max(g.degrees)) if g.node_count else 0.0
     estimate = spectral_norm(adjacency_map(g), tol=tol)
-    assert lower <= estimate + 1e-8 and estimate <= upper + 1e-8
+    if not (lower <= estimate + 1e-8 and estimate <= upper + 1e-8):
+        raise RuntimeError(
+            f"norm estimate {estimate} outside its bounds [{lower}, {upper}]")
     return NormBounds(lower, upper, estimate)
 
 
@@ -226,7 +222,8 @@ def cycle_space_dims(g, rank_tol=1e-9):
         dstar = coboundary_map(g).adjoint().toarray().astype(float)
         svals = np.linalg.svd(dstar, compute_uv=False)
         rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size else 0
-    assert rank == n - c, f"numerical rank {rank} != n - c = {n - c}"
+    if rank != n - c:
+        raise RuntimeError(f"numerical rank {rank} != n - c = {n - c}")
     return CycleSpaceDims(rank, m - rank, c)
 
 

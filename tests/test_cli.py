@@ -106,6 +106,14 @@ def test_parse_error_reported(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_oversized_graph_file_rejected(tmp_path, capsys):
+    big = tmp_path / "big.edges"
+    big.write_text("# nodes: 10000000000\n0 1\n")
+    code, _, err = run(capsys, "spectral", "--graph", str(big))
+    assert code == 2
+    assert "line 1" in err and "cap" in err
+
+
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

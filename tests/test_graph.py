@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from graphdirac import (
     build_random,
     combinatorial_distance,
     component_count,
+    component_labels,
     induced_subgraph,
     parse_graph,
     serialize_graph,
     shortest_path,
 )
+from graphdirac.graph import NODE_CAP
 
 from conftest import fixture_graphs, random_connected_graphs
 
@@ -206,6 +210,9 @@ def test_serialize_unknown_format():
     ("0 1\n2\n", 2),           # wrong token count
     ("0 x\n", 1),              # non-integer
     ("-1 2\n", 1),             # negative index
+    ("# a comment\n# nodes: 10000000000\n0 1\n", 2),  # node count beyond NODE_CAP
+    ("0 1\n1 10000000000\n", 2),                       # node index beyond NODE_CAP
+    ('{\n  "nodes": 10000000000,\n  "edges": []\n}', 2),  # JSON node count beyond NODE_CAP
 ])
 def test_parse_edgelist_rejects(text, lineno):
     with pytest.raises(GraphParseError) as err:
@@ -250,3 +257,158 @@ def test_degree_sum_identity_on_fixtures():
 def test_component_count():
     assert component_count(build_cycle(5)) == 1
     assert component_count(Graph.from_edges(4, [(0, 1), (2, 3)])) == 2
+
+
+# sha256 of serialize_graph(build_random(n, p, seed)): the fixtures and the CLI
+# determinism test depend on these exact draws.
+@pytest.mark.parametrize("n,p,seed,digest", [
+    (2000, 0.005, 1, "ba1b2e2091b0025169228359a8f35eda500c98e69a3022589a4691db86876e71"),
+    (20, 0.3, 7, "5caced173cbb4cb41078a369df2978f97028376215606349e5c802df53eecc19"),
+    (8, 0.45, 11, "a2ce6f0999019b74cda5e7b8634d9424122bc14dd1e985a456ea441d53f876c8"),
+    (10, 0.35, 5, "3aac76545c420a00dabc131a765967c1057cd1a35ee119314bf8045beaaffd74"),
+    (24, 0.35, 9, "13b6ba1a125d4bc445e61ede30054555979029be47ba003d3f9d576340cc52cc"),
+    (10, 0.4, 7, "61fbd462a598957748f82bd192b19151428eb27df017e9778c54155ed6db3b5d"),
+])
+def test_random_draws_are_pinned(n, p, seed, digest):
+    assert hashlib.sha256(serialize_graph(build_random(n, p, seed))).hexdigest() == digest
+
+
+def _reference_views(n, bonds):
+    """Every derived view, built naively from neighbour sets."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in bonds:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+    directed = tuple((i, k) for i, row in enumerate(adjacency) for k in row)
+    return {
+        "adjacency": adjacency,
+        "directed_edges": directed,
+        "edge_index": {e: idx for idx, e in enumerate(directed)},
+        "bonds": tuple((i, k) for i, k in directed if i < k),
+        "edge_tails": [i for i, _ in directed],
+        "edge_heads": [k for _, k in directed],
+        "degrees": [len(row) for row in adjacency],
+    }
+
+
+def _reference_bfs(adjacency, source):
+    """Hop counts and first-discovery parents of a FIFO traversal."""
+    dist, parent = {source: 0}, {source: None}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in dist:
+                dist[v], parent[v] = dist[u] + 1, u
+                queue.append(v)
+    return dist, parent
+
+
+def _view_graphs():
+    graphs = dict(fixture_graphs())
+    graphs["two_components"] = Graph.from_edges(6, [(3, 5), (0, 4), (1, 4)])
+    return graphs
+
+
+@pytest.mark.parametrize("name,g", _view_graphs().items())
+def test_views_match_reference_for_any_bond_order(name, g):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    bonds = [(k, i) if flip else (i, k)
+             for (i, k), flip in zip(g.bonds, rng.random(len(g.bonds)) < 0.5)]
+    bonds = [bonds[x] for x in rng.permutation(len(bonds))]
+    ref = _reference_views(g.node_count, bonds)
+    for built in (g, Graph.from_edges(g.node_count, bonds), Graph(ref["adjacency"])):
+        assert built == g and hash(built) == hash(g)
+        for view, expected in ref.items():
+            actual = getattr(built, view)
+            if isinstance(actual, np.ndarray):
+                assert actual.dtype == np.int64, view
+                actual = actual.tolist()
+            assert actual == expected, (name, view)
+
+    labels = component_labels(g).tolist()
+    for source in range(g.node_count):
+        dist, parent = _reference_bfs(ref["adjacency"], source)
+        assert bfs_distances(g, source).tolist() == [dist.get(v, -1)
+                                                     for v in range(g.node_count)]
+        assert [labels[v] == labels[source] for v in range(g.node_count)] == \
+            [v in dist for v in range(g.node_count)]
+        for target in dist:
+            path = [target]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            assert shortest_path(g, source, target) == path[::-1]
+    # component ids are numbered in order of each component's smallest node
+    firsts = [labels.index(c) for c in range(max(labels) + 1)]
+    assert firsts == sorted(firsts)
+
+
+def test_graph_arrays_are_read_only_and_structural():
+    g = build_cycle(4)
+    for array in (g.indptr, g.indices, g.edge_heads):
+        with pytest.raises(ValueError):
+            array[0] = 2
+    assert g.indptr.tolist() == [0, 2, 4, 6, 8]
+    assert g.indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
+    assert g != build_path(4) and g != g.adjacency
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph.from_edges(3, [(0, 1), (1, 3)]), r"bond \(1,3\) out of range"),
+    (lambda: Graph.from_edges(3, [(0, 1), (-1, 2)]), r"bond \(-1,2\) out of range"),
+    (lambda: Graph(((1,), (0, 2))), r"node 1: neighbour index out of range"),
+    (lambda: Graph.from_edges(3, [(0, 1), (1, 10 ** 20)]), r"bond \(1,10{20}\) out of range"),
+    (lambda: Graph(((1,), (0, -10 ** 20))), r"node 1: neighbour index out of range"),
+    (lambda: Graph.from_edges(3, [(0, 1), (2, 2)]), r"self-loop at node 2"),
+    (lambda: Graph(((1,), (0, 1))), r"node 1: self-loop"),
+    (lambda: Graph.from_edges(3, [(1, 2), (0, 1), (1, 2)]), r"duplicate bond \(1,2\)"),
+    (lambda: Graph(((1, 1), (0, 0))), r"node 0: duplicate neighbour"),
+    (lambda: Graph.from_edges(3, [(0, 1), (2, 1), (1, 2)]), r"duplicate bond \(1,2\)"),
+    (lambda: Graph(((), (2, 0), (1,))), r"node 1: neighbours not sorted"),
+    (lambda: Graph(((1, 2), (0,), ())), r"bond \(0,2\) missing its reverse"),
+    (lambda: Graph.from_edges(3, [(0, 1, 2)]), r"\(i, j\) pairs"),
+], ids=["range-bond", "range-negative", "range-node", "range-int64-bond", "range-int64-node",
+        "self-loop-bond", "self-loop-node", "duplicate-bond", "duplicate-node",
+        "reversed-duplicate", "unsorted", "missing-reverse", "not-pairs"])
+def test_invalid_graphs_name_the_offender(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edges(NODE_CAP + 1, []),
+    lambda: Graph.from_edges(-1, []),
+    lambda: Graph(range(NODE_CAP + 1)),  # rejected from its length, before any iteration
+    lambda: build_path(10 ** 10),
+    lambda: build_cycle(10 ** 10),
+    lambda: build_binary_tree(23),
+])
+def test_node_cap_rejects_before_allocating(build):
+    with pytest.raises(ValueError, match=str(NODE_CAP)):
+        build()
+
+
+def test_million_node_path_builds():
+    n = 10 ** 6
+    g = build_path(n)
+    assert g.node_count == n and g.directed_edge_count == 2 * (n - 1)
+    assert g.degrees[0] == g.degrees[-1] == 1 and np.all(g.degrees[1:-1] == 2)
+    assert g.connected
+    mid = n // 2
+    assert g.indices[g.indptr[mid]:g.indptr[mid + 1]].tolist() == [mid - 1, mid + 1]
+
+
+def test_large_star_builds_from_shuffled_bonds():
+    leaves = 10 ** 5
+    rng = np.random.default_rng(0)
+    labels = rng.permutation(leaves + 1)
+    hub = int(labels[0])
+    bonds = np.column_stack((np.full(leaves, hub), labels[1:]))
+    flip = rng.random(leaves) < 0.5
+    bonds[flip] = bonds[flip][:, ::-1]
+    g = Graph.from_edges(leaves + 1, bonds.tolist())
+    assert g.degrees[hub] == leaves
+    assert np.count_nonzero(g.degrees == 1) == leaves
+    assert g.connected
+    assert g.adjacency[hub] == tuple(k for k in range(leaves + 1) if k != hub)

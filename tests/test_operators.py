@@ -158,6 +158,18 @@ def test_incidence_orientation_free():
         assert (flipped @ flipped.adjoint()).entrywise_equal(V_minus_A)
 
 
+def test_incidence_matches_bond_loop():
+    # column c of bond (i, j), i < j, holds +s at j and -s at i for orientation s
+    for g in fixture_graphs().values():
+        signs = np.where(np.arange(len(g.bonds)) % 3 == 0, -1, 1)
+        expected = np.zeros((g.node_count, len(g.bonds)), dtype=np.int64)
+        for col, ((i, j), s) in enumerate(zip(g.bonds, signs)):
+            expected[j, col], expected[i, col] = s, -s
+        B = incidence_map(g, signs)
+        assert B.matrix.dtype == np.int64
+        assert np.array_equal(B.toarray(), expected)
+
+
 def test_incidence_rank_cycle3():
     from graphdirac import rational_rank
     B = incidence_map(build_cycle(3)).toarray()

@@ -23,6 +23,7 @@ from graphdirac import (
     spectral_norm,
     truncation_norm_sequence,
 )
+from graphdirac import spectral
 from graphdirac.spectral import TruncationReport
 
 from conftest import complete_graph, fixture_graphs, random_connected_graphs
@@ -127,6 +128,27 @@ def test_prefix_averages_use_induced_degrees():
     assert avg[-1] == pytest.approx(8.0 / 5.0)
     b = adjacency_norm_bounds(g)
     assert b.lower <= b.estimate <= b.upper
+
+
+def test_prefix_averages_match_loop_reference():
+    for g in list(fixture_graphs().values()) + random_connected_graphs(10, 30, seed=5):
+        inside, expected = 0, []
+        for j in range(1, g.node_count + 1):
+            inside += sum(1 for k in g.adjacency[j - 1] if k < j - 1)
+            expected.append(2.0 * inside / j)
+        assert prefix_average_degrees(g).tolist() == expected
+
+
+def test_bounds_violation_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "spectral_norm", lambda *args, **kwargs: 3.5)
+    with pytest.raises(RuntimeError, match="outside its bounds"):
+        adjacency_norm_bounds(build_path(4))
+
+
+def test_cycle_space_rank_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(spectral.np.linalg, "svd", lambda a, compute_uv: np.ones(1))
+    with pytest.raises(RuntimeError, match="numerical rank 1"):
+        cycle_space_dims(build_cycle(5))
 
 
 def test_bounds_sandwich_everywhere():
