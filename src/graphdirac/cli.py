@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -32,7 +33,11 @@ def _load_graph(path):
 
 def _emit(text, out):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        # Opening with O_TRUNC makes ext4 (auto_da_alloc) flush the old data on
+        # close; overwrite in place and cut the old tail after writing instead.
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+            f.write(text)
+            f.truncate()
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -337,51 +337,107 @@ def serialize_graph(g, fmt="edgelist"):
     raise ValueError(f"unknown format {fmt!r} (expected 'edgelist' or 'json')")
 
 
+# the code points str.isspace() accepts (U+3000 is the highest)
+_WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
+
+
 def _parse_edgelist(text):
-    edges = []
-    seen = set()
+    """Parse edge-list text; a malformed file reports its first offending line.
+
+    The text is tokenised as one code-point array (tokens are runs of
+    non-whitespace, as ``str.split`` finds them), the checks run as masks
+    over all lines, and the earliest line any check flags is reported with
+    the message of the first check that line fails.
+    """
+    lines = text.splitlines()
+    flat = "\n".join(lines)  # splitlines removed every other line break
+    codes = np.frombuffer(flat.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space = np.isin(codes, _WHITESPACE)
+    gap = np.concatenate(([True], space, [True]))
+    starts = np.flatnonzero(gap[:-2] & ~space)
+    stops = np.flatnonzero(~space & gap[2:]) + 1
+    counts = np.bincount(np.searchsorted(np.flatnonzero(codes == 10), starts),
+                         minlength=len(lines))
+    first = np.cumsum(counts) - counts  # index of each line's first token
+    comment = counts > 0
+    comment[comment] = codes[starts[first[comment]]] == ord("#")
+
+    errors = []  # (line index, message) of the first line each check flags
     declared_nodes = None
-    max_index = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            # "# nodes: N" records isolated trailing nodes; other comments ignored
-            body = line[1:].strip()
-            if body.lower().startswith("nodes:"):
-                try:
-                    declared_nodes = int(body.split(":", 1)[1])
-                except ValueError:
-                    raise GraphParseError("malformed node-count comment", lineno)
-                if declared_nodes > NODE_CAP:
-                    raise GraphParseError(
-                        f"{declared_nodes} nodes exceed the {NODE_CAP}-node cap", lineno)
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"expected two indices, got {line!r}", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"non-integer index in {line!r}", lineno)
-        if not (0 <= i < NODE_CAP and 0 <= j < NODE_CAP):
-            raise GraphParseError(f"node index outside 0..{NODE_CAP - 1} in {line!r}", lineno)
-        if i == j:
-            raise GraphParseError(f"self-loop at node {i}", lineno)
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphParseError(f"duplicate or reversed bond ({i},{j})", lineno)
-        seen.add(key)
-        edges.append((i, j))
-        max_index = max(max_index, i, j)
+    for k in np.flatnonzero(comment).tolist():
+        # "# nodes: N" records isolated trailing nodes; other comments ignored
+        body = lines[k].strip()[1:].strip()
+        if body.lower().startswith("nodes:"):
+            try:
+                declared_nodes = int(body.split(":", 1)[1])
+            except ValueError:
+                errors.append((k, "malformed node-count comment"))
+                break
+            if declared_nodes > NODE_CAP:
+                errors.append((k, f"{declared_nodes} nodes exceed the {NODE_CAP}-node cap"))
+                break
+    wrong_count = np.flatnonzero((counts > 0) & (counts != 2) & ~comment)
+    if wrong_count.size:
+        k = int(wrong_count[0])
+        errors.append((k, f"expected two indices, got {lines[k].strip()!r}"))
+
+    rows = np.flatnonzero((counts == 2) & ~comment)
+    tokens = (first[rows, None] + [0, 1]).ravel()
+    ends, integer = _token_indices(flat, codes, starts[tokens], stops[tokens])
+    ends, integer = ends.reshape(-1, 2), integer.reshape(-1, 2).all(axis=1)
+    i, j = ends.T
+    in_range = integer & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < NODE_CAP)
+    loop = in_range & (i == j)
+    keys = np.minimum(i, j) * NODE_CAP + np.maximum(i, j)
+    valid = np.flatnonzero(in_range & ~loop)
+    order = valid[np.argsort(keys[valid], kind="stable")]
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    for bad, message in ((~integer, "non-integer index in {line!r}"),
+                         (integer & ~in_range,
+                          f"node index outside 0..{NODE_CAP - 1} in {{line!r}}"),
+                         (loop, "self-loop at node {i}"),
+                         (repeated, "duplicate or reversed bond ({i},{j})")):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            r = int(hits[0])
+            errors.append((int(rows[r]), message.format(
+                line=lines[rows[r]].strip(), i=int(i[r]), j=int(j[r]))))
+    if errors:
+        k, message = min(errors)
+        raise GraphParseError(message, k + 1)
+
+    max_index = int(ends.max()) if ends.size else -1
     n = max_index + 1
     if declared_nodes is not None:
         if declared_nodes < n:
             raise GraphParseError(
                 f"declared node count {declared_nodes} below max index {max_index}")
         n = declared_nodes
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, ends)
+
+
+def _token_indices(flat, codes, a, b):
+    """int(flat[a:b]) for each token, clipped to -1..NODE_CAP, and whether it parsed.
+
+    Tokens of at most 18 ASCII digits are read digit by digit across all
+    tokens at once; any other token (a sign, '_', non-ASCII digits, junk)
+    goes through int() itself.
+    """
+    value = np.zeros(len(a), dtype=np.int64)
+    plain = b - a <= 18
+    for d in range(int(np.max(b - a, initial=0, where=plain))):
+        live = plain & (a + d < b)
+        digit = codes[np.where(live, a + d, 0)].astype(np.int64) - ord("0")
+        plain &= ~live | ((digit >= 0) & (digit <= 9))
+        value = np.where(live, value * 10 + digit, value)
+    parsed = np.ones(len(a), dtype=bool)
+    for t in np.flatnonzero(~plain).tolist():
+        try:
+            value[t] = min(max(int(flat[a[t]:b[t]]), -1), NODE_CAP)
+        except ValueError:
+            parsed[t] = False
+    return value, parsed
 
 
 def _parse_json(text):

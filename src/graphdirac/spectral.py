@@ -19,19 +19,21 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .graph import build_binary_tree, build_cycle, build_path, component_count
 from .operators import LinearMap, adjacency_map, coboundary_map
 
-DENSE_CUTOFF = 64  # spectral_norm falls back to a full eigendecomposition below this
-
 
 @dataclass(frozen=True)
 class PowerIterationResult:
+    """An iterative norm estimate; ``method`` is "lanczos" or "power"."""
+
     estimate: float
     iterations: int
     converged: bool
     residual: float
+    method: str
 
 
 @dataclass(frozen=True)
@@ -77,32 +79,89 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
         raise ValueError("power iteration needs a square matrix")
     n = M.shape[0]
     if n == 0:
-        return PowerIterationResult(0.0, 0, True, 0.0)
-    rng = np.random.default_rng(1729)
-    v = np.ones(n) + 0.01 * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+        return PowerIterationResult(0.0, 0, True, 0.0, "power")
+    v = _start_vector(n)
     rho = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
         w = M @ (M @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
-            return PowerIterationResult(0.0, it, True, 0.0)
+            return PowerIterationResult(0.0, it, True, 0.0, "power")
         rho = float(v @ w)
         residual = float(np.linalg.norm(w - rho * v))
         v = w / norm_w
         if residual <= tol * max(rho, 1.0):
-            return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), it, True, residual)
-    return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), max_iter, False, residual)
+            return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), it, True, residual,
+                                        "power")
+    return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), max_iter, False, residual,
+                                "power")
+
+
+def _start_vector(n):
+    """All-ones plus a fixed seeded perturbation, normalised (never exactly orthogonal)."""
+    rng = np.random.default_rng(1729)
+    v = np.ones(n) + 0.01 * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _extreme_ritz(alphas, betas):
+    """The extreme eigenvalue of T_k of larger magnitude and its Ritz residual beta_k |s_k|."""
+    theta, s = max((eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
+                    for i in (0, len(alphas) - 1)), key=lambda pair: abs(pair[0][0]))
+    return float(theta[0]), betas[-1] * abs(float(s[-1, 0]))
+
+
+def lanczos_norm(m, tol=1e-12, max_iter=200_000):
+    """Spectral radius of a symmetric matrix by the Lanczos three-term recurrence.
+
+    Runs without reorthogonalisation from the start vector of
+    :func:`power_iteration_norm`.  At scheduled steps both extreme Ritz values
+    of the tridiagonal T_k are computed; the run stops when the one of larger
+    magnitude, theta, has Ritz residual beta_k * |s_k| <= tol * max(|theta|, 1),
+    or on breakdown (beta_k negligible, or k = n, where the Krylov space is
+    the whole space).  Checks come every 10 steps, then every k/8 steps, so
+    their O(k) cost stays below that of the matvecs even when k reaches n.
+    """
+    M = _as_sparse(m)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("Lanczos needs a square matrix")
+    n = M.shape[0]
+    if n == 0:
+        return PowerIterationResult(0.0, 0, True, 0.0, "lanczos")
+    v, v_prev = _start_vector(n), np.zeros(n)
+    alphas, betas = [], []
+    beta, scale = 0.0, 0.0
+    steps = min(max_iter, n)
+    theta, residual, next_check = 0.0, np.inf, 10
+    for k in range(1, steps + 1):
+        w = M @ v
+        alpha = float(v @ w)
+        w -= alpha * v
+        w -= beta * v_prev
+        scale = max(scale, np.hypot(alpha, beta))  # a lower bound on ||M||
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        # beta ~ 0 or k = n: the Krylov space is invariant (in exact arithmetic),
+        # so the eigenvalues of T_k are eigenvalues of M
+        breakdown = beta <= 1e-14 * scale or k == n
+        if breakdown or k >= next_check or k == steps:
+            theta, residual = _extreme_ritz(alphas, betas)
+            if breakdown or residual <= tol * max(abs(theta), 1.0):
+                return PowerIterationResult(abs(theta), k, True, residual, "lanczos")
+            next_check = k + max(10, k // 8)
+        v_prev, v = v, w / beta
+    return PowerIterationResult(abs(theta), steps, False, residual, "lanczos")
 
 
 def spectral_norm(m, tol=1e-12, method="auto", max_iter=200_000):
     """Operator norm (= spectral radius) of a symmetric matrix.
 
-    method 'auto' uses a dense symmetric eigendecomposition up to
-    DENSE_CUTOFF rows and power iteration above; 'dense'/'power' force one
-    path.  A non-converged power iteration warns and returns its last
-    estimate.
+    method 'auto' runs :func:`lanczos_norm`; 'dense' takes a full symmetric
+    eigendecomposition and 'power' runs :func:`power_iteration_norm`, the
+    oracle the Lanczos path is tested against.  A non-converged iterative
+    run warns and returns its last estimate.
     """
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
@@ -113,16 +172,17 @@ def spectral_norm(m, tol=1e-12, method="auto", max_iter=200_000):
         raise ValueError("matrix is not symmetric")
     if method not in ("auto", "dense", "power"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and M.shape[0] <= DENSE_CUTOFF):
+    if method == "dense":
         if M.shape[0] == 0:
             return 0.0
         eigs = np.linalg.eigvalsh(M.toarray())
         return float(np.max(np.abs(eigs)))
-    result = power_iteration_norm(M, tol=tol, max_iter=max_iter)
+    iterate = power_iteration_norm if method == "power" else lanczos_norm
+    result = iterate(M, tol=tol, max_iter=max_iter)
     if not result.converged:
         warnings.warn(
-            f"power iteration did not converge (residual {result.residual:.3g}); "
-            "returning last estimate", RuntimeWarning)
+            f"{result.method} iteration did not converge in {result.iterations} steps "
+            f"(residual {result.residual:.3g}); returning last estimate", RuntimeWarning)
     return result.estimate
 
 

@@ -38,6 +38,26 @@ def test_gen_formats_and_determinism(tmp_path, capsys):
     assert parse_graph(j.read_bytes()).node_count == 7
 
 
+def test_out_overwrites_longer_file_exactly(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"9 9 9\n" * 2000)
+    code, _, _ = run(capsys, "gen", "--family", "path", "--n", "3", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == b"# nodes: 3\n0 1\n1 2\n"
+
+
+def test_out_writes_through_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n" * 100)
+    link.symlink_to(target)
+    argv = ("truncation", "--family", "path", "--max-depth", "4")
+    _, expected, _ = run(capsys, *argv)
+    code, _, _ = run(capsys, *argv, "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == expected
+
+
 def test_gen_missing_parameter(capsys):
     code, _, err = run(capsys, "gen", "--family", "path")
     assert code == 2

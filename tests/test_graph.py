@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from collections import deque
 
 import numpy as np
@@ -218,6 +219,103 @@ def test_parse_edgelist_rejects(text, lineno):
     with pytest.raises(GraphParseError) as err:
         parse_graph(text)
     assert err.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ("0 1\n2 x\n3 3\n", 2, "non-integer index in '2 x'"),
+    ("0 1\n3 3\n2 x\n", 2, "self-loop at node 3"),
+    ("0 1\n1 2 3\n1 0\n", 2, "expected two indices, got '1 2 3'"),
+    ("0 1\n1 0\n1 2 3\n", 2, "duplicate or reversed bond (1,0)"),
+    ("2 -1\n# nodes: x\n", 1, "node index outside 0..4999999 in '2 -1'"),
+    ("0 1\n# nodes: x\n2 -1\n", 2, "malformed node-count comment"),
+])
+def test_parse_edgelist_reports_earliest_of_two_errors(text, lineno, message):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
+
+def _loop_parse_edgelist(text):
+    """The per-line edge-list parser the array version replaced: the reference."""
+    edges, seen, declared_nodes, max_index = [], set(), None, -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.lower().startswith("nodes:"):
+                try:
+                    declared_nodes = int(body.split(":", 1)[1])
+                except ValueError:
+                    raise GraphParseError("malformed node-count comment", lineno)
+                if declared_nodes > NODE_CAP:
+                    raise GraphParseError(
+                        f"{declared_nodes} nodes exceed the {NODE_CAP}-node cap", lineno)
+            continue
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(f"expected two indices, got {line!r}", lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"non-integer index in {line!r}", lineno)
+        if not (0 <= i < NODE_CAP and 0 <= j < NODE_CAP):
+            raise GraphParseError(f"node index outside 0..{NODE_CAP - 1} in {line!r}", lineno)
+        if i == j:
+            raise GraphParseError(f"self-loop at node {i}", lineno)
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphParseError(f"duplicate or reversed bond ({i},{j})", lineno)
+        seen.add(key)
+        edges.append((i, j))
+        max_index = max(max_index, i, j)
+    n = max_index + 1
+    if declared_nodes is not None:
+        if declared_nodes < n:
+            raise GraphParseError(
+                f"declared node count {declared_nodes} below max index {max_index}")
+        n = declared_nodes
+    return Graph.from_edges(n, edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return str(exc), exc.lineno
+
+
+def test_parse_edgelist_matches_loop_reference():
+    # odd tokens (signs, '_', non-ASCII digits and spaces, huge or junk values),
+    # headers and every line break str.splitlines knows
+    words = ["0", "1", "2", "3", "5", "12", "+3", "-1", "1_0", "\u0663", "\U0001d7d9", "x", "#",
+             "#x", "# nodes: 9", "# nodes: x", "#NODES:3", "# nodes: -2", "1.0", "0x1", "007",
+             "4999999", "5000000", "99999999999999999999", "18446744073709551621",
+             "# nodes: 10000000000"]
+    gaps = [" ", "\t", "  ", "\u3000", "\xa0", "\x1f"]
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n\n"]
+    rng = random.Random(11)
+    texts = [serialize_graph(g).decode() for g in fixture_graphs().values()]
+    for g in random_connected_graphs(10, 60, seed=8):  # long files repeating an early bond
+        (i, j), (k, m) = g.bonds[0], g.bonds[len(g.bonds) // 2]
+        texts.append(serialize_graph(g).decode() + f"{m} {k}\n{j} {i}\n")
+    for _ in range(3000):
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.6:
+                line = f"{rng.randint(0, 6)}{rng.choice(gaps)}{rng.randint(0, 6)}"
+            else:
+                line = rng.choice(gaps).join(rng.choice(words) for _ in range(rng.randint(0, 3)))
+            lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\u3000"]))
+        texts.append("".join(line + rng.choice(breaks) for line in lines)[:rng.choice([None, -1])])
+    outcomes = {"graph": 0, "error": 0}
+    for text in texts:
+        expected = _parse_outcome(_loop_parse_edgelist, text)
+        assert _parse_outcome(parse_graph, text) == expected, repr(text)
+        outcomes["graph" if isinstance(expected, Graph) else "error"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_parse_json_rejects():

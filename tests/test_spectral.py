@@ -16,6 +16,7 @@ from graphdirac import (
     degree_map,
     induced_subgraph,
     laplacian_map,
+    lanczos_norm,
     operator_norm,
     power_iteration_norm,
     prefix_average_degrees,
@@ -72,6 +73,61 @@ def test_power_iteration_reports_non_convergence():
     with pytest.warns(RuntimeWarning):
         est = spectral_norm(A, method="power", tol=1e-14, max_iter=3)
     assert est > 0
+
+
+def test_lanczos_matches_dense():
+    graphs = list(fixture_graphs().values()) + random_connected_graphs(15, max_nodes=64, seed=6)
+    negative_dominant = 0
+    for g in graphs:
+        # Delta = A - V is negative semidefinite: its dominant eigenvalue is negative
+        for M in (adjacency_map(g), laplacian_map(g), -2 * laplacian_map(g)):
+            res = lanczos_norm(M)
+            eigs = np.linalg.eigvalsh(M.toarray().astype(float))
+            negative_dominant += abs(eigs[0]) > abs(eigs[-1]) + 1e-9
+            assert res.method == "lanczos" and res.converged
+            assert abs(res.estimate - spectral_norm(M, method="dense")) < 1e-10
+            assert spectral_norm(M) == res.estimate
+    assert negative_dominant == len(graphs)
+
+
+def test_lanczos_on_bipartite_pairs():
+    res = lanczos_norm(adjacency_map(build_path(40)))
+    assert res.converged
+    assert res.estimate == pytest.approx(2.0 * np.cos(np.pi / 41.0), abs=1e-12)
+
+
+def test_lanczos_depth17_tree_closed_form():
+    res = lanczos_norm(adjacency_map(build_binary_tree(17)))
+    assert res.converged
+    assert abs(res.estimate - TWO_SQRT2 * np.cos(np.pi / 19.0)) <= 1e-12
+
+
+def test_lanczos_reports_non_convergence():
+    A = adjacency_map(build_path(50))
+    res = lanczos_norm(A, tol=1e-14, max_iter=3)
+    assert not res.converged and res.iterations == 3 and res.method == "lanczos"
+    with pytest.warns(RuntimeWarning, match="lanczos iteration did not converge in 3 steps"):
+        est = spectral_norm(A, tol=1e-14, max_iter=3)
+    assert est == res.estimate > 0
+    assert power_iteration_norm(A, max_iter=3).method == "power"
+
+
+def test_lanczos_is_deterministic():
+    A = adjacency_map(build_random(200, 0.05, seed=4))
+    assert lanczos_norm(A) == lanczos_norm(A)
+
+
+def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
+    # the path Laplacian's top eigenvalues are O(1/n^2) apart, so the run takes
+    # all n steps; the Ritz checks must not come at a fixed interval
+    n, checks = 5000, []
+    ritz = spectral._extreme_ritz
+    monkeypatch.setattr(spectral, "_extreme_ritz",
+                        lambda alphas, betas: checks.append(len(alphas)) or ritz(alphas, betas))
+    res = lanczos_norm(laplacian_map(build_path(n)))
+    assert res.converged and res.iterations == n
+    assert res.estimate == pytest.approx(2.0 + 2.0 * np.cos(np.pi / n), abs=1e-12)
+    assert len(checks) <= 50 and sum(checks) <= 12 * n  # every 10 steps: 500 and 250 n
 
 
 def test_spectral_norm_rejects_nonsymmetric():
