@@ -31,7 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import nnls
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .graph import Graph, build_path, combinatorial_distance, induced_subgraph, shortest_path
 
@@ -46,9 +49,7 @@ def constraint_profile(g, f):
     if f.shape != (g.node_count,):
         raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
     v = (f[g.edge_heads] - f[g.edge_tails]) ** 2
-    out = np.zeros(g.node_count)
-    np.add.at(out, g.edge_tails, v)
-    return out
+    return np.bincount(g.edge_tails, weights=v, minlength=g.node_count)
 
 
 def commutator_norm(g, f):
@@ -92,6 +93,95 @@ def _constraint_jacobian(g, f):
     return J
 
 
+class _BarrierNewton:
+    """Gradient and Newton step of the barrier objective on a fixed sparse pattern.
+
+    The barrier Hessian is the sum over nodes i of w_i * hess(a_i) +
+    w_i^2 * grad(a_i) grad(a_i)^t with w_i = 1/(1 - a_i), that is
+    2 L_w + J^t diag(w^2) J, where L_w is the Laplacian with bond weight
+    w_i + w_k.  Row i of the constraint Jacobian J holds node i and its
+    neighbours, and both terms of node i live on the ordered pairs of that
+    row, so H has the two-hop pattern.  The pattern and the CSR slot of every
+    pair are built once per solve; a step is then a few bincounts and one
+    factorization.  The gauge node gets the identity in its row and column,
+    so the step keeps full length with a zero there.
+    """
+
+    def __init__(self, g, gauge):
+        n = g.node_count
+        self.n, self.gauge = n, gauge
+        self.tails, self.heads = g.edge_tails, g.edge_heads
+        nodes = np.arange(n)
+        # entries of J: the n diagonal ones, then one per directed edge
+        self.rows = np.concatenate((nodes, self.tails))
+        self.cols = np.concatenate((nodes, self.heads))
+        # every ordered pair (p, q) of entries in one row of J
+        by_row = np.argsort(self.rows, kind="stable")
+        row_len = g.degrees + 1
+        row_start = np.cumsum(row_len) - row_len
+        block = row_len[self.rows[by_row]]
+        block_end = np.cumsum(block)
+        within = np.arange(block_end[-1]) - np.repeat(block_end - block, block)
+        p = np.repeat(by_row, block)
+        q = by_row[np.repeat(row_start[self.rows[by_row]], block) + within]
+        keep = (self.cols[p] != gauge) & (self.cols[q] != gauge)
+        p, q = p[keep], q[keep]
+        self.pair_p, self.pair_q, self.pair_row = p, q, self.rows[p]
+        # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and (k, i)
+        # for each neighbour k
+        diag_p, diag_q = p < n, q < n
+        self.curvature = 2.0 * np.where(
+            p == q, np.where(diag_p, g.degrees[self.pair_row], 1), np.where(diag_p != diag_q, -1, 0))
+        keys = np.append(self.cols[p] * n + self.cols[q], gauge * n + gauge)
+        self.keys, slots = np.unique(keys, return_inverse=True)
+        self.slots, self.gauge_slot = slots[:-1], slots[-1]
+        self.indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
+        self.indices = self.keys % n
+        # above a quarter full, a dense Cholesky beats the sparse LU's overhead
+        self.dense = 4 * self.keys.size > n * n
+
+    def assemble(self, f, w, t, c):
+        """Gradient of -t c.f - sum log(1 - a_i) at f, with weights w = 1/(1 - a),
+        and the values of its Hessian in the CSR slots ``keys``."""
+        n = self.n
+        v = 2.0 * (f[self.heads] - f[self.tails])
+        jv = np.concatenate((-np.bincount(self.tails, weights=v, minlength=n), v))
+        grad = np.bincount(self.cols, weights=jv * w[self.rows], minlength=n) - t * c
+        grad[self.gauge] = 0.0
+        wp = w[self.pair_row]
+        hess = np.bincount(self.slots, weights=wp * (wp * jv[self.pair_p] * jv[self.pair_q]
+                                                     + self.curvature),
+                           minlength=self.keys.size)
+        hess[self.gauge_slot] = 1.0
+        return grad, hess
+
+    def step(self, f, w, t, c):
+        """The gradient and the Newton step."""
+        grad, hess = self.assemble(f, w, t, c)
+        return grad, self._solve(hess, -grad)
+
+    def dense_matrix(self, hess):
+        out = np.zeros(self.n * self.n)
+        out[self.keys] = hess
+        return out.reshape(self.n, self.n)
+
+    def _solve(self, hess, rhs):
+        if self.dense:
+            matrix = self.dense_matrix(hess)
+            _, x, info = dposv(matrix, rhs)
+            if info == 0:
+                return x
+        else:
+            matrix = csc_matrix((hess, self.indices, self.indptr), shape=(self.n, self.n))
+            try:
+                # symmetric ordering, no pivoting: H is positive definite
+                return splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0).solve(rhs)
+            except RuntimeError:  # exactly singular factor
+                matrix = self.dense_matrix(hess)
+        return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+
+
 def random_feasible_point(g, gauge, rng, margin=0.5):
     """Strictly feasible start with max constraint value ``margin``."""
     f = rng.standard_normal(g.node_count)
@@ -125,7 +215,6 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
 
     mu_final = min(mu_min, tol / 10.0)
     mu_final = max(mu_final, MU_FLOOR)
-    free = np.array([j for j in range(n) if j != a])
     c = np.zeros(n)
     c[b] = 1.0
     c[a] -= 1.0  # a != b here; kept for the full-space residual
@@ -144,55 +233,45 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
         mu = max(mu * 0.1, mu_final)
         stages.append(mu)
 
+    newton = _BarrierNewton(g, a)
+    prof = constraint_profile(g, f)
     for mu in stages:
         t = 1.0 / mu
         for _ in range(max_newton):
-            prof = constraint_profile(g, f)
             s = 1.0 - prof
-            w = 1.0 / s
-            J = _constraint_jacobian(g, f)
-            grad = (-t * c + J.T @ w)[free]
-            # Hessian: sum_i ( 2 Q_i / s_i + grad a_i grad a_i^t / s_i^2 )
-            H = np.zeros((n, n))
-            ew = w[g.edge_tails]
-            np.add.at(H, (g.edge_tails, g.edge_tails), 2.0 * ew)
-            np.add.at(H, (g.edge_heads, g.edge_heads), 2.0 * ew)
-            np.add.at(H, (g.edge_tails, g.edge_heads), -2.0 * ew)
-            np.add.at(H, (g.edge_heads, g.edge_tails), -2.0 * ew)
-            H += (J.T * (w ** 2)) @ J
-            Hr = H[np.ix_(free, free)]
-            try:
-                step = np.linalg.solve(Hr, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(Hr, -grad, rcond=None)[0]
-            decrement_sq = float(-grad @ step)
+            grad, direction = newton.step(f, 1.0 / s, t, c)
+            decrement_sq = float(-grad @ direction)
             if not np.isfinite(decrement_sq) or decrement_sq <= 0:
                 break
-            direction = np.zeros(n)
-            direction[free] = step
+            # each trial point's profile is computed once: the first feasible
+            # one serves the Armijo test too, the accepted one the next step
             alpha = 1.0
-            while constraint_profile(g, f + alpha * direction).max() >= 1.0 - 1e-14:
+            prof_trial = constraint_profile(g, f + alpha * direction)
+            while prof_trial.max() >= 1.0 - 1e-14:
                 alpha *= 0.5
                 if alpha < 1e-16:
                     break
+                prof_trial = constraint_profile(g, f + alpha * direction)
             phi0 = -t * float(c @ f) - float(np.sum(np.log(s)))
-            slope = float(grad @ step)
+            slope = float(grad @ direction)
             while alpha >= 1e-16:
                 trial = f + alpha * direction
-                s_trial = 1.0 - constraint_profile(g, trial)
+                if prof_trial is None:
+                    prof_trial = constraint_profile(g, trial)
+                s_trial = 1.0 - prof_trial
                 if s_trial.min() > 0.0:
                     phi = -t * float(c @ trial) - float(np.sum(np.log(s_trial)))
                     if phi <= phi0 + 0.25 * alpha * slope:
                         break
                 alpha *= 0.5
+                prof_trial = None
             if alpha < 1e-16:
                 break
-            f = f + alpha * direction
+            f, prof = trial, prof_trial
             iterations += 1
             if decrement_sq / 2.0 <= 1e-14:
                 break
 
-    prof = constraint_profile(g, f)
     s = 1.0 - prof
     J = _constraint_jacobian(g, f)
 
@@ -203,7 +282,9 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
 
     multipliers = mu_final / s  # exact on the central path, noisy in float
     try:
-        polished, _ = nnls(J.T, c)
+        # slackness is charged inside the fit: a plain nnls(J^t, c) can put
+        # weight on a constraint with slack and fail complementarity
+        polished, _ = nnls(np.vstack((J.T, np.diag(s))), np.concatenate((c, np.zeros(n))))
         if residual(polished) < residual(multipliers):
             multipliers = polished
     except Exception:

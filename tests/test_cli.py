@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from graphdirac import parse_graph
+from graphdirac import connes, parse_graph
 from graphdirac.cli import main
 
 
@@ -97,6 +98,33 @@ def test_connes_matrix_csv(tmp_path, capsys):
              for i, j, v in (line.split(",") for line in lines[1:])}
     assert table[(0, 1)] == pytest.approx(1.0, abs=1e-6)
     assert table[(0, 2)] == pytest.approx(math.sqrt(2.0), abs=1e-6)
+
+
+def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
+    graph_path = tmp_path / "p.edges"
+    run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(graph_path))
+    solve = connes.connes_distance
+
+    def one_pair_uncertified(g, a, b, **kwargs):
+        result = solve(g, a, b, **kwargs)
+        return dataclasses.replace(result, certified=False) if (a, b) == (0, 2) else result
+
+    monkeypatch.setattr(connes, "connes_distance", one_pair_uncertified)
+    code, out, _ = run(capsys, "connes-matrix", "--graph", str(graph_path))
+    assert code == 1
+    rows = out.strip().splitlines()
+    assert rows[0] == "i,j,distance"
+    assert "0,2,nan" in rows
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows[1:] if row != "0,2,nan")
+    assert len(rows) == 7
+
+
+def test_connes_matrix_disconnected_graph_is_usage_error(tmp_path, capsys):
+    graph_path = tmp_path / "two.edges"
+    graph_path.write_text("# nodes: 3\n0 1\n")
+    code, _, err = run(capsys, "connes-matrix", "--graph", str(graph_path))
+    assert code == 2
+    assert "connected" in err
 
 
 def test_truncation_csv(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
+from graphdirac import connes
 from graphdirac import (
     brute_force_distance,
     build_binary_tree,
     build_cycle,
     build_path,
+    build_random,
     combinatorial_distance,
     commutator_map,
     commutator_norm,
@@ -155,10 +158,159 @@ def test_result_json_keys():
     assert len(doc["f"]) == len(doc["slacks"]) == len(doc["multipliers"]) == 3
 
 
+def _relabelled_tree_pair(seed):
+    """The depth-7 tree and its two outermost leaves under the node relabelling
+    that the benchmark's path-solve workload draws at ``seed`` (after the
+    relabelling of its 400-node path)."""
+    rng = random.Random(seed)
+    rng.shuffle(list(range(400)))
+    tree = build_binary_tree(7)
+    perm = list(range(tree.node_count))
+    rng.shuffle(perm)
+    relabelled = Graph.from_edges(tree.node_count, [(perm[i], perm[k]) for i, k in tree.bonds])
+    return relabelled, perm[2 ** 7 - 1], perm[2 ** 8 - 2]
+
+
+# 7, 16-20 and 22 are labellings at which a polish fitting stationarity alone
+# put weight on a constraint with slack and left the solve uncertified
+@pytest.mark.parametrize("seed", [0, 1, 7, 14, 16, 17, 18, 19, 20, 22, 25, 29])
+def test_relabelled_tree_is_certified(seed):
+    g, a, b = _relabelled_tree_pair(seed)
+    result = connes_distance(g, a, b)
+    assert result.certified
+    assert result.kkt_residual <= 1e-8
+    assert result.distance == pytest.approx(math.sqrt(98.0), abs=1e-7)
+
+
+@pytest.mark.parametrize("seed,pair", [(7, (10, 14)), (14, (2, 10)), (30, (3, 19))])
+def test_random_graph_pairs_are_certified(seed, pair):
+    result = connes_distance(build_random(20, 0.3, seed), *pair)
+    assert result.certified
+    assert result.kkt_residual <= 1e-8
+
+
 def test_uncertifiable_tolerance_is_flagged_not_raised():
     result = connes_distance(build_path(3), 0, 2, tol=1e-15)
     assert not result.certified
     assert result.distance == pytest.approx(SQRT2, abs=1e-6)
+
+
+# --- the sparse Newton step ---------------------------------------------------------
+
+def _dense_gradient_hessian(g, f, gauge, t, c):
+    """Reference: the dense assembly the sparse step replaced, with the gauge
+    row and column set to the identity and the gauge gradient entry to 0."""
+    n = g.node_count
+    w = 1.0 / (1.0 - constraint_profile(g, f))
+    J = connes._constraint_jacobian(g, f)
+    grad = -t * c + J.T @ w
+    H = np.zeros((n, n))
+    ew = w[g.edge_tails]
+    np.add.at(H, (g.edge_tails, g.edge_tails), 2.0 * ew)
+    np.add.at(H, (g.edge_heads, g.edge_heads), 2.0 * ew)
+    np.add.at(H, (g.edge_tails, g.edge_heads), -2.0 * ew)
+    np.add.at(H, (g.edge_heads, g.edge_tails), -2.0 * ew)
+    H += (J.T * (w ** 2)) @ J
+    grad[gauge] = 0.0
+    H[gauge, :] = 0.0
+    H[:, gauge] = 0.0
+    H[gauge, gauge] = 1.0
+    return grad, H
+
+
+def _step_graphs():
+    graphs = dict(fixture_graphs())
+    graphs["path400"] = build_path(400)
+    return graphs
+
+
+@pytest.mark.parametrize("name", sorted(_step_graphs()))
+def test_sparse_step_matches_dense_assembly(name):
+    g = _step_graphs()[name]
+    n = g.node_count
+    rng = np.random.default_rng(n)
+    for trial in range(3):
+        gauge = int(rng.integers(n))
+        b = (gauge + 1 + int(rng.integers(n - 1))) % n
+        c = np.zeros(n)
+        c[b], c[gauge] = 1.0, -1.0
+        f = random_feasible_point(g, gauge, rng, margin=0.9)
+        t = 10.0 ** trial
+        newton = connes._BarrierNewton(g, gauge)
+        w = 1.0 / (1.0 - constraint_profile(g, f))
+        grad, hess = newton.assemble(f, w, t, c)
+        ref_grad, ref_H = _dense_gradient_hessian(g, f, gauge, t, c)
+        H = newton.dense_matrix(hess)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.abs(H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
+        # the pattern holds every nonzero, in CSR order
+        assert np.all(np.diff(newton.keys) > 0)
+        assert np.count_nonzero(ref_H) <= newton.keys.size
+        _, step = newton.step(f, w, t, c)
+        assert step[gauge] == 0.0
+        assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(connes, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connes, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("g,pair,sparse", [
+    (build_path(400), (0, 399), True),
+    (complete_graph(5), (0, 1), False),
+])
+def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
+    lu_calls = _count_calls(monkeypatch, "splu")
+    cholesky_calls = _count_calls(monkeypatch, "dposv")
+    result = connes_distance(g, *pair)
+    assert result.certified
+    used, unused = (lu_calls, cholesky_calls) if sparse else (cholesky_calls, lu_calls)
+    assert len(used) >= result.iterations > 0
+    assert not unused
+
+
+def _failed_cholesky(a, b):
+    return a, b, 1  # LAPACK info > 0: not positive definite
+
+
+def _singular_lu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("name,failing,n", [
+    ("dposv", _failed_cholesky, 5),
+    ("splu", _singular_lu, 30),
+])
+def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, failing, n):
+    monkeypatch.setattr(connes, name, failing)
+    lstsq_calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        lstsq_calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    result = connes_distance(build_path(n), 0, n - 1)
+    assert len(lstsq_calls) >= result.iterations > 0
+    assert result.certified
+    assert result.distance == pytest.approx(lattice_closed_form(n - 1), abs=1e-5)
+
+
+def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
+    lu_calls = _count_calls(monkeypatch, "splu")
+    result = connes_distance(build_path(61), 0, 60)
+    assert lu_calls
+    assert result.certified
+    assert result.distance == pytest.approx(lattice_closed_form(60), abs=1e-5)
 
 
 # --- closed forms ------------------------------------------------------------------
