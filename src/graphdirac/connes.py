@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from numpy.linalg import LinAlgError, solve
 from scipy.optimize import nnls
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .graph import Graph, build_path, combinatorial_distance, induced_subgraph, shortest_path
@@ -41,15 +41,31 @@ from .graph import Graph, build_path, combinatorial_distance, induced_subgraph, 
 DEFAULT_TOL = 1e-7
 DEFAULT_MU_MIN = 1e-9
 MU_FLOOR = 1e-12  # below this the slacks drown in rounding noise
+MAX_NEWTON = 60
+# cap on the Hessian entries (the terms summed into it, or its dense form) that
+# one chunk of distance_matrix's pairs holds at once: 2 MB an array, while the
+# 190 pairs of a 20-node random graph still run as one stack
+CHUNK_ENTRIES = 1 << 18
 
 
 def constraint_profile(g, f):
-    """Per-node a_i = sum over neighbours of the squared jump of f."""
+    """Per-node a_i = sum over neighbours of the squared jump of f.
+
+    ``f`` is one node vector or a (k, n) stack of them; the profile has the
+    same shape.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (g.node_count,):
-        raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
-    v = (f[g.edge_heads] - f[g.edge_tails]) ** 2
-    return np.bincount(g.edge_tails, weights=v, minlength=g.node_count)
+    n = g.node_count
+    if f.ndim not in (1, 2) or f.shape[-1] != n:
+        raise ValueError(f"node vector has shape {f.shape}, expected ({n},) or (k, {n})")
+    v = (f[..., g.edge_heads] - f[..., g.edge_tails]) ** 2
+    if f.ndim == 1:
+        return np.bincount(g.edge_tails, weights=v, minlength=n)
+    # one bincount for the stack; each row's sums keep the order of its own
+    # bincount, so a row's profile does not depend on the stack it is in
+    k = f.shape[0]
+    bins = (np.arange(k)[:, None] * n + g.edge_tails).ravel()
+    return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(k, n)
 
 
 def commutator_norm(g, f):
@@ -87,34 +103,36 @@ def _constraint_jacobian(g, f):
     J = np.zeros((n, n))
     v = 2.0 * (f[g.edge_heads] - f[g.edge_tails])
     J[g.edge_tails, g.edge_heads] = v
-    diag = np.zeros(n)
-    np.add.at(diag, g.edge_tails, -v)
-    J[np.arange(n), np.arange(n)] = diag
+    J[np.arange(n), np.arange(n)] = -np.bincount(g.edge_tails, weights=v, minlength=n)
     return J
 
 
 class _BarrierNewton:
-    """Gradient and Newton step of the barrier objective on a fixed sparse pattern.
+    """Gradients and Newton steps of the barrier objective for a stack of pairs
+    of one graph, on a fixed sparse pattern.
 
     The barrier Hessian is the sum over nodes i of w_i * hess(a_i) +
     w_i^2 * grad(a_i) grad(a_i)^t with w_i = 1/(1 - a_i), that is
     2 L_w + J^t diag(w^2) J, where L_w is the Laplacian with bond weight
     w_i + w_k.  Row i of the constraint Jacobian J holds node i and its
     neighbours, and both terms of node i live on the ordered pairs of that
-    row, so H has the two-hop pattern.  The pattern and the CSR slot of every
-    pair are built once per solve; a step is then a few bincounts and one
-    factorization.  The gauge node gets the identity in its row and column,
-    so the step keeps full length with a zero there.
+    row, so H has the two-hop pattern.  The pattern, and the sparse matrices
+    that add each step's terms into it, are built once per graph; a step is
+    then a few sparse products over the stack and one factorization.  Each
+    pair's gauge node gets the identity in its row and column, so the step
+    keeps full length with a zero there.
     """
 
-    def __init__(self, g, gauge):
-        n = g.node_count
-        self.n, self.gauge = n, gauge
+    def __init__(self, g):
+        n, m = g.node_count, g.directed_edge_count
+        self.n = n
         self.tails, self.heads = g.edge_tails, g.edge_heads
-        nodes = np.arange(n)
+        nodes, entries = np.arange(n), np.arange(n + m)
         # entries of J: the n diagonal ones, then one per directed edge
         self.rows = np.concatenate((nodes, self.tails))
-        self.cols = np.concatenate((nodes, self.heads))
+        cols = np.concatenate((nodes, self.heads))
+        self.tail_sums = csr_matrix((np.ones(m), (self.tails, entries[:m])), shape=(n, m))
+        self.column_sums = csr_matrix((np.ones(n + m), (cols, entries)), shape=(n, n + m))
         # every ordered pair (p, q) of entries in one row of J
         by_row = np.argsort(self.rows, kind="stable")
         row_len = g.degrees + 1
@@ -124,62 +142,90 @@ class _BarrierNewton:
         within = np.arange(block_end[-1]) - np.repeat(block_end - block, block)
         p = np.repeat(by_row, block)
         q = by_row[np.repeat(row_start[self.rows[by_row]], block) + within]
-        keep = (self.cols[p] != gauge) & (self.cols[q] != gauge)
-        p, q = p[keep], q[keep]
-        self.pair_p, self.pair_q, self.pair_row = p, q, self.rows[p]
+        pair_row = self.rows[p]
         # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and (k, i)
         # for each neighbour k
         diag_p, diag_q = p < n, q < n
-        self.curvature = 2.0 * np.where(
-            p == q, np.where(diag_p, g.degrees[self.pair_row], 1), np.where(diag_p != diag_q, -1, 0))
-        keys = np.append(self.cols[p] * n + self.cols[q], gauge * n + gauge)
-        self.keys, slots = np.unique(keys, return_inverse=True)
-        self.slots, self.gauge_slot = slots[:-1], slots[-1]
+        curvature = 2.0 * np.where(
+            p == q, np.where(diag_p, g.degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
+        self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
+        # a pair and its mirror share the product w_i^2 J_ip J_iq, so only the
+        # pairs p <= q are multiplied; one sparse matrix adds them, and the
+        # curvature terms w_i hess(a_i), into the Hessian's slots
+        half = p <= q
+        self.half_p, self.half_q = p[half], q[half]
+        size = self.half_p.size
+        mirrored = np.flatnonzero(self.half_p != self.half_q)
+        curved = np.flatnonzero(curvature)
+        mirror_keys = cols[self.half_q[mirrored]] * n + cols[self.half_p[mirrored]]
+        self.to_slots = csr_matrix((
+            np.concatenate((np.ones(size + mirrored.size), curvature[curved])),
+            (np.concatenate((slots[half], np.searchsorted(self.keys, mirror_keys), slots[curved])),
+             np.concatenate((np.arange(size), mirrored, size + pair_row[curved])))),
+            shape=(self.keys.size, size + n))
         self.indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
         self.indices = self.keys % n
-        # above a quarter full, a dense Cholesky beats the sparse LU's overhead
+        self.key_rows = self.keys // n
+        self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
+        # above a quarter full, a dense solve beats the sparse LU's overhead
         self.dense = 4 * self.keys.size > n * n
+        # Hessian entries one pair holds: the terms the sparse sum adds up, and
+        # the dense matrix it fills
+        self.entries_per_pair = max(size + n, n * n if self.dense else 0)
 
-    def assemble(self, f, w, t, c):
-        """Gradient of -t c.f - sum log(1 - a_i) at f, with weights w = 1/(1 - a),
-        and the values of its Hessian in the CSR slots ``keys``."""
-        n = self.n
+    def assemble(self, f, w, t, gauges, targets):
+        """Gradients of -t (f_b - f_a) - sum log(1 - a_i) at the rows of f, with
+        weights w = 1/(1 - a), and the values of their Hessians in the CSR
+        slots ``keys``; f and w are (k, n) stacks, t, the gauges a and the
+        targets b (k,) vectors."""
+        n, size = self.n, self.half_p.size
+        f, w = f.T, w.T  # one column per pair, so that a gather takes whole rows
         v = 2.0 * (f[self.heads] - f[self.tails])
-        jv = np.concatenate((-np.bincount(self.tails, weights=v, minlength=n), v))
-        grad = np.bincount(self.cols, weights=jv * w[self.rows], minlength=n) - t * c
-        grad[self.gauge] = 0.0
-        wp = w[self.pair_row]
-        hess = np.bincount(self.slots, weights=wp * (wp * jv[self.pair_p] * jv[self.pair_q]
-                                                     + self.curvature),
-                           minlength=self.keys.size)
-        hess[self.gauge_slot] = 1.0
+        u = np.concatenate((-(self.tail_sums @ v), v)) * w[self.rows]  # w_i J_ip
+        grad = (self.column_sums @ u).T
+        terms = np.empty((size + n, len(gauges)))
+        # the indices are in range; "clip" lets take write into terms unbuffered
+        np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
+        terms[:size] *= u[self.half_q]
+        terms[size:] = w
+        hess = (self.to_slots @ terms).T
+        stack = np.arange(len(gauges))
+        grad[stack, targets] -= t
+        grad[stack, gauges] = 0.0
+        hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
+        hess[stack, self.diagonal[gauges]] = 1.0
         return grad, hess
 
-    def step(self, f, w, t, c):
-        """The gradient and the Newton step."""
-        grad, hess = self.assemble(f, w, t, c)
+    def step(self, f, w, t, gauges, targets):
+        """The gradients and the Newton steps."""
+        grad, hess = self.assemble(f, w, t, gauges, targets)
         return grad, self._solve(hess, -grad)
 
     def dense_matrix(self, hess):
-        out = np.zeros(self.n * self.n)
-        out[self.keys] = hess
-        return out.reshape(self.n, self.n)
+        out = np.zeros((len(hess), self.n * self.n))
+        out[:, self.keys] = hess
+        return out.reshape(-1, self.n, self.n)
 
     def _solve(self, hess, rhs):
-        if self.dense:
-            matrix = self.dense_matrix(hess)
-            _, x, info = dposv(matrix, rhs)
-            if info == 0:
-                return x
-        else:
-            matrix = csc_matrix((hess, self.indices, self.indptr), shape=(self.n, self.n))
-            try:
-                # symmetric ordering, no pivoting: H is positive definite
-                return splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0).solve(rhs)
-            except RuntimeError:  # exactly singular factor
-                matrix = self.dense_matrix(hess)
-        return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+        """One batched dense solve, or one sparse LU of the block-diagonal
+        matrix.  A stack that fails is solved pair by pair, so that only a pair
+        whose own factorization fails falls back to least squares."""
+        k, n = rhs.shape
+        try:
+            if self.dense:
+                return solve(self.dense_matrix(hess), rhs[:, :, None])[:, :, 0]
+            block = np.arange(k)[:, None]
+            indptr = np.append((block * self.keys.size + self.indptr[:-1]).ravel(),
+                               k * self.keys.size)
+            matrix = csc_matrix((hess.ravel(), (block * n + self.indices).ravel(), indptr),
+                                shape=(k * n, k * n))
+            # symmetric ordering, no pivoting: H is positive definite
+            return splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0).solve(rhs.ravel()).reshape(k, n)
+        except (LinAlgError, RuntimeError):  # singular matrix, or exactly singular factor
+            if k > 1:
+                return np.concatenate([self._solve(hess[r:r + 1], rhs[r:r + 1]) for r in range(k)])
+        return np.linalg.lstsq(self.dense_matrix(hess)[0], rhs[0], rcond=None)[0][None]
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
@@ -192,86 +238,96 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
-                    max_newton=60):
-    """Distance between nodes a and b with a KKT certificate.
-
-    Follows the barrier path mu = 1, mu/10, ... down to ``mu_min`` (tightened
-    to tol/10 when the caller asks for more than the default).  The result is
-    ``certified`` when the verified residual max(||c - J^t lambda||,
-    max lambda_i (1 - a_i)) is below tol and no constraint is violated.
-    Non-certified results are returned, not raised.
-    """
-    _check_pair(g, a, b)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = g.node_count
-    if a == b:
-        zero = np.zeros(n)
-        return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
-                            0.0, 0, True)
-    if not g.connected:
-        raise ValueError("distance is only defined on connected graphs")
-
-    mu_final = min(mu_min, tol / 10.0)
-    mu_final = max(mu_final, MU_FLOOR)
-    c = np.zeros(n)
-    c[b] = 1.0
-    c[a] -= 1.0  # a != b here; kept for the full-space residual
-
-    f = np.zeros(n)
-    if x0 is not None:
-        f = np.asarray(x0, dtype=float).copy()
-        f -= f[a]  # enforce the gauge
-        if constraint_profile(g, f).max() >= 1.0:
-            raise ValueError("x0 is not strictly feasible")
-
-    iterations = 0
+def _barrier_stages(tol, mu_min):
+    """The barrier parameters mu = 1, mu/10, ... down to the final one, which
+    is ``mu_min`` tightened to tol/10 and floored at MU_FLOOR; and that final mu."""
+    mu_final = max(min(mu_min, tol / 10.0), MU_FLOOR)
     mu = 1.0
     stages = [mu]
     while mu > mu_final * (1 + 1e-12):
         mu = max(mu * 0.1, mu_final)
         stages.append(mu)
+    return np.array(stages), mu_final
 
-    newton = _BarrierNewton(g, a)
+
+def _central_path(g, newton, gauges, targets, f, stages, max_newton):
+    """Advance a stack of k pairs of g along their barrier paths in lockstep.
+
+    Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], from the
+    strictly feasible row f[r] with f[r, a] = 0.  In each stage, with
+    t = 1/mu, it takes damped Newton steps on -t (f_b - f_a) - sum log(1 - a_i):
+    each step halves its length until the trial point is strictly feasible and
+    then until it passes the Armijo test.  A stage ends when the step fails,
+    after a step with half the squared Newton decrement at most 1e-14 or with
+    no decrease of the barrier objective, or after ``max_newton`` steps.  A
+    pair leaves the stack when its last stage ends.  The rows of f are the
+    working stack and are overwritten.  Returns the final rows of f, their
+    profiles and the accepted steps of each pair.
+    """
+    k, n = f.shape
+    out_f, out_prof, out_iterations = np.empty((k, n)), np.empty((k, n)), np.empty(k, dtype=int)
+    pairs = np.arange(k)                  # where each pair on the stack reports
     prof = constraint_profile(g, f)
-    for mu in stages:
-        t = 1.0 / mu
-        for _ in range(max_newton):
-            s = 1.0 - prof
-            grad, direction = newton.step(f, 1.0 / s, t, c)
-            decrement_sq = float(-grad @ direction)
-            if not np.isfinite(decrement_sq) or decrement_sq <= 0:
-                break
-            # each trial point's profile is computed once: the first feasible
-            # one serves the Armijo test too, the accepted one the next step
-            alpha = 1.0
-            prof_trial = constraint_profile(g, f + alpha * direction)
-            while prof_trial.max() >= 1.0 - 1e-14:
-                alpha *= 0.5
-                if alpha < 1e-16:
-                    break
-                prof_trial = constraint_profile(g, f + alpha * direction)
-            phi0 = -t * float(c @ f) - float(np.sum(np.log(s)))
-            slope = float(grad @ direction)
-            while alpha >= 1e-16:
-                trial = f + alpha * direction
-                if prof_trial is None:
-                    prof_trial = constraint_profile(g, trial)
-                s_trial = 1.0 - prof_trial
-                if s_trial.min() > 0.0:
-                    phi = -t * float(c @ trial) - float(np.sum(np.log(s_trial)))
-                    if phi <= phi0 + 0.25 * alpha * slope:
-                        break
-                alpha *= 0.5
-                prof_trial = None
-            if alpha < 1e-16:
-                break
-            f, prof = trial, prof_trial
-            iterations += 1
-            if decrement_sq / 2.0 <= 1e-14:
-                break
+    stage = np.zeros(k, dtype=int) if max_newton > 0 else np.full(k, stages.size)
+    steps = np.zeros(k, dtype=int)        # accepted steps in the current stage
+    iterations = np.zeros(k, dtype=int)
+    while True:
+        done = stage == stages.size
+        if done.any():
+            out_f[pairs[done]], out_prof[pairs[done]] = f[done], prof[done]
+            out_iterations[pairs[done]] = iterations[done]
+            stay = ~done
+            pairs, f, prof, gauges, targets, stage, steps, iterations = (
+                x[stay] for x in (pairs, f, prof, gauges, targets, stage, steps, iterations))
+        if not pairs.size:
+            return out_f, out_prof, out_iterations
+        s = 1.0 - prof
+        t = 1.0 / stages[stage]
+        grad, direction = newton.step(f, 1.0 / s, t, gauges, targets)
+        decrement_sq = -(grad * direction).sum(axis=1)
+        rows = np.arange(pairs.size)
+        phi0 = -t * (f[rows, targets] - f[rows, gauges]) - np.log(s).sum(axis=1)
+        # each trial point's profile is computed once: the first strictly
+        # feasible one serves the Armijo test too, the accepted one the next step
+        alpha = np.ones(pairs.size)
+        feasible = np.zeros(pairs.size, dtype=bool)
+        phi = np.full(pairs.size, np.nan)     # stays NaN where the step fails
+        trial = f + direction
+        trial_prof = np.empty_like(f)
+        todo = rows[np.isfinite(decrement_sq) & (decrement_sq > 0)]
+        while todo.size:
+            trial_prof[todo] = constraint_profile(g, trial[todo])
+            feasible[todo] |= trial_prof[todo].max(axis=1) < 1.0 - 1e-14
+            test = todo[feasible[todo]]
+            s_trial = 1.0 - trial_prof[test]
+            inside = s_trial.min(axis=1) > 0.0
+            value = -t[test] * (trial[test, targets[test]] - trial[test, gauges[test]])
+            value[inside] -= np.log(s_trial[inside]).sum(axis=1)
+            passed = inside & (value <= phi0[test] - 0.25 * alpha[test] * decrement_sq[test])
+            phi[test[passed]] = value[passed]
+            todo = todo[np.isnan(phi[todo])]
+            alpha[todo] *= 0.5
+            todo = todo[alpha[todo] >= 1e-16]
+            trial[todo] = f[todo] + alpha[todo, None] * direction[todo]
+        accepted = ~np.isnan(phi)
+        f[accepted], prof[accepted] = trial[accepted], trial_prof[accepted]
+        iterations += accepted
+        steps += accepted
+        ended = (~accepted | (decrement_sq / 2.0 <= 1e-14) | (phi >= phi0)
+                 | (steps >= max_newton))
+        stage += ended
+        steps[ended] = 0
 
+
+def _certified_result(g, a, b, f, prof, iterations, mu_final, tol):
+    """The result for one pair, with KKT multipliers fitted at the barrier
+    path's end point f; certified when the verified residual
+    max(||c - J^t lambda||, max lambda_i (1 - a_i)) is below tol and no
+    constraint is violated by more than tol."""
+    n = g.node_count
+    c = np.zeros(n)
+    c[b] = 1.0
+    c[a] -= 1.0  # a != b here; kept for the full-space residual
     s = 1.0 - prof
     J = _constraint_jacobian(g, f)
 
@@ -292,7 +348,44 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
     kkt = residual(multipliers)
     certified = bool(kkt <= tol and prof.max() <= 1.0 + tol)
     return ConnesResult(float(f[b] - f[a]), f, prof, multipliers, kkt,
-                        iterations, certified)
+                        int(iterations), certified)
+
+
+def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
+                    max_newton=MAX_NEWTON):
+    """Distance between nodes a and b with a KKT certificate.
+
+    Follows the barrier path mu = 1, mu/10, ... down to ``mu_min`` (tightened
+    to tol/10 when the caller asks for more than the default), with at most
+    ``max_newton`` damped Newton steps a stage; the pair runs as a stack of
+    one through the lockstep loop that ``distance_matrix`` uses for all its
+    pairs.  A stage ends early when its Newton decrement is negligible or a
+    step stops lowering the barrier objective.  The result is ``certified``
+    when the verified residual max(||c - J^t lambda||, max lambda_i (1 - a_i))
+    is below tol and no constraint is violated.  Non-certified results are
+    returned, not raised.
+    """
+    _check_pair(g, a, b)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = g.node_count
+    if a == b:
+        zero = np.zeros(n)
+        return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
+                            0.0, 0, True)
+    if not g.connected:
+        raise ValueError("distance is only defined on connected graphs")
+
+    f = np.zeros(n)
+    if x0 is not None:
+        f = np.asarray(x0, dtype=float).copy()
+        f -= f[a]  # enforce the gauge
+        if constraint_profile(g, f).max() >= 1.0:
+            raise ValueError("x0 is not strictly feasible")
+    stages, mu_final = _barrier_stages(tol, mu_min)
+    f, prof, iterations = _central_path(g, _BarrierNewton(g), np.array([a]), np.array([b]),
+                                        f[None], stages, max_newton)
+    return _certified_result(g, a, b, f[0], prof[0], iterations[0], mu_final, tol)
 
 
 def lattice_closed_form(n):
@@ -412,14 +505,30 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
 def distance_matrix(g, tol=DEFAULT_TOL):
     """All-pairs distances; symmetric with zero diagonal.
 
-    Per-pair certification failures are flagged by a NaN entry rather than
-    aborting the sweep.
+    The pairs share one Newton pattern and run through ``connes_distance``'s
+    barrier loop together, in chunks of at most CHUNK_ENTRIES Hessian entries;
+    each pair's result is polished and certified on its own, and agrees with
+    ``connes_distance`` on that pair.  Per-pair certification failures are
+    flagged by a NaN entry rather than aborting the sweep.
     """
     n = g.node_count
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            result = connes_distance(g, i, j, tol=tol)
+    gauges, targets = np.triu_indices(n, 1)
+    if not gauges.size:
+        return out
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not g.connected:
+        raise ValueError("distance is only defined on connected graphs")
+    newton = _BarrierNewton(g)
+    stages, mu_final = _barrier_stages(tol, DEFAULT_MU_MIN)
+    chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
+    for start in range(0, gauges.size, chunk):
+        a, b = gauges[start:start + chunk], targets[start:start + chunk]
+        f, prof, iterations = _central_path(g, newton, a, b, np.zeros((a.size, n)),
+                                            stages, MAX_NEWTON)
+        for r, (i, j) in enumerate(zip(a, b)):
+            result = _certified_result(g, i, j, f[r], prof[r], iterations[r], mu_final, tol)
             out[i, j] = out[j, i] = result.distance if result.certified else np.nan
     return out
 

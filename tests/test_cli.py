@@ -103,13 +103,13 @@ def test_connes_matrix_csv(tmp_path, capsys):
 def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     graph_path = tmp_path / "p.edges"
     run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(graph_path))
-    solve = connes.connes_distance
+    certify = connes._certified_result
 
-    def one_pair_uncertified(g, a, b, **kwargs):
-        result = solve(g, a, b, **kwargs)
+    def one_pair_uncertified(g, a, b, *args):
+        result = certify(g, a, b, *args)
         return dataclasses.replace(result, certified=False) if (a, b) == (0, 2) else result
 
-    monkeypatch.setattr(connes, "connes_distance", one_pair_uncertified)
+    monkeypatch.setattr(connes, "_certified_result", one_pair_uncertified)
     code, out, _ = run(capsys, "connes-matrix", "--graph", str(graph_path))
     assert code == 1
     rows = out.strip().splitlines()

@@ -236,17 +236,20 @@ def test_sparse_step_matches_dense_assembly(name):
         c[b], c[gauge] = 1.0, -1.0
         f = random_feasible_point(g, gauge, rng, margin=0.9)
         t = 10.0 ** trial
-        newton = connes._BarrierNewton(g, gauge)
+        newton = connes._BarrierNewton(g)
         w = 1.0 / (1.0 - constraint_profile(g, f))
-        grad, hess = newton.assemble(f, w, t, c)
+        grad, hess = newton.assemble(f[None], w[None], np.array([t]), np.array([gauge]),
+                                     np.array([b]))
+        grad = grad[0]
         ref_grad, ref_H = _dense_gradient_hessian(g, f, gauge, t, c)
-        H = newton.dense_matrix(hess)
+        H = newton.dense_matrix(hess)[0]
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
         assert np.abs(H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
         # the pattern holds every nonzero, in CSR order
         assert np.all(np.diff(newton.keys) > 0)
         assert np.count_nonzero(ref_H) <= newton.keys.size
-        _, step = newton.step(f, w, t, c)
+        _, step = newton.step(f[None], w[None], np.array([t]), np.array([gauge]), np.array([b]))
+        step = step[0]
         assert step[gauge] == 0.0
         assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
 
@@ -269,40 +272,66 @@ def _count_calls(monkeypatch, name):
 ])
 def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
     lu_calls = _count_calls(monkeypatch, "splu")
-    cholesky_calls = _count_calls(monkeypatch, "dposv")
+    dense_calls = _count_calls(monkeypatch, "solve")
     result = connes_distance(g, *pair)
     assert result.certified
-    used, unused = (lu_calls, cholesky_calls) if sparse else (cholesky_calls, lu_calls)
+    used, unused = (lu_calls, dense_calls) if sparse else (dense_calls, lu_calls)
     assert len(used) >= result.iterations > 0
     assert not unused
 
 
-def _failed_cholesky(a, b):
-    return a, b, 1  # LAPACK info > 0: not positive definite
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _singular_lu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
 
+def _count_lstsq(monkeypatch):
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name,failing,n", [
-    ("dposv", _failed_cholesky, 5),
+    ("solve", _singular_solve, 5),
     ("splu", _singular_lu, 30),
 ])
 def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, failing, n):
     monkeypatch.setattr(connes, name, failing)
-    lstsq_calls = []
-    real = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        lstsq_calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    lstsq_calls = _count_lstsq(monkeypatch)
     result = connes_distance(build_path(n), 0, n - 1)
     assert len(lstsq_calls) >= result.iterations > 0
     assert result.certified
     assert result.distance == pytest.approx(lattice_closed_form(n - 1), abs=1e-5)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), build_path(30)], ids=["dense", "sparse"])
+def test_one_failed_factorization_in_a_stack(monkeypatch, g):
+    # a zero Hessian for one pair of four fails the stack's batched solve (dense)
+    # or its block-diagonal LU (sparse); only that pair goes to least squares
+    newton = connes._BarrierNewton(g)
+    n, k = g.node_count, 4
+    rng = np.random.default_rng(3)
+    gauges, targets = np.arange(k), np.arange(k) + 1
+    f = np.stack([random_feasible_point(g, a, rng, margin=0.9) for a in gauges])
+    w = 1.0 / (1.0 - constraint_profile(g, f))
+    grad, hess = newton.assemble(f, w, np.ones(k), gauges, targets)
+    hess[2] = 0.0
+    alone = [newton._solve(hess[r:r + 1], -grad[r:r + 1])[0] for r in (0, 1, 3)]
+    lstsq_calls = _count_lstsq(monkeypatch)
+    step = newton._solve(hess, -grad)
+    assert len(lstsq_calls) == 1
+    for r, expected in zip((0, 1, 3), alone):
+        assert np.array_equal(step[r], expected)
+    assert np.array_equal(step[2], np.zeros(n))  # least squares on the zero matrix
 
 
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
@@ -438,6 +467,83 @@ def test_distance_matrix_axioms_on_cycle5():
         assert np.all(m <= m[:, [k]] + m[[k], :] + 1e-6)
     off = m[~np.eye(n, dtype=bool)]
     assert np.all(off > 0.5)
+
+
+def _batch_graphs():
+    graphs = dict(fixture_graphs())
+    graphs.update({f"random20_seed{seed}": build_random(20, 0.3, seed) for seed in (1, 7, 16)})
+    return graphs
+
+
+@pytest.mark.parametrize("name", sorted(_batch_graphs()))
+def test_distance_matrix_matches_connes_distance(name):
+    g = _batch_graphs()[name]
+    m = distance_matrix(g)
+    assert np.array_equal(m, m.T, equal_nan=True)
+    for a, b in zip(*np.triu_indices(g.node_count, 1)):
+        result = connes_distance(g, a, b)
+        if result.certified:
+            assert abs(m[a, b] - result.distance) <= 1e-12, (a, b)
+        else:
+            assert np.isnan(m[a, b]), (a, b)
+
+
+def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
+    orders = []
+    real = connes.splu
+
+    def recorded(matrix, **kwargs):
+        orders.append(matrix.shape[0])
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(connes, "splu", recorded)
+    m = distance_matrix(build_path(30))
+    # one LU of a block-diagonal matrix with k > 1 blocks of 30
+    assert max(orders) > 30 and all(order % 30 == 0 for order in orders)
+    a, b = np.triu_indices(30, 1)
+    expected = np.array([lattice_closed_form(d) for d in b - a])
+    assert np.abs(m[a, b] - expected).max() <= 1e-7
+
+
+def test_distance_matrix_partial_last_chunk(monkeypatch):
+    g = fixture_graphs()["random10"]
+    whole = distance_matrix(g)
+    stacks = []
+    real = connes._central_path
+
+    def recorded(g, newton, gauges, *args):
+        stacks.append(len(gauges))
+        return real(g, newton, gauges, *args)
+
+    monkeypatch.setattr(connes, "_central_path", recorded)
+    monkeypatch.setattr(connes, "CHUNK_ENTRIES", 7 * connes._BarrierNewton(g).entries_per_pair)
+    chunked = distance_matrix(g)
+    assert stacks == [7] * 6 + [3]  # 45 pairs
+    assert np.array_equal(np.isnan(chunked), np.isnan(whole))
+    assert np.nanmax(np.abs(chunked - whole)) <= 1e-12
+
+
+def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
+    real = connes._certified_result
+
+    def forced(g, a, b, *args):
+        # a tolerance no residual meets leaves the pair (1, 3) uncertified
+        if (a, b) == (1, 3):
+            args = args[:-1] + (1e-300,)
+        return real(g, a, b, *args)
+
+    monkeypatch.setattr(connes, "_certified_result", forced)
+    nan = np.isnan(distance_matrix(build_cycle(5)))
+    assert nan[1, 3] and nan[3, 1] and nan.sum() == 2
+
+
+def test_stage_ends_when_the_barrier_objective_stops_falling():
+    # at |phi| ~ 1e9 a stalled stage's decrement sits just above its stop while
+    # phi no longer moves; such a stage ends at once instead of after 60 steps
+    result = connes_distance(build_path(400), 0, 399)
+    assert result.iterations <= 100
+    assert result.certified
+    assert abs(result.distance - 282.1364913927717) <= 1e-12  # the value before this stop
 
 
 def test_solver_is_symmetric_in_the_pair():
