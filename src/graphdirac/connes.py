@@ -36,7 +36,7 @@ from scipy.optimize import nnls
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import Graph, build_path, combinatorial_distance, induced_subgraph, shortest_path
+from .graph import combinatorial_distance, induced_subgraph, shortest_path
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MU_MIN = 1e-9
@@ -238,10 +238,10 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _barrier_stages(tol, mu_min):
+def _barrier_stages(tol):
     """The barrier parameters mu = 1, mu/10, ... down to the final one, which
-    is ``mu_min`` tightened to tol/10 and floored at MU_FLOOR; and that final mu."""
-    mu_final = max(min(mu_min, tol / 10.0), MU_FLOOR)
+    is DEFAULT_MU_MIN tightened to tol/10 and floored at MU_FLOOR; and that mu."""
+    mu_final = max(min(DEFAULT_MU_MIN, tol / 10.0), MU_FLOOR)
     mu = 1.0
     stages = [mu]
     while mu > mu_final * (1 + 1e-12):
@@ -250,7 +250,7 @@ def _barrier_stages(tol, mu_min):
     return np.array(stages), mu_final
 
 
-def _central_path(g, newton, gauges, targets, f, stages, max_newton):
+def _central_path(g, newton, gauges, targets, f, stages):
     """Advance a stack of k pairs of g along their barrier paths in lockstep.
 
     Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], from the
@@ -259,7 +259,7 @@ def _central_path(g, newton, gauges, targets, f, stages, max_newton):
     each step halves its length until the trial point is strictly feasible and
     then until it passes the Armijo test.  A stage ends when the step fails,
     after a step with half the squared Newton decrement at most 1e-14 or with
-    no decrease of the barrier objective, or after ``max_newton`` steps.  A
+    no decrease of the barrier objective, or after MAX_NEWTON steps.  A
     pair leaves the stack when its last stage ends.  The rows of f are the
     working stack and are overwritten.  Returns the final rows of f, their
     profiles and the accepted steps of each pair.
@@ -268,7 +268,7 @@ def _central_path(g, newton, gauges, targets, f, stages, max_newton):
     out_f, out_prof, out_iterations = np.empty((k, n)), np.empty((k, n)), np.empty(k, dtype=int)
     pairs = np.arange(k)                  # where each pair on the stack reports
     prof = constraint_profile(g, f)
-    stage = np.zeros(k, dtype=int) if max_newton > 0 else np.full(k, stages.size)
+    stage = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)        # accepted steps in the current stage
     iterations = np.zeros(k, dtype=int)
     while True:
@@ -314,7 +314,7 @@ def _central_path(g, newton, gauges, targets, f, stages, max_newton):
         iterations += accepted
         steps += accepted
         ended = (~accepted | (decrement_sq / 2.0 <= 1e-14) | (phi >= phi0)
-                 | (steps >= max_newton))
+                 | (steps >= MAX_NEWTON))
         stage += ended
         steps[ended] = 0
 
@@ -351,13 +351,13 @@ def _certified_result(g, a, b, f, prof, iterations, mu_final, tol):
                         int(iterations), certified)
 
 
-def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
-                    max_newton=MAX_NEWTON):
+def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     """Distance between nodes a and b with a KKT certificate.
 
-    Follows the barrier path mu = 1, mu/10, ... down to ``mu_min`` (tightened
-    to tol/10 when the caller asks for more than the default), with at most
-    ``max_newton`` damped Newton steps a stage; the pair runs as a stack of
+    Starts from ``x0`` (shifted to the gauge f_a = 0; it must be strictly
+    feasible) or from f = 0 and follows the barrier path mu = 1, mu/10, ...
+    down to DEFAULT_MU_MIN, tightened to tol/10 for a smaller tol, with at
+    most MAX_NEWTON damped Newton steps a stage; the pair runs as a stack of
     one through the lockstep loop that ``distance_matrix`` uses for all its
     pairs.  A stage ends early when its Newton decrement is negligible or a
     step stops lowering the barrier objective.  The result is ``certified``
@@ -382,9 +382,9 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, mu_min=DEFAULT_MU_MIN, x0=None,
         f -= f[a]  # enforce the gauge
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
-    stages, mu_final = _barrier_stages(tol, mu_min)
+    stages, mu_final = _barrier_stages(tol)
     f, prof, iterations = _central_path(g, _BarrierNewton(g), np.array([a]), np.array([b]),
-                                        f[None], stages, max_newton)
+                                        f[None], stages)
     return _certified_result(g, a, b, f[0], prof[0], iterations[0], mu_final, tol)
 
 
@@ -438,7 +438,7 @@ def tree_distance_closed_form(g, a, b):
     _check_pair(g, a, b)
     if not g.connected:
         raise ValueError("tree distance needs a connected graph")
-    if len(g.bonds) != g.node_count - 1:
+    if g.directed_edge_count // 2 != g.node_count - 1:
         raise ValueError("graph has a cycle; closed form only holds for trees")
     if a == b:
         return 0.0
@@ -521,12 +521,11 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
     newton = _BarrierNewton(g)
-    stages, mu_final = _barrier_stages(tol, DEFAULT_MU_MIN)
+    stages, mu_final = _barrier_stages(tol)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):
         a, b = gauges[start:start + chunk], targets[start:start + chunk]
-        f, prof, iterations = _central_path(g, newton, a, b, np.zeros((a.size, n)),
-                                            stages, MAX_NEWTON)
+        f, prof, iterations = _central_path(g, newton, a, b, np.zeros((a.size, n)), stages)
         for r, (i, j) in enumerate(zip(a, b)):
             result = _certified_result(g, i, j, f[r], prof[r], iterations[r], mu_final, tol)
             out[i, j] = out[j, i] = result.distance if result.certified else np.nan
@@ -555,7 +554,8 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
 
     Asserted relations: distance <= combinatorial distance and distance <=
     distance on a minimal-path subgraph (fewer constraints on the path can
-    only raise the supremum).  Induced subgraphs containing the pair are
+    only raise the supremum), which is the lattice closed form at the
+    combinatorial distance.  Induced subgraphs containing the pair are
     sampled and tabulated both ways: either direction occurs in practice, so
     only the minimal-path case is a guaranteed inequality.
     """
@@ -564,9 +564,8 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
         raise ValueError("need two distinct nodes")
     dist = connes_distance(g, a, b, tol=tol).distance
     d = combinatorial_distance(g, a, b)
+    dist_path = lattice_closed_form(d)
     path_nodes = shortest_path(g, a, b)
-    path_graph = build_path(len(path_nodes))
-    dist_path = connes_distance(path_graph, 0, len(path_nodes) - 1, tol=tol).distance
 
     rng = np.random.default_rng(seed)
     samples = []

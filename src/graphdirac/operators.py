@@ -125,9 +125,10 @@ def edge_values(e):
 
 
 def is_antisymmetric(g, e, tol=0.0):
+    """v(i,k) = -v(k,i) within tol; sorting the edges by (head, tail) lists
+    each edge's reverse in directed-edge order."""
     v = edge_values(e)
-    idx = g.edge_index
-    return all(abs(v[idx[(i, k)]] + v[idx[(k, i)]]) <= tol for i, k in g.bonds)
+    return bool(np.all(np.abs(v + v[np.lexsort((g.edge_tails, g.edge_heads))]) <= tol))
 
 
 def _coo(rows, cols, vals, shape, dtype=np.int64):
@@ -169,42 +170,28 @@ def delta2_map(g):
 
 
 def apply_d(g, f):
-    f = np.asarray(f, dtype=float)
-    _check_node_vector(g, f)
-    return EdgeVector(f[g.edge_heads] - f[g.edge_tails], antisymmetric=True)
+    return EdgeVector(coboundary_map(g).apply(_node_vector(g, f)), antisymmetric=True)
 
 
 def apply_d1(g, f):
-    f = np.asarray(f, dtype=float)
-    _check_node_vector(g, f)
-    return EdgeVector(f[g.edge_heads].copy())
+    return EdgeVector(d1_map(g).apply(_node_vector(g, f)))
 
 
 def apply_d2(g, f):
-    f = np.asarray(f, dtype=float)
-    _check_node_vector(g, f)
-    return EdgeVector(f[g.edge_tails].copy())
+    return EdgeVector(d2_map(g).apply(_node_vector(g, f)))
 
 
 def apply_delta1(g, e):
-    v = edge_values(e)
-    _check_edge_vector(g, v)
-    out = np.zeros(g.node_count)
-    np.add.at(out, g.edge_heads, v)
-    return out
+    return delta1_map(g).apply(edge_values(e))
 
 
 def apply_delta2(g, e):
-    v = edge_values(e)
-    _check_edge_vector(g, v)
-    out = np.zeros(g.node_count)
-    np.add.at(out, g.edge_tails, v)
-    return out
+    return delta2_map(g).apply(edge_values(e))
 
 
 def apply_adjoint_d(g, e):
     """d* = delta1 - delta2 on H1 (and 2*delta1 on the antisymmetric part)."""
-    return apply_delta1(g, e) - apply_delta2(g, e)
+    return coboundary_map(g).adjoint().apply(edge_values(e))
 
 
 def adjacency_map(g):
@@ -283,16 +270,14 @@ def conjugation_j(x):
 
 
 def node_function_map(g, f):
-    f = np.asarray(f, dtype=float)
-    _check_node_vector(g, f)
+    f = _node_vector(g, f)
     n = g.node_count
     return LinearMap(_coo(np.arange(n), np.arange(n), f, (n, n), dtype=float), "H0", "H0")
 
 
 def edge_function_map(g, f, side="left"):
     """Action of a node function on H1: left scales edge (i,k) by f_i, right by f_k."""
-    f = np.asarray(f, dtype=float)
-    _check_node_vector(g, f)
+    f = _node_vector(g, f)
     m = g.directed_edge_count
     scale = f[g.edge_tails] if side == "left" else f[g.edge_heads] if side == "right" \
         else None
@@ -346,14 +331,10 @@ def write_coordinate_text(m, path):
         fh.write(format_coordinate_text(m))
 
 
-def _check_node_vector(g, f):
+def _node_vector(g, f):
+    f = np.asarray(f, dtype=float)
     if f.shape != (g.node_count,):
         raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
     if not np.all(np.isfinite(f)):
         raise ValueError("node vector has non-finite entries")
-
-
-def _check_edge_vector(g, v):
-    if v.shape != (g.directed_edge_count,):
-        raise ValueError(
-            f"edge vector has shape {v.shape}, expected ({g.directed_edge_count},)")
+    return f

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .graph import build_binary_tree, build_cycle, build_path, component_count
-from .operators import LinearMap, adjacency_map, coboundary_map
+from .operators import LinearMap, adjacency_map
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
     pairs cannot stall the iteration.  The start vector is all-ones plus a
     fixed seeded perturbation (an exactly orthogonal start would otherwise be
     possible).  Convergence is declared when the Rayleigh residual
-    ||M^2 v - rho v|| drops below tol * max(rho, 1).
+    ||M^2 v - rho v|| drops below tol * rho.
     """
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
@@ -91,7 +91,7 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
         rho = float(v @ w)
         residual = float(np.linalg.norm(w - rho * v))
         v = w / norm_w
-        if residual <= tol * max(rho, 1.0):
+        if residual <= tol * rho:
             return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), it, True, residual,
                                         "power")
     return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), max_iter, False, residual,
@@ -118,7 +118,7 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     Runs without reorthogonalisation from the start vector of
     :func:`power_iteration_norm`.  At scheduled steps both extreme Ritz values
     of the tridiagonal T_k are computed; the run stops when the one of larger
-    magnitude, theta, has Ritz residual beta_k * |s_k| <= tol * max(|theta|, 1),
+    magnitude, theta, has Ritz residual beta_k * |s_k| <= tol * |theta|,
     or on breakdown (beta_k negligible, or k = n, where the Krylov space is
     the whole space).  Checks come every 10 steps, then every k/8 steps, so
     their O(k) cost stays below that of the matvecs even when k reaches n.
@@ -148,7 +148,7 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
         breakdown = beta <= 1e-14 * scale or k == n
         if breakdown or k >= next_check or k == steps:
             theta, residual = _extreme_ritz(alphas, betas)
-            if breakdown or residual <= tol * max(abs(theta), 1.0):
+            if breakdown or residual <= tol * abs(theta):
                 return PowerIterationResult(abs(theta), k, True, residual, "lanczos")
             next_check = k + max(10, k // 8)
         v_prev, v = v, w / beta
@@ -187,12 +187,11 @@ def spectral_norm(m, tol=1e-12, method="auto", max_iter=200_000):
 
 
 def operator_norm(m, tol=1e-12, method="auto", max_iter=200_000):
-    """Largest singular value of a general (rectangular) map via M* M."""
+    """Largest singular value of a general (rectangular) map M: the norm of the
+    symmetric block [[0, M], [M^t, 0]], whose eigenvalues are +-sigma_i."""
     M = _as_sparse(m)
-    G = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
-    G = sp.csr_array((G + G.T) * 0.5)  # symmetrize away rounding noise
-    return float(np.sqrt(max(spectral_norm(G, tol=tol, method=method,
-                                           max_iter=max_iter), 0.0)))
+    return spectral_norm(sp.bmat([[None, M], [M.T, None]], format="csr"), tol=tol,
+                         method=method, max_iter=max_iter)
 
 
 def prefix_average_degrees(g):
@@ -215,10 +214,10 @@ def adjacency_norm_bounds(g, tol=1e-12):
 
 
 _FAMILIES = {
-    "binary_tree": lambda d: build_binary_tree(d),
-    "tree": lambda d: build_binary_tree(d),
-    "path": lambda d: build_path(d),
-    "cycle": lambda d: build_cycle(d),
+    "binary_tree": build_binary_tree,
+    "tree": build_binary_tree,
+    "path": build_path,
+    "cycle": build_cycle,
 }
 
 
@@ -268,23 +267,15 @@ class CycleSpaceDims:
     components: int
 
 
-def cycle_space_dims(g, rank_tol=1e-9):
+def cycle_space_dims(g):
     """Rank and kernel dimension of d* (the cycle subspace), plus component count.
 
-    rank(d*) = n - c and dim Ker(d*) = sum(v_i) - (n - c); the numerical rank
-    is cross-checked against the traversal component count.
+    By the theorem rank(d*) = n - c, so dim Ker(d*) = sum(v_i) - (n - c); the
+    test suite checks the theorem with the exact :func:`rational_rank`.
     """
     c = component_count(g)
-    n, m = g.node_count, g.directed_edge_count
-    if m == 0:
-        rank = 0
-    else:
-        dstar = coboundary_map(g).adjoint().toarray().astype(float)
-        svals = np.linalg.svd(dstar, compute_uv=False)
-        rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size else 0
-    if rank != n - c:
-        raise RuntimeError(f"numerical rank {rank} != n - c = {n - c}")
-    return CycleSpaceDims(rank, m - rank, c)
+    rank = g.node_count - c
+    return CycleSpaceDims(rank, g.directed_edge_count - rank, c)
 
 
 def rational_rank(matrix):

@@ -410,6 +410,12 @@ def test_tree_closed_form():
     assert connes_distance(tree, a, b).distance == pytest.approx(expected, abs=1e-5)
 
 
+def test_tree_closed_form_counts_bonds_without_building_them():
+    g = build_binary_tree(10)
+    assert tree_distance_closed_form(g, 0, g.node_count - 1) == lattice_closed_form(10)
+    assert "bonds" not in vars(g)
+
+
 def test_tree_closed_form_rejects_cycles():
     with pytest.raises(ValueError):
         tree_distance_closed_form(build_cycle(4), 0, 2)
@@ -591,6 +597,16 @@ def test_comparison_records_subgraphs():
     assert all(s.relation in ("<=", ">=", "==") for s in report.subgraphs)
     # the sampled subgraphs always contain the minimal path, so some survive
     assert len(report.subgraphs) >= 1
+
+
+def test_minimal_path_distance_is_the_lattice_closed_form():
+    report = comparison_suite(build_cycle(6), 0, 3, subgraph_trials=0)
+    assert report.minimal_path_distance == math.sqrt(5.0)
+    for name, g in fixture_graphs().items():
+        b = g.node_count - 1
+        report = comparison_suite(g, 0, b, subgraph_trials=0)
+        assert report.minimal_path_distance == lattice_closed_form(
+            combinatorial_distance(g, 0, b)), name
 
 
 def test_comparison_rejects_equal_pair():

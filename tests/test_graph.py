@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -330,6 +331,23 @@ def test_parse_json_rejects():
     for text in bad:
         with pytest.raises(GraphParseError):
             parse_graph(text)
+
+
+@pytest.mark.parametrize("text,bond", [
+    ('{"nodes": 2, "edges": [[0, 0]]}', "(0,0)"),
+    ('{"nodes": 2, "edges": [[0, 5]]}', "(0,5)"),
+    ('{"nodes": 3, "edges": [[0, 1], [1, 0]]}', "(0,1)"),
+    ('{"nodes": 4, "edges": [[0, 1], [2, 3], [3, 2]]}', "(2,3)"),
+], ids=["self-loop", "range", "reversed", "duplicate"])
+def test_parse_json_errors_name_the_bond(text, bond):
+    with pytest.raises(GraphParseError, match=re.escape(bond)):
+        parse_graph(text)
+
+
+def test_repr_counts_bonds_without_building_them():
+    g = build_path(10 ** 6)
+    assert repr(g) == "Graph(nodes=1000000, bonds=999999, connected=True)"
+    assert "bonds" not in vars(g)
 
 
 def test_graph_constructor_validation():

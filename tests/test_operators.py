@@ -230,6 +230,48 @@ def test_cycle_vectors_in_kernel_of_adjoint():
     assert np.allclose(apply_adjoint_d(g, vec), 0.0, atol=1e-12)
 
 
+def fixture_cycle(g):
+    """A cycle of g as a node list, or None for a tree: a bond closed through
+    a path that avoids it."""
+    for i, j in g.bonds:
+        pruned = Graph.from_edges(g.node_count, [b for b in g.bonds if b != (i, j)])
+        if pruned.connected:
+            return shortest_path(pruned, i, j)
+    return None
+
+
+def test_is_antisymmetric_on_fixtures():
+    rng = np.random.default_rng(5)
+    cycles = 0
+    for name, g in fixture_graphs().items():
+        f = random_node_function(g, rng)
+        e = apply_d(g, f)
+        assert is_antisymmetric(g, e), name
+        flipped = np.asarray(e).copy()
+        flipped[len(flipped) // 2] *= -1.0
+        assert not is_antisymmetric(g, flipped), name
+        # positive values: v(i,k) + v(k,i) = f_k + f_i > 0 on every bond
+        assert not is_antisymmetric(g, apply_d1(g, np.arange(1.0, g.node_count + 1))), name
+        nodes = fixture_cycle(g)
+        if nodes is not None:
+            cycles += 1
+            assert is_antisymmetric(g, cycle_edge_vector(g, nodes)), name
+    assert cycles == 9  # every fixture but the four paths, the star and the tree
+
+
+def test_apply_is_the_map_applied():
+    rng = np.random.default_rng(6)
+    for name, g in fixture_graphs().items():
+        f = random_node_function(g, rng)
+        e = rng.standard_normal(g.directed_edge_count)
+        for apply, linear_map in ((apply_d, coboundary_map), (apply_d1, d1_map),
+                                  (apply_d2, d2_map)):
+            assert np.array_equal(np.asarray(apply(g, f)), linear_map(g).apply(f)), name
+        for apply, linear_map in ((apply_delta1, delta1_map), (apply_delta2, delta2_map),
+                                  (apply_adjoint_d, lambda g: coboundary_map(g).adjoint())):
+            assert np.array_equal(apply(g, e), linear_map(g).apply(e)), name
+
+
 def test_cycle_edge_vector_validates():
     g = build_path(4)
     with pytest.raises(ValueError):
