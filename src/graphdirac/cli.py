@@ -75,7 +75,9 @@ def _cmd_spectral(args):
 
 def _identity_checks(g):
     d = operators.coboundary_map(g)
+    d_star = d.adjoint()
     d1, d2 = operators.d1_map(g), operators.d2_map(g)
+    delta1 = operators.delta1_map(g)
     A, V = operators.adjacency_map(g), operators.degree_map(g)
     lap = operators.laplacian_map(g)
     B = operators.incidence_map(g)
@@ -83,24 +85,21 @@ def _identity_checks(g):
     chi = operators.chirality_map(g)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.node_count)
-    e_antisym = np.asarray(operators.apply_d(g, f))
+    df = d.apply(f)  # antisymmetric: in H1a
     checks = [
-        ("d*d = -2Δ", (d.adjoint() @ d).entrywise_equal(-2 * lap)),
+        ("d*d = -2Δ", (d_star @ d).entrywise_equal(-2 * lap)),
         ("d1*d1 = V", (d1.adjoint() @ d1).entrywise_equal(V)),
         ("d2*d2 = V", (d2.adjoint() @ d2).entrywise_equal(V)),
         ("d1*d2 = A", (d1.adjoint() @ d2).entrywise_equal(A)),
         ("B·Bᵗ = V - A", (B @ B.adjoint()).entrywise_equal(V - A)),
         ("d = d1 - d2", d.entrywise_equal(d1 - d2)),
-        ("d* = δ1 - δ2", d.adjoint().entrywise_equal(
-            operators.delta1_map(g) - operators.delta2_map(g))),
+        ("d* = δ1 - δ2", d_star.entrywise_equal(delta1 - operators.delta2_map(g))),
         ("d* = 2δ on H1a", bool(np.allclose(
-            d.adjoint().apply(e_antisym), 2.0 * operators.apply_delta1(g, e_antisym),
-            atol=1e-12))),
+            d_star.apply(df), 2.0 * delta1.apply(df), atol=1e-12))),
         ("χD + Dχ = 0", ((chi @ D.assembled) + (D.assembled @ chi)).entrywise_equal(
             operators.LinearMap(0 * chi.matrix, "H", "H"))),
         ("‖df‖² = (f|-2Δf)", bool(abs(
-            float(np.sum(np.asarray(operators.apply_d(g, f)) ** 2))
-            - float(f @ ((-2 * lap).apply(f)))) <= 1e-9)),
+            float(np.sum(df ** 2)) - float(f @ ((-2 * lap).apply(f)))) <= 1e-9)),
     ]
     return checks
 

@@ -13,9 +13,11 @@ solver below follows the central path of a log-barrier reformulation (damped
 Newton inner iterations, feasibility-preserving backtracking) and certifies
 its answer with explicit KKT multipliers: nonnegative lambda with small
 stationarity residual ||c - J(f)^t lambda|| and complementary slackness
-lambda_i (1 - a_i).  The sup cannot move under rescaling f -> f/||df||, so it
-is attained on the constraint boundary; constant shifts are fixed by the
-gauge f_a = 0.
+lambda_i (1 - a_i).  The multipliers are the barrier's dual estimate
+mu / (1 - a_i), moved along one more Newton step at the path's end point, so
+the certificate costs one sparse step and O(n + m) arithmetic.  The sup
+cannot move under rescaling f -> f/||df||, so it is attained on the
+constraint boundary; constant shifts are fixed by the gauge f_a = 0.
 
 For the path graph on nodes 0..n the optimum is known in closed form:
 sqrt(floor(n^2/2)) for n even and sqrt(floor(n^2/2) + 1) for n odd, attained
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, solve
-from scipy.optimize import nnls
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -96,17 +97,6 @@ class ConnesResult:
         })
 
 
-def _constraint_jacobian(g, f):
-    """Rows are the gradients of the a_i.  Row i: 2*sum(f_i - f_k) on the
-    diagonal and 2*(f_k - f_i) at each neighbour k."""
-    n = g.node_count
-    J = np.zeros((n, n))
-    v = 2.0 * (f[g.edge_heads] - f[g.edge_tails])
-    J[g.edge_tails, g.edge_heads] = v
-    J[np.arange(n), np.arange(n)] = -np.bincount(g.edge_tails, weights=v, minlength=n)
-    return J
-
-
 class _BarrierNewton:
     """Gradients and Newton steps of the barrier objective for a stack of pairs
     of one graph, on a fixed sparse pattern.
@@ -120,7 +110,8 @@ class _BarrierNewton:
     that add each step's terms into it, are built once per graph; a step is
     then a few sparse products over the stack and one factorization.  Each
     pair's gauge node gets the identity in its row and column, so the step
-    keeps full length with a zero there.
+    keeps full length with a zero there.  The sparse branch keeps the
+    block-diagonal matrix of the last stack size and only swaps its values.
     """
 
     def __init__(self, g):
@@ -172,6 +163,7 @@ class _BarrierNewton:
         # Hessian entries one pair holds: the terms the sparse sum adds up, and
         # the dense matrix it fills
         self.entries_per_pair = max(size + n, n * n if self.dense else 0)
+        self._blocks = None  # the sparse branch's matrix for the last stack size
 
     def assemble(self, f, w, t, gauges, targets):
         """Gradients of -t (f_b - f_a) - sum log(1 - a_i) at the rows of f, with
@@ -214,11 +206,16 @@ class _BarrierNewton:
         try:
             if self.dense:
                 return solve(self.dense_matrix(hess), rhs[:, :, None])[:, :, 0]
-            block = np.arange(k)[:, None]
-            indptr = np.append((block * self.keys.size + self.indptr[:-1]).ravel(),
-                               k * self.keys.size)
-            matrix = csc_matrix((hess.ravel(), (block * n + self.indices).ravel(), indptr),
-                                shape=(k * n, k * n))
+            matrix = self._blocks
+            if matrix is None or matrix.shape[0] != k * n:
+                block = np.arange(k)[:, None]
+                indptr = np.append((block * self.keys.size + self.indptr[:-1]).ravel(),
+                                   k * self.keys.size)
+                matrix = self._blocks = csc_matrix(
+                    (hess.ravel(), (block * n + self.indices).ravel(), indptr),
+                    shape=(k * n, k * n))
+            else:
+                matrix.data = hess.ravel()
             # symmetric ordering, no pivoting: H is positive definite
             return splu(matrix, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0).solve(rhs.ravel()).reshape(k, n)
@@ -319,33 +316,32 @@ def _central_path(g, newton, gauges, targets, f, stages):
         steps[ended] = 0
 
 
-def _certified_result(g, a, b, f, prof, iterations, mu_final, tol):
-    """The result for one pair, with KKT multipliers fitted at the barrier
-    path's end point f; certified when the verified residual
-    max(||c - J^t lambda||, max lambda_i (1 - a_i)) is below tol and no
-    constraint is violated by more than tol."""
+def _certified_result(g, a, b, f, prof, iterations, direction, mu_final, tol):
+    """The result for one pair, with KKT multipliers read off the Newton step
+    ``direction`` (df) taken at the barrier path's end point f, t = 1/mu_final.
+
+    With w = 1/(1 - a), the step solves 2 L_w df + J^t W^2 J df = t c - J^t w,
+    so lambda = mu_final w (1 + w J df), the barrier's dual estimate moved
+    along the step, has J^t lambda = c - 2 mu_final L_w df: a stationarity
+    residual that shrinks with the step.  lambda is clipped at 0; certified
+    when the verified residual max(||c - J^t lambda||, max lambda_i (1 - a_i))
+    is below tol and no constraint is violated by more than tol.  J has
+    2 (f_k - f_i) at (i, k) and minus their sum at (i, i), so J df and
+    J^t lambda are sums over the directed edges.
+    """
     n = g.node_count
+    tails, heads = g.edge_tails, g.edge_heads
     c = np.zeros(n)
     c[b] = 1.0
     c[a] -= 1.0  # a != b here; kept for the full-space residual
     s = 1.0 - prof
-    J = _constraint_jacobian(g, f)
-
-    def residual(lam):
-        stationarity = float(np.linalg.norm(c - J.T @ lam))
-        slackness = float(np.max(lam * s)) if lam.size else 0.0
-        return max(stationarity, slackness)
-
-    multipliers = mu_final / s  # exact on the central path, noisy in float
-    try:
-        # slackness is charged inside the fit: a plain nnls(J^t, c) can put
-        # weight on a constraint with slack and fail complementarity
-        polished, _ = nnls(np.vstack((J.T, np.diag(s))), np.concatenate((c, np.zeros(n))))
-        if residual(polished) < residual(multipliers):
-            multipliers = polished
-    except Exception:
-        pass
-    kkt = residual(multipliers)
+    w = 1.0 / s
+    v = 2.0 * (f[heads] - f[tails])
+    jdf = np.bincount(tails, weights=v * (direction[heads] - direction[tails]), minlength=n)
+    multipliers = np.maximum(0.0, mu_final * w * (1.0 + w * jdf))
+    jt_lam = (np.bincount(heads, weights=v * multipliers[tails], minlength=n)
+              - multipliers * np.bincount(tails, weights=v, minlength=n))
+    kkt = max(float(np.linalg.norm(c - jt_lam)), float(np.max(multipliers * s)))
     certified = bool(kkt <= tol and prof.max() <= 1.0 + tol)
     return ConnesResult(float(f[b] - f[a]), f, prof, multipliers, kkt,
                         int(iterations), certified)
@@ -360,10 +356,11 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     most MAX_NEWTON damped Newton steps a stage; the pair runs as a stack of
     one through the lockstep loop that ``distance_matrix`` uses for all its
     pairs.  A stage ends early when its Newton decrement is negligible or a
-    step stops lowering the barrier objective.  The result is ``certified``
-    when the verified residual max(||c - J^t lambda||, max lambda_i (1 - a_i))
-    is below tol and no constraint is violated.  Non-certified results are
-    returned, not raised.
+    step stops lowering the barrier objective.  One more Newton step at the
+    end point, at t = 1/mu_final, gives the KKT multipliers; the result is
+    ``certified`` when the verified residual max(||c - J^t lambda||,
+    max lambda_i (1 - a_i)) is below tol and no constraint is violated.
+    Non-certified results are returned, not raised.
     """
     _check_pair(g, a, b)
     if tol <= 0:
@@ -383,9 +380,11 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
     stages, mu_final = _barrier_stages(tol)
-    f, prof, iterations = _central_path(g, _BarrierNewton(g), np.array([a]), np.array([b]),
-                                        f[None], stages)
-    return _certified_result(g, a, b, f[0], prof[0], iterations[0], mu_final, tol)
+    newton, gauges, targets = _BarrierNewton(g), np.array([a]), np.array([b])
+    f, prof, iterations = _central_path(g, newton, gauges, targets, f[None], stages)
+    _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, gauges, targets)
+    return _certified_result(g, a, b, f[0], prof[0], iterations[0], direction[0],
+                             mu_final, tol)
 
 
 def lattice_closed_form(n):
@@ -507,9 +506,10 @@ def distance_matrix(g, tol=DEFAULT_TOL):
 
     The pairs share one Newton pattern and run through ``connes_distance``'s
     barrier loop together, in chunks of at most CHUNK_ENTRIES Hessian entries;
-    each pair's result is polished and certified on its own, and agrees with
-    ``connes_distance`` on that pair.  Per-pair certification failures are
-    flagged by a NaN entry rather than aborting the sweep.
+    one more Newton step for the chunk gives each pair its multipliers, and
+    each pair is certified on its own and agrees with ``connes_distance`` on
+    that pair.  Per-pair certification failures are flagged by a NaN entry
+    rather than aborting the sweep.
     """
     n = g.node_count
     out = np.zeros((n, n))
@@ -526,8 +526,10 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     for start in range(0, gauges.size, chunk):
         a, b = gauges[start:start + chunk], targets[start:start + chunk]
         f, prof, iterations = _central_path(g, newton, a, b, np.zeros((a.size, n)), stages)
+        _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, a, b)
         for r, (i, j) in enumerate(zip(a, b)):
-            result = _certified_result(g, i, j, f[r], prof[r], iterations[r], mu_final, tol)
+            result = _certified_result(g, i, j, f[r], prof[r], iterations[r], direction[r],
+                                       mu_final, tol)
             out[i, j] = out[j, i] = result.distance if result.certified else np.nan
     return out
 

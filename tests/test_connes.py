@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,12 +201,23 @@ def test_uncertifiable_tolerance_is_flagged_not_raised():
 
 # --- the sparse Newton step ---------------------------------------------------------
 
+def _constraint_jacobian(g, f):
+    """Rows are the gradients of the a_i.  Row i: 2*sum(f_i - f_k) on the
+    diagonal and 2*(f_k - f_i) at each neighbour k."""
+    n = g.node_count
+    J = np.zeros((n, n))
+    v = 2.0 * (f[g.edge_heads] - f[g.edge_tails])
+    J[g.edge_tails, g.edge_heads] = v
+    J[np.arange(n), np.arange(n)] = -np.bincount(g.edge_tails, weights=v, minlength=n)
+    return J
+
+
 def _dense_gradient_hessian(g, f, gauge, t, c):
     """Reference: the dense assembly the sparse step replaced, with the gauge
     row and column set to the identity and the gauge gradient entry to 0."""
     n = g.node_count
     w = 1.0 / (1.0 - constraint_profile(g, f))
-    J = connes._constraint_jacobian(g, f)
+    J = _constraint_jacobian(g, f)
     grad = -t * c + J.T @ w
     H = np.zeros((n, n))
     ew = w[g.edge_tails]
@@ -340,6 +355,58 @@ def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
     assert lu_calls
     assert result.certified
     assert result.distance == pytest.approx(lattice_closed_form(60), abs=1e-5)
+
+
+# --- the certificate -----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(fixture_graphs()))
+def test_certificate_matches_dense_jacobian(name):
+    g = fixture_graphs()[name]
+    n, mu = g.node_count, 1e-9
+    rng = np.random.default_rng(n + 1)
+    newton = connes._BarrierNewton(g)
+    for _ in range(3):
+        a = int(rng.integers(n))
+        b = (a + 1 + int(rng.integers(n - 1))) % n
+        c = np.zeros(n)
+        c[b], c[a] = 1.0, -1.0
+        f = random_feasible_point(g, a, rng, margin=0.9)
+        prof = constraint_profile(g, f)
+        s = 1.0 - prof
+        J = _constraint_jacobian(g, f)
+        _, step = newton.step(f[None], 1.0 / s[None], 1.0 / mu, np.array([a]), np.array([b]))
+        # a short random direction leaves no multiplier clipped, so every
+        # entry of J df shows in them; the Newton step may clip some
+        short = rng.standard_normal(n)
+        short *= 0.5 / np.abs(J @ short / s).max()
+        for direction in (step[0], short):
+            result = connes._certified_result(g, a, b, f, prof, 0, direction, mu, 1e-7)
+            lam = np.maximum(0.0, mu / s * (1.0 + (J @ direction) / s))
+            assert np.abs(result.multipliers - lam).max() <= 1e-12 * max(lam.max(), mu)
+            stationarity = np.linalg.norm(c - J.T @ result.multipliers)
+            kkt = max(stationarity, (result.multipliers * s).max())
+            assert abs(result.kkt_residual - kkt) <= 1e-12 * max(kkt, 1.0)
+
+
+def test_path_of_ten_thousand_nodes_in_linear_memory():
+    n = 10_000
+    g = build_path(n)
+    tracemalloc.start()
+    try:
+        result = connes_distance(g, 0, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.certified
+    assert peak < 64 * 2 ** 20  # the dense n x n Jacobian alone was 763 MiB
+    _, mu_final = connes._barrier_stages(connes.DEFAULT_TOL)
+    assert abs(result.distance - lattice_closed_form(n - 1)) <= n * mu_final
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, graphdirac; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- closed forms ------------------------------------------------------------------
@@ -492,6 +559,17 @@ def test_distance_matrix_matches_connes_distance(name):
             assert abs(m[a, b] - result.distance) <= 1e-12, (a, b)
         else:
             assert np.isnan(m[a, b]), (a, b)
+
+
+@pytest.mark.parametrize("g", [build_path(30), build_binary_tree(4)], ids=["path30", "tree4"])
+def test_distance_matrix_sparse_branch_is_bit_identical(g):
+    # the sparse branch runs a shrinking stack of block-diagonal LUs here
+    assert not connes._BarrierNewton(g).dense
+    m = distance_matrix(g)
+    for a, b in zip(*np.triu_indices(g.node_count, 1)):
+        result = connes_distance(g, a, b)
+        assert result.certified, (a, b)
+        assert m[a, b] == result.distance, (a, b)
 
 
 def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
