@@ -7,16 +7,15 @@ import numpy as np
 
 from graphdirac import (
     adjacency_map,
-    apply_adjoint_d,
-    apply_d,
-    apply_delta1,
     build_cycle,
     build_path,
     coboundary_map,
     cycle_edge_vector,
     cycle_space_dims,
     degree_map,
+    delta1_map,
     incidence_map,
+    is_antisymmetric,
     laplacian_map,
     parse_graph,
     serialize_graph,
@@ -32,22 +31,22 @@ print("degree sum equals directed edge count:",
 
 print("\n== the coboundary d: node functions to edge functions ==")
 f = np.array([0.0, 1.0, 3.0, 1.0])
-df = apply_d(g, f)
-for (i, k), value in zip(g.directed_edges, np.asarray(df)):
+d = coboundary_map(g)
+df = d.apply(f)
+for (i, k), value in zip(g.directed_edges, df):
     print(f"  (df)({i}->{k}) = f_{k} - f_{i} = {value:+.1f}")
-print("df is antisymmetric:", df.antisymmetric)
+print("df is antisymmetric:", is_antisymmetric(g, df))
 
 print("\n== boundary and Laplacian ==")
-print("delta1 df (net inflow per node):", apply_delta1(g, df))
+print("delta1 df (net inflow per node):", delta1_map(g).apply(df))
 lap = laplacian_map(g)
 print("Delta = A - V:")
 print(lap.toarray())
 print("Delta kills constants:", lap.apply(np.ones(4)))
-d = coboundary_map(g)
 print("d*d equals -2 Delta entrywise:",
       (d.adjoint() @ d).entrywise_equal(-2 * lap))
 print("||df||^2 == (f | -2 Delta f):",
-      np.isclose(float(np.sum(np.asarray(df) ** 2)),
+      np.isclose(float(np.sum(df ** 2)),
                  float(f @ (-2 * lap).apply(f))))
 
 print("\n== incidence matrix comparison ==")
@@ -62,7 +61,7 @@ dims = cycle_space_dims(g)
 print(f"rank(d*) = {dims.rank_dstar} (= n - components),"
       f" kernel dim = {dims.kernel_dim}")
 z = cycle_edge_vector(g, [0, 1, 2, 3])
-print("d* annihilates the oriented 4-cycle:", apply_adjoint_d(g, z))
+print("d* annihilates the oriented 4-cycle:", d.adjoint().apply(z))
 
 print("\n== file round trip ==")
 payload = serialize_graph(build_path(4))

@@ -27,15 +27,15 @@ D = dirac_operator(g)
 n, m = g.node_count, g.directed_edge_count
 print(f"square: H = H0 (+) H1 has dimension {n} + {m} = {n + m}")
 print("D assembled (top-left block of D^2 shown below):")
-D2 = (D.assembled @ D.assembled).toarray()
+D2 = (D @ D).toarray()
 print(D2[:n, :n])
 print("equals -2 Delta:", np.array_equal(D2[:n, :n], (-2 * laplacian_map(g)).toarray()))
 
 print("\n== chirality and spectrum ==")
 chi = chirality_map(g)
-anti = (chi @ D.assembled) + (D.assembled @ chi)
+anti = (chi @ D) + (D @ chi)
 print("chi D + D chi = 0:", anti.max_abs_difference(0 * chi) == 0)
-eigs = np.linalg.eigvalsh(D.assembled.toarray().astype(float))
+eigs = np.linalg.eigvalsh(D.toarray().astype(float))
 print("spectrum is symmetric about 0:",
       np.allclose(np.sort(eigs), np.sort(-eigs), atol=1e-9))
 print("eigenvalues:", np.round(eigs, 6))

@@ -37,7 +37,7 @@ from numpy.linalg import LinAlgError, solve
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import combinatorial_distance, induced_subgraph, shortest_path
+from .graph import _check_node, combinatorial_distance, induced_subgraph, shortest_path
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MU_MIN = 1e-9
@@ -59,14 +59,13 @@ def constraint_profile(g, f):
     n = g.node_count
     if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"node vector has shape {f.shape}, expected ({n},) or (k, {n})")
-    v = (f[..., g.edge_heads] - f[..., g.edge_tails]) ** 2
-    if f.ndim == 1:
-        return np.bincount(g.edge_tails, weights=v, minlength=n)
     # one bincount for the stack; each row's sums keep the order of its own
     # bincount, so a row's profile does not depend on the stack it is in
-    k = f.shape[0]
+    stack = f[None] if f.ndim == 1 else f
+    k = stack.shape[0]
+    v = (stack[:, g.edge_heads] - stack[:, g.edge_tails]) ** 2
     bins = (np.arange(k)[:, None] * n + g.edge_tails).ravel()
-    return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(k, n)
+    return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(f.shape)
 
 
 def commutator_norm(g, f):
@@ -171,9 +170,8 @@ class _BarrierNewton:
         slots ``keys``; f and w are (k, n) stacks, t, the gauges a and the
         targets b (k,) vectors."""
         n, size = self.n, self.half_p.size
-        f, w = f.T, w.T  # one column per pair, so that a gather takes whole rows
-        v = 2.0 * (f[self.heads] - f[self.tails])
-        u = np.concatenate((-(self.tail_sums @ v), v)) * w[self.rows]  # w_i J_ip
+        w = w.T
+        u = self.jacobian(f) * w[self.rows]  # w_i J_ip
         grad = (self.column_sums @ u).T
         terms = np.empty((size + n, len(gauges)))
         # the indices are in range; "clip" lets take write into terms unbuffered
@@ -187,6 +185,14 @@ class _BarrierNewton:
         hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
         hess[stack, self.diagonal[gauges]] = 1.0
         return grad, hess
+
+    def jacobian(self, f):
+        """J's entries in the order of ``rows``, one column per pair of the stack
+        f so that a gather takes whole rows: minus the sum of row i's jumps at
+        (i, i), then 2 (f_k - f_i) at each directed edge (i, k)."""
+        f = f.T
+        v = 2.0 * (f[self.heads] - f[self.tails])
+        return np.concatenate((-(self.tail_sums @ v), v))
 
     def step(self, f, w, t, gauges, targets):
         """The gradients and the Newton steps."""
@@ -316,35 +322,47 @@ def _central_path(g, newton, gauges, targets, f, stages):
         steps[ended] = 0
 
 
-def _certified_result(g, a, b, f, prof, iterations, direction, mu_final, tol):
-    """The result for one pair, with KKT multipliers read off the Newton step
-    ``direction`` (df) taken at the barrier path's end point f, t = 1/mu_final.
+def _certificate(newton, f, prof, direction, gauges, targets, mu_final, tol):
+    """KKT multipliers for a stack of pairs, read off the Newton steps
+    ``direction`` (df) taken at the barrier path's end points f, t = 1/mu_final.
 
     With w = 1/(1 - a), the step solves 2 L_w df + J^t W^2 J df = t c - J^t w,
     so lambda = mu_final w (1 + w J df), the barrier's dual estimate moved
     along the step, has J^t lambda = c - 2 mu_final L_w df: a stationarity
-    residual that shrinks with the step.  lambda is clipped at 0; certified
-    when the verified residual max(||c - J^t lambda||, max lambda_i (1 - a_i))
-    is below tol and no constraint is violated by more than tol.  J has
-    2 (f_k - f_i) at (i, k) and minus their sum at (i, i), so J df and
-    J^t lambda are sums over the directed edges.
+    residual that shrinks with the step.  lambda is clipped at 0; a pair is
+    certified when the verified residual max(||c - J^t lambda||,
+    max lambda_i (1 - a_i)) is below tol and no constraint is violated by
+    more than tol.  J's rows sum to zero, so J df sums 2 (f_k - f_i)
+    (df_k - df_i) over the edges (i, k); J^t lambda sums J's entries times
+    lambda over each column.  Returns the multipliers, the residuals and the
+    certified flags.
     """
-    n = g.node_count
-    tails, heads = g.edge_tails, g.edge_heads
-    c = np.zeros(n)
-    c[b] = 1.0
-    c[a] -= 1.0  # a != b here; kept for the full-space residual
-    s = 1.0 - prof
-    w = 1.0 / s
-    v = 2.0 * (f[heads] - f[tails])
-    jdf = np.bincount(tails, weights=v * (direction[heads] - direction[tails]), minlength=n)
-    multipliers = np.maximum(0.0, mu_final * w * (1.0 + w * jdf))
-    jt_lam = (np.bincount(heads, weights=v * multipliers[tails], minlength=n)
-              - multipliers * np.bincount(tails, weights=v, minlength=n))
-    kkt = max(float(np.linalg.norm(c - jt_lam)), float(np.max(multipliers * s)))
-    certified = bool(kkt <= tol and prof.max() <= 1.0 + tol)
-    return ConnesResult(float(f[b] - f[a]), f, prof, multipliers, kkt,
-                        int(iterations), certified)
+    k, n = f.shape
+    jacobian = newton.jacobian(f)
+    d = direction.T
+    edge_terms = jacobian[n:] * (d[newton.heads] - d[newton.tails])
+    w = 1.0 / (1.0 - prof)
+    multipliers = np.maximum(0.0, mu_final * w * (1.0 + w * (newton.tail_sums @ edge_terms).T))
+    residual = -(newton.column_sums @ (jacobian * multipliers.T[newton.rows])).T
+    stack = np.arange(k)
+    residual[stack, targets] += 1.0  # c - J^t lambda with c = e_b - e_a, a != b
+    residual[stack, gauges] -= 1.0
+    kkt = np.maximum(np.sqrt(np.vecdot(residual, residual)),
+                     (multipliers * (1.0 - prof)).max(axis=1))
+    return multipliers, kkt, (kkt <= tol) & (prof.max(axis=1) <= 1.0 + tol)
+
+
+def _solve_pairs(g, newton, gauges, targets, f, tol):
+    """The fields of ``ConnesResult``, as arrays, for a stack of pairs of g
+    solved from the strictly feasible rows of f and certified."""
+    stages, mu_final = _barrier_stages(tol)
+    f, prof, iterations = _central_path(g, newton, gauges, targets, f, stages)
+    _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, gauges, targets)
+    multipliers, kkt, certified = _certificate(newton, f, prof, direction, gauges, targets,
+                                               mu_final, tol)
+    stack = np.arange(len(gauges))
+    return (f[stack, targets] - f[stack, gauges], f, prof, multipliers, kkt, iterations,
+            certified)
 
 
 def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
@@ -362,7 +380,7 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     max lambda_i (1 - a_i)) is below tol and no constraint is violated.
     Non-certified results are returned, not raised.
     """
-    _check_pair(g, a, b)
+    _check_node(g, a, b)
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = g.node_count
@@ -376,15 +394,15 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     f = np.zeros(n)
     if x0 is not None:
         f = np.asarray(x0, dtype=float).copy()
+        if not np.all(np.isfinite(f)):
+            raise ValueError("x0 has non-finite entries")
         f -= f[a]  # enforce the gauge
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
-    stages, mu_final = _barrier_stages(tol)
-    newton, gauges, targets = _BarrierNewton(g), np.array([a]), np.array([b])
-    f, prof, iterations = _central_path(g, newton, gauges, targets, f[None], stages)
-    _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, gauges, targets)
-    return _certified_result(g, a, b, f[0], prof[0], iterations[0], direction[0],
-                             mu_final, tol)
+    distance, f, prof, multipliers, kkt, iterations, certified = _solve_pairs(
+        g, _BarrierNewton(g), np.array([a]), np.array([b]), f[None], tol)
+    return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
+                        int(iterations[0]), bool(certified[0]))
 
 
 def lattice_closed_form(n):
@@ -434,7 +452,7 @@ def tree_distance_closed_form(g, a, b):
     The unique-path profile extends to the whole tree by constant
     continuation, so the lattice optimum is attained exactly.
     """
-    _check_pair(g, a, b)
+    _check_node(g, a, b)
     if not g.connected:
         raise ValueError("tree distance needs a connected graph")
     if g.directed_edge_count // 2 != g.node_count - 1:
@@ -457,7 +475,7 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     returned value is a guaranteed lower bound within O(resolution * n) of
     the supremum.  Node count is capped; the grid is exponential.
     """
-    _check_pair(g, a, b)
+    _check_node(g, a, b)
     if g.node_count > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes")
     if a == b:
@@ -511,26 +529,21 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     that pair.  Per-pair certification failures are flagged by a NaN entry
     rather than aborting the sweep.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     n = g.node_count
     out = np.zeros((n, n))
     gauges, targets = np.triu_indices(n, 1)
     if not gauges.size:
         return out
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
     newton = _BarrierNewton(g)
-    stages, mu_final = _barrier_stages(tol)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):
         a, b = gauges[start:start + chunk], targets[start:start + chunk]
-        f, prof, iterations = _central_path(g, newton, a, b, np.zeros((a.size, n)), stages)
-        _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, a, b)
-        for r, (i, j) in enumerate(zip(a, b)):
-            result = _certified_result(g, i, j, f[r], prof[r], iterations[r], direction[r],
-                                       mu_final, tol)
-            out[i, j] = out[j, i] = result.distance if result.certified else np.nan
+        distance, *_, certified = _solve_pairs(g, newton, a, b, np.zeros((a.size, n)), tol)
+        out[a, b] = out[b, a] = np.where(certified, distance, np.nan)
     return out
 
 
@@ -561,7 +574,7 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
     sampled and tabulated both ways: either direction occurs in practice, so
     only the minimal-path case is a guaranteed inequality.
     """
-    _check_pair(g, a, b)
+    _check_node(g, a, b)
     if a == b:
         raise ValueError("need two distinct nodes")
     dist = connes_distance(g, a, b, tol=tol).distance
@@ -599,9 +612,3 @@ def scale_normalization_check(g, f, tol=1e-9):
         raise ValueError("degenerate input: f has zero commutator norm")
     rescaled = np.asarray(f, dtype=float) / norm
     return abs(commutator_norm(g, rescaled) - 1.0) <= tol
-
-
-def _check_pair(g, a, b):
-    for v in (a, b):
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range (n={g.node_count})")

@@ -13,6 +13,7 @@ after construction (the arrays are read-only).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -261,14 +262,14 @@ def build_random(n, p, seed):
 
 def bfs_distances(g, source):
     """Hop counts from source; -1 marks unreachable nodes."""
+    _check_node(g, source)
     dist = csgraph.shortest_path(_csgraph(g), unweighted=True, indices=source)
     return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 def combinatorial_distance(g, a, b):
     """Length of a shortest edge sequence between two nodes."""
-    _check_node(g, a)
-    _check_node(g, b)
+    _check_node(g, a, b)
     d = bfs_distances(g, a)[b]
     if d < 0:
         raise ValueError(f"no path between nodes {a} and {b}")
@@ -277,8 +278,7 @@ def combinatorial_distance(g, a, b):
 
 def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
-    _check_node(g, a)
-    _check_node(g, b)
+    _check_node(g, a, b)
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
     while path[-1] != a:
@@ -297,8 +297,7 @@ def induced_subgraph(g, nodes):
     kept = tuple(sorted(set(nodes)))
     if not kept:
         raise ValueError("node set must be nonempty")
-    _check_node(g, kept[0])
-    _check_node(g, kept[-1])
+    _check_node(g, *kept)
     new_index = np.full(g.node_count, -1, dtype=np.int64)
     new_index[list(kept)] = np.arange(len(kept))
     tails, heads = new_index[g.edge_tails], new_index[g.edge_heads]
@@ -306,9 +305,14 @@ def induced_subgraph(g, nodes):
     return Graph.from_edges(len(kept), np.column_stack((tails[up], heads[up]))), kept
 
 
-def _check_node(g, v):
-    if not 0 <= v < g.node_count:
-        raise ValueError(f"node index {v} out of range (n={g.node_count})")
+def _check_node(g, *nodes):
+    for v in nodes:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise ValueError(f"node index {v!r} is not an integer") from None
+        if not 0 <= v < g.node_count:
+            raise ValueError(f"node index {v} out of range (n={g.node_count})")
 
 
 # ---------------------------------------------------------------------------

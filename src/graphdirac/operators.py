@@ -18,7 +18,7 @@ and adjoints are structural transposes, never numerical approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,35 +99,12 @@ class LinearMap:
         return self.max_abs_difference(other) <= tol
 
 
-@dataclass(eq=False)
-class EdgeVector:
-    """Element of H1: one scalar per directed edge.
-
-    ``antisymmetric`` marks (claimed) membership in the oriented-bond subspace
-    v(i,k) = -v(k,i); use :func:`is_antisymmetric` to verify it against a graph.
-    """
-
-    values: np.ndarray
-    antisymmetric: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def edge_values(e):
-    return np.asarray(e.values if isinstance(e, EdgeVector) else e, dtype=float)
-
-
 def is_antisymmetric(g, e, tol=0.0):
     """v(i,k) = -v(k,i) within tol; sorting the edges by (head, tail) lists
     each edge's reverse in directed-edge order."""
-    v = edge_values(e)
+    v = np.asarray(e, dtype=float)
+    if v.shape != (g.directed_edge_count,):
+        raise ValueError(f"edge vector has shape {v.shape}, expected ({g.directed_edge_count},)")
     return bool(np.all(np.abs(v + v[np.lexsort((g.edge_tails, g.edge_heads))]) <= tol))
 
 
@@ -169,31 +146,6 @@ def delta2_map(g):
     return LinearMap(_coo(g.edge_tails, np.arange(m), np.ones(m), (n, m)), "H1", "H0")
 
 
-def apply_d(g, f):
-    return EdgeVector(coboundary_map(g).apply(_node_vector(g, f)), antisymmetric=True)
-
-
-def apply_d1(g, f):
-    return EdgeVector(d1_map(g).apply(_node_vector(g, f)))
-
-
-def apply_d2(g, f):
-    return EdgeVector(d2_map(g).apply(_node_vector(g, f)))
-
-
-def apply_delta1(g, e):
-    return delta1_map(g).apply(edge_values(e))
-
-
-def apply_delta2(g, e):
-    return delta2_map(g).apply(edge_values(e))
-
-
-def apply_adjoint_d(g, e):
-    """d* = delta1 - delta2 on H1 (and 2*delta1 on the antisymmetric part)."""
-    return coboundary_map(g).adjoint().apply(edge_values(e))
-
-
 def adjacency_map(g):
     n = g.node_count
     ones = np.ones(g.directed_edge_count, dtype=np.int64)
@@ -231,29 +183,10 @@ def incidence_map(g, orientation=None):
     return LinearMap(_coo(rows, cols, vals, (g.node_count, len(tails))), "bonds", "H0")
 
 
-@dataclass(frozen=True)
-class DiracOperator:
-    """Block operator [[0, d*], [d, 0]] on H = H0 (+) H1."""
-
-    d_block: LinearMap
-    d_star_block: LinearMap
-    assembled: LinearMap
-    node_count: int = field(repr=False)
-    edge_count: int = field(repr=False)
-
-    def split(self, x):
-        x = np.asarray(x)
-        return x[:self.node_count], x[self.node_count:]
-
-
 def dirac_operator(g):
-    d = coboundary_map(g)
-    dstar = d.adjoint()
-    n, m = g.node_count, g.directed_edge_count
-    assembled = sp.csr_array(sp.bmat(
-        [[sp.csr_array((n, n), dtype=np.int64), dstar.matrix],
-         [d.matrix, sp.csr_array((m, m), dtype=np.int64)]], format="csr"))
-    return DiracOperator(d, dstar, LinearMap(assembled, "H", "H"), n, m)
+    """Block operator [[0, d*], [d, 0]] on H = H0 (+) H1."""
+    d = coboundary_map(g).matrix
+    return LinearMap(sp.bmat([[None, d.T], [d, None]], format="csr"), "H", "H")
 
 
 def chirality_map(g):
@@ -297,7 +230,7 @@ def function_representation(g, f):
 
 def commutator_map(g, f):
     """[D, f] = D rep(f) - rep(f) D on H; off-diagonal blocks [d, f] and [d*, f]."""
-    D = dirac_operator(g).assembled.astype(float)
+    D = dirac_operator(g).astype(float)
     R = function_representation(g, f)
     return D @ R - R @ D
 
@@ -315,7 +248,7 @@ def cycle_edge_vector(g, nodes):
             raise ValueError(f"({u},{v}) is not a bond of the graph")
         vals[g.edge_index[(u, v)]] += 1.0
         vals[g.edge_index[(v, u)]] -= 1.0
-    return EdgeVector(vals, antisymmetric=True)
+    return vals
 
 
 def format_coordinate_text(m):

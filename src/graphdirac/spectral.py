@@ -205,7 +205,7 @@ def adjacency_norm_bounds(g, tol=1e-12):
     if g.node_count == 0:
         return NormBounds(0.0, 0.0, 0.0)
     lower = float(np.max(prefix_average_degrees(g)))
-    upper = float(np.max(g.degrees)) if g.node_count else 0.0
+    upper = float(np.max(g.degrees))
     estimate = spectral_norm(adjacency_map(g), tol=tol)
     if not (lower <= estimate + 1e-8 and estimate <= upper + 1e-8):
         raise RuntimeError(

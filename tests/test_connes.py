@@ -11,6 +11,7 @@ import pytest
 
 from graphdirac import connes
 from graphdirac import (
+    bfs_distances,
     brute_force_distance,
     build_binary_tree,
     build_cycle,
@@ -28,6 +29,7 @@ from graphdirac import (
     operator_norm,
     random_feasible_point,
     scale_normalization_check,
+    shortest_path,
     tree_distance_closed_form,
 )
 from graphdirac.graph import Graph
@@ -129,6 +131,22 @@ def test_solver_validates_input():
         connes_distance(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, 3)
     with pytest.raises(ValueError):
         connes_distance(g, 0, 2, x0=np.array([0.0, 5.0, 0.0]))  # infeasible start
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            connes_distance(build_path(5), 0, 4, x0=[0.0, bad, 0.0, 0.0, 0.0])
+
+
+def test_node_indices_must_be_integers():
+    g = build_path(3)
+    for fn in (lambda *args: connes_distance(*args).distance, combinatorial_distance,
+               shortest_path, tree_distance_closed_form, brute_force_distance):
+        for bad in (2.0, "2", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                fn(g, 0, bad)
+        assert fn(g, np.int64(0), np.int64(2)) == fn(g, 0, 2)
+    for bad in (2.0, -1, 3):
+        with pytest.raises(ValueError):
+            bfs_distances(g, bad)
 
 
 def test_result_invariants():
@@ -380,12 +398,14 @@ def test_certificate_matches_dense_jacobian(name):
         short = rng.standard_normal(n)
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
-            result = connes._certified_result(g, a, b, f, prof, 0, direction, mu, 1e-7)
+            multipliers, residual, _ = connes._certificate(
+                newton, f[None], prof[None], direction[None], np.array([a]), np.array([b]),
+                mu, 1e-7)
             lam = np.maximum(0.0, mu / s * (1.0 + (J @ direction) / s))
-            assert np.abs(result.multipliers - lam).max() <= 1e-12 * max(lam.max(), mu)
-            stationarity = np.linalg.norm(c - J.T @ result.multipliers)
-            kkt = max(stationarity, (result.multipliers * s).max())
-            assert abs(result.kkt_residual - kkt) <= 1e-12 * max(kkt, 1.0)
+            assert np.abs(multipliers[0] - lam).max() <= 1e-12 * max(lam.max(), mu)
+            stationarity = np.linalg.norm(c - J.T @ multipliers[0])
+            kkt = max(stationarity, (multipliers[0] * s).max())
+            assert abs(residual[0] - kkt) <= 1e-12 * max(kkt, 1.0)
 
 
 def test_path_of_ten_thousand_nodes_in_linear_memory():
@@ -531,6 +551,12 @@ def test_distance_matrix_path3():
     assert np.allclose(distance_matrix(build_path(3)), expected, atol=1e-6)
 
 
+def test_distance_matrix_checks_tol_before_the_empty_case():
+    for g in (Graph.from_edges(1, []), build_path(3)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            distance_matrix(g, tol=-1.0)
+
+
 def test_distance_matrix_axioms_on_cycle5():
     m = distance_matrix(build_cycle(5))
     assert np.allclose(m, m.T, atol=1e-12)
@@ -608,15 +634,17 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
 
 
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
-    real = connes._certified_result
+    real = connes._certificate
 
-    def forced(g, a, b, *args):
+    def forced(newton, f, prof, direction, gauges, targets, mu_final, tol):
         # a tolerance no residual meets leaves the pair (1, 3) uncertified
-        if (a, b) == (1, 3):
-            args = args[:-1] + (1e-300,)
-        return real(g, a, b, *args)
+        multipliers, kkt, certified = real(newton, f, prof, direction, gauges, targets,
+                                           mu_final, tol)
+        strict = real(newton, f, prof, direction, gauges, targets, mu_final, 1e-300)[2]
+        pair = (gauges == 1) & (targets == 3)
+        return multipliers, kkt, np.where(pair, strict, certified)
 
-    monkeypatch.setattr(connes, "_certified_result", forced)
+    monkeypatch.setattr(connes, "_certificate", forced)
     nan = np.isnan(distance_matrix(build_cycle(5)))
     assert nan[1, 3] and nan[3, 1] and nan.sum() == 2
 

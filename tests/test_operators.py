@@ -5,12 +5,6 @@ from graphdirac import (
     Graph,
     LinearMap,
     adjacency_map,
-    apply_adjoint_d,
-    apply_d,
-    apply_d1,
-    apply_d2,
-    apply_delta1,
-    apply_delta2,
     build_cycle,
     build_path,
     chirality_map,
@@ -45,15 +39,15 @@ def random_node_function(g, rng):
 
 def test_apply_d_single_bond():
     g = build_path(2)
-    e = apply_d(g, [0.0, 1.0])
+    e = coboundary_map(g).apply([0.0, 1.0])
     assert g.directed_edges == ((0, 1), (1, 0))
     assert np.allclose(np.asarray(e), [1.0, -1.0])
-    assert e.antisymmetric and is_antisymmetric(g, e)
+    assert is_antisymmetric(g, e)
 
 
 def test_apply_d_kills_constants():
     for g in fixture_graphs().values():
-        assert np.all(np.asarray(apply_d(g, np.full(g.node_count, 3.7))) == 0)
+        assert np.all(np.asarray(coboundary_map(g).apply(np.full(g.node_count, 3.7))) == 0)
 
 
 def test_apply_d_square_valuations():
@@ -62,7 +56,7 @@ def test_apply_d_square_valuations():
     g = build_cycle(4)
     a = np.sqrt(0.5)
     f = np.array([0.0, a, a + np.sqrt(1 - a * a), np.sqrt(1 - a * a)])
-    jumps = np.asarray(apply_d(g, f)) ** 2
+    jumps = np.asarray(coboundary_map(g).apply(f)) ** 2
     per_node = np.zeros(4)
     np.add.at(per_node, g.edge_tails, jumps)
     assert np.allclose(per_node, 1.0)
@@ -70,15 +64,15 @@ def test_apply_d_square_valuations():
 
 def test_apply_d_length_mismatch():
     with pytest.raises(ValueError):
-        apply_d(build_path(3), [0.0, 1.0])
+        coboundary_map(build_path(3)).apply([0.0, 1.0])
 
 
 def test_delta1_on_basis_edge():
     g = build_path(2)
     basis = np.zeros(2)
     basis[g.edge_index[(0, 1)]] = 1.0  # the directed bond 0 -> 1
-    assert np.allclose(apply_delta1(g, basis), [0.0, 1.0])  # terminal node
-    assert np.allclose(apply_delta2(g, basis), [1.0, 0.0])  # initial node
+    assert np.allclose(delta1_map(g).apply(basis), [0.0, 1.0])  # terminal node
+    assert np.allclose(delta2_map(g).apply(basis), [1.0, 0.0])  # initial node
 
 
 def test_delta_on_oriented_bond():
@@ -86,37 +80,37 @@ def test_delta_on_oriented_bond():
     b = np.zeros(2)
     b[g.edge_index[(0, 1)]] = 1.0
     b[g.edge_index[(1, 0)]] = -1.0
-    assert np.allclose(apply_delta1(g, b), [-1.0, 1.0])  # n_1 - n_0
+    assert np.allclose(delta1_map(g).apply(b), [-1.0, 1.0])  # n_1 - n_0
 
 
 def test_delta_zero():
     g = build_cycle(5)
-    assert np.all(apply_delta1(g, np.zeros(g.directed_edge_count)) == 0)
+    assert np.all(delta1_map(g).apply(np.zeros(g.directed_edge_count)) == 0)
 
 
 def test_d1_d2_on_indicator():
     g = build_path(2)
     f = np.array([1.0, 0.0])
-    e1 = np.asarray(apply_d1(g, f))
-    e2 = np.asarray(apply_d2(g, f))
+    e1 = np.asarray(d1_map(g).apply(f))
+    e2 = np.asarray(d2_map(g).apply(f))
     assert e1[g.edge_index[(1, 0)]] == 1.0 and e1[g.edge_index[(0, 1)]] == 0.0
     assert e2[g.edge_index[(0, 1)]] == 1.0 and e2[g.edge_index[(1, 0)]] == 0.0
-    assert not apply_d1(g, f).antisymmetric
+    assert not is_antisymmetric(g, d1_map(g).apply(f))
 
 
 def test_d_is_d1_minus_d2_on_random_inputs():
     rng = np.random.default_rng(7)
     for g in random_connected_graphs(50, max_nodes=12, seed=5):
         f = random_node_function(g, rng)
-        lhs = np.asarray(apply_d1(g, f)) - np.asarray(apply_d2(g, f))
-        assert np.allclose(lhs, np.asarray(apply_d(g, f)), atol=1e-14)
+        lhs = np.asarray(d1_map(g).apply(f)) - np.asarray(d2_map(g).apply(f))
+        assert np.allclose(lhs, np.asarray(coboundary_map(g).apply(f)), atol=1e-14)
 
 
 def test_d1_equals_d2_values_for_constant_on_k3():
     g = complete_graph(3)
     f = np.full(3, 2.0)
-    v1 = sorted(np.asarray(apply_d1(g, f)).tolist())
-    v2 = sorted(np.asarray(apply_d2(g, f)).tolist())
+    v1 = sorted(np.asarray(d1_map(g).apply(f)).tolist())
+    v2 = sorted(np.asarray(d2_map(g).apply(f)).tolist())
     assert v1 == v2
 
 
@@ -201,9 +195,10 @@ def test_exact_identities_on_random_graphs():
 def test_adjoint_d_is_twice_delta_on_antisymmetric_part():
     rng = np.random.default_rng(3)
     for g in random_connected_graphs(20, max_nodes=10, seed=8):
-        e = apply_d(g, random_node_function(g, rng))  # lies in the antisymmetric part
-        lhs = apply_adjoint_d(g, e)
-        assert np.allclose(lhs, 2.0 * apply_delta1(g, e), atol=1e-12)
+        # df lies in the antisymmetric part
+        e = coboundary_map(g).apply(random_node_function(g, rng))
+        lhs = coboundary_map(g).adjoint().apply(e)
+        assert np.allclose(lhs, 2.0 * delta1_map(g).apply(e), atol=1e-12)
 
 
 def test_coboundary_norm_identity():
@@ -211,7 +206,7 @@ def test_coboundary_norm_identity():
     rng = np.random.default_rng(12)
     for g in random_connected_graphs(20, max_nodes=15, seed=21):
         f = random_node_function(g, rng)
-        lhs = float(np.sum(np.asarray(apply_d(g, f)) ** 2))
+        lhs = float(np.sum(np.asarray(coboundary_map(g).apply(f)) ** 2))
         rhs = float(f @ ((-2 * laplacian_map(g)).apply(f)))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
@@ -220,14 +215,14 @@ def test_cycle_vectors_in_kernel_of_adjoint():
     for n in (3, 4, 5, 6):
         g = build_cycle(n)
         vec = cycle_edge_vector(g, list(range(n)))
-        assert np.all(apply_adjoint_d(g, vec) == 0)
+        assert np.all(coboundary_map(g).adjoint().apply(vec) == 0)
     # a cycle in a random graph: drop one bond, reconnect through the rest
     g = fixture_graphs()["random8"]
     i, j = g.bonds[0]
     pruned = Graph.from_edges(g.node_count, [b for b in g.bonds if b != (i, j)])
     nodes = shortest_path(pruned, i, j)
     vec = cycle_edge_vector(g, nodes)
-    assert np.allclose(apply_adjoint_d(g, vec), 0.0, atol=1e-12)
+    assert np.allclose(coboundary_map(g).adjoint().apply(vec), 0.0, atol=1e-12)
 
 
 def fixture_cycle(g):
@@ -245,13 +240,13 @@ def test_is_antisymmetric_on_fixtures():
     cycles = 0
     for name, g in fixture_graphs().items():
         f = random_node_function(g, rng)
-        e = apply_d(g, f)
+        e = coboundary_map(g).apply(f)
         assert is_antisymmetric(g, e), name
         flipped = np.asarray(e).copy()
         flipped[len(flipped) // 2] *= -1.0
         assert not is_antisymmetric(g, flipped), name
         # positive values: v(i,k) + v(k,i) = f_k + f_i > 0 on every bond
-        assert not is_antisymmetric(g, apply_d1(g, np.arange(1.0, g.node_count + 1))), name
+        assert not is_antisymmetric(g, d1_map(g).apply(np.arange(1.0, g.node_count + 1))), name
         nodes = fixture_cycle(g)
         if nodes is not None:
             cycles += 1
@@ -259,17 +254,11 @@ def test_is_antisymmetric_on_fixtures():
     assert cycles == 9  # every fixture but the four paths, the star and the tree
 
 
-def test_apply_is_the_map_applied():
-    rng = np.random.default_rng(6)
-    for name, g in fixture_graphs().items():
-        f = random_node_function(g, rng)
-        e = rng.standard_normal(g.directed_edge_count)
-        for apply, linear_map in ((apply_d, coboundary_map), (apply_d1, d1_map),
-                                  (apply_d2, d2_map)):
-            assert np.array_equal(np.asarray(apply(g, f)), linear_map(g).apply(f)), name
-        for apply, linear_map in ((apply_delta1, delta1_map), (apply_delta2, delta2_map),
-                                  (apply_adjoint_d, lambda g: coboundary_map(g).adjoint())):
-            assert np.array_equal(apply(g, e), linear_map(g).apply(e)), name
+def test_is_antisymmetric_checks_length():
+    g = build_path(3)  # 4 directed edges
+    for length in (3, 5):
+        with pytest.raises(ValueError, match=rf"\({length},\), expected \(4,\)"):
+            is_antisymmetric(g, np.zeros(length))
 
 
 def test_cycle_edge_vector_validates():
@@ -283,8 +272,8 @@ def test_cycle_edge_vector_validates():
 def test_dirac_blocks_path2():
     g = build_path(2)
     D = dirac_operator(g)
-    assert D.assembled.shape == (4, 4)
-    D2 = (D.assembled @ D.assembled).toarray()
+    assert D.shape == (4, 4)
+    D2 = (D @ D).toarray()
     assert np.array_equal(D2[:2, :2], [[2, -2], [-2, 2]])  # = -2 Delta
     assert np.all(D2[:2, 2:] == 0) and np.all(D2[2:, :2] == 0)
 
@@ -293,7 +282,7 @@ def test_dirac_square_block_structure():
     for g in fixture_graphs().values():
         D = dirac_operator(g)
         n = g.node_count
-        D2 = (D.assembled @ D.assembled).toarray()
+        D2 = (D @ D).toarray()
         assert np.array_equal(D2[:n, :n], (-2 * laplacian_map(g)).toarray())
         assert np.all(D2[:n, n:] == 0) and np.all(D2[n:, :n] == 0)
 
@@ -302,21 +291,22 @@ def test_dirac_maps_node_part_to_coboundary():
     g = build_cycle(5)
     f = np.arange(5, dtype=float)
     x = np.concatenate([f, np.zeros(g.directed_edge_count)])
-    top, bottom = dirac_operator(g).split(dirac_operator(g).assembled.apply(x))
+    y = dirac_operator(g).apply(x)
+    top, bottom = y[:g.node_count], y[g.node_count:]
     assert np.all(top == 0)
-    assert np.allclose(bottom, np.asarray(apply_d(g, f)))
+    assert np.allclose(bottom, np.asarray(coboundary_map(g).apply(f)))
 
 
 def test_dirac_spectrum_symmetric():
     for g in (build_cycle(4), fixture_graphs()["random8"]):
-        w = np.linalg.eigvalsh(dirac_operator(g).assembled.toarray().astype(float))
+        w = np.linalg.eigvalsh(dirac_operator(g).toarray().astype(float))
         assert np.allclose(np.sort(w), np.sort(-w), atol=1e-9)
 
 
 def test_chirality():
     for g in (build_path(3), build_cycle(5)):
         chi = chirality_map(g)
-        D = dirac_operator(g).assembled
+        D = dirac_operator(g)
         assert (chi @ chi).entrywise_equal(
             LinearMap(np.eye(chi.shape[0], dtype=np.int64), "H", "H"))
         assert ((chi @ D) + (D @ chi)).max_abs_difference(0 * chi) == 0
