@@ -343,12 +343,13 @@ def _certificate(newton, f, prof, direction, gauges, targets, mu_final, tol):
     edge_terms = jacobian[n:] * (d[newton.heads] - d[newton.tails])
     w = 1.0 / (1.0 - prof)
     multipliers = np.maximum(0.0, mu_final * w * (1.0 + w * (newton.tail_sums @ edge_terms).T))
-    residual = -(newton.column_sums @ (jacobian * multipliers.T[newton.rows])).T
+    residual = np.ascontiguousarray(-(newton.column_sums @ (jacobian * multipliers.T[newton.rows])).T)
     stack = np.arange(k)
     residual[stack, targets] += 1.0  # c - J^t lambda with c = e_b - e_a, a != b
     residual[stack, gauges] -= 1.0
-    kkt = np.maximum(np.sqrt(np.vecdot(residual, residual)),
-                     (multipliers * (1.0 - prof)).max(axis=1))
+    # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
+    squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+    kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
     return multipliers, kkt, (kkt <= tol) & (prof.max(axis=1) <= 1.0 + tol)
 
 
