@@ -124,8 +124,8 @@ def _cmd_connes(args):
         raise SystemExit(f"error: {exc}")
     _emit(result.to_json(), args.out)
     if not result.certified:
-        print(f"warning: solve not certified (kkt residual {result.kkt_residual:.3g})",
-              file=sys.stderr)
+        print(f"warning: solve not certified (gap {result.gap:.3g} to the dual bound, "
+              f"kkt residual {result.kkt_residual:.3g})", file=sys.stderr)
         return 1
     return 0
 
@@ -197,7 +197,8 @@ def build_parser():
     p.set_defaults(func=_cmd_connes_matrix)
 
     p = sub.add_parser("truncation", help="norms of nested truncations as CSV")
-    p.add_argument("--family", default="tree", choices=["tree", "binary_tree", "path", "cycle"])
+    p.add_argument("--family", default="tree", choices=["tree", "binary_tree", "path", "cycle"],
+                   help="graph family; tree and binary_tree are aliases of one builder")
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_truncation)

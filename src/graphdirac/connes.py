@@ -10,14 +10,19 @@ so the distance between nodes a and b is the value of
 
 a convex quadratically constrained program with Slater point f = 0.  The
 solver below follows the central path of a log-barrier reformulation (damped
-Newton inner iterations, feasibility-preserving backtracking) and certifies
-its answer with explicit KKT multipliers: nonnegative lambda with small
-stationarity residual ||c - J(f)^t lambda|| and complementary slackness
-lambda_i (1 - a_i).  The multipliers are the barrier's dual estimate
-mu / (1 - a_i), moved along one more Newton step at the path's end point, so
-the certificate costs one sparse step and O(n + m) arithmetic.  The sup
-cannot move under rescaling f -> f/||df||, so it is attained on the
-constraint boundary; constant shifts are fixed by the gauge f_a = 0.
+Newton inner iterations, feasibility-preserving backtracking).  From the
+barrier's active-set guess it tries a Newton endgame on the KKT system of
+that face, and stops as soon as one verifies; otherwise the multipliers are
+the barrier's dual estimate mu / (1 - a_i), moved along one more Newton step
+at the path's end point.  The sup cannot move under rescaling f -> f/||df||,
+so it is attained on the constraint boundary, where the solution is moved;
+constant shifts are fixed by the gauge f_a = 0.
+
+The certificate bounds both sides.  The rescaled f is feasible, so f_b - f_a
+is a lower bound.  By Lagrange duality every lambda >= 0 gives the upper
+bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4, where R_lambda is the
+effective resistance under bond conductances lambda_i + lambda_k (Klein and
+Randic 1993); the gap U - (f_b - f_a) bounds the error.
 
 For the path graph on nodes 0..n the optimum is known in closed form:
 sqrt(floor(n^2/2)) for n even and sqrt(floor(n^2/2) + 1) for n odd, attained
@@ -35,18 +40,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, solve
 from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .graph import _check_node, combinatorial_distance, induced_subgraph, shortest_path
 
 DEFAULT_TOL = 1e-7
-DEFAULT_MU_MIN = 1e-9
 MU_FLOOR = 1e-12  # below this the slacks drown in rounding noise
 MAX_NEWTON = 60
+ENDGAME_MU = 0.1  # stage ends from this mu on try the active-set endgame
+MAX_KKT = 10      # Newton steps of one endgame attempt
+KKT_DELTA = 1e-8  # the endgame's regularization of the multipliers' block
 # cap on the Hessian entries (the terms summed into it, or its dense form) that
 # one chunk of distance_matrix's pairs holds at once: 2 MB an array, while the
 # 190 pairs of a 20-node random graph still run as one stack
 CHUNK_ENTRIES = 1 << 18
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def constraint_profile(g, f):
@@ -77,17 +86,21 @@ def commutator_norm(g, f):
 @dataclass(eq=False)
 class ConnesResult:
     distance: float
-    optimizer: np.ndarray       # gauge-fixed: optimizer[a] = 0
+    optimizer: np.ndarray       # gauge-fixed: optimizer[a] = 0, on the constraint boundary
     slacks: np.ndarray          # the constraint values a_i (feasible iff <= 1)
     multipliers: np.ndarray
     kkt_residual: float
-    iterations: int
-    certified: bool
+    iterations: int             # barrier Newton steps plus endgame KKT steps
+    certified: bool             # distance <= true distance <= upper_bound, gap <= tol
+    upper_bound: float          # the dual bound U(multipliers), rounding included
+    gap: float                  # upper_bound - distance
 
     def to_json(self):
         return json.dumps({
             "distance": self.distance,
             "certified": self.certified,
+            "upper_bound": self.upper_bound,
+            "gap": self.gap,
             "kkt_residual": self.kkt_residual,
             "iterations": self.iterations,
             "f": [float(x) for x in self.optimizer],
@@ -97,26 +110,32 @@ class ConnesResult:
 
 
 class _BarrierNewton:
-    """Gradients and Newton steps of the barrier objective for a stack of pairs
-    of one graph, on a fixed sparse pattern.
+    """Newton systems for a stack of pairs of one graph on one fixed sparse
+    pattern: the barrier's, the endgame's and the dual bound's.
 
-    The barrier Hessian is the sum over nodes i of w_i * hess(a_i) +
-    w_i^2 * grad(a_i) grad(a_i)^t with w_i = 1/(1 - a_i), that is
-    2 L_w + J^t diag(w^2) J, where L_w is the Laplacian with bond weight
-    w_i + w_k.  Row i of the constraint Jacobian J holds node i and its
+    Each is a weighted sum over nodes i of c_i * hess(a_i) +
+    r_i^2 * grad(a_i) grad(a_i)^t, that is 2 L_c + J^t diag(r^2) J, where L_c
+    is the Laplacian with bond weight c_i + c_k: the barrier Hessian has
+    c = w, r = w with w = 1/(1 - a); the endgame's c = lambda and r^2 = 1/delta
+    on its active set; the dual bound's Laplacian L_lambda c = lambda / 2 and
+    r = 0.  Row i of the constraint Jacobian J holds node i and its
     neighbours, and both terms of node i live on the ordered pairs of that
-    row, so H has the two-hop pattern.  The pattern, and the sparse matrices
-    that add each step's terms into it, are built once per graph; a step is
-    then a few sparse products over the stack and one factorization.  Each
-    pair's gauge node gets the identity in its row and column, so the step
-    keeps full length with a zero there.  The sparse branch keeps the
-    block-diagonal matrix of the last stack size and only swaps its values.
+    row, so every system has the two-hop pattern.  The pattern, and the
+    sparse matrices that add each system's terms into it, are built once per
+    graph; a system is then a few sparse products over the stack, and its
+    solve one batched dense solve or one sparse LU of the block-diagonal
+    matrix.  The fixed nodes of a pair (its gauge node, and the nodes a
+    system leaves out) get the identity in their rows and columns, so a
+    solution keeps full length with a zero there.  The sparse branch keeps
+    the block-diagonal matrix of the last stack size and only swaps its
+    values.
     """
 
     def __init__(self, g):
         n, m = g.node_count, g.directed_edge_count
         self.n = n
         self.tails, self.heads = g.edge_tails, g.edge_heads
+        self.max_degree = int(g.degrees.max()) if n else 0
         nodes, entries = np.arange(n), np.arange(n + m)
         # entries of J: the n diagonal ones, then one per directed edge
         self.rows = np.concatenate((nodes, self.tails))
@@ -139,9 +158,9 @@ class _BarrierNewton:
         curvature = 2.0 * np.where(
             p == q, np.where(diag_p, g.degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
         self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
-        # a pair and its mirror share the product w_i^2 J_ip J_iq, so only the
+        # a pair and its mirror share the product r_i^2 J_ip J_iq, so only the
         # pairs p <= q are multiplied; one sparse matrix adds them, and the
-        # curvature terms w_i hess(a_i), into the Hessian's slots
+        # curvature terms c_i hess(a_i), into the Hessian's slots
         half = p <= q
         self.half_p, self.half_q = p[half], q[half]
         size = self.half_p.size
@@ -164,27 +183,36 @@ class _BarrierNewton:
         self.entries_per_pair = max(size + n, n * n if self.dense else 0)
         self._blocks = None  # the sparse branch's matrix for the last stack size
 
+    def system(self, f, weights, curvature, root, t, fixed, targets):
+        """Gradients J^t weights - t e_b at the rows of f, zero at the fixed
+        nodes, and the values in the CSR slots ``keys`` of
+        2 L_curvature + J^t diag(root^2) J with the identity at the fixed
+        nodes; all (k, n) stacks but t, a (k,) vector."""
+        n, size = self.n, self.half_p.size
+        jacobian = self.jacobian(f)
+        u = jacobian * root.T[self.rows]  # r_i J_ip
+        grad = (self.column_sums @ (u if weights is root else
+                                    jacobian * weights.T[self.rows])).T
+        terms = np.empty((size + n, len(f)))
+        # the indices are in range; "clip" lets take write into terms unbuffered
+        np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
+        terms[:size] *= u[self.half_q]
+        terms[size:] = curvature.T
+        hess = (self.to_slots @ terms).T
+        grad[np.arange(len(f)), targets] -= t
+        grad[fixed] = 0.0
+        hess[fixed[:, self.key_rows] | fixed[:, self.indices]] = 0.0
+        hess[:, self.diagonal] += fixed
+        return grad, hess
+
     def assemble(self, f, w, t, gauges, targets):
         """Gradients of -t (f_b - f_a) - sum log(1 - a_i) at the rows of f, with
         weights w = 1/(1 - a), and the values of their Hessians in the CSR
         slots ``keys``; f and w are (k, n) stacks, t, the gauges a and the
         targets b (k,) vectors."""
-        n, size = self.n, self.half_p.size
-        w = w.T
-        u = self.jacobian(f) * w[self.rows]  # w_i J_ip
-        grad = (self.column_sums @ u).T
-        terms = np.empty((size + n, len(gauges)))
-        # the indices are in range; "clip" lets take write into terms unbuffered
-        np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
-        terms[:size] *= u[self.half_q]
-        terms[size:] = w
-        hess = (self.to_slots @ terms).T
-        stack = np.arange(len(gauges))
-        grad[stack, targets] -= t
-        grad[stack, gauges] = 0.0
-        hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
-        hess[stack, self.diagonal[gauges]] = 1.0
-        return grad, hess
+        gauge = np.zeros(w.shape, dtype=bool)
+        gauge[np.arange(len(gauges)), gauges] = True
+        return self.system(f, w, w, w, t, gauge, targets)
 
     def jacobian(self, f):
         """J's entries in the order of ``rows``, one column per pair of the stack
@@ -194,20 +222,77 @@ class _BarrierNewton:
         v = 2.0 * (f[self.heads] - f[self.tails])
         return np.concatenate((-(self.tail_sums @ v), v))
 
+    def constraint_steps(self, f, direction):
+        """J df for each pair: J's rows sum to zero, so row i sums
+        2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
+        d = direction.T
+        return (self.tail_sums @ (self.jacobian(f)[self.n:] * (d[self.heads] - d[self.tails]))).T
+
     def step(self, f, w, t, gauges, targets):
-        """The gradients and the Newton steps."""
+        """The barrier gradients and Newton steps."""
         grad, hess = self.assemble(f, w, t, gauges, targets)
         return grad, self._solve(hess, -grad)
+
+    def kkt_step(self, f, prof, multipliers, active, gauges, targets):
+        """Newton steps on J_A^t lambda_A = c, a_A(f) = 1 for a stack of pairs,
+        with KKT_DELTA in the multipliers' block:
+
+            [[2 L_lambda, J_A^t], [J_A, -delta I]] (df, lambda_new)
+                = (c, 1 - a_A - delta lambda_A).
+
+        Eliminating lambda_new leaves (2 L_lambda + J_A^t J_A / delta) df =
+        c - J_A^t lambda_A + J_A^t (1 - a_A) / delta, a system on the barrier's
+        pattern, and lambda_new = lambda + (J_A df - (1 - a_A)) / delta.  The
+        nodes that no constraint of A holds (outside A and its neighbours)
+        are fixed, and so is the gauge node.  The small delta keeps the steps
+        fast where the active gradients are dependent and lambda is not
+        unique, as on a bond across a matching cut (stabilized SQP: Wright,
+        Comput. Optim. Appl. 11, 1998).  Returns df and the new multipliers
+        (zero off A), NaN where the factorization fails."""
+        held = active | (self.tail_sums @ active.T[self.heads]).T.astype(bool)
+        fixed = ~held
+        fixed[np.arange(len(f)), gauges] = True
+        weights = multipliers - active * (1.0 - prof) / KKT_DELTA
+        grad, hess = self.system(f, weights, multipliers,
+                                 active / math.sqrt(KKT_DELTA), np.ones(len(f)), fixed, targets)
+        df = self._solve(hess, -grad, least_squares=False)
+        new = multipliers + active * (self.constraint_steps(f, df) - (1.0 - prof)) / KKT_DELTA
+        return df, new
+
+    def stationarity(self, f, multipliers, gauges, targets):
+        """c - J(f)^t lambda for each pair, with c = e_b - e_a (a != b)."""
+        stack = np.arange(len(gauges))
+        residual = np.ascontiguousarray(
+            -(self.column_sums @ (self.jacobian(f) * multipliers.T[self.rows])).T)
+        residual[stack, targets] += 1.0
+        residual[stack, gauges] -= 1.0
+        return residual
+
+    def support(self, multipliers, gauges):
+        """Bond conductances lambda_i + lambda_k (one row per directed edge) and
+        each pair's mask of the nodes that positive conductances join to its
+        gauge node."""
+        k, n = multipliers.shape
+        conductance = multipliers.T[self.tails] + multipliers.T[self.heads]
+        # the positive bonds of all pairs as one block-diagonal CSR graph, whose
+        # rows come in order: pair by pair, each pair's edges in CSR order
+        pair, edge = np.nonzero(conductance.T > 0.0)
+        indptr = np.searchsorted(pair * n + self.tails[edge], np.arange(k * n + 1))
+        joined = csr_matrix((np.ones(edge.size), pair * n + self.heads[edge], indptr),
+                            shape=(k * n, k * n))
+        labels = connected_components(joined, directed=False)[1].reshape(k, n)
+        return conductance, labels == labels[np.arange(k), gauges][:, None]
 
     def dense_matrix(self, hess):
         out = np.zeros((len(hess), self.n * self.n))
         out[:, self.keys] = hess
         return out.reshape(-1, self.n, self.n)
 
-    def _solve(self, hess, rhs):
+    def _solve(self, hess, rhs, least_squares=True):
         """One batched dense solve, or one sparse LU of the block-diagonal
-        matrix.  A stack that fails is solved pair by pair, so that only a pair
-        whose own factorization fails falls back to least squares."""
+        matrix.  A stack that fails is split, so that only a pair whose own
+        factorization fails falls back to least squares (or to NaN, when
+        ``least_squares`` is off)."""
         k, n = rhs.shape
         try:
             if self.dense:
@@ -222,12 +307,17 @@ class _BarrierNewton:
                     shape=(k * n, k * n))
             else:
                 matrix.data = hess.ravel()
-            # symmetric ordering, no pivoting: H is positive definite
+            # symmetric ordering, no pivoting: the barrier's and the bound's
+            # systems are positive definite, the endgame's nearly so (a zero
+            # pivot fails the factorization)
             return splu(matrix, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0).solve(rhs.ravel()).reshape(k, n)
         except (LinAlgError, RuntimeError):  # singular matrix, or exactly singular factor
             if k > 1:
-                return np.concatenate([self._solve(hess[r:r + 1], rhs[r:r + 1]) for r in range(k)])
+                return np.concatenate([self._solve(hess[r:r + 1], rhs[r:r + 1], least_squares)
+                                       for r in range(k)])
+        if not least_squares:
+            return np.full((1, n), np.nan)
         return np.linalg.lstsq(self.dense_matrix(hess)[0], rhs[0], rcond=None)[0][None]
 
 
@@ -241,10 +331,12 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _barrier_stages(tol):
-    """The barrier parameters mu = 1, mu/10, ... down to the final one, which
-    is DEFAULT_MU_MIN tightened to tol/10 and floored at MU_FLOOR; and that mu."""
-    mu_final = max(min(DEFAULT_MU_MIN, tol / 10.0), MU_FLOOR)
+def _barrier_stages(tol, n=1):
+    """The barrier parameters mu = 1, mu/10, ... down to the final one,
+    tol / (2 n) floored at MU_FLOOR, for n nodes (one node gives the loosest
+    schedule); and that mu.  At the final mu the barrier point is within
+    n mu <= tol / 2 of the optimum."""
+    mu_final = max(tol / (2.0 * n), MU_FLOOR)
     mu = 1.0
     stages = [mu]
     while mu > mu_final * (1 + 1e-12):
@@ -253,133 +345,321 @@ def _barrier_stages(tol):
     return np.array(stages), mu_final
 
 
-def _central_path(g, newton, gauges, targets, f, stages):
+def _on_boundary(f, prof):
+    """f / sqrt(max a_i) and its profile, exact by homogeneity; a zero f stays."""
+    top = prof.max(axis=1, keepdims=True)
+    top = np.where(top > 0.0, top, 1.0)
+    return f / np.sqrt(top), prof / top
+
+
+def _dual_bound(newton, multipliers, gauges, targets):
+    """The Lagrange dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 on
+    each pair's distance, rounding included; +inf where b is not in the
+    positive-conductance component of a.
+
+    R_lambda is the effective resistance under bond conductances
+    lambda_i + lambda_k, solved on that component with a grounded: L x = e_b.
+    For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
+    with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve with
+    |r| plus the rounding of r's own evaluation bounds that term.  The sums
+    are correctly rounded, so the allowance for rounding stays a few units in
+    the last place of U however long the graph.
+    """
+    k, n = multipliers.shape
+    stack = np.arange(k)
+    conductance, joined = newton.support(multipliers, gauges)
+    reached = joined[stack, targets]
+    fixed = ~joined
+    fixed[stack, gauges] = True
+    zero = np.zeros((k, n))
+    _, hess = newton.system(zero, zero, 0.5 * multipliers, zero, zero[:, 0], fixed, targets)
+    rhs = np.zeros((k, n))
+    rhs[stack, targets] = reached
+    x = newton._solve(hess, rhs)
+    xt = x.T
+    # L x on the component, by its bonds; its fixed rows hold the identity
+    jumps = conductance * (xt[newton.tails] - xt[newton.heads])
+    residual = np.where(fixed, 0.0, rhs - (newton.tail_sums @ jumps).T)
+    spread = rhs + (newton.tail_sums @ (conductance * (np.abs(xt[newton.tails])
+                                                       + np.abs(xt[newton.heads])))).T
+    gamma = (newton.max_degree + 3) * UNIT_ROUNDOFF
+    defect = np.where(fixed, 0.0, np.abs(residual) + gamma * spread)
+    correction = 2.0 * (defect * newton._solve(hess, defect)).sum(axis=1)
+    # correctly rounded sums: each term carries a few roundings, each sum one
+    energy = 0.5 * _exact_sums(jumps.T * (xt[newton.tails] - xt[newton.heads]).T)
+    reach = 2.0 * x[stack, targets]
+    resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
+    total = _exact_sums(multipliers)
+    upper = (total * (1.0 + 2 * UNIT_ROUNDOFF) + 0.25 * resistance) * (1.0 + 4 * UNIT_ROUNDOFF)
+    return np.where(reached, upper, np.inf)
+
+
+def _exact_sums(rows):
+    return np.array([math.fsum(row) for row in rows])
+
+
+def _barrier_multipliers(newton, f, prof, direction, mu_final):
+    """KKT multipliers read off the Newton steps ``direction`` (df) taken at
+    the barrier path's end points f, t = 1/mu_final.
+
+    With w = 1/(1 - a), the step solves 2 L_w df + J^t W^2 J df = t c - J^t w,
+    so lambda = mu_final w (1 + w J df), the barrier's dual estimate moved
+    along the step, has J^t lambda = c - 2 mu_final L_w df: a stationarity
+    residual that shrinks with the step.  lambda is clipped at 0.
+    """
+    w = 1.0 / (1.0 - prof)
+    return np.maximum(0.0, mu_final * w * (1.0 + w * newton.constraint_steps(f, direction)))
+
+
+def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
+    """The KKT residual max(||c - J^t lambda||, max lambda_i (1 - a_i)), the
+    dual bound U(lambda) and the verdict for a stack of feasible points f
+    (profiles prof) and multipliers lambda >= 0.  A pair is certified when f
+    is feasible and U - (f_b - f_a) <= tol: its distance is then within tol
+    of the true one, whatever the residual."""
+    stack = np.arange(len(gauges))
+    residual = newton.stationarity(f, multipliers, gauges, targets)
+    # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
+    squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+    kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
+    upper = _dual_bound(newton, multipliers, gauges, targets)
+    gap = upper - (f[stack, targets] - f[stack, gauges])
+    return kkt, upper, (prof.max(axis=1) <= 1.0) & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
+
+
+def _barrier_step(g, newton, f, prof, t, gauges, targets):
+    """One damped Newton step on -t (f_b - f_a) - sum log(1 - a_i) for each
+    pair of a stack: the step halves its length until the trial point is
+    strictly feasible and then until it passes the Armijo test.  Returns the
+    trial points and their profiles, which pairs accept them, and which
+    pairs' stages end: the step failed, half the squared Newton decrement was
+    at most 1e-14, or the barrier objective did not decrease."""
+    s = 1.0 - prof
+    grad, direction = newton.step(f, 1.0 / s, t, gauges, targets)
+    decrement_sq = -(grad * direction).sum(axis=1)
+    rows = np.arange(len(f))
+    phi0 = -t * (f[rows, targets] - f[rows, gauges]) - np.log(s).sum(axis=1)
+    # each trial point's profile is computed once: the first strictly
+    # feasible one serves the Armijo test too, the accepted one the next step
+    alpha = np.ones(len(f))
+    feasible = np.zeros(len(f), dtype=bool)
+    phi = np.full(len(f), np.nan)     # stays NaN where the step fails
+    trial = f + direction
+    trial_prof = np.empty_like(f)
+    todo = rows[np.isfinite(decrement_sq) & (decrement_sq > 0)]
+    while todo.size:
+        trial_prof[todo] = constraint_profile(g, trial[todo])
+        feasible[todo] |= trial_prof[todo].max(axis=1) < 1.0 - 1e-14
+        test = todo[feasible[todo]]
+        s_trial = 1.0 - trial_prof[test]
+        inside = s_trial.min(axis=1) > 0.0
+        value = -t[test] * (trial[test, targets[test]] - trial[test, gauges[test]])
+        value[inside] -= np.log(s_trial[inside]).sum(axis=1)
+        passed = inside & (value <= phi0[test] - 0.25 * alpha[test] * decrement_sq[test])
+        phi[test[passed]] = value[passed]
+        todo = todo[np.isnan(phi[todo])]
+        alpha[todo] *= 0.5
+        todo = todo[alpha[todo] >= 1e-16]
+        trial[todo] = f[todo] + alpha[todo, None] * direction[todo]
+    accepted = ~np.isnan(phi)
+    return trial, trial_prof, accepted, ~accepted | (decrement_sq / 2.0 <= 1e-14) | (phi >= phi0)
+
+
+class _Endgame:
+    """Active-set endgame attempts for the pairs of a stack, one Newton step a
+    call, so that the steps of all running attempts are one stacked solve.
+
+    An attempt starts at a pair's barrier point with the face A that the
+    Tapia indicator guessed (s_i < lambda_i with lambda = mu / s) and with
+    lambda = mu / s on A.  Each step is a Newton step on the KKT system of
+    that face (``kkt_step``).  A violated constraint joins A; a multiplier
+    that turns negative stays in A, and is clipped at 0 in the residual
+    ||(c - J^t lambda, a_A - 1)|| and in the bound (a weakly active
+    constraint, whose multiplier tends to 0, would otherwise leave and come
+    back).  An attempt ends when that residual stops halving, after MAX_KKT
+    steps or when its factorization fails.  Its iterate with the smallest
+    residual is verified by ``_certificate`` when that residual is at most
+    tol, so that a verified endgame is a KKT point to tol as well.  State is
+    held per pair of the stack, at the pair's index ``ids``.
+    """
+
+    def __init__(self, g, newton, k):
+        n = g.node_count
+        self.g, self.newton = g, newton
+        self.f, self.prof, self.lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
+        self.active = np.empty((k, n), dtype=bool)
+        self.best = [np.empty((k, n)), np.empty((k, n)), np.empty((k, n)), np.empty(k)]
+        self.last, self.steps = np.empty(k), np.empty(k, dtype=int)
+
+    def start(self, ids, f, prof, mu, active):
+        self.f[ids], self.prof[ids], self.active[ids] = f, prof, active
+        self.lam[ids] = np.where(active, mu[:, None] / (1.0 - prof), 0.0)
+        self.last[ids] = self.best[3][ids] = np.inf
+        self.steps[ids] = 0
+
+    def advance(self, ids, gauges, targets):
+        """One step for the attempts of ``ids``; returns which took it and
+        which go on."""
+        # a diverging attempt may overflow: its step or residual is then inf
+        # or NaN, which neither improves on its best nor goes on
+        with np.errstate(over="ignore", invalid="ignore"):
+            df, new = self.newton.kkt_step(self.f[ids], self.prof[ids], self.lam[ids],
+                                           self.active[ids], gauges, targets)
+            solved = np.isfinite(df).all(axis=1) & np.isfinite(new).all(axis=1)
+            going = np.zeros(len(ids), dtype=bool)
+            ids, df, new = ids[solved], df[solved], new[solved]
+            self.f[ids] += df
+            self.prof[ids] = prof = constraint_profile(self.g, self.f[ids])
+            self.active[ids] = active = self.active[ids] | (prof > 1.0)
+            self.lam[ids] = lam = new
+            stationarity = self.newton.stationarity(self.f[ids], np.maximum(lam, 0.0),
+                                                    gauges[solved], targets[solved])
+            violation = np.where(active, prof - 1.0, 0.0)
+            now = np.sqrt((stationarity ** 2).sum(axis=1) + (violation ** 2).sum(axis=1))
+        better = now < self.best[3][ids]
+        for store, value in zip(self.best, (self.f[ids], prof, np.maximum(lam, 0.0), now)):
+            store[ids[better]] = value[better]
+        self.steps[ids] += 1
+        going[solved] = (now < self.last[ids] / 2.0) & (self.steps[ids] < MAX_KKT)
+        self.last[ids] = now
+        return solved, going
+
+    def verify(self, ids, gauges, targets, tol):
+        """Which of the ended attempts of ``ids`` verify, and their best
+        iterates moved onto the boundary: points, profiles, multipliers, KKT
+        residuals and bounds."""
+        f, prof = _on_boundary(self.best[0][ids], self.best[1][ids])
+        lam = self.best[2][ids]
+        kkt, upper, certified = _certificate(self.newton, f, prof, lam, gauges, targets, tol)
+        return certified, f, prof, lam, kkt, upper
+
+
+def _central_path(g, newton, gauges, targets, f, stages, tol):
     """Advance a stack of k pairs of g along their barrier paths in lockstep.
 
     Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], from the
     strictly feasible row f[r] with f[r, a] = 0.  In each stage, with
-    t = 1/mu, it takes damped Newton steps on -t (f_b - f_a) - sum log(1 - a_i):
-    each step halves its length until the trial point is strictly feasible and
-    then until it passes the Armijo test.  A stage ends when the step fails,
-    after a step with half the squared Newton decrement at most 1e-14 or with
-    no decrease of the barrier objective, or after MAX_NEWTON steps.  A
-    pair leaves the stack when its last stage ends.  The rows of f are the
-    working stack and are overwritten.  Returns the final rows of f, their
-    profiles and the accepted steps of each pair.
+    t = 1/mu, it takes damped Newton steps (``_barrier_step``); a stage ends
+    with the step's own stop or after MAX_NEWTON steps.  From mu = ENDGAME_MU
+    on, each stage end guesses the active set A = {i : s_i < lambda_i},
+    lambda = mu / s (the Tapia indicator).  When the guess equals the pair's
+    guess at its previous stage end, and no attempt on it failed, an
+    ``_Endgame`` attempt starts there; the pair's barrier point waits, and
+    goes on with the next stage if the attempt does not verify.  The
+    attempts to verify wait until no pair takes barrier steps and are then
+    verified as one stack.  A pair leaves the stack when its endgame
+    verifies or its last stage ends.  The rows of f are the working stack
+    and are overwritten.  Returns each pair's final point and profile (on
+    the boundary when the endgame verified it), the endgame's multipliers,
+    KKT residual, bound and verdict (NaN, and False, for a pair that
+    finished on the barrier), and its barrier and KKT steps.
     """
     k, n = f.shape
-    out_f, out_prof, out_iterations = np.empty((k, n)), np.empty((k, n)), np.empty(k, dtype=int)
+    out_f, out_prof = np.empty((k, n)), np.empty((k, n))
+    out_lam, out_kkt, out_upper = np.full((k, n), np.nan), np.full(k, np.nan), np.full(k, np.nan)
+    out_certified, out_iterations = np.zeros(k, dtype=bool), np.empty(k, dtype=int)
+    game = _Endgame(g, newton, k)
     pairs = np.arange(k)                  # where each pair on the stack reports
     prof = constraint_profile(g, f)
     stage = np.zeros(k, dtype=int)
     steps = np.zeros(k, dtype=int)        # accepted steps in the current stage
     iterations = np.zeros(k, dtype=int)
-    while True:
-        done = stage == stages.size
-        if done.any():
-            out_f[pairs[done]], out_prof[pairs[done]] = f[done], prof[done]
-            out_iterations[pairs[done]] = iterations[done]
-            stay = ~done
-            pairs, f, prof, gauges, targets, stage, steps, iterations = (
-                x[stay] for x in (pairs, f, prof, gauges, targets, stage, steps, iterations))
-        if not pairs.size:
-            return out_f, out_prof, out_iterations
-        s = 1.0 - prof
-        t = 1.0 / stages[stage]
-        grad, direction = newton.step(f, 1.0 / s, t, gauges, targets)
-        decrement_sq = -(grad * direction).sum(axis=1)
-        rows = np.arange(pairs.size)
-        phi0 = -t * (f[rows, targets] - f[rows, gauges]) - np.log(s).sum(axis=1)
-        # each trial point's profile is computed once: the first strictly
-        # feasible one serves the Armijo test too, the accepted one the next step
-        alpha = np.ones(pairs.size)
-        feasible = np.zeros(pairs.size, dtype=bool)
-        phi = np.full(pairs.size, np.nan)     # stays NaN where the step fails
-        trial = f + direction
-        trial_prof = np.empty_like(f)
-        todo = rows[np.isfinite(decrement_sq) & (decrement_sq > 0)]
-        while todo.size:
-            trial_prof[todo] = constraint_profile(g, trial[todo])
-            feasible[todo] |= trial_prof[todo].max(axis=1) < 1.0 - 1e-14
-            test = todo[feasible[todo]]
-            s_trial = 1.0 - trial_prof[test]
-            inside = s_trial.min(axis=1) > 0.0
-            value = -t[test] * (trial[test, targets[test]] - trial[test, gauges[test]])
-            value[inside] -= np.log(s_trial[inside]).sum(axis=1)
-            passed = inside & (value <= phi0[test] - 0.25 * alpha[test] * decrement_sq[test])
-            phi[test[passed]] = value[passed]
-            todo = todo[np.isnan(phi[todo])]
-            alpha[todo] *= 0.5
-            todo = todo[alpha[todo] >= 1e-16]
-            trial[todo] = f[todo] + alpha[todo, None] * direction[todo]
-        accepted = ~np.isnan(phi)
-        f[accepted], prof[accepted] = trial[accepted], trial_prof[accepted]
-        iterations += accepted
-        steps += accepted
-        ended = (~accepted | (decrement_sq / 2.0 <= 1e-14) | (phi >= phi0)
-                 | (steps >= MAX_NEWTON))
+    guess = np.zeros((k, n), dtype=bool)  # the active set at the last stage end
+    guessed, failed, playing, waiting = (np.zeros(k, dtype=bool) for _ in range(4))
+    while pairs.size:
+        ended = np.zeros(pairs.size, dtype=bool)
+        verified = np.zeros(pairs.size, dtype=bool)
+        walk = np.flatnonzero(~playing & ~waiting)
+        if walk.size:
+            trial, trial_prof, accepted, stop = _barrier_step(
+                g, newton, f[walk], prof[walk], 1.0 / stages[stage[walk]], gauges[walk],
+                targets[walk])
+            f[walk[accepted]], prof[walk[accepted]] = trial[accepted], trial_prof[accepted]
+            iterations[walk] += accepted
+            steps[walk] += accepted
+            ended[walk] = stop | (steps[walk] >= MAX_NEWTON)
+        play = np.flatnonzero(playing)
+        if play.size:
+            solved, going = game.advance(pairs[play], gauges[play], targets[play])
+            iterations[play] += solved
+            over = play[~going]
+            playing[over] = False
+            failed[over] = True
+            waiting[over] = game.best[3][pairs[over]] <= tol
+        # verification waits, for one batch, until no pair walks
+        due = np.flatnonzero(waiting)
+        if due.size and (waiting | playing).all():
+            waiting[due] = False
+            won, *found = game.verify(pairs[due], gauges[due], targets[due], tol)
+            verified[due[won]] = True
+            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper), found):
+                out[pairs[due[won]]] = value[won]
+            out_certified[pairs[due[won]]] = True
+        mu = stages[np.minimum(stage, stages.size - 1)]  # a playing pair may be past its last
+        ends = np.flatnonzero(ended & (mu <= ENDGAME_MU))
+        if ends.size:
+            s = 1.0 - prof[ends]
+            now = s * s < mu[ends, None]
+            same = guessed[ends] & (now == guess[ends]).all(axis=1)
+            fresh = same & ~failed[ends]
+            failed[ends] &= same              # a new guess may be tried again
+            guess[ends], guessed[ends] = now, True
+            start = ends[fresh]
+            game.start(pairs[start], f[start], prof[start], mu[start], now[fresh])
+            playing[start] = True
         stage += ended
         steps[ended] = 0
-
-
-def _certificate(newton, f, prof, direction, gauges, targets, mu_final, tol):
-    """KKT multipliers for a stack of pairs, read off the Newton steps
-    ``direction`` (df) taken at the barrier path's end points f, t = 1/mu_final.
-
-    With w = 1/(1 - a), the step solves 2 L_w df + J^t W^2 J df = t c - J^t w,
-    so lambda = mu_final w (1 + w J df), the barrier's dual estimate moved
-    along the step, has J^t lambda = c - 2 mu_final L_w df: a stationarity
-    residual that shrinks with the step.  lambda is clipped at 0; a pair is
-    certified when the verified residual max(||c - J^t lambda||,
-    max lambda_i (1 - a_i)) is below tol and no constraint is violated by
-    more than tol.  J's rows sum to zero, so J df sums 2 (f_k - f_i)
-    (df_k - df_i) over the edges (i, k); J^t lambda sums J's entries times
-    lambda over each column.  Returns the multipliers, the residuals and the
-    certified flags.
-    """
-    k, n = f.shape
-    jacobian = newton.jacobian(f)
-    d = direction.T
-    edge_terms = jacobian[n:] * (d[newton.heads] - d[newton.tails])
-    w = 1.0 / (1.0 - prof)
-    multipliers = np.maximum(0.0, mu_final * w * (1.0 + w * (newton.tail_sums @ edge_terms).T))
-    residual = np.ascontiguousarray(-(newton.column_sums @ (jacobian * multipliers.T[newton.rows])).T)
-    stack = np.arange(k)
-    residual[stack, targets] += 1.0  # c - J^t lambda with c = e_b - e_a, a != b
-    residual[stack, gauges] -= 1.0
-    # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
-    squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
-    kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
-    return multipliers, kkt, (kkt <= tol) & (prof.max(axis=1) <= 1.0 + tol)
+        leave = verified | ((stage == stages.size) & ~playing & ~waiting)
+        if leave.any():
+            barrier = leave & ~verified
+            out_f[pairs[barrier]], out_prof[pairs[barrier]] = f[barrier], prof[barrier]
+            out_iterations[pairs[leave]] = iterations[leave]
+            stay = ~leave
+            pairs, f, prof, gauges, targets, stage, steps, iterations, guess, guessed, failed, \
+                playing, waiting = (x[stay] for x in (pairs, f, prof, gauges, targets, stage, steps,
+                                                      iterations, guess, guessed, failed, playing,
+                                                      waiting))
+    return out_f, out_prof, out_lam, out_kkt, out_upper, out_certified, out_iterations
 
 
 def _solve_pairs(g, newton, gauges, targets, f, tol):
     """The fields of ``ConnesResult``, as arrays, for a stack of pairs of g
-    solved from the strictly feasible rows of f and certified."""
-    stages, mu_final = _barrier_stages(tol)
-    f, prof, iterations = _central_path(g, newton, gauges, targets, f, stages)
-    _, direction = newton.step(f, 1.0 / (1.0 - prof), 1.0 / mu_final, gauges, targets)
-    multipliers, kkt, certified = _certificate(newton, f, prof, direction, gauges, targets,
-                                               mu_final, tol)
+    solved from the strictly feasible rows of f and certified.  A pair that
+    the endgame did not finish gets its multipliers from one more Newton step
+    at its barrier end point, t = 1/mu_final, and is certified from them."""
+    stages, mu_final = _barrier_stages(tol, g.node_count)
+    f, prof, multipliers, kkt, upper, certified, iterations = _central_path(
+        g, newton, gauges, targets, f, stages, tol)
+    rest = np.flatnonzero(~certified)  # the pairs the endgame did not finish
+    if rest.size:
+        _, direction = newton.step(f[rest], 1.0 / (1.0 - prof[rest]), 1.0 / mu_final,
+                                   gauges[rest], targets[rest])
+        multipliers[rest] = _barrier_multipliers(newton, f[rest], prof[rest], direction, mu_final)
+        f[rest], prof[rest] = _on_boundary(f[rest], prof[rest])
+        kkt[rest], upper[rest], certified[rest] = _certificate(
+            newton, f[rest], prof[rest], multipliers[rest], gauges[rest], targets[rest], tol)
     stack = np.arange(len(gauges))
-    return (f[stack, targets] - f[stack, gauges], f, prof, multipliers, kkt, iterations,
-            certified)
+    distance = f[stack, targets] - f[stack, gauges]
+    return distance, f, prof, multipliers, kkt, iterations, upper, upper - distance, certified
 
 
 def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
-    """Distance between nodes a and b with a KKT certificate.
+    """Distance between nodes a and b with a two-sided certificate.
 
     Starts from ``x0`` (shifted to the gauge f_a = 0; it must be strictly
     feasible) or from f = 0 and follows the barrier path mu = 1, mu/10, ...
-    down to DEFAULT_MU_MIN, tightened to tol/10 for a smaller tol, with at
-    most MAX_NEWTON damped Newton steps a stage; the pair runs as a stack of
-    one through the lockstep loop that ``distance_matrix`` uses for all its
-    pairs.  A stage ends early when its Newton decrement is negligible or a
-    step stops lowering the barrier objective.  One more Newton step at the
-    end point, at t = 1/mu_final, gives the KKT multipliers; the result is
-    ``certified`` when the verified residual max(||c - J^t lambda||,
-    max lambda_i (1 - a_i)) is below tol and no constraint is violated.
-    Non-certified results are returned, not raised.
+    down to tol / (2n), with at most MAX_NEWTON damped Newton steps a stage;
+    the pair runs as a stack of one through the lockstep loop that
+    ``distance_matrix`` uses for all its pairs.  From mu = ENDGAME_MU on, a
+    stage end whose active-set guess held since the last one tries a Newton
+    endgame on the KKT system of that face, and the solve stops there when it
+    verifies.  Otherwise one more Newton step at the barrier's end point gives
+    the multipliers.  Either way the optimizer is moved onto the constraint
+    boundary (exact by homogeneity) and the multipliers give the dual bound
+    ``upper_bound``; the result is ``certified`` when the gap between the two
+    is at most tol, so that the distance is within tol of the true one.
+    ``iterations`` counts barrier and KKT steps.  Non-certified results are
+    returned, not raised.
     """
     _check_node(g, a, b)
     if tol <= 0:
@@ -388,7 +668,7 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     if a == b:
         zero = np.zeros(n)
         return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
-                            0.0, 0, True)
+                            0.0, 0, True, 0.0, 0.0)
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
 
@@ -400,10 +680,10 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         f -= f[a]  # enforce the gauge
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
-    distance, f, prof, multipliers, kkt, iterations, certified = _solve_pairs(
+    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
         g, _BarrierNewton(g), np.array([a]), np.array([b]), f[None], tol)
     return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
-                        int(iterations[0]), bool(certified[0]))
+                        int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
 
 
 def lattice_closed_form(n):

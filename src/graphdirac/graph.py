@@ -42,6 +42,9 @@ MAX_RANDOM_RETRIES = 200
 
 # Graphs, builders and parsers refuse more nodes than this before allocating per node.
 NODE_CAP = 5_000_000
+# build_random draws one uniform per node pair, n(n-1)/2 of them (80 GB of pair
+# indices at n = 1e5); it refuses larger n before allocating anything
+RANDOM_NODE_CAP = 10_000
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -249,6 +252,9 @@ def build_random(n, p, seed):
     if n < 1:
         raise ValueError("need at least one node")
     _check_cap(n)
+    if n > RANDOM_NODE_CAP:
+        raise ValueError(f"build_random draws one uniform per node pair; n={n} exceeds "
+                         f"its {RANDOM_NODE_CAP}-node cap")
     rows, cols = np.triu_indices(n, 1)
     for attempt in range(MAX_RANDOM_RETRIES):
         rng = np.random.default_rng((int(seed), attempt))

@@ -243,7 +243,9 @@ def cycle_edge_vector(g, nodes):
     if len(nodes) < 3:
         raise ValueError("a cycle needs at least 3 nodes")
     vals = np.zeros(g.directed_edge_count)
-    for u, v in zip(nodes, nodes[1:] + [nodes[0]]):
+    # index-wise wrap, so that lists, tuples and arrays all close the cycle
+    for k, u in enumerate(nodes):
+        v = nodes[(k + 1) % len(nodes)]
         if (u, v) not in g.edge_index:
             raise ValueError(f"({u},{v}) is not a bond of the graph")
         vals[g.edge_index[(u, v)]] += 1.0

@@ -104,9 +104,9 @@ def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(graph_path))
     certify = connes._certificate
 
-    def one_pair_uncertified(newton, f, prof, direction, gauges, targets, *args):
-        multipliers, kkt, certified = certify(newton, f, prof, direction, gauges, targets, *args)
-        return multipliers, kkt, certified & ~((gauges == 0) & (targets == 2))
+    def one_pair_uncertified(newton, f, prof, multipliers, gauges, targets, tol):
+        kkt, upper, certified = certify(newton, f, prof, multipliers, gauges, targets, tol)
+        return kkt, upper, certified & ~((gauges == 0) & (targets == 2))
 
     monkeypatch.setattr(connes, "_certificate", one_pair_uncertified)
     code, out, _ = run(capsys, "connes-matrix", "--graph", str(graph_path))

@@ -175,8 +175,8 @@ def test_restarts_agree():
 def test_result_json_keys():
     result = connes_distance(build_path(3), 0, 2)
     doc = json.loads(result.to_json())
-    assert set(doc) == {"distance", "certified", "kkt_residual", "iterations",
-                        "f", "slacks", "multipliers"}
+    assert set(doc) == {"distance", "certified", "upper_bound", "gap", "kkt_residual",
+                        "iterations", "f", "slacks", "multipliers"}
     assert len(doc["f"]) == len(doc["slacks"]) == len(doc["multipliers"]) == 3
 
 
@@ -398,9 +398,10 @@ def test_certificate_matches_dense_jacobian(name):
         short = rng.standard_normal(n)
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
-            multipliers, residual, _ = connes._certificate(
-                newton, f[None], prof[None], direction[None], np.array([a]), np.array([b]),
-                mu, 1e-7)
+            multipliers = connes._barrier_multipliers(newton, f[None], prof[None],
+                                                      direction[None], mu)
+            residual = connes._certificate(newton, f[None], prof[None], multipliers,
+                                           np.array([a]), np.array([b]), 1e-7)[0]
             lam = np.maximum(0.0, mu / s * (1.0 + (J @ direction) / s))
             assert np.abs(multipliers[0] - lam).max() <= 1e-12 * max(lam.max(), mu)
             stationarity = np.linalg.norm(c - J.T @ multipliers[0])
@@ -421,6 +422,110 @@ def test_path_of_ten_thousand_nodes_in_linear_memory():
     assert peak < 64 * 2 ** 20  # the dense n x n Jacobian alone was 763 MiB
     _, mu_final = connes._barrier_stages(connes.DEFAULT_TOL)
     assert abs(result.distance - lattice_closed_form(n - 1)) <= n * mu_final
+
+
+def test_path_of_ten_thousand_nodes_to_rounding_level():
+    n = 10_000
+    tracemalloc.start()
+    try:
+        result = connes_distance(build_path(n), 0, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = lattice_closed_form(n - 1)
+    assert result.certified
+    assert abs(result.distance - exact) <= 1e-9 * exact
+    assert result.distance <= exact <= result.upper_bound
+    assert peak < 64 * 2 ** 20
+
+
+# --- the dual bound ------------------------------------------------------------------
+
+def _bound(g, multipliers, a, b):
+    newton = connes._BarrierNewton(g)
+    return float(connes._dual_bound(newton, np.asarray(multipliers, float)[None],
+                                    np.array([a]), np.array([b]))[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dual_bound_is_above_every_primal_solve(seed):
+    # weak duality: U(lambda) >= distance for every lambda >= 0, on 60 nodes
+    g = build_random(60, 0.08, seed)
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 59), (3, 17), (21, 40)]
+    results = {pair: connes_distance(g, *pair) for pair in pairs}
+    for (a, b), result in results.items():
+        assert result.certified
+        assert result.distance <= result.upper_bound
+        assert result.gap <= connes.DEFAULT_TOL
+        assert _bound(g, result.multipliers, a, b) == result.upper_bound
+        trials = [rng.random(g.node_count), rng.random(g.node_count) ** 8]
+        trials += [other.multipliers for other in results.values()]
+        for lam in trials:
+            assert _bound(g, lam, a, b) >= result.distance
+
+
+def test_resistance_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    g = build_random(30, 0.15, 4)
+    lam = np.random.default_rng(4).uniform(0.1, 2.0, g.node_count)
+    other = nx.Graph()
+    other.add_weighted_edges_from((i, k, 1.0 / (lam[i] + lam[k])) for i, k in g.bonds)
+    for a, b in [(0, 29), (5, 6), (11, 23)]:
+        resistance = 4.0 * (_bound(g, lam, a, b) - lam.sum())
+        expected = nx.resistance_distance(other, a, b, weight="weight")
+        assert resistance == pytest.approx(expected, rel=1e-9)
+
+
+def test_split_support_gives_no_bound():
+    # conductance only on the end bonds of a path: a and b lie in different
+    # pieces, so R_lambda(a, b) is infinite and the pair stays uncertified
+    g = build_path(5)
+    lam = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+    assert _bound(g, lam, 0, 4) == math.inf
+    newton = connes._BarrierNewton(g)
+    f = np.array([[0.0, 0.5, 1.0, 1.5, 2.0]])
+    f, prof = connes._on_boundary(f, constraint_profile(g, f))
+    kkt, upper, certified = connes._certificate(newton, f, prof, lam[None], np.array([0]),
+                                                np.array([4]), 1.0)
+    assert upper[0] == math.inf and not certified[0]
+
+
+@pytest.mark.parametrize("seed", range(41))
+def test_every_random_pair_is_certified_within_its_bound(seed):
+    g = build_random(20, 0.3, seed)
+    a, b = np.triu_indices(g.node_count, 1)
+    distance, *_, upper, gap, certified = connes._solve_pairs(
+        g, connes._BarrierNewton(g), a, b, np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)
+    assert certified.all()
+    assert np.all(distance <= upper)
+    assert np.all(gap <= connes.DEFAULT_TOL)
+
+
+def _closed_form_cases():
+    cases = [(build_path(n), 0, n - 1, lattice_closed_form(n - 1)) for n in (2, 5, 12, 61)]
+    tree = build_binary_tree(4)
+    cases += [(tree, a, b, tree_distance_closed_form(tree, a, b))
+              for a, b in [(15, 30), (7, 8), (0, 22), (3, 29)]]
+    cases += [(complete_graph(n), 0, 1, 2.0 / math.sqrt(n + 2)) for n in (3, 5, 8)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        perm = list(range(400))
+        rng.shuffle(perm)
+        path = Graph.from_edges(400, [(perm[i], perm[k]) for i, k in build_path(400).bonds])
+        cases.append((path, perm[0], perm[-1], lattice_closed_form(399)))
+        tree, a, b = _relabelled_tree_pair(seed)
+        cases.append((tree, a, b, lattice_closed_form(14)))
+    return cases
+
+
+def test_certified_distance_brackets_the_closed_form():
+    for g, a, b, exact in _closed_form_cases():
+        result = connes_distance(g, a, b)
+        assert result.certified, (g, a, b)
+        # the lower bound may exceed the exact value only by rounding
+        assert result.distance <= exact * (1 + 1e-14) and exact <= result.upper_bound, (g, a, b)
+        assert result.upper_bound - result.distance <= connes.DEFAULT_TOL
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -636,13 +741,12 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     real = connes._certificate
 
-    def forced(newton, f, prof, direction, gauges, targets, mu_final, tol):
-        # a tolerance no residual meets leaves the pair (1, 3) uncertified
-        multipliers, kkt, certified = real(newton, f, prof, direction, gauges, targets,
-                                           mu_final, tol)
-        strict = real(newton, f, prof, direction, gauges, targets, mu_final, 1e-300)[2]
+    def forced(newton, f, prof, multipliers, gauges, targets, tol):
+        # a tolerance no gap meets leaves the pair (1, 3) uncertified
+        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
+        strict = real(newton, f, prof, multipliers, gauges, targets, 1e-300)[2]
         pair = (gauges == 1) & (targets == 3)
-        return multipliers, kkt, np.where(pair, strict, certified)
+        return kkt, upper, np.where(pair, strict, certified)
 
     monkeypatch.setattr(connes, "_certificate", forced)
     nan = np.isnan(distance_matrix(build_cycle(5)))
@@ -655,7 +759,18 @@ def test_stage_ends_when_the_barrier_objective_stops_falling():
     result = connes_distance(build_path(400), 0, 399)
     assert result.iterations <= 100
     assert result.certified
-    assert abs(result.distance - 282.1364913927717) <= 1e-12  # the value before this stop
+    assert abs(result.distance - lattice_closed_form(399)) <= 1e-10
+
+
+def test_barrier_alone_stops_stalled_stages_and_certifies(monkeypatch):
+    # with the endgame held off, the 400-node path runs the barrier down to
+    # mu = tol / (2n); the stall rule keeps it near 80 steps (350 without it),
+    # and the last barrier point is within tol of the closed form
+    monkeypatch.setattr(connes, "ENDGAME_MU", 0.0)
+    result = connes_distance(build_path(400), 0, 399)
+    assert result.iterations <= 100
+    assert result.certified
+    assert result.distance <= lattice_closed_form(399) <= result.upper_bound
 
 
 def test_solver_is_symmetric_in_the_pair():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from collections import deque
 
 import numpy as np
@@ -25,7 +26,7 @@ from graphdirac import (
     serialize_graph,
     shortest_path,
 )
-from graphdirac.graph import NODE_CAP
+from graphdirac.graph import NODE_CAP, RANDOM_NODE_CAP
 
 from conftest import fixture_graphs, random_connected_graphs
 
@@ -115,6 +116,16 @@ def test_random_rejects_bad_p():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             build_random(5, p, seed=0)
+
+
+def test_random_rejects_unbuildable_size_quickly():
+    # n(n-1)/2 pair indices would take about 80 GB at n = 1e5; the refusal
+    # comes before anything is allocated
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        build_random(100_000, 0.001, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert RANDOM_NODE_CAP >= 5 * 2_000  # far above the largest pinned draw
 
 
 def test_random_retry_exhaustion():

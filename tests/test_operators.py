@@ -225,6 +225,14 @@ def test_cycle_vectors_in_kernel_of_adjoint():
     assert np.allclose(coboundary_map(g).adjoint().apply(vec), 0.0, atol=1e-12)
 
 
+def test_cycle_vector_closes_for_lists_tuples_and_arrays():
+    g = build_cycle(4)
+    for nodes in ([0, 1, 2, 3], (0, 1, 2, 3), np.array([0, 1, 2, 3])):
+        vec = cycle_edge_vector(g, nodes)
+        assert np.all(coboundary_map(g).adjoint().apply(vec) == 0), type(nodes)
+        assert np.abs(vec).sum() == 8  # all four bonds, both orientations
+
+
 def fixture_cycle(g):
     """A cycle of g as a node list, or None for a tree: a bond closed through
     a path that avoids it."""
