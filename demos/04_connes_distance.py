@@ -28,7 +28,7 @@ print("== the square ==")
 result = connes_distance(build_cycle(4), 0, 2)
 print(f"diagonal distance {result.distance:.9f}  (= sqrt(2); hop count is 2)")
 print(f"certified: {result.certified}, dual bound {result.upper_bound:.9f} (gap {result.gap:.1e}),"
-      f" kkt residual {result.kkt_residual:.2e}, {result.iterations} Newton steps")
+      f" kkt residual {result.kkt_residual:.2e}, {result.iterations} primal-dual iterations")
 print("optimizer:", np.round(result.optimizer, 6))
 print("active constraints (a_i -> 1):", np.round(result.slacks, 9))
 

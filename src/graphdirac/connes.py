@@ -9,14 +9,14 @@ so the distance between nodes a and b is the value of
     maximize f_b - f_a   subject to   a_i(f) <= 1 for every node i,
 
 a convex quadratically constrained program with Slater point f = 0.  The
-solver below follows the central path of a log-barrier reformulation (damped
-Newton inner iterations, feasibility-preserving backtracking).  From the
-barrier's active-set guess it tries a Newton endgame on the KKT system of
-that face, and stops as soon as one verifies; otherwise the multipliers are
-the barrier's dual estimate mu / (1 - a_i), moved along one more Newton step
-at the path's end point.  The sup cannot move under rescaling f -> f/||df||,
-so it is attained on the constraint boundary, where the solution is moved;
-constant shifts are fixed by the gauge f_a = 0.
+solver is a primal-dual interior-point method on the point f, the slacks
+s = 1 - a(f) and the multipliers lambda, with Mehrotra's predictor-corrector
+(SIAM J. Optim. 2(4), 1992; Nocedal and Wright, Numerical Optimization,
+ch. 19): one Newton matrix an iteration, factored once for both steps, and
+one step length for f, s and lambda that keeps s and lambda positive.  The
+sup cannot move under rescaling f -> f/||df||, so it is attained on the
+constraint boundary, where the solution is moved; constant shifts are fixed
+by the gauge f_a = 0.
 
 The certificate bounds both sides.  The rescaled f is feasible, so f_b - f_a
 is a lower bound.  By Lagrange duality every lambda >= 0 gives the upper
@@ -46,11 +46,7 @@ from scipy.sparse.linalg import splu
 from .graph import _check_node, combinatorial_distance, induced_subgraph, shortest_path
 
 DEFAULT_TOL = 1e-7
-MU_FLOOR = 1e-12  # below this the slacks drown in rounding noise
-MAX_NEWTON = 60
-ENDGAME_MU = 0.1  # stage ends from this mu on try the active-set endgame
-MAX_KKT = 10      # Newton steps of one endgame attempt
-KKT_DELTA = 1e-8  # the endgame's regularization of the multipliers' block
+MAX_NEWTON = 60  # primal-dual iterations a pair
 # cap on the Hessian entries (the terms summed into it, or its dense form) that
 # one chunk of distance_matrix's pairs holds at once: 2 MB an array, while the
 # 190 pairs of a 20-node random graph still run as one stack
@@ -90,7 +86,7 @@ class ConnesResult:
     slacks: np.ndarray          # the constraint values a_i (feasible iff <= 1)
     multipliers: np.ndarray
     kkt_residual: float
-    iterations: int             # barrier Newton steps plus endgame KKT steps
+    iterations: int             # primal-dual iterations
     certified: bool             # distance <= true distance <= upper_bound, gap <= tol
     upper_bound: float          # the dual bound U(multipliers), rounding included
     gap: float                  # upper_bound - distance
@@ -111,24 +107,23 @@ class ConnesResult:
 
 class _BarrierNewton:
     """Newton systems for a stack of pairs of one graph on one fixed sparse
-    pattern: the barrier's, the endgame's and the dual bound's.
+    pattern: the primal-dual step's and the dual bound's.
 
     Each is a weighted sum over nodes i of c_i * hess(a_i) +
     r_i^2 * grad(a_i) grad(a_i)^t, that is 2 L_c + J^t diag(r^2) J, where L_c
-    is the Laplacian with bond weight c_i + c_k: the barrier Hessian has
-    c = w, r = w with w = 1/(1 - a); the endgame's c = lambda and r^2 = 1/delta
-    on its active set; the dual bound's Laplacian L_lambda c = lambda / 2 and
-    r = 0.  Row i of the constraint Jacobian J holds node i and its
-    neighbours, and both terms of node i live on the ordered pairs of that
-    row, so every system has the two-hop pattern.  The pattern, and the
-    sparse matrices that add each system's terms into it, are built once per
-    graph; a system is then a few sparse products over the stack, and its
-    solve one batched dense solve or one sparse LU of the block-diagonal
-    matrix.  The fixed nodes of a pair (its gauge node, and the nodes a
-    system leaves out) get the identity in their rows and columns, so a
-    solution keeps full length with a zero there.  The sparse branch keeps
-    the block-diagonal matrix of the last stack size and only swaps its
-    values.
+    is the Laplacian with bond weight c_i + c_k: the primal-dual step has
+    c = lambda and r^2 = lambda / s; the dual bound's Laplacian L_lambda
+    c = lambda / 2 and r = 0.  Row i of the constraint Jacobian J holds node
+    i and its neighbours, and both terms of node i live on the ordered pairs
+    of that row, so every system has the two-hop pattern.  The pattern, and
+    the sparse matrices that add each system's terms into it, are built once
+    per graph; a system is then a few sparse products over the stack, and
+    its factorization one batched dense solve or one sparse LU of the
+    block-diagonal matrix.  The fixed nodes of a pair (its gauge node, and
+    the nodes outside the dual bound's component) get the identity in their
+    rows and columns, so a solution keeps full length with a zero there.
+    The sparse branch keeps the block-diagonal matrix of the last stack size
+    and only swaps its values.
     """
 
     def __init__(self, g):
@@ -183,36 +178,21 @@ class _BarrierNewton:
         self.entries_per_pair = max(size + n, n * n if self.dense else 0)
         self._blocks = None  # the sparse branch's matrix for the last stack size
 
-    def system(self, f, weights, curvature, root, t, fixed, targets):
-        """Gradients J^t weights - t e_b at the rows of f, zero at the fixed
-        nodes, and the values in the CSR slots ``keys`` of
-        2 L_curvature + J^t diag(root^2) J with the identity at the fixed
-        nodes; all (k, n) stacks but t, a (k,) vector."""
+    def system(self, f, curvature, root, fixed):
+        """The values in the CSR slots ``keys`` of
+        2 L_curvature + J^t diag(root^2) J for each pair of the stack f, with
+        the identity at the fixed nodes; all (k, n) stacks."""
         n, size = self.n, self.half_p.size
-        jacobian = self.jacobian(f)
-        u = jacobian * root.T[self.rows]  # r_i J_ip
-        grad = (self.column_sums @ (u if weights is root else
-                                    jacobian * weights.T[self.rows])).T
+        u = self.jacobian(f) * root.T[self.rows]  # r_i J_ip
         terms = np.empty((size + n, len(f)))
         # the indices are in range; "clip" lets take write into terms unbuffered
         np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
         terms[:size] *= u[self.half_q]
         terms[size:] = curvature.T
         hess = (self.to_slots @ terms).T
-        grad[np.arange(len(f)), targets] -= t
-        grad[fixed] = 0.0
         hess[fixed[:, self.key_rows] | fixed[:, self.indices]] = 0.0
         hess[:, self.diagonal] += fixed
-        return grad, hess
-
-    def assemble(self, f, w, t, gauges, targets):
-        """Gradients of -t (f_b - f_a) - sum log(1 - a_i) at the rows of f, with
-        weights w = 1/(1 - a), and the values of their Hessians in the CSR
-        slots ``keys``; f and w are (k, n) stacks, t, the gauges a and the
-        targets b (k,) vectors."""
-        gauge = np.zeros(w.shape, dtype=bool)
-        gauge[np.arange(len(gauges)), gauges] = True
-        return self.system(f, w, w, w, t, gauge, targets)
+        return hess
 
     def jacobian(self, f):
         """J's entries in the order of ``rows``, one column per pair of the stack
@@ -227,37 +207,6 @@ class _BarrierNewton:
         2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
         d = direction.T
         return (self.tail_sums @ (self.jacobian(f)[self.n:] * (d[self.heads] - d[self.tails]))).T
-
-    def step(self, f, w, t, gauges, targets):
-        """The barrier gradients and Newton steps."""
-        grad, hess = self.assemble(f, w, t, gauges, targets)
-        return grad, self._solve(hess, -grad)
-
-    def kkt_step(self, f, prof, multipliers, active, gauges, targets):
-        """Newton steps on J_A^t lambda_A = c, a_A(f) = 1 for a stack of pairs,
-        with KKT_DELTA in the multipliers' block:
-
-            [[2 L_lambda, J_A^t], [J_A, -delta I]] (df, lambda_new)
-                = (c, 1 - a_A - delta lambda_A).
-
-        Eliminating lambda_new leaves (2 L_lambda + J_A^t J_A / delta) df =
-        c - J_A^t lambda_A + J_A^t (1 - a_A) / delta, a system on the barrier's
-        pattern, and lambda_new = lambda + (J_A df - (1 - a_A)) / delta.  The
-        nodes that no constraint of A holds (outside A and its neighbours)
-        are fixed, and so is the gauge node.  The small delta keeps the steps
-        fast where the active gradients are dependent and lambda is not
-        unique, as on a bond across a matching cut (stabilized SQP: Wright,
-        Comput. Optim. Appl. 11, 1998).  Returns df and the new multipliers
-        (zero off A), NaN where the factorization fails."""
-        held = active | (self.tail_sums @ active.T[self.heads]).T.astype(bool)
-        fixed = ~held
-        fixed[np.arange(len(f)), gauges] = True
-        weights = multipliers - active * (1.0 - prof) / KKT_DELTA
-        grad, hess = self.system(f, weights, multipliers,
-                                 active / math.sqrt(KKT_DELTA), np.ones(len(f)), fixed, targets)
-        df = self._solve(hess, -grad, least_squares=False)
-        new = multipliers + active * (self.constraint_steps(f, df) - (1.0 - prof)) / KKT_DELTA
-        return df, new
 
     def stationarity(self, f, multipliers, gauges, targets):
         """c - J(f)^t lambda for each pair, with c = e_b - e_a (a != b)."""
@@ -288,15 +237,21 @@ class _BarrierNewton:
         out[:, self.keys] = hess
         return out.reshape(-1, self.n, self.n)
 
-    def _solve(self, hess, rhs, least_squares=True):
-        """One batched dense solve, or one sparse LU of the block-diagonal
-        matrix.  A stack that fails is split, so that only a pair whose own
-        factorization fails falls back to least squares (or to NaN, when
-        ``least_squares`` is off)."""
+    def _solve(self, hess, rhs):
+        """Solutions x of hess x = rhs for the stack, and a function that
+        solves the same systems for another (k, n) right-hand side with the
+        same factorization: one batched dense solve a call, or one sparse LU
+        of the block-diagonal matrix.  A stack that fails is split, so that
+        only a pair whose own factorization fails falls back to least
+        squares."""
         k, n = rhs.shape
         try:
             if self.dense:
-                return solve(self.dense_matrix(hess), rhs[:, :, None])[:, :, 0]
+                matrix = self.dense_matrix(hess)
+
+                def again(b):
+                    return solve(matrix, b[:, :, None])[:, :, 0]
+                return again(rhs), again
             matrix = self._blocks
             if matrix is None or matrix.shape[0] != k * n:
                 block = np.arange(k)[:, None]
@@ -307,18 +262,24 @@ class _BarrierNewton:
                     shape=(k * n, k * n))
             else:
                 matrix.data = hess.ravel()
-            # symmetric ordering, no pivoting: the barrier's and the bound's
-            # systems are positive definite, the endgame's nearly so (a zero
-            # pivot fails the factorization)
-            return splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0).solve(rhs.ravel()).reshape(k, n)
+            # symmetric ordering, no pivoting: both systems are positive
+            # definite (a zero pivot fails the factorization)
+            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+
+            def again(b):
+                return lu.solve(b.ravel()).reshape(len(b), n)
+            return again(rhs), again
         except (LinAlgError, RuntimeError):  # singular matrix, or exactly singular factor
             if k > 1:
-                return np.concatenate([self._solve(hess[r:r + 1], rhs[r:r + 1], least_squares)
-                                       for r in range(k)])
-        if not least_squares:
-            return np.full((1, n), np.nan)
-        return np.linalg.lstsq(self.dense_matrix(hess)[0], rhs[0], rcond=None)[0][None]
+                parts = [self._solve(hess[r:r + 1], rhs[r:r + 1]) for r in range(k)]
+                return (np.concatenate([x for x, _ in parts]),
+                        lambda b: np.concatenate([again(b[r:r + 1])
+                                                  for r, (_, again) in enumerate(parts)]))
+        matrix = self.dense_matrix(hess)[0]
+
+        def again(b):
+            return np.linalg.lstsq(matrix, b[0], rcond=None)[0][None]
+        return again(rhs), again
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
@@ -329,20 +290,6 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     if top == 0.0:
         return np.zeros(g.node_count)
     return f * math.sqrt(margin / top)
-
-
-def _barrier_stages(tol, n=1):
-    """The barrier parameters mu = 1, mu/10, ... down to the final one,
-    tol / (2 n) floored at MU_FLOOR, for n nodes (one node gives the loosest
-    schedule); and that mu.  At the final mu the barrier point is within
-    n mu <= tol / 2 of the optimum."""
-    mu_final = max(tol / (2.0 * n), MU_FLOOR)
-    mu = 1.0
-    stages = [mu]
-    while mu > mu_final * (1 + 1e-12):
-        mu = max(mu * 0.1, mu_final)
-        stages.append(mu)
-    return np.array(stages), mu_final
 
 
 def _on_boundary(f, prof):
@@ -360,8 +307,8 @@ def _dual_bound(newton, multipliers, gauges, targets):
     R_lambda is the effective resistance under bond conductances
     lambda_i + lambda_k, solved on that component with a grounded: L x = e_b.
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
-    with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve with
-    |r| plus the rounding of r's own evaluation bounds that term.  The sums
+    with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
+    with |r|, on the same factorization, plus the rounding of r's own evaluation bounds that term.  The sums
     are correctly rounded, so the allowance for rounding stays a few units in
     the last place of U however long the graph.
     """
@@ -372,10 +319,10 @@ def _dual_bound(newton, multipliers, gauges, targets):
     fixed = ~joined
     fixed[stack, gauges] = True
     zero = np.zeros((k, n))
-    _, hess = newton.system(zero, zero, 0.5 * multipliers, zero, zero[:, 0], fixed, targets)
+    hess = newton.system(zero, 0.5 * multipliers, zero, fixed)
     rhs = np.zeros((k, n))
     rhs[stack, targets] = reached
-    x = newton._solve(hess, rhs)
+    x, again = newton._solve(hess, rhs)
     xt = x.T
     # L x on the component, by its bonds; its fixed rows hold the identity
     jumps = conductance * (xt[newton.tails] - xt[newton.heads])
@@ -384,7 +331,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
                                                        + np.abs(xt[newton.heads])))).T
     gamma = (newton.max_degree + 3) * UNIT_ROUNDOFF
     defect = np.where(fixed, 0.0, np.abs(residual) + gamma * spread)
-    correction = 2.0 * (defect * newton._solve(hess, defect)).sum(axis=1)
+    correction = 2.0 * (defect * again(defect)).sum(axis=1)
     # correctly rounded sums: each term carries a few roundings, each sum one
     energy = 0.5 * _exact_sums(jumps.T * (xt[newton.tails] - xt[newton.heads]).T)
     reach = 2.0 * x[stack, targets]
@@ -396,19 +343,6 @@ def _dual_bound(newton, multipliers, gauges, targets):
 
 def _exact_sums(rows):
     return np.array([math.fsum(row) for row in rows])
-
-
-def _barrier_multipliers(newton, f, prof, direction, mu_final):
-    """KKT multipliers read off the Newton steps ``direction`` (df) taken at
-    the barrier path's end points f, t = 1/mu_final.
-
-    With w = 1/(1 - a), the step solves 2 L_w df + J^t W^2 J df = t c - J^t w,
-    so lambda = mu_final w (1 + w J df), the barrier's dual estimate moved
-    along the step, has J^t lambda = c - 2 mu_final L_w df: a stationarity
-    residual that shrinks with the step.  lambda is clipped at 0.
-    """
-    w = 1.0 / (1.0 - prof)
-    return np.maximum(0.0, mu_final * w * (1.0 + w * newton.constraint_steps(f, direction)))
 
 
 def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
@@ -427,243 +361,114 @@ def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
     return kkt, upper, (prof.max(axis=1) <= 1.0) & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
 
 
-def _barrier_step(g, newton, f, prof, t, gauges, targets):
-    """One damped Newton step on -t (f_b - f_a) - sum log(1 - a_i) for each
-    pair of a stack: the step halves its length until the trial point is
-    strictly feasible and then until it passes the Armijo test.  Returns the
-    trial points and their profiles, which pairs accept them, and which
-    pairs' stages end: the step failed, half the squared Newton decrement was
-    at most 1e-14, or the barrier objective did not decrease."""
-    s = 1.0 - prof
-    grad, direction = newton.step(f, 1.0 / s, t, gauges, targets)
-    decrement_sq = -(grad * direction).sum(axis=1)
-    rows = np.arange(len(f))
-    phi0 = -t * (f[rows, targets] - f[rows, gauges]) - np.log(s).sum(axis=1)
-    # each trial point's profile is computed once: the first strictly
-    # feasible one serves the Armijo test too, the accepted one the next step
-    alpha = np.ones(len(f))
-    feasible = np.zeros(len(f), dtype=bool)
-    phi = np.full(len(f), np.nan)     # stays NaN where the step fails
-    trial = f + direction
-    trial_prof = np.empty_like(f)
-    todo = rows[np.isfinite(decrement_sq) & (decrement_sq > 0)]
-    while todo.size:
-        trial_prof[todo] = constraint_profile(g, trial[todo])
-        feasible[todo] |= trial_prof[todo].max(axis=1) < 1.0 - 1e-14
-        test = todo[feasible[todo]]
-        s_trial = 1.0 - trial_prof[test]
-        inside = s_trial.min(axis=1) > 0.0
-        value = -t[test] * (trial[test, targets[test]] - trial[test, gauges[test]])
-        value[inside] -= np.log(s_trial[inside]).sum(axis=1)
-        passed = inside & (value <= phi0[test] - 0.25 * alpha[test] * decrement_sq[test])
-        phi[test[passed]] = value[passed]
-        todo = todo[np.isnan(phi[todo])]
-        alpha[todo] *= 0.5
-        todo = todo[alpha[todo] >= 1e-16]
-        trial[todo] = f[todo] + alpha[todo, None] * direction[todo]
-    accepted = ~np.isnan(phi)
-    return trial, trial_prof, accepted, ~accepted | (decrement_sq / 2.0 <= 1e-14) | (phi >= phi0)
-
-
-class _Endgame:
-    """Active-set endgame attempts for the pairs of a stack, one Newton step a
-    call, so that the steps of all running attempts are one stacked solve.
-
-    An attempt starts at a pair's barrier point with the face A that the
-    Tapia indicator guessed (s_i < lambda_i with lambda = mu / s) and with
-    lambda = mu / s on A.  Each step is a Newton step on the KKT system of
-    that face (``kkt_step``).  A violated constraint joins A; a multiplier
-    that turns negative stays in A, and is clipped at 0 in the residual
-    ||(c - J^t lambda, a_A - 1)|| and in the bound (a weakly active
-    constraint, whose multiplier tends to 0, would otherwise leave and come
-    back).  An attempt ends when that residual stops halving, after MAX_KKT
-    steps or when its factorization fails.  Its iterate with the smallest
-    residual is verified by ``_certificate`` when that residual is at most
-    tol, so that a verified endgame is a KKT point to tol as well.  State is
-    held per pair of the stack, at the pair's index ``ids``.
-    """
-
-    def __init__(self, g, newton, k):
-        n = g.node_count
-        self.g, self.newton = g, newton
-        self.f, self.prof, self.lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
-        self.active = np.empty((k, n), dtype=bool)
-        self.best = [np.empty((k, n)), np.empty((k, n)), np.empty((k, n)), np.empty(k)]
-        self.last, self.steps = np.empty(k), np.empty(k, dtype=int)
-
-    def start(self, ids, f, prof, mu, active):
-        self.f[ids], self.prof[ids], self.active[ids] = f, prof, active
-        self.lam[ids] = np.where(active, mu[:, None] / (1.0 - prof), 0.0)
-        self.last[ids] = self.best[3][ids] = np.inf
-        self.steps[ids] = 0
-
-    def advance(self, ids, gauges, targets):
-        """One step for the attempts of ``ids``; returns which took it and
-        which go on."""
-        # a diverging attempt may overflow: its step or residual is then inf
-        # or NaN, which neither improves on its best nor goes on
-        with np.errstate(over="ignore", invalid="ignore"):
-            df, new = self.newton.kkt_step(self.f[ids], self.prof[ids], self.lam[ids],
-                                           self.active[ids], gauges, targets)
-            solved = np.isfinite(df).all(axis=1) & np.isfinite(new).all(axis=1)
-            going = np.zeros(len(ids), dtype=bool)
-            ids, df, new = ids[solved], df[solved], new[solved]
-            self.f[ids] += df
-            self.prof[ids] = prof = constraint_profile(self.g, self.f[ids])
-            self.active[ids] = active = self.active[ids] | (prof > 1.0)
-            self.lam[ids] = lam = new
-            stationarity = self.newton.stationarity(self.f[ids], np.maximum(lam, 0.0),
-                                                    gauges[solved], targets[solved])
-            violation = np.where(active, prof - 1.0, 0.0)
-            now = np.sqrt((stationarity ** 2).sum(axis=1) + (violation ** 2).sum(axis=1))
-        better = now < self.best[3][ids]
-        for store, value in zip(self.best, (self.f[ids], prof, np.maximum(lam, 0.0), now)):
-            store[ids[better]] = value[better]
-        self.steps[ids] += 1
-        going[solved] = (now < self.last[ids] / 2.0) & (self.steps[ids] < MAX_KKT)
-        self.last[ids] = now
-        return solved, going
-
-    def verify(self, ids, gauges, targets, tol):
-        """Which of the ended attempts of ``ids`` verify, and their best
-        iterates moved onto the boundary: points, profiles, multipliers, KKT
-        residuals and bounds."""
-        f, prof = _on_boundary(self.best[0][ids], self.best[1][ids])
-        lam = self.best[2][ids]
-        kkt, upper, certified = _certificate(self.newton, f, prof, lam, gauges, targets, tol)
-        return certified, f, prof, lam, kkt, upper
-
-
-def _central_path(g, newton, gauges, targets, f, stages, tol):
-    """Advance a stack of k pairs of g along their barrier paths in lockstep.
-
-    Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], from the
-    strictly feasible row f[r] with f[r, a] = 0.  In each stage, with
-    t = 1/mu, it takes damped Newton steps (``_barrier_step``); a stage ends
-    with the step's own stop or after MAX_NEWTON steps.  From mu = ENDGAME_MU
-    on, each stage end guesses the active set A = {i : s_i < lambda_i},
-    lambda = mu / s (the Tapia indicator).  When the guess equals the pair's
-    guess at its previous stage end, and no attempt on it failed, an
-    ``_Endgame`` attempt starts there; the pair's barrier point waits, and
-    goes on with the next stage if the attempt does not verify.  The
-    attempts to verify wait until no pair takes barrier steps and are then
-    verified as one stack.  A pair leaves the stack when its endgame
-    verifies or its last stage ends.  The rows of f are the working stack
-    and are overwritten.  Returns each pair's final point and profile (on
-    the boundary when the endgame verified it), the endgame's multipliers,
-    KKT residual, bound and verdict (NaN, and False, for a pair that
-    finished on the barrier), and its barrier and KKT steps.
-    """
-    k, n = f.shape
-    out_f, out_prof = np.empty((k, n)), np.empty((k, n))
-    out_lam, out_kkt, out_upper = np.full((k, n), np.nan), np.full(k, np.nan), np.full(k, np.nan)
-    out_certified, out_iterations = np.zeros(k, dtype=bool), np.empty(k, dtype=int)
-    game = _Endgame(g, newton, k)
-    pairs = np.arange(k)                  # where each pair on the stack reports
-    prof = constraint_profile(g, f)
-    stage = np.zeros(k, dtype=int)
-    steps = np.zeros(k, dtype=int)        # accepted steps in the current stage
-    iterations = np.zeros(k, dtype=int)
-    guess = np.zeros((k, n), dtype=bool)  # the active set at the last stage end
-    guessed, failed, playing, waiting = (np.zeros(k, dtype=bool) for _ in range(4))
-    while pairs.size:
-        ended = np.zeros(pairs.size, dtype=bool)
-        verified = np.zeros(pairs.size, dtype=bool)
-        walk = np.flatnonzero(~playing & ~waiting)
-        if walk.size:
-            trial, trial_prof, accepted, stop = _barrier_step(
-                g, newton, f[walk], prof[walk], 1.0 / stages[stage[walk]], gauges[walk],
-                targets[walk])
-            f[walk[accepted]], prof[walk[accepted]] = trial[accepted], trial_prof[accepted]
-            iterations[walk] += accepted
-            steps[walk] += accepted
-            ended[walk] = stop | (steps[walk] >= MAX_NEWTON)
-        play = np.flatnonzero(playing)
-        if play.size:
-            solved, going = game.advance(pairs[play], gauges[play], targets[play])
-            iterations[play] += solved
-            over = play[~going]
-            playing[over] = False
-            failed[over] = True
-            waiting[over] = game.best[3][pairs[over]] <= tol
-        # verification waits, for one batch, until no pair walks
-        due = np.flatnonzero(waiting)
-        if due.size and (waiting | playing).all():
-            waiting[due] = False
-            won, *found = game.verify(pairs[due], gauges[due], targets[due], tol)
-            verified[due[won]] = True
-            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper), found):
-                out[pairs[due[won]]] = value[won]
-            out_certified[pairs[due[won]]] = True
-        mu = stages[np.minimum(stage, stages.size - 1)]  # a playing pair may be past its last
-        ends = np.flatnonzero(ended & (mu <= ENDGAME_MU))
-        if ends.size:
-            s = 1.0 - prof[ends]
-            now = s * s < mu[ends, None]
-            same = guessed[ends] & (now == guess[ends]).all(axis=1)
-            fresh = same & ~failed[ends]
-            failed[ends] &= same              # a new guess may be tried again
-            guess[ends], guessed[ends] = now, True
-            start = ends[fresh]
-            game.start(pairs[start], f[start], prof[start], mu[start], now[fresh])
-            playing[start] = True
-        stage += ended
-        steps[ended] = 0
-        leave = verified | ((stage == stages.size) & ~playing & ~waiting)
-        if leave.any():
-            barrier = leave & ~verified
-            out_f[pairs[barrier]], out_prof[pairs[barrier]] = f[barrier], prof[barrier]
-            out_iterations[pairs[leave]] = iterations[leave]
-            stay = ~leave
-            pairs, f, prof, gauges, targets, stage, steps, iterations, guess, guessed, failed, \
-                playing, waiting = (x[stay] for x in (pairs, f, prof, gauges, targets, stage, steps,
-                                                      iterations, guess, guessed, failed, playing,
-                                                      waiting))
-    return out_f, out_prof, out_lam, out_kkt, out_upper, out_certified, out_iterations
+def _step_length(s, p, q, multipliers, dlam):
+    """The largest t <= 1 for each pair at which every slack
+    s - t p - t^2 q and every multiplier lambda + t dlam is nonnegative.
+    a_i is quadratic, so a_i(f + t df) = a_i + t p_i + t^2 q_i exactly, with
+    p = J df and q = a(df) >= 0, and each slack's root is in closed form."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.sqrt(p * p + 4.0 * q * s)
+        # the positive root of s - t p - t^2 q, free of cancellation; none
+        # where the slack never falls (p <= 0, q = 0)
+        slack = np.where(p > 0.0, 2.0 * s / (p + root),
+                         np.where(q > 0.0, (root - p) / (2.0 * q), np.inf))
+        dual = np.where(dlam < 0.0, -multipliers / dlam, np.inf)
+    return np.minimum(1.0, np.minimum(slack, dual).min(axis=1))
 
 
 def _solve_pairs(g, newton, gauges, targets, f, tol):
-    """The fields of ``ConnesResult``, as arrays, for a stack of pairs of g
-    solved from the strictly feasible rows of f and certified.  A pair that
-    the endgame did not finish gets its multipliers from one more Newton step
-    at its barrier end point, t = 1/mu_final, and is certified from them."""
-    stages, mu_final = _barrier_stages(tol, g.node_count)
-    f, prof, multipliers, kkt, upper, certified, iterations = _central_path(
-        g, newton, gauges, targets, f, stages, tol)
-    rest = np.flatnonzero(~certified)  # the pairs the endgame did not finish
-    if rest.size:
-        _, direction = newton.step(f[rest], 1.0 / (1.0 - prof[rest]), 1.0 / mu_final,
-                                   gauges[rest], targets[rest])
-        multipliers[rest] = _barrier_multipliers(newton, f[rest], prof[rest], direction, mu_final)
-        f[rest], prof[rest] = _on_boundary(f[rest], prof[rest])
-        kkt[rest], upper[rest], certified[rest] = _certificate(
-            newton, f[rest], prof[rest], multipliers[rest], gauges[rest], targets[rest], tol)
-    stack = np.arange(len(gauges))
-    distance = f[stack, targets] - f[stack, gauges]
-    return distance, f, prof, multipliers, kkt, iterations, upper, upper - distance, certified
+    """The fields of ``ConnesResult``, as arrays, for a stack of k pairs of
+    g solved from the strictly feasible rows of f and certified.
+
+    Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], f_a = 0.
+    The pairs take primal-dual steps on (f, s, lambda) in lockstep, from
+    s = 1 - a(f) and lambda = 0.1.  With mu = s^t lambda / n and the Newton
+    matrix H = 2 L_lambda + J^t diag(lambda / s) J, each iteration solves
+    the predictor H df = e_b and, on the same factorization, the corrector
+    H df = e_b - J^t w - J(df_aff)^t dlam_aff with
+    w = (sigma mu + p dlam_aff + lambda q) / s: p, q and dlam_aff are the
+    predictor's J df, a(df) and multiplier step, and sigma = (mu_aff / mu)^3
+    from the predictor's best step.  The q and J(df_aff) terms are the
+    second-order terms of the quadratic constraints and of stationarity,
+    which is bilinear in (f, lambda).  Then f, s and lambda
+    move by one step length, 0.995 of the largest that keeps s and lambda
+    nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
+    whose s^t lambda is at most 1e-4 tol is moved onto the boundary and
+    certified; it leaves the stack when it is certified or after MAX_NEWTON
+    iterations, with its last certificate.  The rows of f are the working
+    stack and are overwritten.
+    """
+    k, n = f.shape
+    out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
+    out_kkt, out_upper, out_certified = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=int)
+    pairs = np.arange(k)  # where each pair on the stack reports
+    s = 1.0 - constraint_profile(g, f)
+    lam = np.full((k, n), 0.1)
+    while True:
+        gap = (s * lam).sum(axis=1)
+        due = np.flatnonzero((gap <= 1e-4 * tol) | (iterations[pairs] == MAX_NEWTON))
+        if due.size:
+            ids = pairs[due]
+            bf, prof = _on_boundary(f[due], constraint_profile(g, f[due]))
+            kkt, upper, certified = _certificate(newton, bf, prof, lam[due], gauges[ids],
+                                                 targets[ids], tol)
+            done = certified | (iterations[ids] == MAX_NEWTON)
+            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified),
+                                  (bf, prof, lam[due], kkt, upper, certified)):
+                out[ids[done]] = value[done]
+            stay = ~np.isin(pairs, ids[done])
+            pairs, f, s, lam, gap = (x[stay] for x in (pairs, f, s, lam, gap))
+        if not pairs.size:
+            break
+        rows, a, b = np.arange(pairs.size), gauges[pairs], targets[pairs]
+        fixed = np.zeros(f.shape, dtype=bool)
+        fixed[rows, a] = True
+        mu = gap / n
+        e_b = np.zeros(f.shape)
+        e_b[rows, b] = 1.0
+        df, again = newton._solve(newton.system(f, lam, np.sqrt(lam / s), fixed), e_b)
+        p, q = newton.constraint_steps(f, df), constraint_profile(g, df)
+        dlam = lam * (p / s - 1.0)
+        t = _step_length(s, p, q, lam, dlam)[:, None]
+        mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
+        w = ((mu_aff / mu) ** 3 * mu)[:, None] / s + (p * dlam + lam * q) / s
+        # c - J^t w, less the predictor's bilinear term J(df)^t dlam, which
+        # otherwise stalls stationarity where lambda is not unique
+        rhs = newton.stationarity(f, w, a, b) + newton.stationarity(df, dlam, a, b)
+        rhs[rows, b] -= 1.0
+        rhs[rows, a] = 0.0
+        df = again(rhs)
+        p, q = newton.constraint_steps(f, df), constraint_profile(g, df)
+        dlam = w - lam + lam * p / s
+        t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
+        f += t * df
+        s -= t * (p + t * q)
+        lam += t * dlam
+        iterations[pairs] += 1
+    distance = out_f[np.arange(k), targets] - out_f[np.arange(k), gauges]
+    return (distance, out_f, out_prof, out_lam, out_kkt, iterations, out_upper,
+            out_upper - distance, out_certified)
 
 
 def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     """Distance between nodes a and b with a two-sided certificate.
 
-    Starts from ``x0`` (shifted to the gauge f_a = 0; it must be strictly
-    feasible) or from f = 0 and follows the barrier path mu = 1, mu/10, ...
-    down to tol / (2n), with at most MAX_NEWTON damped Newton steps a stage;
-    the pair runs as a stack of one through the lockstep loop that
-    ``distance_matrix`` uses for all its pairs.  From mu = ENDGAME_MU on, a
-    stage end whose active-set guess held since the last one tries a Newton
-    endgame on the KKT system of that face, and the solve stops there when it
-    verifies.  Otherwise one more Newton step at the barrier's end point gives
-    the multipliers.  Either way the optimizer is moved onto the constraint
-    boundary (exact by homogeneity) and the multipliers give the dual bound
-    ``upper_bound``; the result is ``certified`` when the gap between the two
-    is at most tol, so that the distance is within tol of the true one.
-    ``iterations`` counts barrier and KKT steps.  Non-certified results are
-    returned, not raised.
+    Starts from ``x0`` (shifted to the gauge f_a = 0; it must be a finite,
+    strictly feasible node vector) or from f = 0 and takes primal-dual
+    interior-point iterations with Mehrotra's predictor-corrector, at most
+    MAX_NEWTON of them; the pair runs as a stack of one through the
+    lockstep loop that ``distance_matrix`` uses for all its pairs.  When the
+    complementarity s^t lambda is at most 1e-4 tol, the optimizer is moved
+    onto the constraint boundary (exact by homogeneity) and the multipliers
+    give the dual bound ``upper_bound``; the result is ``certified`` when the
+    gap between the two is at most tol, so that the distance is within tol
+    of the true one.  A pair that does not certify goes on until the cap.
+    ``iterations`` counts the primal-dual iterations.  Non-certified results
+    are returned, not raised.
     """
     _check_node(g, a, b)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = g.node_count
     if a == b:
         zero = np.zeros(n)
@@ -674,7 +479,9 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
 
     f = np.zeros(n)
     if x0 is not None:
-        f = np.asarray(x0, dtype=float).copy()
+        f = np.array(x0, dtype=float)
+        if f.shape != (n,):
+            raise ValueError(f"x0 has shape {f.shape}, expected ({n},)")
         if not np.all(np.isfinite(f)):
             raise ValueError("x0 has non-finite entries")
         f -= f[a]  # enforce the gauge
@@ -684,6 +491,11 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         g, _BarrierNewton(g), np.array([a]), np.array([b]), f[None], tol)
     return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
                         int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def lattice_closed_form(n):
@@ -804,14 +616,12 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     """All-pairs distances; symmetric with zero diagonal.
 
     The pairs share one Newton pattern and run through ``connes_distance``'s
-    barrier loop together, in chunks of at most CHUNK_ENTRIES Hessian entries;
-    one more Newton step for the chunk gives each pair its multipliers, and
-    each pair is certified on its own and agrees with ``connes_distance`` on
-    that pair.  Per-pair certification failures are flagged by a NaN entry
+    primal-dual loop together, in chunks of at most CHUNK_ENTRIES Hessian
+    entries; each pair is certified on its own and agrees with
+    ``connes_distance`` on that pair.  Per-pair certification failures are flagged by a NaN entry
     rather than aborting the sweep.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = g.node_count
     out = np.zeros((n, n))
     gauges, targets = np.triu_indices(n, 1)

@@ -457,17 +457,19 @@ def _parse_json(text):
         raise GraphParseError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise GraphParseError('JSON graph needs "nodes" and "edges" keys')
-    n = doc["nodes"]
-    if not isinstance(n, int) or n < 0:
+    n, edges = doc["nodes"], doc["edges"]
+    # bool is an int subclass; true and false are not node counts or indices
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise GraphParseError(f'"nodes" must be a nonnegative integer, got {n!r}')
     if n > NODE_CAP:
         raise GraphParseError(f'"nodes" {n} exceeds the {NODE_CAP}-node cap',
                               text.count("\n", 0, text.find('"nodes"')) + 1)
-    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise GraphParseError(f'"edges" must be a list of pairs, got {edges!r}')
     for pos, pair in enumerate(edges):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphParseError(f"edge #{pos} is not a pair: {pair!r}")
-        if not all(isinstance(x, int) for x in pair):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
             raise GraphParseError(f"edge #{pos} has non-integer endpoints")
     # Graph.from_edges checks range, self-loops and duplicates, naming the bond
     try:

@@ -283,7 +283,7 @@ def test_criterion_8_oracle_equivalence():
                 if abs(solver - oracle) > 1e-3:
                     failures.append(
                         f"{name} ({i},{j}): solver {solver!r} vs grid {oracle!r}")
-    _report(8, "barrier solver agrees with the grid oracle (n <= 5, 1e-3)", failures)
+    _report(8, "solver agrees with the grid oracle (n <= 5, 1e-3)", failures)
 
 
 def test_criterion_9_convexity_and_certificates():

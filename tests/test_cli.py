@@ -167,6 +167,16 @@ def test_unknown_verb_rejected(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, tol):
+    path = tmp_path / "p.edges"
+    run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(path))
+    for verb in (["connes", "--from", "0", "--to", "3"], ["connes-matrix"]):
+        code, out, err = run(capsys, verb[0], "--graph", str(path), *verb[1:], "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol" in err
+
+
 def test_noncertified_solve_is_nonzero_exit(tmp_path, capsys):
     path = tmp_path / "p.edges"
     run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(path))

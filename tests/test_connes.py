@@ -134,6 +134,13 @@ def test_solver_validates_input():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             connes_distance(build_path(5), 0, 4, x0=[0.0, bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="tol"):
+            connes_distance(g, 0, 2, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            distance_matrix(g, tol=bad)
+    for shape in ((1, 3), (2,), (4,), ()):
+        with pytest.raises(ValueError, match="shape"):
+            connes_distance(g, 0, 2, x0=np.zeros(shape))
 
 
 def test_node_indices_must_be_integers():
@@ -230,25 +237,40 @@ def _constraint_jacobian(g, f):
     return J
 
 
-def _dense_gradient_hessian(g, f, gauge, t, c):
-    """Reference: the dense assembly the sparse step replaced, with the gauge
-    row and column set to the identity and the gauge gradient entry to 0."""
+def _dense_gradient_hessian(g, f, lam, w, gauge, b):
+    """Reference: J^t w - e_b and the primal-dual matrix
+    2 L_lambda + J^t diag(lambda / s) J, assembled densely, with the gauge row
+    and column set to the identity and the gauge gradient entry to 0."""
     n = g.node_count
-    w = 1.0 / (1.0 - constraint_profile(g, f))
+    s = 1.0 - constraint_profile(g, f)
     J = _constraint_jacobian(g, f)
-    grad = -t * c + J.T @ w
+    grad = J.T @ w
+    grad[b] -= 1.0
     H = np.zeros((n, n))
-    ew = w[g.edge_tails]
+    ew = lam[g.edge_tails]
     np.add.at(H, (g.edge_tails, g.edge_tails), 2.0 * ew)
     np.add.at(H, (g.edge_heads, g.edge_heads), 2.0 * ew)
     np.add.at(H, (g.edge_tails, g.edge_heads), -2.0 * ew)
     np.add.at(H, (g.edge_heads, g.edge_tails), -2.0 * ew)
-    H += (J.T * (w ** 2)) @ J
+    H += (J.T * (lam / s)) @ J
     grad[gauge] = 0.0
     H[gauge, :] = 0.0
     H[:, gauge] = 0.0
     H[gauge, gauge] = 1.0
     return grad, H
+
+
+def _primal_dual_system(g, newton, f, lam, w, gauges, targets):
+    """The primal-dual gradient J^t w - e_b, zero at the gauge, and Newton
+    matrix at a stack of points f with multipliers lam, as the solver builds
+    them."""
+    rows = np.arange(len(f))
+    fixed = np.zeros(f.shape, dtype=bool)
+    fixed[rows, gauges] = True
+    grad = -newton.stationarity(f, w, gauges, targets)
+    grad[rows, gauges] = 0.0
+    s = 1.0 - constraint_profile(g, f)
+    return grad, newton.system(f, lam, np.sqrt(lam / s), fixed)
 
 
 def _step_graphs():
@@ -265,24 +287,21 @@ def test_sparse_step_matches_dense_assembly(name):
     for trial in range(3):
         gauge = int(rng.integers(n))
         b = (gauge + 1 + int(rng.integers(n - 1))) % n
-        c = np.zeros(n)
-        c[b], c[gauge] = 1.0, -1.0
         f = random_feasible_point(g, gauge, rng, margin=0.9)
-        t = 10.0 ** trial
+        lam = rng.uniform(0.01, 1.0, n) * 10.0 ** trial
+        w = rng.standard_normal(n)
         newton = connes._BarrierNewton(g)
-        w = 1.0 / (1.0 - constraint_profile(g, f))
-        grad, hess = newton.assemble(f[None], w[None], np.array([t]), np.array([gauge]),
-                                     np.array([b]))
+        grad, hess = _primal_dual_system(g, newton, f[None], lam[None], w[None],
+                                         np.array([gauge]), np.array([b]))
         grad = grad[0]
-        ref_grad, ref_H = _dense_gradient_hessian(g, f, gauge, t, c)
+        ref_grad, ref_H = _dense_gradient_hessian(g, f, lam, w, gauge, b)
         H = newton.dense_matrix(hess)[0]
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
         assert np.abs(H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
         # the pattern holds every nonzero, in CSR order
         assert np.all(np.diff(newton.keys) > 0)
         assert np.count_nonzero(ref_H) <= newton.keys.size
-        _, step = newton.step(f[None], w[None], np.array([t]), np.array([gauge]), np.array([b]))
-        step = step[0]
+        step = newton._solve(hess, -grad[None])[0][0]
         assert step[gauge] == 0.0
         assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
 
@@ -355,12 +374,12 @@ def test_one_failed_factorization_in_a_stack(monkeypatch, g):
     rng = np.random.default_rng(3)
     gauges, targets = np.arange(k), np.arange(k) + 1
     f = np.stack([random_feasible_point(g, a, rng, margin=0.9) for a in gauges])
-    w = 1.0 / (1.0 - constraint_profile(g, f))
-    grad, hess = newton.assemble(f, w, np.ones(k), gauges, targets)
+    lam = rng.uniform(0.01, 1.0, (k, n))
+    grad, hess = _primal_dual_system(g, newton, f, lam, lam, gauges, targets)
     hess[2] = 0.0
-    alone = [newton._solve(hess[r:r + 1], -grad[r:r + 1])[0] for r in (0, 1, 3)]
+    alone = [newton._solve(hess[r:r + 1], -grad[r:r + 1])[0][0] for r in (0, 1, 3)]
     lstsq_calls = _count_lstsq(monkeypatch)
-    step = newton._solve(hess, -grad)
+    step = newton._solve(hess, -grad)[0]
     assert len(lstsq_calls) == 1
     for r, expected in zip((0, 1, 3), alone):
         assert np.array_equal(step[r], expected)
@@ -392,14 +411,17 @@ def test_certificate_matches_dense_jacobian(name):
         prof = constraint_profile(g, f)
         s = 1.0 - prof
         J = _constraint_jacobian(g, f)
-        _, step = newton.step(f[None], 1.0 / s[None], 1.0 / mu, np.array([a]), np.array([b]))
+        grad, hess = _primal_dual_system(g, newton, f[None], mu / s[None], np.zeros((1, n)),
+                                         np.array([a]), np.array([b]))
+        step = newton._solve(hess, -grad)[0]
         # a short random direction leaves no multiplier clipped, so every
         # entry of J df shows in them; the Newton step may clip some
         short = rng.standard_normal(n)
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
-            multipliers = connes._barrier_multipliers(newton, f[None], prof[None],
-                                                      direction[None], mu)
+            # the multipliers mu / s moved along df, as the solver moves them
+            steps = newton.constraint_steps(f[None], direction[None])
+            multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             residual = connes._certificate(newton, f[None], prof[None], multipliers,
                                            np.array([a]), np.array([b]), 1e-7)[0]
             lam = np.maximum(0.0, mu / s * (1.0 + (J @ direction) / s))
@@ -420,8 +442,7 @@ def test_path_of_ten_thousand_nodes_in_linear_memory():
         tracemalloc.stop()
     assert result.certified
     assert peak < 64 * 2 ** 20  # the dense n x n Jacobian alone was 763 MiB
-    _, mu_final = connes._barrier_stages(connes.DEFAULT_TOL)
-    assert abs(result.distance - lattice_closed_form(n - 1)) <= n * mu_final
+    assert abs(result.distance - lattice_closed_form(n - 1)) <= n * connes.DEFAULT_TOL / 2
 
 
 def test_path_of_ten_thousand_nodes_to_rounding_level():
@@ -581,9 +602,9 @@ def test_solver_matches_lattice_closed_form():
 
 
 def test_lattice_solver_interior_activity():
-    # every interior chain constraint is active at the optimum; the barrier
+    # every interior chain constraint is active at the optimum; an interior
     # iterate sits within ~sqrt(mu) of it along the ridge's flat directions,
-    # so 1e-4 is the honest tolerance at mu = 1e-9
+    # so 1e-4 is the honest tolerance
     for n in (2, 4, 6, 8):
         result = connes_distance(build_path(n + 1), 0, n)
         assert np.all(result.slacks[1:-1] >= 1.0 - 1e-4)
@@ -724,13 +745,13 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
     g = fixture_graphs()["random10"]
     whole = distance_matrix(g)
     stacks = []
-    real = connes._central_path
+    real = connes._solve_pairs
 
     def recorded(g, newton, gauges, *args):
         stacks.append(len(gauges))
         return real(g, newton, gauges, *args)
 
-    monkeypatch.setattr(connes, "_central_path", recorded)
+    monkeypatch.setattr(connes, "_solve_pairs", recorded)
     monkeypatch.setattr(connes, "CHUNK_ENTRIES", 7 * connes._BarrierNewton(g).entries_per_pair)
     chunked = distance_matrix(g)
     assert stacks == [7] * 6 + [3]  # 45 pairs
@@ -753,24 +774,43 @@ def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     assert nan[1, 3] and nan[3, 1] and nan.sum() == 2
 
 
-def test_stage_ends_when_the_barrier_objective_stops_falling():
-    # at |phi| ~ 1e9 a stalled stage's decrement sits just above its stop while
-    # phi no longer moves; such a stage ends at once instead of after 60 steps
+def test_solves_take_few_iterations():
     result = connes_distance(build_path(400), 0, 399)
-    assert result.iterations <= 100
+    assert result.iterations <= 20
     assert result.certified
     assert abs(result.distance - lattice_closed_form(399)) <= 1e-10
-
-
-def test_barrier_alone_stops_stalled_stages_and_certifies(monkeypatch):
-    # with the endgame held off, the 400-node path runs the barrier down to
-    # mu = tol / (2n); the stall rule keeps it near 80 steps (350 without it),
-    # and the last barrier point is within tol of the closed form
-    monkeypatch.setattr(connes, "ENDGAME_MU", 0.0)
-    result = connes_distance(build_path(400), 0, 399)
-    assert result.iterations <= 100
-    assert result.certified
     assert result.distance <= lattice_closed_form(399) <= result.upper_bound
+    result = connes_distance(build_binary_tree(7), 2 ** 7 - 1, 2 ** 8 - 2)
+    assert result.iterations <= 20
+    assert result.certified
+    g = build_random(20, 0.3, 1)
+    a, b = np.triu_indices(g.node_count, 1)
+    iterations = connes._solve_pairs(g, connes._BarrierNewton(g), a, b,
+                                     np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)[5]
+    assert np.median(iterations) <= 20
+
+
+def test_step_length_is_the_boundary_root():
+    # a_i(f + t df) = a_i + t p_i + t^2 q_i exactly, so the closed-form root
+    # is where the first constraint reaches 1
+    rng = np.random.default_rng(5)
+    for g in (build_random(12, 0.4, 2), build_binary_tree(3), build_path(9)):
+        n = g.node_count
+        newton = connes._BarrierNewton(g)
+        for _ in range(20):
+            f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
+            df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
+            s = 1.0 - constraint_profile(g, f)
+            p = newton.constraint_steps(f[None], df[None])[0]
+            q = constraint_profile(g, df)
+            lam = np.ones(n)
+            t = connes._step_length(s[None], p[None], q[None], lam[None], lam[None])[0]
+            roots = [r.real for i in range(n) for r in np.roots([q[i], p[i], -s[i]])
+                     if abs(r.imag) == 0 and r.real > 0]
+            expected = min(roots + [1.0])
+            assert t == pytest.approx(expected, rel=1e-12)
+            if t < 1.0:
+                assert constraint_profile(g, f + t * df).max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solver_is_symmetric_in_the_pair():

@@ -338,6 +338,11 @@ def test_parse_json_rejects():
         '{"nodes": 3, "edges": [[0, 1], [1, 0]]}',
         '{"nodes": -1, "edges": []}',
         '{not json',
+        '{"nodes": true, "edges": []}',
+        '{"nodes": 3, "edges": 5}',
+        '{"nodes": 3, "edges": null}',
+        '{"nodes": 3, "edges": {"0": 1}}',
+        '{"nodes": 3, "edges": [[false, true], [true, 2]]}',
     ]
     for text in bad:
         with pytest.raises(GraphParseError):
