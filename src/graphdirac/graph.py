@@ -42,9 +42,11 @@ MAX_RANDOM_RETRIES = 200
 
 # Graphs, builders and parsers refuse more nodes than this before allocating per node.
 NODE_CAP = 5_000_000
-# build_random draws one uniform per node pair, n(n-1)/2 of them (80 GB of pair
-# indices at n = 1e5); it refuses larger n before allocating anything
+# build_random draws one uniform per node pair, n(n-1)/2 of them; its memory is
+# O(n + m), and this cap bounds the time those draws take
 RANDOM_NODE_CAP = 10_000
+# build_random draws its uniforms this many at a time (the same stream as one call)
+_DRAW_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -155,8 +157,12 @@ class Graph:
 
     @cached_property
     def bonds(self):
+        return tuple(zip(*self._bond_ends()))
+
+    def _bond_ends(self):
+        """Lists of each bond's lower and higher end, in canonical bond order."""
         up = self.edge_tails < self.indices
-        return tuple(zip(self.edge_tails[up].tolist(), self.indices[up].tolist()))
+        return self.edge_tails[up].tolist(), self.indices[up].tolist()
 
     @cached_property
     def connected(self):
@@ -207,6 +213,7 @@ def component_count(g):
 
 def build_path(n):
     """Path graph on nodes 0..n-1 with bonds {i, i+1}."""
+    n = _as_int(n, "node count")
     if n < 2:
         raise ValueError(f"path graph needs at least 2 nodes, got {n}")
     _check_cap(n)
@@ -216,6 +223,7 @@ def build_path(n):
 
 def build_cycle(n):
     """Cycle 0-1-...-(n-1)-0; all degrees 2."""
+    n = _as_int(n, "node count")
     if n < 3:
         raise ValueError(f"cycle graph needs at least 3 nodes, got {n}")
     _check_cap(n)
@@ -230,6 +238,7 @@ def build_binary_tree(depth):
     2i+1 and 2i+2).  The root has degree 2, interior nodes degree 3 and
     leaves degree 1.
     """
+    depth = _as_int(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = 2 ** (depth + 1) - 1
@@ -245,8 +254,14 @@ def build_random(n, p, seed):
     Deterministic for fixed (n, p, seed): attempt t uses the stream seeded by
     (seed, t), draws one uniform per node pair i < j in row-major order, and
     the first connected draw is returned.  Raises GenerationError once
-    MAX_RANDOM_RETRIES attempts were rejected.
+    MAX_RANDOM_RETRIES attempts were rejected.  The uniforms are drawn in
+    chunks, which gives the same stream as one draw, and only the kept pairs
+    are stored, so memory is O(n + m); RANDOM_NODE_CAP bounds the time of
+    the n(n-1)/2 draws.
     """
+    n, seed = _as_int(n, "node count"), _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"bond probability must be in (0, 1], got {p}")
     if n < 1:
@@ -255,11 +270,18 @@ def build_random(n, p, seed):
     if n > RANDOM_NODE_CAP:
         raise ValueError(f"build_random draws one uniform per node pair; n={n} exceeds "
                          f"its {RANDOM_NODE_CAP}-node cap")
-    rows, cols = np.triu_indices(n, 1)
+    pairs = n * (n - 1) // 2
+    # pair k of the row-major order is bond (i, k - row_start[i] + i + 1)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2
     for attempt in range(MAX_RANDOM_RETRIES):
-        rng = np.random.default_rng((int(seed), attempt))
-        keep = rng.random(len(rows)) < p
-        g = Graph.from_edges(n, np.column_stack((rows[keep], cols[keep])))
+        rng = np.random.default_rng((seed, attempt))
+        # each chunk's uniforms are freed before the next chunk is drawn
+        k = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.flatnonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p) + start
+            for start in range(0, pairs, _DRAW_CHUNK)])
+        i = np.searchsorted(row_start, k, "right") - 1
+        g = Graph.from_edges(n, np.column_stack((i, k - row_start[i] + i + 1)))
         if g.connected:
             return g
     raise GenerationError(
@@ -313,12 +335,16 @@ def induced_subgraph(g, nodes):
 
 def _check_node(g, *nodes):
     for v in nodes:
-        try:
-            operator.index(v)
-        except TypeError:
-            raise ValueError(f"node index {v!r} is not an integer") from None
-        if not 0 <= v < g.node_count:
+        if not 0 <= _as_int(v, "node index") < g.node_count:
             raise ValueError(f"node index {v} out of range (n={g.node_count})")
+
+
+def _as_int(value, name):
+    """``operator.index(value)``, or a ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +363,14 @@ def parse_graph(data):
 
 def serialize_graph(g, fmt="edgelist"):
     """Canonical byte serialization; parse_graph(serialize_graph(g)) == g."""
+    # read off the CSR arrays; building the cached ``bonds`` tuples costs more
+    bonds = zip(*g._bond_ends())
     if fmt == "edgelist":
         lines = [f"# nodes: {g.node_count}"]
-        lines += [f"{i} {j}" for i, j in g.bonds]
+        lines += [f"{i} {j}" for i, j in bonds]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        doc = {"nodes": g.node_count, "edges": [[i, j] for i, j in g.bonds]}
+        doc = {"nodes": g.node_count, "edges": [[i, j] for i, j in bonds]}
         return (json.dumps(doc) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (expected 'edgelist' or 'json')")
 

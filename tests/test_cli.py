@@ -64,6 +64,13 @@ def test_gen_missing_parameter(capsys):
     assert "--n" in err
 
 
+def test_gen_negative_seed_names_the_seed(capsys):
+    code, _, err = run(capsys, "gen", "--family", "random", "--n", "5", "--p", "0.5",
+                       "--seed", "-1")
+    assert code == 2
+    assert "seed must be nonnegative, got -1" in err
+
+
 def test_spectral_tree(tmp_path, capsys):
     path = tmp_path / "tree.edges"
     run(capsys, "gen", "--family", "tree", "--depth", "8", "--out", str(path))

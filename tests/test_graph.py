@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -26,7 +27,8 @@ from graphdirac import (
     serialize_graph,
     shortest_path,
 )
-from graphdirac.graph import NODE_CAP, RANDOM_NODE_CAP
+from graphdirac import graph
+from graphdirac.graph import MAX_RANDOM_RETRIES, NODE_CAP, RANDOM_NODE_CAP
 
 from conftest import fixture_graphs, random_connected_graphs
 
@@ -119,8 +121,8 @@ def test_random_rejects_bad_p():
 
 
 def test_random_rejects_unbuildable_size_quickly():
-    # n(n-1)/2 pair indices would take about 80 GB at n = 1e5; the refusal
-    # comes before anything is allocated
+    # n = 1e5 would take n(n-1)/2 = 5e9 uniform draws; the refusal comes
+    # before anything is drawn or allocated
     start = time.perf_counter()
     with pytest.raises(ValueError, match="cap"):
         build_random(100_000, 0.001, seed=0)
@@ -131,6 +133,66 @@ def test_random_rejects_unbuildable_size_quickly():
 def test_random_retry_exhaustion():
     with pytest.raises(GenerationError):
         build_random(40, 0.002, seed=0)
+
+
+def _reference_random(n, p, seed):
+    """build_random's draw from one uniform per pair of np.triu_indices, and its attempt."""
+    rows, cols = np.triu_indices(n, 1)
+    for attempt in range(MAX_RANDOM_RETRIES):
+        keep = np.random.default_rng((seed, attempt)).random(len(rows)) < p
+        g = Graph.from_edges(n, np.column_stack((rows[keep], cols[keep])))
+        if g.connected:
+            return g, attempt
+    return None, MAX_RANDOM_RETRIES
+
+
+@pytest.mark.parametrize("chunk", [1, 7, graph._DRAW_CHUNK])
+def test_chunked_draw_matches_reference(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_DRAW_CHUNK", chunk)
+    retried = 0
+    for n in (1, 2, 3, 6, 11):
+        for p in (0.15, 0.4, 1.0):
+            for seed in range(4):
+                expected, attempt = _reference_random(n, p, seed)
+                retried += attempt > 0
+                if expected is None:
+                    with pytest.raises(GenerationError):
+                        build_random(n, p, seed)
+                else:
+                    assert build_random(n, p, seed) == expected, (n, p, seed)
+    assert retried >= 10  # the sweep covers draws that needed retries
+
+
+def test_random_at_its_cap_in_small_memory():
+    tracemalloc.start()
+    try:
+        g = build_random(RANDOM_NODE_CAP, 0.002, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == RANDOM_NODE_CAP and g.connected
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (build_path, (5.0,), "node count 5.0 is not an integer"),
+    (build_cycle, ("5",), "node count '5' is not an integer"),
+    (build_binary_tree, (2.0,), "depth 2.0 is not an integer"),
+    (build_random, (5.0, 0.5, 0), "node count 5.0 is not an integer"),
+    (build_random, (5, 0.5, 1.7), "seed 1.7 is not an integer"),
+    (build_random, (5, 0.5, "3"), "seed '3' is not an integer"),
+    (build_random, (5, 0.5, -1), "seed must be nonnegative, got -1"),
+])
+def test_builders_reject_bad_arguments(build, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(*args)
+
+
+def test_builders_take_numpy_integers():
+    assert build_path(np.int32(5)) == build_path(5)
+    assert build_cycle(np.int64(5)) == build_cycle(5)
+    assert build_binary_tree(np.uint8(3)) == build_binary_tree(3)
+    assert build_random(np.int64(10), 0.4, np.int64(7)) == build_random(10, 0.4, 7)
 
 
 def test_distance_same_node_and_missing_path():
@@ -393,16 +455,30 @@ def test_component_count():
 
 # sha256 of serialize_graph(build_random(n, p, seed)): the fixtures and the CLI
 # determinism test depend on these exact draws.
-@pytest.mark.parametrize("n,p,seed,digest", [
+PINNED_DRAWS = [
     (2000, 0.005, 1, "ba1b2e2091b0025169228359a8f35eda500c98e69a3022589a4691db86876e71"),
     (20, 0.3, 7, "5caced173cbb4cb41078a369df2978f97028376215606349e5c802df53eecc19"),
     (8, 0.45, 11, "a2ce6f0999019b74cda5e7b8634d9424122bc14dd1e985a456ea441d53f876c8"),
     (10, 0.35, 5, "3aac76545c420a00dabc131a765967c1057cd1a35ee119314bf8045beaaffd74"),
     (24, 0.35, 9, "13b6ba1a125d4bc445e61ede30054555979029be47ba003d3f9d576340cc52cc"),
     (10, 0.4, 7, "61fbd462a598957748f82bd192b19151428eb27df017e9778c54155ed6db3b5d"),
-])
+]
+
+
+@pytest.mark.parametrize("n,p,seed,digest", PINNED_DRAWS)
 def test_random_draws_are_pinned(n, p, seed, digest):
     assert hashlib.sha256(serialize_graph(build_random(n, p, seed))).hexdigest() == digest
+
+
+# A chunk of 1 would draw the 2000-node graph in 2 million separate calls; a
+# chunk of 7 already splits its stream at a different offset in every row.
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_pinned_draws_hold_for_any_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_DRAW_CHUNK", chunk)
+    for n, p, seed, digest in PINNED_DRAWS:
+        if chunk == 1 and n > 100:
+            continue
+        assert hashlib.sha256(serialize_graph(build_random(n, p, seed))).hexdigest() == digest
 
 
 def _reference_views(n, bonds):
