@@ -38,7 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, solve
+from numpy.linalg import LinAlgError, cholesky
+from scipy.linalg.lapack import dpotrs
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -118,10 +119,12 @@ class _BarrierNewton:
     of that row, so every system has the two-hop pattern.  The pattern, and
     the sparse matrices that add each system's terms into it, are built once
     per graph; a system is then a few sparse products over the stack, and
-    its factorization one batched dense solve or one sparse LU of the
-    block-diagonal matrix.  The fixed nodes of a pair (its gauge node, and
-    the nodes outside the dual bound's component) get the identity in their
-    rows and columns, so a solution keeps full length with a zero there.
+    its factorization one batched dense Cholesky factorization or one sparse
+    LU of the block-diagonal matrix.  The methods take J's entries as
+    ``jacobian`` gives them, so a caller computes them once a point.  The
+    fixed nodes of a pair (its gauge node, and the nodes outside the dual
+    bound's component) get the identity in their rows and columns, so a
+    solution keeps full length with a zero there.
     The sparse branch keeps the block-diagonal matrix of the last stack size
     and only swaps its values.
     """
@@ -178,13 +181,14 @@ class _BarrierNewton:
         self.entries_per_pair = max(size + n, n * n if self.dense else 0)
         self._blocks = None  # the sparse branch's matrix for the last stack size
 
-    def system(self, f, curvature, root, fixed):
+    def system(self, jac, curvature, root, fixed):
         """The values in the CSR slots ``keys`` of
-        2 L_curvature + J^t diag(root^2) J for each pair of the stack f, with
-        the identity at the fixed nodes; all (k, n) stacks."""
+        2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
+        entries ``jac`` as ``jacobian`` gives them, with the identity at the
+        fixed nodes; curvature, root and fixed are (k, n) stacks."""
         n, size = self.n, self.half_p.size
-        u = self.jacobian(f) * root.T[self.rows]  # r_i J_ip
-        terms = np.empty((size + n, len(f)))
+        u = jac * root.T[self.rows]  # r_i J_ip
+        terms = np.empty((size + n, len(fixed)))
         # the indices are in range; "clip" lets take write into terms unbuffered
         np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
         terms[:size] *= u[self.half_q]
@@ -202,17 +206,18 @@ class _BarrierNewton:
         v = 2.0 * (f[self.heads] - f[self.tails])
         return np.concatenate((-(self.tail_sums @ v), v))
 
-    def constraint_steps(self, f, direction):
-        """J df for each pair: J's rows sum to zero, so row i sums
-        2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
+    def constraint_steps(self, jac, direction):
+        """J df for each pair, J's entries ``jac``: J's rows sum to zero, so
+        row i sums 2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
         d = direction.T
-        return (self.tail_sums @ (self.jacobian(f)[self.n:] * (d[self.heads] - d[self.tails]))).T
+        return (self.tail_sums @ (jac[self.n:] * (d[self.heads] - d[self.tails]))).T
 
-    def stationarity(self, f, multipliers, gauges, targets):
-        """c - J(f)^t lambda for each pair, with c = e_b - e_a (a != b)."""
+    def stationarity(self, jac, multipliers, gauges, targets):
+        """c - J^t lambda for each pair, J's entries ``jac``, with
+        c = e_b - e_a (a != b)."""
         stack = np.arange(len(gauges))
         residual = np.ascontiguousarray(
-            -(self.column_sums @ (self.jacobian(f) * multipliers.T[self.rows])).T)
+            -(self.column_sums @ (jac * multipliers.T[self.rows])).T)
         residual[stack, targets] += 1.0
         residual[stack, gauges] -= 1.0
         return residual
@@ -240,17 +245,20 @@ class _BarrierNewton:
     def _solve(self, hess, rhs):
         """Solutions x of hess x = rhs for the stack, and a function that
         solves the same systems for another (k, n) right-hand side with the
-        same factorization: one batched dense solve a call, or one sparse LU
-        of the block-diagonal matrix.  A stack that fails is split, so that
-        only a pair whose own factorization fails falls back to least
+        same factorization: one batched dense Cholesky factorization, or one
+        sparse LU of the block-diagonal matrix.  A stack that fails is split,
+        so that only a pair whose own factorization fails falls back to least
         squares."""
         k, n = rhs.shape
         try:
             if self.dense:
-                matrix = self.dense_matrix(hess)
+                # C-ordered lower factors L; L.T is the Fortran-ordered upper
+                # factor, which LAPACK takes without a copy
+                factors = cholesky(self.dense_matrix(hess))
 
                 def again(b):
-                    return solve(matrix, b[:, :, None])[:, :, 0]
+                    return np.array([dpotrs(factor.T, row, lower=0)[0]
+                                     for factor, row in zip(factors, b)])
                 return again(rhs), again
             matrix = self._blocks
             if matrix is None or matrix.shape[0] != k * n:
@@ -263,7 +271,8 @@ class _BarrierNewton:
             else:
                 matrix.data = hess.ravel()
             # symmetric ordering, no pivoting: both systems are positive
-            # definite (a zero pivot fails the factorization)
+            # definite (a zero pivot fails the factorization, as a nonpositive
+            # one fails the dense Cholesky)
             lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
             def again(b):
@@ -319,7 +328,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     fixed = ~joined
     fixed[stack, gauges] = True
     zero = np.zeros((k, n))
-    hess = newton.system(zero, 0.5 * multipliers, zero, fixed)
+    hess = newton.system(newton.jacobian(zero), 0.5 * multipliers, zero, fixed)
     rhs = np.zeros((k, n))
     rhs[stack, targets] = reached
     x, again = newton._solve(hess, rhs)
@@ -352,7 +361,7 @@ def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
     is feasible and U - (f_b - f_a) <= tol: its distance is then within tol
     of the true one, whatever the residual."""
     stack = np.arange(len(gauges))
-    residual = newton.stationarity(f, multipliers, gauges, targets)
+    residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
     kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
@@ -393,53 +402,67 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     which is bilinear in (f, lambda).  Then f, s and lambda
     move by one step length, 0.995 of the largest that keeps s and lambda
     nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
-    whose s^t lambda is at most 1e-4 tol is moved onto the boundary and
-    certified; it leaves the stack when it is certified or after MAX_NEWTON
-    iterations, with its last certificate.  The rows of f are the working
+    whose s^t lambda is at most 1e-4 tol, or that has run MAX_NEWTON
+    iterations, is due: it leaves the working stack and is parked.  When the
+    working stack is empty, the parked pairs are moved onto the boundary and
+    certified in one round; a pair leaves with that certificate when it is
+    certified or at MAX_NEWTON iterations, and goes back on the working stack
+    with its own (f, s, lambda) and iteration count otherwise, to take one
+    more iteration before it is due again.  The rows of f are the working
     stack and are overwritten.
     """
     k, n = f.shape
     out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
     out_kkt, out_upper, out_certified = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
+    checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
     s = 1.0 - constraint_profile(g, f)
     lam = np.full((k, n), 0.1)
+    parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
         gap = (s * lam).sum(axis=1)
-        due = np.flatnonzero((gap <= 1e-4 * tol) | (iterations[pairs] == MAX_NEWTON))
-        if due.size:
-            ids = pairs[due]
-            bf, prof = _on_boundary(f[due], constraint_profile(g, f[due]))
-            kkt, upper, certified = _certificate(newton, bf, prof, lam[due], gauges[ids],
-                                                 targets[ids], tol)
-            done = certified | (iterations[ids] == MAX_NEWTON)
-            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified),
-                                  (bf, prof, lam[due], kkt, upper, certified)):
-                out[ids[done]] = value[done]
-            stay = ~np.isin(pairs, ids[done])
-            pairs, f, s, lam, gap = (x[stay] for x in (pairs, f, s, lam, gap))
+        count = iterations[pairs]
+        due = ((gap <= 1e-4 * tol) | (count == MAX_NEWTON)) & (count > checked[pairs])
+        if due.any():
+            parked.append((pairs[due], f[due], s[due], lam[due]))
+            pairs, f, s, lam, gap = (x[~due] for x in (pairs, f, s, lam, gap))
         if not pairs.size:
-            break
+            if not parked:
+                break
+            pairs, f, s, lam = (np.concatenate(x) for x in zip(*parked))
+            parked = []
+            checked[pairs] = iterations[pairs]
+            bf, prof = _on_boundary(f, constraint_profile(g, f))
+            kkt, upper, certified = _certificate(newton, bf, prof, lam, gauges[pairs],
+                                                 targets[pairs], tol)
+            done = certified | (iterations[pairs] == MAX_NEWTON)
+            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified),
+                                  (bf, prof, lam, kkt, upper, certified)):
+                out[pairs[done]] = value[done]
+            pairs, f, s, lam = (x[~done] for x in (pairs, f, s, lam))
+            continue
         rows, a, b = np.arange(pairs.size), gauges[pairs], targets[pairs]
         fixed = np.zeros(f.shape, dtype=bool)
         fixed[rows, a] = True
         mu = gap / n
         e_b = np.zeros(f.shape)
         e_b[rows, b] = 1.0
-        df, again = newton._solve(newton.system(f, lam, np.sqrt(lam / s), fixed), e_b)
-        p, q = newton.constraint_steps(f, df), constraint_profile(g, df)
+        jac = newton.jacobian(f)
+        df, again = newton._solve(newton.system(jac, lam, np.sqrt(lam / s), fixed), e_b)
+        p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
         w = ((mu_aff / mu) ** 3 * mu)[:, None] / s + (p * dlam + lam * q) / s
         # c - J^t w, less the predictor's bilinear term J(df)^t dlam, which
         # otherwise stalls stationarity where lambda is not unique
-        rhs = newton.stationarity(f, w, a, b) + newton.stationarity(df, dlam, a, b)
+        rhs = (newton.stationarity(jac, w, a, b)
+               + newton.stationarity(newton.jacobian(df), dlam, a, b))
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
         df = again(rhs)
-        p, q = newton.constraint_steps(f, df), constraint_profile(g, df)
+        p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df

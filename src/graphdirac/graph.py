@@ -13,6 +13,7 @@ after construction (the arrays are read-only).
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -262,6 +263,8 @@ def build_random(n, p, seed):
     n, seed = _as_int(n, "node count"), _as_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not isinstance(p, numbers.Real):
+        raise ValueError(f"bond probability p {p!r} is not a real number")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"bond probability must be in (0, 1], got {p}")
     if n < 1:

@@ -267,10 +267,11 @@ def _primal_dual_system(g, newton, f, lam, w, gauges, targets):
     rows = np.arange(len(f))
     fixed = np.zeros(f.shape, dtype=bool)
     fixed[rows, gauges] = True
-    grad = -newton.stationarity(f, w, gauges, targets)
+    jac = newton.jacobian(f)
+    grad = -newton.stationarity(jac, w, gauges, targets)
     grad[rows, gauges] = 0.0
     s = 1.0 - constraint_profile(g, f)
-    return grad, newton.system(f, lam, np.sqrt(lam / s), fixed)
+    return grad, newton.system(jac, lam, np.sqrt(lam / s), fixed)
 
 
 def _step_graphs():
@@ -324,7 +325,7 @@ def _count_calls(monkeypatch, name):
 ])
 def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
     lu_calls = _count_calls(monkeypatch, "splu")
-    dense_calls = _count_calls(monkeypatch, "solve")
+    dense_calls = _count_calls(monkeypatch, "cholesky")
     result = connes_distance(g, *pair)
     assert result.certified
     used, unused = (lu_calls, dense_calls) if sparse else (dense_calls, lu_calls)
@@ -332,8 +333,22 @@ def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
     assert not unused
 
 
-def _singular_solve(a, b):
-    raise np.linalg.LinAlgError("Singular matrix")
+@pytest.mark.parametrize("g,pair,factorize", [
+    (build_path(400), (0, 399), "splu"),
+    (complete_graph(5), (0, 1), "cholesky"),
+], ids=["sparse", "dense"])
+def test_one_factorization_per_iteration_and_certificate(monkeypatch, g, pair, factorize):
+    # the predictor and the corrector share one factorization, and so do the
+    # dual bound's two solves
+    factorizations = _count_calls(monkeypatch, factorize)
+    certificates = _count_calls(monkeypatch, "_certificate")
+    result = connes_distance(g, *pair)
+    assert result.certified
+    assert len(factorizations) == result.iterations + len(certificates)
+
+
+def _singular_cholesky(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
 def _singular_lu(*args, **kwargs):
@@ -353,7 +368,7 @@ def _count_lstsq(monkeypatch):
 
 
 @pytest.mark.parametrize("name,failing,n", [
-    ("solve", _singular_solve, 5),
+    ("cholesky", _singular_cholesky, 5),
     ("splu", _singular_lu, 30),
 ])
 def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, failing, n):
@@ -420,7 +435,7 @@ def test_certificate_matches_dense_jacobian(name):
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
             # the multipliers mu / s moved along df, as the solver moves them
-            steps = newton.constraint_steps(f[None], direction[None])
+            steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             residual = connes._certificate(newton, f[None], prof[None], multipliers,
                                            np.array([a]), np.array([b]), 1e-7)[0]
@@ -708,7 +723,7 @@ def test_distance_matrix_matches_connes_distance(name):
     for a, b in zip(*np.triu_indices(g.node_count, 1)):
         result = connes_distance(g, a, b)
         if result.certified:
-            assert abs(m[a, b] - result.distance) <= 1e-12, (a, b)
+            assert m[a, b] == result.distance, (a, b)
         else:
             assert np.isnan(m[a, b]), (a, b)
 
@@ -759,6 +774,22 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
     assert np.nanmax(np.abs(chunked - whole)) <= 1e-12
 
 
+def test_distance_matrix_certifies_in_one_round(monkeypatch):
+    # every pair is parked when it is due, and the parked pairs are certified
+    # together once the working stack is empty
+    certificates = []
+    real = connes._certificate
+
+    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
+        certificates.append(len(gauges))
+        return real(newton, f, prof, multipliers, gauges, targets, tol)
+
+    monkeypatch.setattr(connes, "_certificate", recorded)
+    m = distance_matrix(build_random(20, 0.3, 1))
+    assert certificates == [190]
+    assert not np.isnan(m).any()
+
+
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     real = connes._certificate
 
@@ -801,7 +832,7 @@ def test_step_length_is_the_boundary_root():
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
             s = 1.0 - constraint_profile(g, f)
-            p = newton.constraint_steps(f[None], df[None])[0]
+            p = newton.constraint_steps(newton.jacobian(f[None]), df[None])[0]
             q = constraint_profile(g, df)
             lam = np.ones(n)
             t = connes._step_length(s[None], p[None], q[None], lam[None], lam[None])[0]

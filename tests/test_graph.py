@@ -182,6 +182,9 @@ def test_random_at_its_cap_in_small_memory():
     (build_random, (5, 0.5, 1.7), "seed 1.7 is not an integer"),
     (build_random, (5, 0.5, "3"), "seed '3' is not an integer"),
     (build_random, (5, 0.5, -1), "seed must be nonnegative, got -1"),
+    (build_random, (5, "0.5", 0), "bond probability p '0.5' is not a real number"),
+    (build_random, (5, None, 0), "bond probability p None is not a real number"),
+    (build_random, (5, [0.5], 0), "bond probability p [0.5] is not a real number"),
 ])
 def test_builders_reject_bad_arguments(build, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -193,6 +196,8 @@ def test_builders_take_numpy_integers():
     assert build_cycle(np.int64(5)) == build_cycle(5)
     assert build_binary_tree(np.uint8(3)) == build_binary_tree(3)
     assert build_random(np.int64(10), 0.4, np.int64(7)) == build_random(10, 0.4, 7)
+    assert build_random(10, np.float64(0.4), 7) == build_random(10, 0.4, 7)
+    assert build_random(10, np.float32(0.5), 7) == build_random(10, 0.5, 7)
 
 
 def test_distance_same_node_and_missing_path():
