@@ -35,16 +35,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 from scipy.linalg.lapack import dpotrs
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .graph import _check_node, combinatorial_distance, induced_subgraph, shortest_path
+from .graph import _as_int, _check_node, combinatorial_distance, induced_subgraph, shortest_path
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -106,7 +106,7 @@ class ConnesResult:
         })
 
 
-class _BarrierNewton:
+class _NewtonSystems:
     """Newton systems for a stack of pairs of one graph on one fixed sparse
     pattern: the primal-dual step's and the dual bound's.
 
@@ -119,12 +119,12 @@ class _BarrierNewton:
     of that row, so every system has the two-hop pattern.  The pattern, and
     the sparse matrices that add each system's terms into it, are built once
     per graph; a system is then a few sparse products over the stack, and
-    its factorization one batched dense Cholesky factorization or one sparse
-    LU of the block-diagonal matrix.  The methods take J's entries as
-    ``jacobian`` gives them, so a caller computes them once a point.  The
-    fixed nodes of a pair (its gauge node, and the nodes outside the dual
-    bound's component) get the identity in their rows and columns, so a
-    solution keeps full length with a zero there.
+    ``_factor`` turns it into the function that solves it, from one batched
+    dense Cholesky factorization or one sparse LU of the block-diagonal
+    matrix.  The methods take J's entries as ``jacobian`` gives them, so a
+    caller computes them once a point.  Each pair's gauge node gets the
+    identity in its row and column, so a solution keeps full length with a
+    zero there.
     The sparse branch keeps the block-diagonal matrix of the last stack size
     and only swaps its values.
     """
@@ -181,21 +181,22 @@ class _BarrierNewton:
         self.entries_per_pair = max(size + n, n * n if self.dense else 0)
         self._blocks = None  # the sparse branch's matrix for the last stack size
 
-    def system(self, jac, curvature, root, fixed):
+    def system(self, jac, curvature, root, gauges):
         """The values in the CSR slots ``keys`` of
         2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
-        entries ``jac`` as ``jacobian`` gives them, with the identity at the
-        fixed nodes; curvature, root and fixed are (k, n) stacks."""
+        entries ``jac`` as ``jacobian`` gives them, with the identity in the
+        row and column of the pair's gauge node; curvature and root are (k, n)
+        stacks, gauges a (k,) array of nodes."""
         n, size = self.n, self.half_p.size
         u = jac * root.T[self.rows]  # r_i J_ip
-        terms = np.empty((size + n, len(fixed)))
+        terms = np.empty((size + n, len(gauges)))
         # the indices are in range; "clip" lets take write into terms unbuffered
         np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
         terms[:size] *= u[self.half_q]
         terms[size:] = curvature.T
         hess = (self.to_slots @ terms).T
-        hess[fixed[:, self.key_rows] | fixed[:, self.indices]] = 0.0
-        hess[:, self.diagonal] += fixed
+        hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
+        hess[np.arange(len(gauges)), self.diagonal[gauges]] = 1.0
         return hess
 
     def jacobian(self, f):
@@ -222,44 +223,26 @@ class _BarrierNewton:
         residual[stack, gauges] -= 1.0
         return residual
 
-    def support(self, multipliers, gauges):
-        """Bond conductances lambda_i + lambda_k (one row per directed edge) and
-        each pair's mask of the nodes that positive conductances join to its
-        gauge node."""
-        k, n = multipliers.shape
-        conductance = multipliers.T[self.tails] + multipliers.T[self.heads]
-        # the positive bonds of all pairs as one block-diagonal CSR graph, whose
-        # rows come in order: pair by pair, each pair's edges in CSR order
-        pair, edge = np.nonzero(conductance.T > 0.0)
-        indptr = np.searchsorted(pair * n + self.tails[edge], np.arange(k * n + 1))
-        joined = csr_matrix((np.ones(edge.size), pair * n + self.heads[edge], indptr),
-                            shape=(k * n, k * n))
-        labels = connected_components(joined, directed=False)[1].reshape(k, n)
-        return conductance, labels == labels[np.arange(k), gauges][:, None]
-
     def dense_matrix(self, hess):
         out = np.zeros((len(hess), self.n * self.n))
         out[:, self.keys] = hess
         return out.reshape(-1, self.n, self.n)
 
-    def _solve(self, hess, rhs):
-        """Solutions x of hess x = rhs for the stack, and a function that
-        solves the same systems for another (k, n) right-hand side with the
-        same factorization: one batched dense Cholesky factorization, or one
-        sparse LU of the block-diagonal matrix.  A stack that fails is split,
-        so that only a pair whose own factorization fails falls back to least
+    def _factor(self, hess):
+        """A function that solves hess x = b for a (k, n) stack of right-hand
+        sides b, from one factorization of the stack: one batched dense
+        Cholesky factorization, or one sparse LU of the block-diagonal matrix.
+        A factorization fails only here, so a stack that fails is split, and
+        only a pair whose own factorization fails falls back to least
         squares."""
-        k, n = rhs.shape
+        k, n = len(hess), self.n
         try:
             if self.dense:
                 # C-ordered lower factors L; L.T is the Fortran-ordered upper
                 # factor, which LAPACK takes without a copy
                 factors = cholesky(self.dense_matrix(hess))
-
-                def again(b):
-                    return np.array([dpotrs(factor.T, row, lower=0)[0]
-                                     for factor, row in zip(factors, b)])
-                return again(rhs), again
+                return lambda b: np.array([dpotrs(factor.T, row, lower=0)[0]
+                                           for factor, row in zip(factors, b)])
             matrix = self._blocks
             if matrix is None or matrix.shape[0] != k * n:
                 block = np.arange(k)[:, None]
@@ -274,21 +257,14 @@ class _BarrierNewton:
             # definite (a zero pivot fails the factorization, as a nonpositive
             # one fails the dense Cholesky)
             lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-
-            def again(b):
-                return lu.solve(b.ravel()).reshape(len(b), n)
-            return again(rhs), again
+            return lambda b: lu.solve(b.ravel()).reshape(len(b), n)
         except (LinAlgError, RuntimeError):  # singular matrix, or exactly singular factor
             if k > 1:
-                parts = [self._solve(hess[r:r + 1], rhs[r:r + 1]) for r in range(k)]
-                return (np.concatenate([x for x, _ in parts]),
-                        lambda b: np.concatenate([again(b[r:r + 1])
-                                                  for r, (_, again) in enumerate(parts)]))
+                solves = [self._factor(hess[r:r + 1]) for r in range(k)]
+                return lambda b: np.concatenate([solve(b[r:r + 1])
+                                                 for r, solve in enumerate(solves)])
         matrix = self.dense_matrix(hess)[0]
-
-        def again(b):
-            return np.linalg.lstsq(matrix, b[0], rcond=None)[0][None]
-        return again(rhs), again
+        return lambda b: np.linalg.lstsq(matrix, b[0], rcond=None)[0][None]
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
@@ -310,44 +286,44 @@ def _on_boundary(f, prof):
 
 def _dual_bound(newton, multipliers, gauges, targets):
     """The Lagrange dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 on
-    each pair's distance, rounding included; +inf where b is not in the
-    positive-conductance component of a.
+    each pair's distance, rounding included.
 
     R_lambda is the effective resistance under bond conductances
-    lambda_i + lambda_k, solved on that component with a grounded: L x = e_b.
+    lambda_i + lambda_k, solved on the whole graph with a grounded: L x = e_b.
+    The primal-dual loop keeps every lambda_i > 0, so L is positive definite
+    off the gauge; a pair with a conductance <= 0, which may split the graph,
+    gets U = +inf, an upper bound whatever R is.
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
     with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
-    with |r|, on the same factorization, plus the rounding of r's own evaluation bounds that term.  The sums
-    are correctly rounded, so the allowance for rounding stays a few units in
-    the last place of U however long the graph.
+    with |r|, on the same factorization, plus the rounding of r's own
+    evaluation bounds that term.  The sums are correctly rounded, so the
+    allowance for rounding stays a few units in the last place of U however
+    long the graph.
     """
     k, n = multipliers.shape
     stack = np.arange(k)
-    conductance, joined = newton.support(multipliers, gauges)
-    reached = joined[stack, targets]
-    fixed = ~joined
-    fixed[stack, gauges] = True
+    conductance = multipliers.T[newton.tails] + multipliers.T[newton.heads]
     zero = np.zeros((k, n))
-    hess = newton.system(newton.jacobian(zero), 0.5 * multipliers, zero, fixed)
+    solve = newton._factor(newton.system(newton.jacobian(zero), 0.5 * multipliers, zero, gauges))
     rhs = np.zeros((k, n))
-    rhs[stack, targets] = reached
-    x, again = newton._solve(hess, rhs)
+    rhs[stack, targets] = 1.0
+    x = solve(rhs)
     xt = x.T
-    # L x on the component, by its bonds; its fixed rows hold the identity
+    # |e_b - L x| plus its rounding, L x by its bonds; the gauge's row is dropped
     jumps = conductance * (xt[newton.tails] - xt[newton.heads])
-    residual = np.where(fixed, 0.0, rhs - (newton.tail_sums @ jumps).T)
     spread = rhs + (newton.tail_sums @ (conductance * (np.abs(xt[newton.tails])
                                                        + np.abs(xt[newton.heads])))).T
     gamma = (newton.max_degree + 3) * UNIT_ROUNDOFF
-    defect = np.where(fixed, 0.0, np.abs(residual) + gamma * spread)
-    correction = 2.0 * (defect * again(defect)).sum(axis=1)
+    defect = np.abs(rhs - (newton.tail_sums @ jumps).T) + gamma * spread
+    defect[stack, gauges] = 0.0
+    correction = 2.0 * (defect * solve(defect)).sum(axis=1)
     # correctly rounded sums: each term carries a few roundings, each sum one
     energy = 0.5 * _exact_sums(jumps.T * (xt[newton.tails] - xt[newton.heads]).T)
     reach = 2.0 * x[stack, targets]
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)
     upper = (total * (1.0 + 2 * UNIT_ROUNDOFF) + 0.25 * resistance) * (1.0 + 4 * UNIT_ROUNDOFF)
-    return np.where(reached, upper, np.inf)
+    return np.where((conductance > 0.0).all(axis=0), upper, np.inf)
 
 
 def _exact_sums(rows):
@@ -443,13 +419,12 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             pairs, f, s, lam = (x[~done] for x in (pairs, f, s, lam))
             continue
         rows, a, b = np.arange(pairs.size), gauges[pairs], targets[pairs]
-        fixed = np.zeros(f.shape, dtype=bool)
-        fixed[rows, a] = True
         mu = gap / n
         e_b = np.zeros(f.shape)
         e_b[rows, b] = 1.0
         jac = newton.jacobian(f)
-        df, again = newton._solve(newton.system(jac, lam, np.sqrt(lam / s), fixed), e_b)
+        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a))
+        df = solve(e_b)
         p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
@@ -461,7 +436,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
                + newton.stationarity(newton.jacobian(df), dlam, a, b))
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
-        df = again(rhs)
+        df = solve(rhs)
         p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
@@ -511,13 +486,13 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
     distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
-        g, _BarrierNewton(g), np.array([a]), np.array([b]), f[None], tol)
+        g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
     return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
                         int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
 
 
 def _check_tol(tol):
-    if not 0.0 < tol < math.inf:  # NaN fails both comparisons
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):  # NaN fails both
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
@@ -527,12 +502,9 @@ def lattice_closed_form(n):
     sqrt(floor(n^2/2)) for n even, sqrt(floor(n^2/2) + 1) for n odd; 0 and 1
     for n = 0, 1.  Monotone increasing in n.
     """
+    n = _as_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return 1.0
     half = (n * n) // 2
     return math.sqrt(half if n % 2 == 0 else half + 1)
 
@@ -545,10 +517,9 @@ def lattice_step_profile(n):
     sqrt(1/2); odd n alternates h_max = A/sqrt(1+A^2) and 1/sqrt(1+A^2) with
     A = 1 + 1/floor(n/2), starting and ending on h_max.
     """
+    n = _as_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.zeros(0)
     if n == 1:
         return np.ones(1)
     if n % 2 == 0:
@@ -592,6 +563,8 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     the supremum.  Node count is capped; the grid is exponential.
     """
     _check_node(g, a, b)
+    if _as_int(grid_points, "grid_points") < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     if g.node_count > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes")
     if a == b:
@@ -652,7 +625,7 @@ def distance_matrix(g, tol=DEFAULT_TOL):
         return out
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
-    newton = _BarrierNewton(g)
+    newton = _NewtonSystems(g)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):
         a, b = gauges[start:start + chunk], targets[start:start + chunk]

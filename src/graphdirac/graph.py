@@ -55,7 +55,7 @@ class Graph:
     """Immutable simple undirected graph stored as two int64 CSR arrays.
 
     ``Graph(adjacency)`` takes one sequence of neighbours per node and checks
-    validity (indices in range, no self-loops, sorted without duplicates,
+    validity (integer indices in range, no self-loops, sorted without duplicates,
     every bond with its reverse); :meth:`from_edges` takes the bonds.  The
     Python views (``adjacency[i]`` is the sorted tuple of neighbours of node
     i, ``directed_edges``, ``edge_index``, ``bonds``) are derived from the
@@ -72,11 +72,15 @@ class Graph:
         _check_cap(n)
         degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
         try:
-            heads = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                                count=int(degrees.sum()))
-        except OverflowError:
-            i = next(i for i, row in enumerate(adjacency) if any(abs(k) >= 2 ** 63 for k in row))
-            raise ValueError(f"node {i}: neighbour index out of range") from None
+            heads = np.fromiter(map(operator.index, chain.from_iterable(adjacency)),
+                                dtype=np.int64, count=int(degrees.sum()))
+        except (TypeError, OverflowError):
+            # non-integers or Python ints beyond int64: name the first bad neighbour
+            for i, row in enumerate(adjacency):
+                for k in row:
+                    if not 0 <= _as_int(k, f"node {i}: neighbour index") < n:
+                        raise ValueError(f"node {i}: neighbour index out of range") from None
+            raise
         tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
         _reject((heads < 0) | (heads >= n), "node {}: neighbour index out of range", tails)
         _reject(heads == tails, "node {}: self-loop", tails)
@@ -98,18 +102,23 @@ class Graph:
 
     @classmethod
     def from_edges(cls, node_count, edges):
-        """Build a graph from undirected bonds given as (i, j) pairs, in any order."""
+        """Build a graph from undirected bonds given as (i, j) pairs, in any order.
+
+        The node count and the indices must be integers, Python or NumPy."""
+        node_count = _as_int(node_count, "node count")
         _check_cap(node_count)
-        try:
-            edges = np.asarray(edges, dtype=np.int64)
-        except OverflowError:
-            i, j = next(e for e in edges if any(abs(k) >= 2 ** 63 for k in e))
-            raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes") from None
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError(f"bonds must be (i, j) pairs, got an array of shape {edges.shape}")
-        i, j = edges.T
+        array = np.asarray(edges)
+        if array.size == 0:
+            array = array.reshape(0, 2)
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise ValueError(f"bonds must be (i, j) pairs, got an array of shape {array.shape}")
+        if not np.can_cast(array.dtype, np.int64):
+            # floats, strings or Python ints beyond int64: name the first bad bond
+            for i, j in edges:
+                if not all(0 <= _as_int(v, f"bond ({i},{j}): node index") < node_count
+                           for v in (i, j)):
+                    raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
+        i, j = array.astype(np.int64, copy=False).T
         _reject((np.minimum(i, j) < 0) | (np.maximum(i, j) >= node_count),
                 f"bond ({{}},{{}}) out of range for {node_count} nodes", i, j)
         _reject(i == j, "self-loop at node {0}, bond ({0},{0})", i)

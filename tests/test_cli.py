@@ -172,6 +172,10 @@ def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+    # a verb with no work to do is a usage error too
+    code, out, err = run(capsys, "truncation", "--max-depth", "0")
+    assert code == 2
+    assert out == "" and "at least one depth" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -141,6 +141,25 @@ def test_solver_validates_input():
     for shape in ((1, 3), (2,), (4,), ()):
         with pytest.raises(ValueError, match="shape"):
             connes_distance(g, 0, 2, x0=np.zeros(shape))
+    for shape in ((2,), (2, 4), (1, 1, 3), ()):
+        with pytest.raises(ValueError, match="shape"):
+            constraint_profile(g, np.zeros(shape))
+    for bad in ("1e-7", None, [1e-7]):
+        with pytest.raises(ValueError, match="tol"):
+            connes_distance(g, 0, 2, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            distance_matrix(g, tol=bad)
+    for fn in (lattice_closed_form, lattice_step_profile):
+        with pytest.raises(ValueError, match="n 2.5 is not an integer"):
+            fn(2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-1)
+    assert lattice_closed_form(np.uint8(200)) == lattice_closed_form(200)
+    for points in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid_points must be at least 2"):
+            brute_force_distance(g, 0, 2, grid_points=points)
+    with pytest.raises(ValueError, match="grid_points 2.5 is not an integer"):
+        brute_force_distance(g, 0, 2, grid_points=2.5)
 
 
 def test_node_indices_must_be_integers():
@@ -264,14 +283,11 @@ def _primal_dual_system(g, newton, f, lam, w, gauges, targets):
     """The primal-dual gradient J^t w - e_b, zero at the gauge, and Newton
     matrix at a stack of points f with multipliers lam, as the solver builds
     them."""
-    rows = np.arange(len(f))
-    fixed = np.zeros(f.shape, dtype=bool)
-    fixed[rows, gauges] = True
     jac = newton.jacobian(f)
     grad = -newton.stationarity(jac, w, gauges, targets)
-    grad[rows, gauges] = 0.0
+    grad[np.arange(len(f)), gauges] = 0.0
     s = 1.0 - constraint_profile(g, f)
-    return grad, newton.system(jac, lam, np.sqrt(lam / s), fixed)
+    return grad, newton.system(jac, lam, np.sqrt(lam / s), gauges)
 
 
 def _step_graphs():
@@ -291,7 +307,7 @@ def test_sparse_step_matches_dense_assembly(name):
         f = random_feasible_point(g, gauge, rng, margin=0.9)
         lam = rng.uniform(0.01, 1.0, n) * 10.0 ** trial
         w = rng.standard_normal(n)
-        newton = connes._BarrierNewton(g)
+        newton = connes._NewtonSystems(g)
         grad, hess = _primal_dual_system(g, newton, f[None], lam[None], w[None],
                                          np.array([gauge]), np.array([b]))
         grad = grad[0]
@@ -302,7 +318,7 @@ def test_sparse_step_matches_dense_assembly(name):
         # the pattern holds every nonzero, in CSR order
         assert np.all(np.diff(newton.keys) > 0)
         assert np.count_nonzero(ref_H) <= newton.keys.size
-        step = newton._solve(hess, -grad[None])[0][0]
+        step = newton._factor(hess)(-grad[None])[0]
         assert step[gauge] == 0.0
         assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
 
@@ -384,7 +400,7 @@ def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, fai
 def test_one_failed_factorization_in_a_stack(monkeypatch, g):
     # a zero Hessian for one pair of four fails the stack's batched solve (dense)
     # or its block-diagonal LU (sparse); only that pair goes to least squares
-    newton = connes._BarrierNewton(g)
+    newton = connes._NewtonSystems(g)
     n, k = g.node_count, 4
     rng = np.random.default_rng(3)
     gauges, targets = np.arange(k), np.arange(k) + 1
@@ -392,9 +408,9 @@ def test_one_failed_factorization_in_a_stack(monkeypatch, g):
     lam = rng.uniform(0.01, 1.0, (k, n))
     grad, hess = _primal_dual_system(g, newton, f, lam, lam, gauges, targets)
     hess[2] = 0.0
-    alone = [newton._solve(hess[r:r + 1], -grad[r:r + 1])[0][0] for r in (0, 1, 3)]
+    alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in (0, 1, 3)]
     lstsq_calls = _count_lstsq(monkeypatch)
-    step = newton._solve(hess, -grad)[0]
+    step = newton._factor(hess)(-grad)
     assert len(lstsq_calls) == 1
     for r, expected in zip((0, 1, 3), alone):
         assert np.array_equal(step[r], expected)
@@ -416,7 +432,7 @@ def test_certificate_matches_dense_jacobian(name):
     g = fixture_graphs()[name]
     n, mu = g.node_count, 1e-9
     rng = np.random.default_rng(n + 1)
-    newton = connes._BarrierNewton(g)
+    newton = connes._NewtonSystems(g)
     for _ in range(3):
         a = int(rng.integers(n))
         b = (a + 1 + int(rng.integers(n - 1))) % n
@@ -428,7 +444,7 @@ def test_certificate_matches_dense_jacobian(name):
         J = _constraint_jacobian(g, f)
         grad, hess = _primal_dual_system(g, newton, f[None], mu / s[None], np.zeros((1, n)),
                                          np.array([a]), np.array([b]))
-        step = newton._solve(hess, -grad)[0]
+        step = newton._factor(hess)(-grad)
         # a short random direction leaves no multiplier clipped, so every
         # entry of J df shows in them; the Newton step may clip some
         short = rng.standard_normal(n)
@@ -478,7 +494,7 @@ def test_path_of_ten_thousand_nodes_to_rounding_level():
 # --- the dual bound ------------------------------------------------------------------
 
 def _bound(g, multipliers, a, b):
-    newton = connes._BarrierNewton(g)
+    newton = connes._NewtonSystems(g)
     return float(connes._dual_bound(newton, np.asarray(multipliers, float)[None],
                                     np.array([a]), np.array([b]))[0])
 
@@ -514,17 +530,48 @@ def test_resistance_matches_networkx():
 
 
 def test_split_support_gives_no_bound():
-    # conductance only on the end bonds of a path: a and b lie in different
-    # pieces, so R_lambda(a, b) is infinite and the pair stays uncertified
+    # a bond whose conductance lambda_i + lambda_k is 0 gives U = +inf and
+    # leaves the pair uncertified: here the bonds (1,2) and (2,3) split a from b
     g = build_path(5)
     lam = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
     assert _bound(g, lam, 0, 4) == math.inf
-    newton = connes._BarrierNewton(g)
+    newton = connes._NewtonSystems(g)
     f = np.array([[0.0, 0.5, 1.0, 1.5, 2.0]])
     f, prof = connes._on_boundary(f, constraint_profile(g, f))
     kkt, upper, certified = connes._certificate(newton, f, prof, lam[None], np.array([0]),
                                                 np.array([4]), 1.0)
     assert upper[0] == math.inf and not certified[0]
+    # and so does a bond off the a-b path: on the path 0-1-2 with the tail
+    # 1-3-4, the bond (3,4) has conductance 0 although R_lambda(0, 2) is finite
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    assert _bound(g, [1.0, 1.0, 1.0, 0.0, 0.0], 0, 2) == math.inf
+    assert _bound(g, [1.0, 1.0, 1.0, 1e-3, 1e-3], 0, 2) < math.inf
+
+
+def _pair_solves():
+    tree = build_binary_tree(7)
+    solves = [lambda: connes_distance(build_path(400), 0, 399),
+              lambda: connes_distance(tree, 2 ** 7 - 1, 2 ** 8 - 2)]
+    for seed in (0, 1, 2):
+        solves.append(lambda seed=seed: distance_matrix(build_random(20, 0.3, seed)))
+    return solves
+
+
+@pytest.mark.parametrize("solve", _pair_solves(), ids=["path400", "tree7", "random0",
+                                                       "random1", "random2"])
+def test_every_certificate_sees_positive_multipliers(monkeypatch, solve):
+    # the primal-dual steps stop short of the boundary, so every lambda_i > 0
+    # and the dual bound solves on the whole graph, every conductance positive
+    seen = []
+    real = connes._certificate
+
+    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
+        seen.append(multipliers.min())
+        return real(newton, f, prof, multipliers, gauges, targets, tol)
+
+    monkeypatch.setattr(connes, "_certificate", recorded)
+    solve()
+    assert seen and min(seen) > 0.0
 
 
 @pytest.mark.parametrize("seed", range(41))
@@ -532,7 +579,7 @@ def test_every_random_pair_is_certified_within_its_bound(seed):
     g = build_random(20, 0.3, seed)
     a, b = np.triu_indices(g.node_count, 1)
     distance, *_, upper, gap, certified = connes._solve_pairs(
-        g, connes._BarrierNewton(g), a, b, np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)
+        g, connes._NewtonSystems(g), a, b, np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)
     assert certified.all()
     assert np.all(distance <= upper)
     assert np.all(gap <= connes.DEFAULT_TOL)
@@ -696,6 +743,7 @@ def test_distance_matrix_checks_tol_before_the_empty_case():
     for g in (Graph.from_edges(1, []), build_path(3)):
         with pytest.raises(ValueError, match="tol must be positive"):
             distance_matrix(g, tol=-1.0)
+    assert np.array_equal(distance_matrix(Graph.from_edges(1, [])), [[0.0]])
 
 
 def test_distance_matrix_axioms_on_cycle5():
@@ -731,7 +779,7 @@ def test_distance_matrix_matches_connes_distance(name):
 @pytest.mark.parametrize("g", [build_path(30), build_binary_tree(4)], ids=["path30", "tree4"])
 def test_distance_matrix_sparse_branch_is_bit_identical(g):
     # the sparse branch runs a shrinking stack of block-diagonal LUs here
-    assert not connes._BarrierNewton(g).dense
+    assert not connes._NewtonSystems(g).dense
     m = distance_matrix(g)
     for a, b in zip(*np.triu_indices(g.node_count, 1)):
         result = connes_distance(g, a, b)
@@ -767,7 +815,7 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
         return real(g, newton, gauges, *args)
 
     monkeypatch.setattr(connes, "_solve_pairs", recorded)
-    monkeypatch.setattr(connes, "CHUNK_ENTRIES", 7 * connes._BarrierNewton(g).entries_per_pair)
+    monkeypatch.setattr(connes, "CHUNK_ENTRIES", 7 * connes._NewtonSystems(g).entries_per_pair)
     chunked = distance_matrix(g)
     assert stacks == [7] * 6 + [3]  # 45 pairs
     assert np.array_equal(np.isnan(chunked), np.isnan(whole))
@@ -816,7 +864,7 @@ def test_solves_take_few_iterations():
     assert result.certified
     g = build_random(20, 0.3, 1)
     a, b = np.triu_indices(g.node_count, 1)
-    iterations = connes._solve_pairs(g, connes._BarrierNewton(g), a, b,
+    iterations = connes._solve_pairs(g, connes._NewtonSystems(g), a, b,
                                      np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)[5]
     assert np.median(iterations) <= 20
 
@@ -827,7 +875,7 @@ def test_step_length_is_the_boundary_root():
     rng = np.random.default_rng(5)
     for g in (build_random(12, 0.4, 2), build_binary_tree(3), build_path(9)):
         n = g.node_count
-        newton = connes._BarrierNewton(g)
+        newton = connes._NewtonSystems(g)
         for _ in range(20):
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)

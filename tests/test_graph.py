@@ -185,6 +185,8 @@ def test_random_at_its_cap_in_small_memory():
     (build_random, (5, "0.5", 0), "bond probability p '0.5' is not a real number"),
     (build_random, (5, None, 0), "bond probability p None is not a real number"),
     (build_random, (5, [0.5], 0), "bond probability p [0.5] is not a real number"),
+    (build_binary_tree, (-1,), "depth must be nonnegative"),
+    (build_random, (0, 0.5, 0), "need at least one node"),
 ])
 def test_builders_reject_bad_arguments(build, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -198,6 +200,10 @@ def test_builders_take_numpy_integers():
     assert build_random(np.int64(10), 0.4, np.int64(7)) == build_random(10, 0.4, 7)
     assert build_random(10, np.float64(0.4), 7) == build_random(10, 0.4, 7)
     assert build_random(10, np.float32(0.5), 7) == build_random(10, 0.5, 7)
+    bonds = [(0, 1), (1, 2)]
+    for dtype in (np.int32, np.int64, np.uint8, np.uint64, object):
+        assert Graph.from_edges(np.int64(3), np.array(bonds, dtype=dtype)) == build_path(3)
+    assert Graph([[np.int64(1)], [np.int32(0), np.uint8(2)], [1]]) == build_path(3)
 
 
 def test_distance_same_node_and_missing_path():
@@ -410,6 +416,7 @@ def test_parse_json_rejects():
         '{"nodes": 3, "edges": null}',
         '{"nodes": 3, "edges": {"0": 1}}',
         '{"nodes": 3, "edges": [[false, true], [true, 2]]}',
+        '{"nodes": 3, "edges": [[0, 1], [2]]}',
     ]
     for text in bad:
         with pytest.raises(GraphParseError):
@@ -581,9 +588,23 @@ def test_graph_arrays_are_read_only_and_structural():
     (lambda: Graph(((), (2, 0), (1,))), r"node 1: neighbours not sorted"),
     (lambda: Graph(((1, 2), (0,), ())), r"bond \(0,2\) missing its reverse"),
     (lambda: Graph.from_edges(3, [(0, 1, 2)]), r"\(i, j\) pairs"),
+    (lambda: Graph.from_edges(3, [(0, 1), (1, 2 ** 63)]),
+     r"bond \(1,9223372036854775808\) out of range"),
+    (lambda: Graph.from_edges(3, [(0.7, 1), (1, 2.9)]),
+     r"bond \(0.7,1\): node index 0.7 is not an integer"),
+    (lambda: Graph.from_edges(3, [(0, 1), (1, 2.0)]),
+     r"bond \(1,2.0\): node index 2.0 is not an integer"),
+    (lambda: Graph.from_edges(3, [("0", "1")]), r"bond \(0,1\): node index '0' is not an integer"),
+    (lambda: Graph.from_edges(3, [(0, 1), (1, None)]), r"node index None is not an integer"),
+    (lambda: Graph(((1.5,), (0,))), r"node 0: neighbour index 1.5 is not an integer"),
+    (lambda: Graph(((1,), ("0",))), r"node 1: neighbour index '0' is not an integer"),
+    (lambda: Graph.from_edges(2.5, [(0, 1)]), r"node count 2.5 is not an integer"),
+    (lambda: Graph.from_edges("2", [(0, 1)]), r"node count '2' is not an integer"),
 ], ids=["range-bond", "range-negative", "range-node", "range-int64-bond", "range-int64-node",
         "self-loop-bond", "self-loop-node", "duplicate-bond", "duplicate-node",
-        "reversed-duplicate", "unsorted", "missing-reverse", "not-pairs"])
+        "reversed-duplicate", "unsorted", "missing-reverse", "not-pairs", "range-2to63-bond",
+        "float-bond", "float-in-int-bonds", "string-bond", "none-bond", "float-node",
+        "string-node", "float-count", "string-count"])
 def test_invalid_graphs_name_the_offender(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -133,6 +133,13 @@ def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
 def test_spectral_norm_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        spectral_norm(np.eye(2), method="x")
+    for norm in (power_iteration_norm, lanczos_norm):
+        with pytest.raises(ValueError, match="square matrix"):
+            norm(np.zeros((2, 3)))
+        empty = norm(np.zeros((0, 0)))
+        assert (empty.estimate, empty.iterations, empty.converged) == (0.0, 0, True)
 
 
 def test_operator_norm_rectangular():
