@@ -303,6 +303,11 @@ def _dual_bound(newton, multipliers, gauges, targets):
     k, n = multipliers.shape
     stack = np.arange(k)
     conductance = multipliers.T[newton.tails] + multipliers.T[newton.heads]
+    split = ~(conductance > 0.0).all(axis=0)
+    # unit multipliers stand in for a split pair's, so that its factorization
+    # cannot fail the stack's; its U is +inf whatever they give
+    multipliers = np.where(split[:, None], 1.0, multipliers)
+    conductance = np.where(split, 2.0, conductance)
     zero = np.zeros((k, n))
     solve = newton._factor(newton.system(newton.jacobian(zero), 0.5 * multipliers, zero, gauges))
     rhs = np.zeros((k, n))
@@ -323,7 +328,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)
     upper = (total * (1.0 + 2 * UNIT_ROUNDOFF) + 0.25 * resistance) * (1.0 + 4 * UNIT_ROUNDOFF)
-    return np.where((conductance > 0.0).all(axis=0), upper, np.inf)
+    return np.where(split, np.inf, upper)
 
 
 def _exact_sums(rows):

@@ -387,28 +387,42 @@ def serialize_graph(g, fmt="edgelist"):
     raise ValueError(f"unknown format {fmt!r} (expected 'edgelist' or 'json')")
 
 
-# the code points str.isspace() accepts (U+3000 is the highest)
-_WHITESPACE = np.array([c for c in range(0x3001) if chr(c).isspace()], dtype=np.uint32)
+# code point -> 0 for a token character, 1 for whitespace (str.isspace), 2 for
+# a line break (str.splitlines); U+3000 is the highest space, and every code
+# point past the table reads as its last entry, 0
+_KIND = np.zeros(0x3002, dtype=np.uint8)
+_KIND[[c for c in range(0x3001) if chr(c).isspace()]] = 1
+_KIND[[c for c in np.flatnonzero(_KIND).tolist() if chr(c).splitlines() == [""]]] = 2
 
 
 def _parse_edgelist(text):
     """Parse edge-list text; a malformed file reports its first offending line.
 
     The text is tokenised as one code-point array (tokens are runs of
-    non-whitespace, as ``str.split`` finds them), the checks run as masks
-    over all lines, and the earliest line any check flags is reported with
-    the message of the first check that line fails.
+    non-whitespace, as ``str.split`` finds them; lines end where
+    ``str.splitlines`` ends them), the checks run as masks over all lines,
+    and the earliest line any check flags is reported with the message of
+    the first check that line fails.  Lines are sliced out of the text only
+    for comments and messages.
     """
-    lines = text.splitlines()
-    flat = "\n".join(lines)  # splitlines removed every other line break
-    codes = np.frombuffer(flat.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    space = np.isin(codes, _WHITESPACE)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    kind = _KIND.take(codes, mode="clip")
+    breaks = np.flatnonzero(kind == 2)
+    # "\r\n" is one line break: keep its "\r"
+    breaks = breaks[(codes[breaks] != 10) | (codes[breaks - 1] != 13) | (breaks == 0)]
+
+    def line(k):  # line k stripped, as str.splitlines gives it and str.strip strips it
+        return text[breaks[k - 1] + 1 if k else 0:
+                    breaks[k] if k < len(breaks) else len(text)].strip()
+
+    space = kind != 0
     gap = np.concatenate(([True], space, [True]))
     starts = np.flatnonzero(gap[:-2] & ~space)
     stops = np.flatnonzero(~space & gap[2:]) + 1
-    counts = np.bincount(np.searchsorted(np.flatnonzero(codes == 10), starts),
-                         minlength=len(lines))
-    first = np.cumsum(counts) - counts  # index of each line's first token
+    # line k runs from break k - 1 to break k; a text ending in a break gets
+    # one more, empty line, which no check flags
+    first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
+    counts = np.diff(first, append=len(starts))
     comment = counts > 0
     comment[comment] = codes[starts[first[comment]]] == ord("#")
 
@@ -416,7 +430,7 @@ def _parse_edgelist(text):
     declared_nodes = None
     for k in np.flatnonzero(comment).tolist():
         # "# nodes: N" records isolated trailing nodes; other comments ignored
-        body = lines[k].strip()[1:].strip()
+        body = line(k)[1:].strip()
         if body.lower().startswith("nodes:"):
             try:
                 declared_nodes = int(body.split(":", 1)[1])
@@ -429,20 +443,23 @@ def _parse_edgelist(text):
     wrong_count = np.flatnonzero((counts > 0) & (counts != 2) & ~comment)
     if wrong_count.size:
         k = int(wrong_count[0])
-        errors.append((k, f"expected two indices, got {lines[k].strip()!r}"))
+        errors.append((k, f"expected two indices, got {line(k)!r}"))
 
     rows = np.flatnonzero((counts == 2) & ~comment)
     tokens = (first[rows, None] + [0, 1]).ravel()
-    ends, integer = _token_indices(flat, codes, starts[tokens], stops[tokens])
+    ends, integer = _token_indices(text, codes, starts[tokens], stops[tokens])
     ends, integer = ends.reshape(-1, 2), integer.reshape(-1, 2).all(axis=1)
     i, j = ends.T
     in_range = integer & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < NODE_CAP)
     loop = in_range & (i == j)
     keys = np.minimum(i, j) * NODE_CAP + np.maximum(i, j)
     valid = np.flatnonzero(in_range & ~loop)
-    order = valid[np.argsort(keys[valid], kind="stable")]
     repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    ordered = np.sort(keys[valid])
+    if (ordered[1:] == ordered[:-1]).any():
+        # a stable order puts each key's first line first: flag the others
+        order = valid[np.argsort(keys[valid], kind="stable")]
+        repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
     for bad, message in ((~integer, "non-integer index in {line!r}"),
                          (integer & ~in_range,
                           f"node index outside 0..{NODE_CAP - 1} in {{line!r}}"),
@@ -452,7 +469,7 @@ def _parse_edgelist(text):
         if hits.size:
             r = int(hits[0])
             errors.append((int(rows[r]), message.format(
-                line=lines[rows[r]].strip(), i=int(i[r]), j=int(j[r]))))
+                line=line(rows[r]), i=int(i[r]), j=int(j[r]))))
     if errors:
         k, message = min(errors)
         raise GraphParseError(message, k + 1)
@@ -467,8 +484,8 @@ def _parse_edgelist(text):
     return Graph.from_edges(n, ends)
 
 
-def _token_indices(flat, codes, a, b):
-    """int(flat[a:b]) for each token, clipped to -1..NODE_CAP, and whether it parsed.
+def _token_indices(text, codes, a, b):
+    """int(text[a:b]) for each token, clipped to -1..NODE_CAP, and whether it parsed.
 
     Tokens of at most 18 ASCII digits are read digit by digit across all
     tokens at once; any other token (a sign, '_', non-ASCII digits, junk)
@@ -484,7 +501,7 @@ def _token_indices(flat, codes, a, b):
     parsed = np.ones(len(a), dtype=bool)
     for t in np.flatnonzero(~plain).tolist():
         try:
-            value[t] = min(max(int(flat[a[t]:b[t]]), -1), NODE_CAP)
+            value[t] = min(max(int(text[a[t]:b[t]]), -1), NODE_CAP)
         except ValueError:
             parsed[t] = False
     return value, parsed

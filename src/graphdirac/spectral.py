@@ -61,7 +61,7 @@ def _as_sparse(m):
     if isinstance(m, LinearMap):
         m = m.matrix
     if sp.issparse(m):
-        return sp.csr_array(m).astype(float)
+        return sp.csr_array(m).astype(float, copy=False)
     return sp.csr_array(np.asarray(m, dtype=float))
 
 
@@ -99,7 +99,9 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
 
 
 def _start_vector(n):
-    """All-ones plus a fixed seeded perturbation, normalised (never exactly orthogonal)."""
+    """All-ones plus a fixed seeded perturbation, normalised: a start with
+    weight on every eigenvector of a signed matrix, whose dominant
+    eigenvector may be orthogonal to all-ones (the Laplacian's kernel is)."""
     rng = np.random.default_rng(1729)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
     return v / np.linalg.norm(v)
@@ -115,8 +117,14 @@ def _extreme_ritz(alphas, betas):
 def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     """Spectral radius of a symmetric matrix by the Lanczos three-term recurrence.
 
-    Runs without reorthogonalisation from the start vector of
-    :func:`power_iteration_norm`.  At scheduled steps both extreme Ritz values
+    Runs without reorthogonalisation.  A matrix with no negative entry starts
+    from all-ones: by Perron-Frobenius its norm is the eigenvalue of a
+    nonnegative eigenvector, which all-ones is not orthogonal to, and the
+    Krylov space of all-ones holds only the graph's main eigenvectors (one
+    per level of a complete binary tree, one on a regular graph), so trees
+    converge in O(depth) steps and regular graphs in one or two; a path still
+    takes O(n).  A signed matrix starts from :func:`_start_vector`, as power
+    iteration does.  At scheduled steps both extreme Ritz values
     of the tridiagonal T_k are computed; the run stops when the one of larger
     magnitude, theta, has Ritz residual beta_k * |s_k| <= tol * |theta|,
     or on breakdown (beta_k negligible, or k = n, where the Krylov space is
@@ -129,7 +137,8 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     n = M.shape[0]
     if n == 0:
         return PowerIterationResult(0.0, 0, True, 0.0, "lanczos")
-    v, v_prev = _start_vector(n), np.zeros(n)
+    v = np.full(n, n ** -0.5) if (M.data >= 0.0).all() else _start_vector(n)
+    v_prev = np.zeros(n)
     alphas, betas = [], []
     beta, scale = 0.0, 0.0
     steps = min(max_iter, n)

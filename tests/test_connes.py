@@ -548,6 +548,22 @@ def test_split_support_gives_no_bound():
     assert _bound(g, [1.0, 1.0, 1.0, 1e-3, 1e-3], 0, 2) < math.inf
 
 
+def test_split_pair_does_not_fail_its_stack(monkeypatch):
+    # the split pair is factored with unit multipliers, so the stack's one
+    # factorization holds and no pair falls back to least squares
+    g = build_path(5)
+    lam = np.array([[0.5, 1.0, 2.0, 1.0, 0.5],
+                    [1.0, 0.0, 0.0, 0.0, 1.0],
+                    [0.3, 0.7, 0.2, 0.9, 0.4]])
+    gauges, targets = np.array([0, 0, 1]), np.array([4, 4, 3])
+    alone = [_bound(g, lam[r], gauges[r], targets[r]) for r in (0, 2)]
+    lstsq_calls = _count_lstsq(monkeypatch)
+    upper = connes._dual_bound(connes._NewtonSystems(g), lam, gauges, targets)
+    assert not lstsq_calls
+    assert upper[1] == math.inf
+    assert [upper[0], upper[2]] == alone
+
+
 def _pair_solves():
     tree = build_binary_tree(7)
     solves = [lambda: connes_distance(build_path(400), 0, 399),

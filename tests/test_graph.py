@@ -403,6 +403,24 @@ def test_parse_edgelist_matches_loop_reference():
     assert min(outcomes.values()) >= 500, outcomes
 
 
+def test_parse_edgelist_finds_a_late_duplicate_in_a_long_file():
+    # the line-ordered duplicate search runs only once a sort has found a
+    # repeated bond; it must still name the last of 12 001 shuffled lines
+    n = 12_000
+    bonds = [(k, k + 1) if k % 2 else (k + 1, k) for k in range(n)]
+    random.Random(4).shuffle(bonds)
+    lines = [f"{i} {j}" for i, j in bonds] + ["{1} {0}".format(*bonds[n // 2])]
+    with pytest.raises(GraphParseError) as err:
+        parse_graph("\n".join(lines) + "\n")
+    i, j = bonds[n // 2]
+    assert str(err.value) == f"line {n + 1}: duplicate or reversed bond ({j},{i})"
+    # an earlier line with a non-integer index is reported instead
+    lines[100] = f"{bonds[100][0]} 1.5"
+    with pytest.raises(GraphParseError) as err:
+        parse_graph("\n".join(lines) + "\n")
+    assert str(err.value) == f"line 101: non-integer index in {lines[100]!r}"
+
+
 def test_parse_json_rejects():
     bad = [
         '{"edges": []}',

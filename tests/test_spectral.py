@@ -130,6 +130,41 @@ def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
     assert len(checks) <= 50 and sum(checks) <= 12 * n  # every 10 steps: 500 and 250 n
 
 
+def test_lanczos_tree_takes_steps_of_its_depth():
+    # from all-ones the Krylov space holds one vector per level of the tree
+    res = lanczos_norm(adjacency_map(build_binary_tree(14)))
+    assert res.converged and res.iterations <= 20
+    assert abs(res.estimate - TWO_SQRT2 * np.cos(np.pi / 16.0)) <= 1e-12
+
+
+def test_lanczos_regular_graph_takes_one_step():
+    # all-ones is the eigenvector of the degree; only rounding adds a second step
+    res = lanczos_norm(adjacency_map(build_cycle(10 ** 5)))
+    assert res.converged and res.iterations <= 2
+    assert abs(res.estimate - 2.0) <= 1e-12
+
+
+def test_lanczos_disconnected_nonnegative_graph():
+    # K4 beside P10: the norm is K4's 3, above the path's 2 cos(pi / 11)
+    bonds = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    bonds += [(k, k + 1) for k in range(4, 13)]
+    res = lanczos_norm(adjacency_map(Graph.from_edges(14, bonds)))
+    assert res.converged
+    assert abs(res.estimate - 3.0) <= 1e-12
+
+
+def test_lanczos_signed_matrix_keeps_the_perturbed_start():
+    # all-ones spans the Laplacian's kernel: started there, the run would return 0
+    res = lanczos_norm(laplacian_map(build_cycle(1000)))
+    assert res.converged
+    assert abs(res.estimate - 4.0) <= 1e-12
+
+
+def test_float_csr_input_is_not_copied():
+    M = spectral._as_sparse(adjacency_map(build_path(10)))
+    assert M.dtype == float and np.shares_memory(spectral._as_sparse(M).data, M.data)
+
+
 def test_spectral_norm_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
