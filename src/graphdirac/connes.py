@@ -76,6 +76,9 @@ def constraint_profile(g, f):
 
 def commutator_norm(g, f):
     """sup_i sqrt(a_i); equals the operator norm of the assembled commutator."""
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError("node vector has non-finite entries")
     prof = constraint_profile(g, f)
     return float(np.sqrt(prof.max())) if prof.size else 0.0
 
@@ -268,7 +271,9 @@ class _NewtonSystems:
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
-    """Strictly feasible start with max constraint value ``margin``."""
+    """Strictly feasible start with max constraint value ``margin`` in [0, 1)."""
+    if not (isinstance(margin, numbers.Real) and 0.0 <= margin < 1.0):  # NaN fails
+        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
     f = rng.standard_normal(g.node_count)
     f[gauge] = 0.0
     top = constraint_profile(g, f).max()
@@ -656,7 +661,7 @@ class ComparisonReport:
     subgraphs: list[SubgraphComparison]
 
 
-def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
+def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
     """Distance versus its a priori bounds, plus induced-subgraph samples.
 
     Asserted relations: distance <= combinatorial distance and distance <=
@@ -669,7 +674,7 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
     _check_node(g, a, b)
     if a == b:
         raise ValueError("need two distinct nodes")
-    dist = connes_distance(g, a, b, tol=tol).distance
+    dist = connes_distance(g, a, b).distance
     d = combinatorial_distance(g, a, b)
     dist_path = lattice_closed_form(d)
     path_nodes = shortest_path(g, a, b)
@@ -683,7 +688,7 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
         if not sub.connected:
             continue
         sub_a, sub_b = kept.index(a), kept.index(b)
-        sub_dist = connes_distance(sub, sub_a, sub_b, tol=tol).distance
+        sub_dist = connes_distance(sub, sub_a, sub_b).distance
         gap = sub_dist - dist
         relation = "==" if abs(gap) <= 1e-8 else (">=" if gap > 0 else "<=")
         samples.append(SubgraphComparison(kept, sub_dist, relation))
@@ -697,10 +702,10 @@ def comparison_suite(g, a, b, tol=DEFAULT_TOL, subgraph_trials=5, seed=0):
     )
 
 
-def scale_normalization_check(g, f, tol=1e-9):
-    """Verify the rescaling f -> f/||df|| lands on the unit constraint sphere."""
+def scale_normalization_check(g, f):
+    """Verify the rescaling f -> f/||df|| lands on the unit constraint sphere, within 1e-9."""
     norm = commutator_norm(g, f)
     if norm == 0.0:
         raise ValueError("degenerate input: f has zero commutator norm")
     rescaled = np.asarray(f, dtype=float) / norm
-    return abs(commutator_norm(g, rescaled) - 1.0) <= tol
+    return abs(commutator_norm(g, rescaled) - 1.0) <= 1e-9

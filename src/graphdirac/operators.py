@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, _check_node
 
 VALID_SPACES = ("H0", "H1", "H", "bonds")
 
@@ -95,17 +95,17 @@ class LinearMap:
         diff = (self.matrix - other.matrix)
         return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
 
-    def entrywise_equal(self, other, tol=0):
-        return self.max_abs_difference(other) <= tol
+    def entrywise_equal(self, other):
+        return self.max_abs_difference(other) == 0
 
 
-def is_antisymmetric(g, e, tol=0.0):
-    """v(i,k) = -v(k,i) within tol; sorting the edges by (head, tail) lists
+def is_antisymmetric(g, e):
+    """v(i,k) = -v(k,i) exactly; sorting the edges by (head, tail) lists
     each edge's reverse in directed-edge order."""
     v = np.asarray(e, dtype=float)
     if v.shape != (g.directed_edge_count,):
         raise ValueError(f"edge vector has shape {v.shape}, expected ({g.directed_edge_count},)")
-    return bool(np.all(np.abs(v + v[np.lexsort((g.edge_tails, g.edge_heads))]) <= tol))
+    return bool(np.all(v + v[np.lexsort((g.edge_tails, g.edge_heads))] == 0))
 
 
 def _coo(rows, cols, vals, shape, dtype=np.int64):
@@ -242,6 +242,7 @@ def cycle_edge_vector(g, nodes):
     """
     if len(nodes) < 3:
         raise ValueError("a cycle needs at least 3 nodes")
+    _check_node(g, *nodes)
     vals = np.zeros(g.directed_edge_count)
     # index-wise wrap, so that lists, tuples and arrays all close the cycle
     for k, u in enumerate(nodes):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .graph import build_binary_tree, build_cycle, build_path, component_count
+from .graph import _as_int, build_binary_tree, build_cycle, build_path, component_count
 from .operators import LinearMap, adjacency_map
 
 
@@ -58,11 +58,16 @@ class TruncationReport:
 
 
 def _as_sparse(m):
+    """``m`` as a float CSR array (float CSR input is not copied); NaN or inf raise."""
     if isinstance(m, LinearMap):
         m = m.matrix
     if sp.issparse(m):
-        return sp.csr_array(m).astype(float, copy=False)
-    return sp.csr_array(np.asarray(m, dtype=float))
+        M = sp.csr_array(m).astype(float, copy=False)
+    else:
+        M = sp.csr_array(np.asarray(m, dtype=float))
+    if not np.isfinite(M.data).all():
+        raise ValueError("matrix has non-finite entries")
+    return M
 
 
 def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
@@ -164,13 +169,10 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     return PowerIterationResult(abs(theta), steps, False, residual, "lanczos")
 
 
-def spectral_norm(m, tol=1e-12, method="auto", max_iter=200_000):
-    """Operator norm (= spectral radius) of a symmetric matrix.
+def spectral_norm(m):
+    """Operator norm (= spectral radius) of a symmetric matrix: Lanczos at tol 1e-12.
 
-    method 'auto' runs :func:`lanczos_norm`; 'dense' takes a full symmetric
-    eigendecomposition and 'power' runs :func:`power_iteration_norm`, the
-    oracle the Lanczos path is tested against.  A non-converged iterative
-    run warns and returns its last estimate.
+    A run that does not converge warns and returns its last estimate.
     """
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
@@ -179,28 +181,19 @@ def spectral_norm(m, tol=1e-12, method="auto", max_iter=200_000):
     scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
     if asym.nnz and float(np.max(np.abs(asym.data))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    if method not in ("auto", "dense", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense":
-        if M.shape[0] == 0:
-            return 0.0
-        eigs = np.linalg.eigvalsh(M.toarray())
-        return float(np.max(np.abs(eigs)))
-    iterate = power_iteration_norm if method == "power" else lanczos_norm
-    result = iterate(M, tol=tol, max_iter=max_iter)
+    result = lanczos_norm(M)
     if not result.converged:
         warnings.warn(
-            f"{result.method} iteration did not converge in {result.iterations} steps "
+            f"lanczos iteration did not converge in {result.iterations} steps "
             f"(residual {result.residual:.3g}); returning last estimate", RuntimeWarning)
     return result.estimate
 
 
-def operator_norm(m, tol=1e-12, method="auto", max_iter=200_000):
+def operator_norm(m):
     """Largest singular value of a general (rectangular) map M: the norm of the
     symmetric block [[0, M], [M^t, 0]], whose eigenvalues are +-sigma_i."""
     M = _as_sparse(m)
-    return spectral_norm(sp.bmat([[None, M], [M.T, None]], format="csr"), tol=tol,
-                         method=method, max_iter=max_iter)
+    return spectral_norm(sp.bmat([[None, M], [M.T, None]], format="csr"))
 
 
 def prefix_average_degrees(g):
@@ -209,13 +202,13 @@ def prefix_average_degrees(g):
     return 2.0 * np.cumsum(lower) / np.arange(1, g.node_count + 1)
 
 
-def adjacency_norm_bounds(g, tol=1e-12):
+def adjacency_norm_bounds(g):
     """Best prefix-average lower bound, v_max upper bound and the computed norm."""
     if g.node_count == 0:
         return NormBounds(0.0, 0.0, 0.0)
     lower = float(np.max(prefix_average_degrees(g)))
     upper = float(np.max(g.degrees))
-    estimate = spectral_norm(adjacency_map(g), tol=tol)
+    estimate = spectral_norm(adjacency_map(g))
     if not (lower <= estimate + 1e-8 and estimate <= upper + 1e-8):
         raise RuntimeError(
             f"norm estimate {estimate} outside its bounds [{lower}, {upper}]")
@@ -261,7 +254,7 @@ def binary_tree_average_degree(levels, count_root=True):
     one), which makes the ratio exactly 2 for every depth; the full-node-count
     average approaches 2 from below as the depth grows.
     """
-    if levels < 1:
+    if _as_int(levels, "levels") < 1:
         raise ValueError("need at least one level")
     nodes = 2 ** (levels + 1) - 1
     degree_sum = 2 * (nodes - 1)

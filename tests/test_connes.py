@@ -69,6 +69,16 @@ def test_commutator_norm_matches_operator_norm():
         assert abs(formula - assembled) < 1e-8
 
 
+def test_commutator_norm_rejects_non_finite_f():
+    g = build_cycle(4)
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.array([0.0, 1.0, bad, 0.5])
+        with pytest.raises(ValueError, match="node vector has non-finite entries"):
+            commutator_norm(g, f)
+        with pytest.raises(ValueError, match="node vector has non-finite entries"):
+            commutator_map(g, f)
+
+
 def test_constraint_profile_is_nonnegative_and_sized():
     g = fixture_graphs()["random8"]
     prof = constraint_profile(g, np.arange(8, dtype=float))
@@ -196,6 +206,17 @@ def test_restarts_agree():
         x0 = random_feasible_point(g, 0, rng)
         value = connes_distance(g, 0, 1, x0=x0).distance
         assert abs(value - baseline) < 1e-6
+
+
+def test_random_feasible_point_checks_margin():
+    g = fixture_graphs()["k4_minus_edge"]
+    rng = np.random.default_rng(3)
+    for margin in (2, 1.0, -0.5, np.nan, np.inf, 1j, "0.5", None):
+        with pytest.raises(ValueError, match="margin"):
+            random_feasible_point(g, 0, rng, margin=margin)
+    for margin in (0, 0.25, np.float64(0.99)):
+        f = random_feasible_point(g, 0, rng, margin=margin)
+        assert f[0] == 0.0 and constraint_profile(g, f).max() == pytest.approx(margin)
 
 
 def test_result_json_keys():

@@ -274,6 +274,9 @@ def test_cycle_edge_vector_validates():
     g = build_path(4)
     with pytest.raises(ValueError):
         cycle_edge_vector(g, [0, 1, 3])  # (1,3) is not a bond
+    for nodes in ([0, 1.0, 2], [0, 1, 4]):
+        with pytest.raises(ValueError, match="node index"):
+            cycle_edge_vector(build_cycle(3), nodes)
 
 
 # --- Dirac operator, chirality, conjugation ----------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphdirac import (
     Graph,
@@ -53,8 +54,8 @@ def test_norm_cycle():
 def test_power_iteration_matches_dense():
     for g in random_connected_graphs(15, max_nodes=64, seed=6):
         A = adjacency_map(g)
-        dense = spectral_norm(A, method="dense")
-        power = spectral_norm(A, method="power")
+        dense = np.abs(np.linalg.eigvalsh(A.toarray())).max()
+        power = power_iteration_norm(A).estimate
         assert abs(dense - power) < 1e-8
 
 
@@ -62,17 +63,14 @@ def test_power_iteration_on_bipartite_pairs():
     # path graphs have +-lambda eigenvalue pairs; squaring keeps them in reach
     g = build_path(40)
     expected = 2.0 * np.cos(np.pi / 41.0)
-    assert spectral_norm(adjacency_map(g), method="power") == pytest.approx(
-        expected, abs=1e-9)
+    res = power_iteration_norm(adjacency_map(g))
+    assert res.converged and res.estimate == pytest.approx(expected, abs=1e-9)
 
 
 def test_power_iteration_reports_non_convergence():
     A = adjacency_map(build_path(50))
     res = power_iteration_norm(A, tol=1e-14, max_iter=3)
-    assert not res.converged and res.iterations == 3
-    with pytest.warns(RuntimeWarning):
-        est = spectral_norm(A, method="power", tol=1e-14, max_iter=3)
-    assert est > 0
+    assert not res.converged and res.iterations == 3 and res.estimate > 0
 
 
 def test_lanczos_matches_dense():
@@ -85,7 +83,7 @@ def test_lanczos_matches_dense():
             eigs = np.linalg.eigvalsh(M.toarray().astype(float))
             negative_dominant += abs(eigs[0]) > abs(eigs[-1]) + 1e-9
             assert res.method == "lanczos" and res.converged
-            assert abs(res.estimate - spectral_norm(M, method="dense")) < 1e-10
+            assert abs(res.estimate - np.abs(eigs).max()) < 1e-10
             assert spectral_norm(M) == res.estimate
     assert negative_dominant == len(graphs)
 
@@ -102,12 +100,14 @@ def test_lanczos_depth17_tree_closed_form():
     assert abs(res.estimate - TWO_SQRT2 * np.cos(np.pi / 19.0)) <= 1e-12
 
 
-def test_lanczos_reports_non_convergence():
+def test_lanczos_reports_non_convergence(monkeypatch):
     A = adjacency_map(build_path(50))
     res = lanczos_norm(A, tol=1e-14, max_iter=3)
     assert not res.converged and res.iterations == 3 and res.method == "lanczos"
+    monkeypatch.setattr(spectral, "lanczos_norm",
+                        lambda M: lanczos_norm(M, tol=1e-14, max_iter=3))
     with pytest.warns(RuntimeWarning, match="lanczos iteration did not converge in 3 steps"):
-        est = spectral_norm(A, tol=1e-14, max_iter=3)
+        est = spectral_norm(A)
     assert est == res.estimate > 0
     assert power_iteration_norm(A, max_iter=3).method == "power"
 
@@ -165,11 +165,20 @@ def test_float_csr_input_is_not_copied():
     assert M.dtype == float and np.shares_memory(spectral._as_sparse(M).data, M.data)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("form", [np.array, sp.csr_array])
+def test_norms_reject_non_finite_matrices(bad, form):
+    # rejected before any iteration: power iteration would run to max_iter,
+    # Lanczos would fail inside the tridiagonal eigensolver
+    m = form(np.array([[bad, 1.0], [1.0, 0.0]]))
+    for norm in (power_iteration_norm, lanczos_norm, spectral_norm, operator_norm):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            norm(m)
+
+
 def test_spectral_norm_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="unknown method 'x'"):
-        spectral_norm(np.eye(2), method="x")
     for norm in (power_iteration_norm, lanczos_norm):
         with pytest.raises(ValueError, match="square matrix"):
             norm(np.zeros((2, 3)))
@@ -347,6 +356,9 @@ def test_tree_average_degree_honest_limit():
 def test_tree_average_degree_validates():
     with pytest.raises(ValueError):
         binary_tree_average_degree(0)
+    for levels in (2.5, "3"):
+        with pytest.raises(ValueError, match="levels"):
+            binary_tree_average_degree(levels)
 
 
 # --- cycle space dimensions ---------------------------------------------------------
