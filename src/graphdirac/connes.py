@@ -27,8 +27,9 @@ Randic 1993); the gap U - (f_b - f_a) bounds the error.
 For the path graph on nodes 0..n the optimum is known in closed form:
 sqrt(floor(n^2/2)) for n even and sqrt(floor(n^2/2) + 1) for n odd, attained
 by an alternating step profile; the same value is the distance between any
-two nodes d apart in a tree.  These closed forms and an independent
-grid-search oracle keep the solver honest.
+two nodes d apart in a tree, where the solver works on the a-b path alone.
+These closed forms and an independent grid-search oracle keep the solver
+honest.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 from scipy.linalg.lapack import dpotrs
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import _as_int, _check_node, combinatorial_distance, induced_subgraph, shortest_path
+from .graph import (_as_int, _check_node, _csgraph, build_path, combinatorial_distance,
+                    induced_subgraph, shortest_path)
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -137,6 +139,8 @@ class _NewtonSystems:
         self.n = n
         self.tails, self.heads = g.edge_tails, g.edge_heads
         self.max_degree = int(g.degrees.max()) if n else 0
+        # relative rounding of a sum over one node's edges, such as a_i
+        self.gamma = (self.max_degree + 3) * UNIT_ROUNDOFF
         nodes, entries = np.arange(n), np.arange(n + m)
         # entries of J: the n diagonal ones, then one per directed edge
         self.rows = np.concatenate((nodes, self.tails))
@@ -282,11 +286,25 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _on_boundary(f, prof):
-    """f / sqrt(max a_i) and its profile, exact by homogeneity; a zero f stays."""
-    top = prof.max(axis=1, keepdims=True)
+def _on_boundary(g, newton, f):
+    """f scaled onto the constraint boundary, less a rounding allowance, and
+    the profile of the scaled point as computed; a zero f stays.
+
+    f / sqrt(max a_i) is on the boundary by homogeneity, but the max and the
+    scaling round.  A computed a_i is within a relative gamma =
+    (max degree + 3) u of the exact one, and rounding the scaled values x
+    moves each jump by up to u (|x_i| + |x_k|), so sqrt(a_i) by up to
+    2 u max|x| sqrt(max degree).  Scaling by 1 / sqrt(max a_i (1 + eta)),
+    eta = 4 gamma + 4 u max|x| sqrt(max degree), leaves every computed a_i
+    at most 1 - gamma: the certificate's check on the computed profile then
+    proves the scaled point feasible.
+    """
+    top = constraint_profile(g, f).max(axis=1, keepdims=True)
     top = np.where(top > 0.0, top, 1.0)
-    return f / np.sqrt(top), prof / top
+    reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
+    eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
+    bf = f / np.sqrt(top * (1.0 + eta))
+    return bf, constraint_profile(g, bf)
 
 
 def _dual_bound(newton, multipliers, gauges, targets):
@@ -323,8 +341,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     jumps = conductance * (xt[newton.tails] - xt[newton.heads])
     spread = rhs + (newton.tail_sums @ (conductance * (np.abs(xt[newton.tails])
                                                        + np.abs(xt[newton.heads])))).T
-    gamma = (newton.max_degree + 3) * UNIT_ROUNDOFF
-    defect = np.abs(rhs - (newton.tail_sums @ jumps).T) + gamma * spread
+    defect = np.abs(rhs - (newton.tail_sums @ jumps).T) + newton.gamma * spread
     defect[stack, gauges] = 0.0
     correction = 2.0 * (defect * solve(defect)).sum(axis=1)
     # correctly rounded sums: each term carries a few roundings, each sum one
@@ -342,10 +359,11 @@ def _exact_sums(rows):
 
 def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
     """The KKT residual max(||c - J^t lambda||, max lambda_i (1 - a_i)), the
-    dual bound U(lambda) and the verdict for a stack of feasible points f
-    (profiles prof) and multipliers lambda >= 0.  A pair is certified when f
-    is feasible and U - (f_b - f_a) <= tol: its distance is then within tol
-    of the true one, whatever the residual."""
+    dual bound U(lambda) and the verdict for a stack of points f (computed
+    profiles prof) and multipliers lambda >= 0.  A pair is certified when
+    every computed a_i is at most 1 - gamma, which proves f feasible
+    (``_on_boundary``), and U - (f_b - f_a) <= tol: its distance is then
+    within tol of the true one, whatever the residual."""
     stack = np.arange(len(gauges))
     residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
@@ -353,7 +371,8 @@ def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
     kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
     upper = _dual_bound(newton, multipliers, gauges, targets)
     gap = upper - (f[stack, targets] - f[stack, gauges])
-    return kkt, upper, (prof.max(axis=1) <= 1.0) & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
+    feasible = prof.max(axis=1) <= 1.0 - newton.gamma
+    return kkt, upper, feasible & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
 
 
 def _step_length(s, p, q, multipliers, dlam):
@@ -419,7 +438,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             pairs, f, s, lam = (np.concatenate(x) for x in zip(*parked))
             parked = []
             checked[pairs] = iterations[pairs]
-            bf, prof = _on_boundary(f, constraint_profile(g, f))
+            bf, prof = _on_boundary(g, newton, f)
             kkt, upper, certified = _certificate(newton, bf, prof, lam, gauges[pairs],
                                                  targets[pairs], tol)
             done = certified | (iterations[pairs] == MAX_NEWTON)
@@ -473,7 +492,8 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     gap between the two is at most tol, so that the distance is within tol
     of the true one.  A pair that does not certify goes on until the cap.
     ``iterations`` counts the primal-dual iterations.  Non-certified results
-    are returned, not raised.
+    are returned, not raised.  On a tree the pair is solved on its a-b path,
+    with x0 restricted to it (``_solve_on_path``).
     """
     _check_node(g, a, b)
     _check_tol(tol)
@@ -495,10 +515,46 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         f -= f[a]  # enforce the gauge
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
-    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
-        g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
+    if _is_tree(g):
+        fields = _solve_on_path(g, a, b, f, tol)
+    else:
+        fields = _solve_pairs(g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
+    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = fields
     return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
                         int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
+
+
+def _is_tree(g):
+    return g.connected and g.directed_edge_count == 2 * (g.node_count - 1)
+
+
+def _solve_on_path(g, a, b, f, tol):
+    """``_solve_pairs``'s fields for the pair (a, b) of the tree g, a != b,
+    from the gauge-fixed strictly feasible start f, solved on the a-b path.
+
+    A subtree hanging off the path meets it at one node v; holding it at f_v
+    changes neither f_b - f_a nor any a_i on the path, and makes every a_i
+    inside it 0.  So the program on g is the lattice program on the path's d
+    bonds: the pair (0, d) of ``build_path(d + 1)``, started from f on the
+    path, solved and certified there.  The optimizer takes each node's value
+    at its nearest path node; the multipliers are 0 off the path, and the
+    computed profile is the path's on it and exactly 0 off it.  With those
+    multipliers a hanging subtree carries no conductance, so R_lambda(a, b)
+    and the dual bound U are the path's.
+    """
+    path = np.array(shortest_path(g, a, b))
+    line = build_path(path.size)
+    distance, line_f, line_prof, line_lam, *rest = _solve_pairs(
+        line, _NewtonSystems(line), np.array([0]), np.array([path.size - 1]), f[None, path], tol)
+    n = g.node_count
+    position = np.empty(n, dtype=np.int64)  # of each node's nearest path node
+    position[path] = np.arange(path.size)
+    if path.size < n:
+        position = position[csgraph.dijkstra(_csgraph(g), indices=path, min_only=True,
+                                             return_predecessors=True)[2]]
+    prof, multipliers = np.zeros((1, n)), np.zeros((1, n))
+    prof[:, path], multipliers[:, path] = line_prof, line_lam
+    return (distance, line_f[:, position], prof, multipliers, *rest)
 
 
 def _check_tol(tol):
@@ -624,8 +680,11 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     The pairs share one Newton pattern and run through ``connes_distance``'s
     primal-dual loop together, in chunks of at most CHUNK_ENTRIES Hessian
     entries; each pair is certified on its own and agrees with
-    ``connes_distance`` on that pair.  Per-pair certification failures are flagged by a NaN entry
-    rather than aborting the sweep.
+    ``connes_distance`` on that pair.  On a tree the distance depends only
+    on the hop count d, so each d takes one solve on a path of d bonds, the
+    one ``connes_distance`` makes for every pair d apart.  Per-pair
+    certification failures are flagged by a NaN entry rather than aborting
+    the sweep.
     """
     _check_tol(tol)
     n = g.node_count
@@ -635,6 +694,14 @@ def distance_matrix(g, tol=DEFAULT_TOL):
         return out
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
+    if _is_tree(g):
+        hops = csgraph.shortest_path(_csgraph(g), unweighted=True)
+        for d in range(1, int(hops.max()) + 1):  # a tree has pairs at every d up to its diameter
+            apart = hops == d
+            a, b = np.argwhere(apart)[0]
+            distance, *_, certified = _solve_on_path(g, a, b, np.zeros(n), tol)
+            out[apart] = distance[0] if certified[0] else np.nan
+        return out
     newton = _NewtonSystems(g)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):

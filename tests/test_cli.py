@@ -108,7 +108,8 @@ def test_connes_matrix_csv(tmp_path, capsys):
 
 def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     graph_path = tmp_path / "p.edges"
-    run(capsys, "gen", "--family", "path", "--n", "4", "--out", str(graph_path))
+    # a cycle: on a tree every pair at one hop distance shares one solve
+    run(capsys, "gen", "--family", "cycle", "--n", "4", "--out", str(graph_path))
     certify = connes._certificate
 
     def one_pair_uncertified(newton, f, prof, multipliers, gauges, targets, tol):

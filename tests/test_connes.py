@@ -558,7 +558,7 @@ def test_split_support_gives_no_bound():
     assert _bound(g, lam, 0, 4) == math.inf
     newton = connes._NewtonSystems(g)
     f = np.array([[0.0, 0.5, 1.0, 1.5, 2.0]])
-    f, prof = connes._on_boundary(f, constraint_profile(g, f))
+    f, prof = connes._on_boundary(g, newton, f)
     kkt, upper, certified = connes._certificate(newton, f, prof, lam[None], np.array([0]),
                                                 np.array([4]), 1.0)
     assert upper[0] == math.inf and not certified[0]
@@ -813,9 +813,18 @@ def test_distance_matrix_matches_connes_distance(name):
             assert np.isnan(m[a, b]), (a, b)
 
 
-@pytest.mark.parametrize("g", [build_path(30), build_binary_tree(4)], ids=["path30", "tree4"])
+def _tree_with_chord():
+    """The depth-4 tree plus a bond between its outermost leaves: one cycle, no tree."""
+    tree = build_binary_tree(4)
+    return Graph.from_edges(tree.node_count, list(tree.bonds) + [(15, 30)])
+
+
+@pytest.mark.parametrize("g", [build_cycle(30), _tree_with_chord(), build_path(30),
+                               build_binary_tree(4)],
+                         ids=["cycle30", "tree4_chord", "path30", "tree4"])
 def test_distance_matrix_sparse_branch_is_bit_identical(g):
-    # the sparse branch runs a shrinking stack of block-diagonal LUs here
+    # the sparse branch runs a shrinking stack of block-diagonal LUs on the
+    # graphs with a cycle; a tree takes one path solve per hop distance
     assert not connes._NewtonSystems(g).dense
     m = distance_matrix(g)
     for a, b in zip(*np.triu_indices(g.node_count, 1)):
@@ -833,10 +842,16 @@ def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
         return real(matrix, **kwargs)
 
     monkeypatch.setattr(connes, "splu", recorded)
-    m = distance_matrix(build_path(30))
+    m = distance_matrix(build_cycle(30))
     # one LU of a block-diagonal matrix with k > 1 blocks of 30
     assert max(orders) > 30 and all(order % 30 == 0 for order in orders)
     a, b = np.triu_indices(30, 1)
+    # the cycle's matrix is circulant, and each entry is at most the value on
+    # the shorter arc, a path
+    assert np.abs(m[a, b] - m[(a + 1) % 30, (b + 1) % 30]).max() <= 1e-7
+    arc = np.array([lattice_closed_form(d) for d in np.minimum(b - a, 30 - (b - a))])
+    assert np.all(m[a, b] <= arc + 1e-7)
+    m = distance_matrix(build_path(30))
     expected = np.array([lattice_closed_form(d) for d in b - a])
     assert np.abs(m[a, b] - expected).max() <= 1e-7
 
@@ -888,6 +903,100 @@ def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     monkeypatch.setattr(connes, "_certificate", forced)
     nan = np.isnan(distance_matrix(build_cycle(5)))
     assert nan[1, 3] and nan[3, 1] and nan.sum() == 2
+
+
+# --- trees solve on the a-b path ---------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_tree_pair_is_solved_on_its_path(seed):
+    g, a, b = _relabelled_tree_pair(seed)
+    result = connes_distance(g, a, b)
+    assert result.certified
+    assert result.distance == pytest.approx(math.sqrt(98.0), abs=1e-7)
+    assert result.optimizer[a] == 0.0
+    on_path = np.zeros(g.node_count, dtype=bool)
+    on_path[shortest_path(g, a, b)] = True
+    # constant on every hanging subtree: every bond off the path joins equal values
+    off = ~(on_path[g.edge_tails] & on_path[g.edge_heads])
+    assert np.array_equal(result.optimizer[g.edge_tails[off]], result.optimizer[g.edge_heads[off]])
+    assert np.all(result.multipliers[~on_path] == 0.0)
+    assert np.all(result.slacks[~on_path] == 0.0)
+    assert np.array_equal(result.slacks, constraint_profile(g, result.optimizer))
+    assert connes_distance(g, b, a).distance == result.distance
+
+
+def test_tree_solve_starts_from_x0_on_the_path():
+    g, a, b = _relabelled_tree_pair(3)
+    path = shortest_path(g, a, b)
+    x0 = random_feasible_point(g, a, np.random.default_rng(3), margin=0.9)
+    result = connes_distance(g, a, b, x0=x0)
+    on_line = connes_distance(build_path(len(path)), 0, len(path) - 1, x0=x0[path])
+    assert result.certified
+    assert (result.distance, result.iterations) == (on_line.distance, on_line.iterations)
+    assert np.array_equal(result.optimizer[path], on_line.optimizer)
+    assert np.array_equal(result.multipliers[path], on_line.multipliers)
+    # x0 is checked on the whole tree: a jump off the path makes it infeasible
+    leaf = next(v for v in range(g.node_count) if g.degrees[v] == 1 and v not in path)
+    x0 = np.zeros(g.node_count)
+    x0[leaf] = 1.0
+    with pytest.raises(ValueError, match="not strictly feasible"):
+        connes_distance(g, a, b, x0=x0)
+
+
+@pytest.mark.parametrize("g", [build_binary_tree(6), build_path(100)], ids=["tree6", "path100"])
+def test_tree_distance_matrix_takes_one_solve_per_hop_distance(monkeypatch, g):
+    solves = _count_calls(monkeypatch, "_solve_pairs")
+    m = distance_matrix(g)
+    n = g.node_count
+    hops = np.array([bfs_distances(g, v) for v in range(n)])
+    assert len(solves) == hops.max()
+    expected = np.vectorize(lattice_closed_form)(hops)
+    assert np.abs(m - expected).max() <= 1e-7
+    assert np.array_equal(m, m.T)
+    rng = np.random.default_rng(n)
+    for a, b in rng.integers(n, size=(12, 2)):
+        assert m[a, b] == connes_distance(g, a, b).distance, (a, b)
+
+
+def test_tree_pairs_at_one_hop_distance_share_their_certificate(monkeypatch):
+    real = connes._certificate
+
+    def forced(newton, f, prof, multipliers, gauges, targets, tol):
+        # the solve at hop distance 2 is the pair (0, 2) of a path of 3 nodes
+        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
+        return kkt, upper, certified & ~((newton.n == 3) & (targets == 2))
+
+    monkeypatch.setattr(connes, "_certificate", forced)
+    nan = np.isnan(distance_matrix(build_path(4)))
+    assert nan[0, 2] and nan[1, 3] and nan.sum() == 4
+
+
+def test_depth_17_leaf_pair_is_certified():
+    g = build_binary_tree(17)
+    result = connes_distance(g, 2 ** 17 - 1, 2 ** 18 - 2)
+    assert result.certified
+    assert abs(result.distance - lattice_closed_form(34)) <= 1e-7
+
+
+def _boundary_solves():
+    solves = [(build_path(400), 0, 399), (build_path(10_000), 0, 9_999),
+              (build_binary_tree(7), 2 ** 7 - 1, 2 ** 8 - 2),
+              (build_binary_tree(9), 2 ** 9 - 1, 2 ** 10 - 2)]
+    for seed in range(5):
+        g = build_random(20, 0.3, seed)
+        solves += [(g, 0, k) for k in range(1, 20)]
+    return solves
+
+
+def test_returned_optimizer_is_feasible():
+    # the computed profile of the returned point is its slacks, and at most 1;
+    # on the 10^4-node path, rounding the scaled values moves a_i by about
+    # 1e-12, which an allowance sized from the degree alone does not cover
+    for g, a, b in _boundary_solves():
+        result = connes_distance(g, a, b)
+        assert result.certified, (g, a, b)
+        assert np.array_equal(result.slacks, constraint_profile(g, result.optimizer)), (g, a, b)
+        assert result.slacks.max() <= 1.0, (g, a, b)
 
 
 def test_solves_take_few_iterations():
