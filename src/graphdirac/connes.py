@@ -41,18 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
-from scipy.linalg.lapack import dpotrs
-from scipy.sparse import csc_matrix, csgraph, csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpotrs
+from scipy.sparse import csgraph, csr_matrix
 
-from .graph import (_as_int, _check_node, _csgraph, build_path, combinatorial_distance,
-                    induced_subgraph, shortest_path)
+from .graph import (_as_int, _bfs_path, _check_node, _csgraph, build_path,
+                    combinatorial_distance, induced_subgraph, shortest_path)
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
-# cap on the Hessian entries (the terms summed into it, or its dense form) that
-# one chunk of distance_matrix's pairs holds at once: 2 MB an array, while the
-# 190 pairs of a 20-node random graph still run as one stack
+# cap on the Hessian entries (the terms summed into it, or its dense or banded
+# form) that one chunk of distance_matrix's pairs holds at once: 2 MB an array,
+# while the 190 pairs of a 20-node random graph still run as one stack
 CHUNK_ENTRIES = 1 << 18
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -124,14 +123,12 @@ class _NewtonSystems:
     of that row, so every system has the two-hop pattern.  The pattern, and
     the sparse matrices that add each system's terms into it, are built once
     per graph; a system is then a few sparse products over the stack, and
-    ``_factor`` turns it into the function that solves it, from one batched
-    dense Cholesky factorization or one sparse LU of the block-diagonal
-    matrix.  The methods take J's entries as ``jacobian`` gives them, so a
+    ``_factor`` turns it into the function that solves it, from a batched
+    dense Cholesky factorization or one banded Cholesky factorization a
+    pair.  The methods take J's entries as ``jacobian`` gives them, so a
     caller computes them once a point.  Each pair's gauge node gets the
     identity in its row and column, so a solution keeps full length with a
     zero there.
-    The sparse branch keeps the block-diagonal matrix of the last stack size
-    and only swaps its values.
     """
 
     def __init__(self, g):
@@ -181,12 +178,26 @@ class _NewtonSystems:
         self.indices = self.keys % n
         self.key_rows = self.keys // n
         self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
-        # above a quarter full, a dense solve beats the sparse LU's overhead
+        # above a quarter full, a dense solve beats the band's overhead
         self.dense = 4 * self.keys.size > n * n
+        # in reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
+        # lies within ``width`` of the diagonal: its upper entries go to their
+        # slots in the (width + 1, n) band that dpbtrf takes, and all of them
+        # to theirs in dgbtrf's (3 width + 1, n) band, whose first width rows
+        # take the fill of partial pivoting; both bands Fortran-ordered
+        self.order = csgraph.reverse_cuthill_mckee(
+            csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
+            symmetric_mode=True)
+        self.rank = np.empty(n, dtype=np.int64)  # of each node in that order
+        self.rank[self.order] = nodes
+        row, col = self.rank[self.key_rows], self.rank[self.indices]
+        self.width = w = int(np.abs(row - col).max())
+        self.upper = np.flatnonzero(row <= col)
+        self.band_slots = (col * (w + 1) + w + row - col)[self.upper]
+        self.lu_slots = col * (3 * w + 1) + 2 * w + row - col
         # Hessian entries one pair holds: the terms the sparse sum adds up, and
-        # the dense matrix it fills
-        self.entries_per_pair = max(size + n, n * n if self.dense else 0)
-        self._blocks = None  # the sparse branch's matrix for the last stack size
+        # the dense matrix or the band it fills
+        self.entries_per_pair = max(size + n, n * n if self.dense else (w + 1) * n)
 
     def system(self, jac, curvature, root, gauges):
         """The values in the CSR slots ``keys`` of
@@ -237,41 +248,61 @@ class _NewtonSystems:
 
     def _factor(self, hess):
         """A function that solves hess x = b for a (k, n) stack of right-hand
-        sides b, from one factorization of the stack: one batched dense
-        Cholesky factorization, or one sparse LU of the block-diagonal matrix.
-        A factorization fails only here, so a stack that fails is split, and
-        only a pair whose own factorization fails falls back to least
-        squares."""
-        k, n = len(hess), self.n
-        try:
-            if self.dense:
+        sides b, each pair on its own factorization, so that a pair's
+        rounding does not depend on its stack: one batched dense Cholesky
+        factorization of the stack, or a banded one a pair (``_band_solve``).
+        A pair whose dense Cholesky fails is refactored alone and falls back
+        to least squares."""
+        if not self.dense:
+            solves = [self._band_solve(values) for values in hess]
+        else:
+            try:
+                factors = cholesky(self.dense_matrix(hess))
+            except LinAlgError:  # a pair is not positive definite
+                solves = [self._dense_solve(values) for values in hess]
+            else:
                 # C-ordered lower factors L; L.T is the Fortran-ordered upper
                 # factor, which LAPACK takes without a copy
-                factors = cholesky(self.dense_matrix(hess))
                 return lambda b: np.array([dpotrs(factor.T, row, lower=0)[0]
                                            for factor, row in zip(factors, b)])
-            matrix = self._blocks
-            if matrix is None or matrix.shape[0] != k * n:
-                block = np.arange(k)[:, None]
-                indptr = np.append((block * self.keys.size + self.indptr[:-1]).ravel(),
-                                   k * self.keys.size)
-                matrix = self._blocks = csc_matrix(
-                    (hess.ravel(), (block * n + self.indices).ravel(), indptr),
-                    shape=(k * n, k * n))
-            else:
-                matrix.data = hess.ravel()
-            # symmetric ordering, no pivoting: both systems are positive
-            # definite (a zero pivot fails the factorization, as a nonpositive
-            # one fails the dense Cholesky)
-            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-            return lambda b: lu.solve(b.ravel()).reshape(len(b), n)
-        except (LinAlgError, RuntimeError):  # singular matrix, or exactly singular factor
-            if k > 1:
-                solves = [self._factor(hess[r:r + 1]) for r in range(k)]
-                return lambda b: np.concatenate([solve(b[r:r + 1])
-                                                 for r, solve in enumerate(solves)])
-        matrix = self.dense_matrix(hess)[0]
-        return lambda b: np.linalg.lstsq(matrix, b[0], rcond=None)[0][None]
+        return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
+
+    def _dense_solve(self, values):
+        matrix = self.dense_matrix(values[None])[0]
+        try:
+            upper = cholesky(matrix).T
+        except LinAlgError:
+            return self._least_squares(values)
+        return lambda b: dpotrs(upper, b, lower=0)[0]
+
+    def _band_solve(self, values):
+        """A function that solves one pair's system, its values in the slots
+        ``keys``, by banded Cholesky in the order ``order``.  Both systems are
+        positive definite, but a pivot may round to zero or below; the pair
+        is then refactored by banded LU with partial pivoting, and a U that
+        is exactly singular falls back to least squares."""
+        order, rank, w = self.order, self.rank, self.width
+        band = np.zeros((self.n, w + 1))
+        band.flat[self.band_slots] = values[self.upper]
+        factor, info = dpbtrf(band.T, overwrite_ab=1)
+        if not info:
+            return lambda b: dpbtrs(factor, b[order])[0][rank]
+        band = np.zeros((self.n, 3 * w + 1))
+        band.flat[self.lu_slots] = values
+        factor, pivots, info = dgbtrf(band.T, w, w, overwrite_ab=1)
+        if not info:
+            return lambda b: dgbtrs(factor, w, w, b[order], pivots)[0][rank]
+        return self._least_squares(values)
+
+    def _least_squares(self, values):
+        """One pair's last resort: least squares on its dense matrix, which
+        the dense branch holds anyway and a graph of n^2 <= CHUNK_ENTRIES
+        affords.  A larger graph's pair solves to NaN instead, which fails
+        its certificate and makes its dual bound +inf."""
+        if not (self.dense or self.n * self.n <= CHUNK_ENTRIES):
+            return lambda b: np.full(self.n, np.nan)
+        matrix = self.dense_matrix(values[None])[0]
+        return lambda b: np.linalg.lstsq(matrix, b, rcond=None)[0]
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
@@ -315,7 +346,8 @@ def _dual_bound(newton, multipliers, gauges, targets):
     lambda_i + lambda_k, solved on the whole graph with a grounded: L x = e_b.
     The primal-dual loop keeps every lambda_i > 0, so L is positive definite
     off the gauge; a pair with a conductance <= 0, which may split the graph,
-    gets U = +inf, an upper bound whatever R is.
+    gets U = +inf, an upper bound whatever R is, and so does a pair whose
+    every factorization failed, which solves to NaN (``_least_squares``).
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
     with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
     with |r|, on the same factorization, plus the rounding of r's own
@@ -350,7 +382,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)
     upper = (total * (1.0 + 2 * UNIT_ROUNDOFF) + 0.25 * resistance) * (1.0 + 4 * UNIT_ROUNDOFF)
-    return np.where(split, np.inf, upper)
+    return np.where(split | np.isnan(upper), np.inf, upper)
 
 
 def _exact_sums(rows):
@@ -542,19 +574,25 @@ def _solve_on_path(g, a, b, f, tol):
     multipliers a hanging subtree carries no conductance, so R_lambda(a, b)
     and the dual bound U are the path's.
     """
-    path = np.array(shortest_path(g, a, b))
+    path, parent = _bfs_path(g, a, b)
+    path = np.array(path)
     line = build_path(path.size)
     distance, line_f, line_prof, line_lam, *rest = _solve_pairs(
         line, _NewtonSystems(line), np.array([0]), np.array([path.size - 1]), f[None, path], tol)
     n = g.node_count
-    position = np.empty(n, dtype=np.int64)  # of each node's nearest path node
+    # in a tree a node's nearest path node is the first on its way to a: path
+    # nodes point to themselves, the others to their BFS parent, and pointer
+    # jumping follows the chains in about log2(depth) rounds
+    nearest = parent
+    nearest[path] = path
+    jumped = nearest[nearest]
+    while not np.array_equal(jumped, nearest):
+        nearest, jumped = jumped, jumped[jumped]
+    position = np.empty(n, dtype=np.int64)
     position[path] = np.arange(path.size)
-    if path.size < n:
-        position = position[csgraph.dijkstra(_csgraph(g), indices=path, min_only=True,
-                                             return_predecessors=True)[2]]
     prof, multipliers = np.zeros((1, n)), np.zeros((1, n))
     prof[:, path], multipliers[:, path] = line_prof, line_lam
-    return (distance, line_f[:, position], prof, multipliers, *rest)
+    return (distance, line_f[:, position[nearest]], prof, multipliers, *rest)
 
 
 def _check_tol(tol):

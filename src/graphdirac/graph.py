@@ -318,6 +318,12 @@ def combinatorial_distance(g, a, b):
 
 def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
+    return _bfs_path(g, a, b)[0]
+
+
+def _bfs_path(g, a, b):
+    """``shortest_path`` and the parent array of the BFS from a that it
+    follows (negative at a and at the nodes a does not reach)."""
     _check_node(g, a, b)
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
@@ -325,7 +331,7 @@ def shortest_path(g, a, b):
         if parent[path[-1]] < 0:
             raise ValueError(f"no path between nodes {a} and {b}")
         path.append(int(parent[path[-1]]))
-    return path[::-1]
+    return path[::-1], parent
 
 
 def induced_subgraph(g, nodes):

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from graphdirac import connes
 from graphdirac import (
@@ -32,7 +33,7 @@ from graphdirac import (
     shortest_path,
     tree_distance_closed_form,
 )
-from graphdirac.graph import Graph
+from graphdirac.graph import Graph, _csgraph
 
 from conftest import complete_graph, fixture_graphs, random_connected_graphs, star_graph
 
@@ -361,17 +362,17 @@ def _count_calls(monkeypatch, name):
     (complete_graph(5), (0, 1), False),
 ])
 def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
-    lu_calls = _count_calls(monkeypatch, "splu")
+    band_calls = _count_calls(monkeypatch, "dpbtrf")
     dense_calls = _count_calls(monkeypatch, "cholesky")
     result = connes_distance(g, *pair)
     assert result.certified
-    used, unused = (lu_calls, dense_calls) if sparse else (dense_calls, lu_calls)
+    used, unused = (band_calls, dense_calls) if sparse else (dense_calls, band_calls)
     assert len(used) >= result.iterations > 0
     assert not unused
 
 
 @pytest.mark.parametrize("g,pair,factorize", [
-    (build_path(400), (0, 399), "splu"),
+    (build_path(400), (0, 399), "dpbtrf"),
     (complete_graph(5), (0, 1), "cholesky"),
 ], ids=["sparse", "dense"])
 def test_one_factorization_per_iteration_and_certificate(monkeypatch, g, pair, factorize):
@@ -388,8 +389,12 @@ def _singular_cholesky(a):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
-def _singular_lu(*args, **kwargs):
-    raise RuntimeError("Factor is exactly singular")
+def _indefinite_band(band, **kwargs):
+    return band, 1  # dpbtrf's info: the leading minor of order 1 is not positive
+
+
+def _singular_band_lu(band, kl, ku, **kwargs):
+    return band, np.zeros(band.shape[1], dtype=np.int32), 1  # dgbtrf's info: U(1, 1) = 0
 
 
 def _count_lstsq(monkeypatch):
@@ -406,9 +411,12 @@ def _count_lstsq(monkeypatch):
 
 @pytest.mark.parametrize("name,failing,n", [
     ("cholesky", _singular_cholesky, 5),
-    ("splu", _singular_lu, 30),
+    ("dgbtrf", _singular_band_lu, 30),
 ])
 def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, failing, n):
+    # the path of 5 is on the dense branch, the path of 30 on the band, where
+    # least squares follows when both the banded Cholesky and LU fail
+    monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
     monkeypatch.setattr(connes, name, failing)
     lstsq_calls = _count_lstsq(monkeypatch)
     result = connes_distance(build_path(n), 0, n - 1)
@@ -417,10 +425,44 @@ def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, fai
     assert result.distance == pytest.approx(lattice_closed_form(n - 1), abs=1e-5)
 
 
+def test_failed_band_cholesky_falls_back_to_banded_lu(monkeypatch):
+    monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
+    lu_calls = _count_calls(monkeypatch, "dgbtrf")
+    lstsq_calls = _count_lstsq(monkeypatch)
+    result = connes_distance(build_path(30), 0, 29)
+    assert len(lu_calls) >= result.iterations > 0
+    assert not lstsq_calls
+    assert result.certified
+    assert result.distance == pytest.approx(lattice_closed_form(29), abs=1e-7)
+
+
+def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified(monkeypatch):
+    # past n^2 > CHUNK_ENTRIES no pair's matrix is made dense for least
+    # squares: a pair none of whose factorizations holds solves to NaN, and
+    # comes back uncertified with the dual bound +inf
+    monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
+    monkeypatch.setattr(connes, "dgbtrf", _singular_band_lu)
+    monkeypatch.setattr(connes, "CHUNK_ENTRIES", 30 * 30 - 1)
+    densified = []
+    monkeypatch.setattr(connes._NewtonSystems, "dense_matrix",
+                        lambda self, hess: densified.append(len(hess)))
+    lstsq_calls = _count_lstsq(monkeypatch)
+    result = connes_distance(build_path(30), 0, 29)
+    assert not densified and not lstsq_calls
+    assert not result.certified
+    assert result.upper_bound == math.inf
+    assert result.iterations == connes.MAX_NEWTON  # NaN steps never make it due sooner
+    # a failed dual bound is +inf on its own, also with positive multipliers
+    newton = connes._NewtonSystems(build_path(30))
+    assert connes._dual_bound(newton, np.ones((1, 30)), np.array([0]), np.array([29]))[0] == math.inf
+    assert not densified and not lstsq_calls
+
+
 @pytest.mark.parametrize("g", [complete_graph(5), build_path(30)], ids=["dense", "sparse"])
 def test_one_failed_factorization_in_a_stack(monkeypatch, g):
-    # a zero Hessian for one pair of four fails the stack's batched solve (dense)
-    # or its block-diagonal LU (sparse); only that pair goes to least squares
+    # a zero Hessian for one pair of four fails the stack's batched Cholesky
+    # (dense) or its own band's Cholesky and LU (sparse); only that pair goes
+    # to least squares
     newton = connes._NewtonSystems(g)
     n, k = g.node_count, 4
     rng = np.random.default_rng(3)
@@ -439,9 +481,9 @@ def test_one_failed_factorization_in_a_stack(monkeypatch, g):
 
 
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
-    lu_calls = _count_calls(monkeypatch, "splu")
+    band_calls = _count_calls(monkeypatch, "dpbtrf")
     result = connes_distance(build_path(61), 0, 60)
-    assert lu_calls
+    assert band_calls
     assert result.certified
     assert result.distance == pytest.approx(lattice_closed_form(60), abs=1e-5)
 
@@ -819,32 +861,61 @@ def _tree_with_chord():
     return Graph.from_edges(tree.node_count, list(tree.bonds) + [(15, 30)])
 
 
-@pytest.mark.parametrize("g", [build_cycle(30), _tree_with_chord(), build_path(30),
-                               build_binary_tree(4)],
-                         ids=["cycle30", "tree4_chord", "path30", "tree4"])
-def test_distance_matrix_sparse_branch_is_bit_identical(g):
-    # the sparse branch runs a shrinking stack of block-diagonal LUs on the
-    # graphs with a cycle; a tree takes one path solve per hop distance
+@pytest.mark.parametrize("g,width", [
+    (build_path(400), 2),
+    (build_cycle(30), 5),
+    (_tree_with_chord(), 16),
+    (build_random(80, 0.04, 1), 43),
+], ids=["path400", "cycle30", "tree4_chord", "random80"])
+def test_band_width_in_reverse_cuthill_mckee_order(g, width):
+    newton = connes._NewtonSystems(g)
+    assert not newton.dense
+    assert newton.width == width
+    assert np.array_equal(np.sort(newton.order), np.arange(g.node_count))
+    assert newton.entries_per_pair >= (width + 1) * g.node_count
+
+
+@pytest.mark.parametrize("g,sample", [
+    (build_cycle(30), None),
+    (_tree_with_chord(), None),
+    (build_path(30), None),
+    (build_binary_tree(4), None),
+    (build_random(50, 0.05, 1), 40),
+], ids=["cycle30", "tree4_chord", "path30", "tree4", "random50"])
+def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
+    # the sparse branch factors each pair of a shrinking stack as its own band
+    # on the graphs with a cycle (half-width 27 on the random graph, 5 on the
+    # cycle); a tree takes one path solve per hop distance
     assert not connes._NewtonSystems(g).dense
     m = distance_matrix(g)
-    for a, b in zip(*np.triu_indices(g.node_count, 1)):
+    a, b = np.triu_indices(g.node_count, 1)
+    if sample:  # every pair is in the matrix; a seeded sample is re-solved alone
+        picked = np.random.default_rng(0).choice(a.size, sample, replace=False)
+        a, b = a[picked], b[picked]
+    for a, b in zip(a, b):
         result = connes_distance(g, a, b)
         assert result.certified, (a, b)
         assert m[a, b] == result.distance, (a, b)
 
 
 def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
-    orders = []
-    real = connes.splu
+    stacks, bands = [], []
+    real_factor, real_band = connes._NewtonSystems._factor, connes.dpbtrf
 
-    def recorded(matrix, **kwargs):
-        orders.append(matrix.shape[0])
-        return real(matrix, **kwargs)
+    def factor(self, hess):
+        stacks.append(len(hess))
+        return real_factor(self, hess)
 
-    monkeypatch.setattr(connes, "splu", recorded)
+    def band(ab, **kwargs):
+        bands.append(ab.shape)
+        return real_band(ab, **kwargs)
+
+    monkeypatch.setattr(connes._NewtonSystems, "_factor", factor)
+    monkeypatch.setattr(connes, "dpbtrf", band)
     m = distance_matrix(build_cycle(30))
-    # one LU of a block-diagonal matrix with k > 1 blocks of 30
-    assert max(orders) > 30 and all(order % 30 == 0 for order in orders)
+    # stacks of k > 1 pairs, and one band of half-width 5 factored a pair
+    assert max(stacks) > 1
+    assert len(bands) == sum(stacks) and set(bands) == {(6, 30)}
     a, b = np.triu_indices(30, 1)
     # the cycle's matrix is circulant, and each entry is at most the value on
     # the shorter arc, a path
@@ -923,6 +994,18 @@ def test_tree_pair_is_solved_on_its_path(seed):
     assert np.all(result.slacks[~on_path] == 0.0)
     assert np.array_equal(result.slacks, constraint_profile(g, result.optimizer))
     assert connes_distance(g, b, a).distance == result.distance
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_tree_optimizer_takes_the_nearest_path_node(seed):
+    g, a, b = _relabelled_tree_pair(seed)
+    path = shortest_path(g, a, b)
+    f = connes_distance(g, a, b).optimizer
+    # f rises along the path, so equal values mean the same path node
+    assert np.all(np.diff(f[path]) > 0.0)
+    nearest = csgraph.dijkstra(_csgraph(g), indices=path, min_only=True,
+                               return_predecessors=True)[2]
+    assert np.array_equal(f, f[nearest])
 
 
 def test_tree_solve_starts_from_x0_on_the_path():
