@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpotrs
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csc_matrix, csgraph, csr_matrix
+from scipy.sparse.linalg import splu
 
 from .graph import (_as_int, _bfs_path, _check_node, _csgraph, build_path,
                     combinatorial_distance, induced_subgraph, shortest_path)
@@ -53,6 +54,12 @@ MAX_NEWTON = 60  # primal-dual iterations a pair
 # form) that one chunk of distance_matrix's pairs holds at once: 2 MB an array,
 # while the 190 pairs of a 20-node random graph still run as one stack
 CHUNK_ENTRIES = 1 << 18
+# a sparse graph's pairs are factored as a band while it holds at most this
+# many times the entries of the factor L of a sparse LU: there the band ran 3
+# to 10 times faster on grids and random graphs, while a band much wider than
+# the fill, such as a tree's with one chord, costs near-dense time that sparse
+# LU avoids
+BAND_FILL = 4
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -124,9 +131,9 @@ class _NewtonSystems:
     the sparse matrices that add each system's terms into it, are built once
     per graph; a system is then a few sparse products over the stack, and
     ``_factor`` turns it into the function that solves it, from a batched
-    dense Cholesky factorization or one banded Cholesky factorization a
-    pair.  The methods take J's entries as ``jacobian`` gives them, so a
-    caller computes them once a point.  Each pair's gauge node gets the
+    dense Cholesky factorization, or a banded Cholesky factorization or a
+    sparse LU a pair.  The methods take J's entries as ``jacobian`` gives
+    them, so a caller computes them once a point.  Each pair's gauge node gets the
     identity in its row and column, so a solution keeps full length with a
     zero there.
     """
@@ -178,26 +185,45 @@ class _NewtonSystems:
         self.indices = self.keys % n
         self.key_rows = self.keys // n
         self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
-        # above a quarter full, a dense solve beats the band's overhead
+        # above a quarter full, a dense solve beats the sparse factorizations'
+        # overhead
         self.dense = 4 * self.keys.size > n * n
-        # in reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
-        # lies within ``width`` of the diagonal: its upper entries go to their
-        # slots in the (width + 1, n) band that dpbtrf takes, and all of them
-        # to theirs in dgbtrf's (3 width + 1, n) band, whose first width rows
-        # take the fill of partial pivoting; both bands Fortran-ordered
+        # Hessian entries one pair holds: the terms the sparse sum adds up,
+        # and the dense matrix, the band or the sparse LU factors it fills
+        if not self.dense:
+            self._sparse_setup()
+        self.entries_per_pair = max(size + n, n * n if self.dense else self.factor_entries)
+
+    def _sparse_setup(self):
+        """In reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
+        lies within ``width`` of the diagonal: its upper entries go to their
+        slots in the (width + 1, n) band that dpbtrf takes, and all of them to
+        theirs in dgbtrf's (3 width + 1, n) band, whose first width rows take
+        the fill of partial pivoting; both bands Fortran-ordered.  ``band``
+        tells whether the pairs are factored so (``BAND_FILL``) or by sparse
+        LU; a band within BAND_FILL times the pattern's upper triangle needs
+        no trial, a wider one is weighed against one trial LU's fill."""
+        n = self.n
         self.order = csgraph.reverse_cuthill_mckee(
             csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
             symmetric_mode=True)
         self.rank = np.empty(n, dtype=np.int64)  # of each node in that order
-        self.rank[self.order] = nodes
+        self.rank[self.order] = np.arange(n)
         row, col = self.rank[self.key_rows], self.rank[self.indices]
         self.width = w = int(np.abs(row - col).max())
         self.upper = np.flatnonzero(row <= col)
         self.band_slots = (col * (w + 1) + w + row - col)[self.upper]
         self.lu_slots = col * (3 * w + 1) + 2 * w + row - col
-        # Hessian entries one pair holds: the terms the sparse sum adds up, and
-        # the dense matrix or the band it fills
-        self.entries_per_pair = max(size + n, n * n if self.dense else (w + 1) * n)
+        self.factor_entries = (w + 1) * n
+        self.band = self.factor_entries <= BAND_FILL * self.upper.size
+        if not self.band:
+            # a diagonally dominant matrix on the pattern fills as every pair's
+            row_len = np.diff(self.indptr)
+            lu = self._splu(np.where(self.key_rows == self.indices,
+                                     row_len[self.key_rows].astype(float), -1.0))
+            self.band = self.factor_entries <= BAND_FILL * lu.L.nnz
+            if not self.band:
+                self.factor_entries = lu.L.nnz + lu.U.nnz
 
     def system(self, jac, curvature, root, gauges):
         """The values in the CSR slots ``keys`` of
@@ -250,11 +276,12 @@ class _NewtonSystems:
         """A function that solves hess x = b for a (k, n) stack of right-hand
         sides b, each pair on its own factorization, so that a pair's
         rounding does not depend on its stack: one batched dense Cholesky
-        factorization of the stack, or a banded one a pair (``_band_solve``).
-        A pair whose dense Cholesky fails is refactored alone and falls back
-        to least squares."""
+        factorization of the stack, or a banded one (``_band_solve``) or a
+        sparse LU (``_sparse_solve``) a pair.  A pair whose dense Cholesky
+        fails is refactored alone and falls back to least squares."""
         if not self.dense:
-            solves = [self._band_solve(values) for values in hess]
+            factor = self._band_solve if self.band else self._sparse_solve
+            solves = [factor(values) for values in hess]
         else:
             try:
                 factors = cholesky(self.dense_matrix(hess))
@@ -294,11 +321,28 @@ class _NewtonSystems:
             return lambda b: dgbtrs(factor, w, w, b[order], pivots)[0][rank]
         return self._least_squares(values)
 
+    def _sparse_solve(self, values):
+        """A function that solves one pair's system by sparse LU; an exactly
+        singular factor falls back to least squares."""
+        try:
+            return self._splu(values).solve
+        except RuntimeError:
+            return self._least_squares(values)
+
+    def _splu(self, values):
+        # the pattern is symmetric, so its CSR arrays are also its CSC ones;
+        # symmetric ordering, no pivoting: both systems are positive definite
+        # (a zero pivot fails the factorization, as a nonpositive one fails a
+        # Cholesky factorization)
+        return splu(csc_matrix((values, self.indices, self.indptr), shape=(self.n, self.n)),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+
     def _least_squares(self, values):
         """One pair's last resort: least squares on its dense matrix, which
         the dense branch holds anyway and a graph of n^2 <= CHUNK_ENTRIES
-        affords.  A larger graph's pair solves to NaN instead, which fails
-        its certificate and makes its dual bound +inf."""
+        affords.  A larger graph's pair solves to NaN instead: the pair then
+        stops at its last point (``_solve_pairs``), and its dual bound is
+        +inf."""
         if not (self.dense or self.n * self.n <= CHUNK_ENTRIES):
             return lambda b: np.full(self.n, np.nan)
         matrix = self.dense_matrix(values[None])[0]
@@ -440,18 +484,21 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     move by one step length, 0.995 of the largest that keeps s and lambda
     nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
     whose s^t lambda is at most 1e-4 tol, or that has run MAX_NEWTON
-    iterations, is due: it leaves the working stack and is parked.  When the
-    working stack is empty, the parked pairs are moved onto the boundary and
-    certified in one round; a pair leaves with that certificate when it is
-    certified or at MAX_NEWTON iterations, and goes back on the working stack
-    with its own (f, s, lambda) and iteration count otherwise, to take one
-    more iteration before it is due again.  The rows of f are the working
+    iterations, or whose Newton system no factorization solves
+    (``_least_squares``), is due: it leaves the working stack and is parked,
+    and the others take that iteration again.  When the working stack is
+    empty, the parked pairs are moved onto the boundary and certified in one
+    round; a pair leaves with that certificate when it is certified, failed
+    or at MAX_NEWTON iterations, and goes back on the working stack with its
+    own (f, s, lambda) and iteration count otherwise, to take one more
+    iteration before it is due again.  The rows of f are the working
     stack and are overwritten.
     """
     k, n = f.shape
     out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
     out_kkt, out_upper, out_certified = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
+    failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
     s = 1.0 - constraint_profile(g, f)
@@ -460,7 +507,8 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     while True:
         gap = (s * lam).sum(axis=1)
         count = iterations[pairs]
-        due = ((gap <= 1e-4 * tol) | (count == MAX_NEWTON)) & (count > checked[pairs])
+        due = (((gap <= 1e-4 * tol) | (count == MAX_NEWTON)) & (count > checked[pairs])
+               | failed[pairs])
         if due.any():
             parked.append((pairs[due], f[due], s[due], lam[due]))
             pairs, f, s, lam, gap = (x[~due] for x in (pairs, f, s, lam, gap))
@@ -473,7 +521,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             bf, prof = _on_boundary(g, newton, f)
             kkt, upper, certified = _certificate(newton, bf, prof, lam, gauges[pairs],
                                                  targets[pairs], tol)
-            done = certified | (iterations[pairs] == MAX_NEWTON)
+            done = certified | (iterations[pairs] == MAX_NEWTON) | failed[pairs]
             for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified),
                                   (bf, prof, lam, kkt, upper, certified)):
                 out[pairs[done]] = value[done]
@@ -486,6 +534,9 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
         jac = newton.jacobian(f)
         solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a))
         df = solve(e_b)
+        failed[pairs] = ~np.isfinite(df).all(axis=1)
+        if failed[pairs].any():  # those pairs are due at their last point
+            continue
         p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]

@@ -439,7 +439,7 @@ def test_failed_band_cholesky_falls_back_to_banded_lu(monkeypatch):
 def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified(monkeypatch):
     # past n^2 > CHUNK_ENTRIES no pair's matrix is made dense for least
     # squares: a pair none of whose factorizations holds solves to NaN, and
-    # comes back uncertified with the dual bound +inf
+    # comes back at once, uncertified, with the dual bound +inf
     monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
     monkeypatch.setattr(connes, "dgbtrf", _singular_band_lu)
     monkeypatch.setattr(connes, "CHUNK_ENTRIES", 30 * 30 - 1)
@@ -451,18 +451,28 @@ def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified
     assert not densified and not lstsq_calls
     assert not result.certified
     assert result.upper_bound == math.inf
-    assert result.iterations == connes.MAX_NEWTON  # NaN steps never make it due sooner
+    # the pair stops at its last point, the start, instead of running on NaN
+    assert result.iterations == 0
+    assert np.array_equal(result.optimizer, np.zeros(30)) and result.distance == 0.0
     # a failed dual bound is +inf on its own, also with positive multipliers
     newton = connes._NewtonSystems(build_path(30))
-    assert connes._dual_bound(newton, np.ones((1, 30)), np.array([0]), np.array([29]))[0] == math.inf
+    bound = connes._dual_bound(newton, np.ones((1, 30)), np.array([0]), np.array([29]))
+    assert bound[0] == math.inf
     assert not densified and not lstsq_calls
 
 
-@pytest.mark.parametrize("g", [complete_graph(5), build_path(30)], ids=["dense", "sparse"])
+def _tree_with_chord():
+    """The depth-4 tree plus a bond between its outermost leaves: one cycle, no tree."""
+    tree = build_binary_tree(4)
+    return Graph.from_edges(tree.node_count, list(tree.bonds) + [(15, 30)])
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
+                         ids=["dense", "sparse", "sparse_lu"])
 def test_one_failed_factorization_in_a_stack(monkeypatch, g):
     # a zero Hessian for one pair of four fails the stack's batched Cholesky
-    # (dense) or its own band's Cholesky and LU (sparse); only that pair goes
-    # to least squares
+    # (dense), its own band's Cholesky and LU (sparse) or its own sparse LU;
+    # only that pair goes to least squares
     newton = connes._NewtonSystems(g)
     n, k = g.node_count, 4
     rng = np.random.default_rng(3)
@@ -855,24 +865,45 @@ def test_distance_matrix_matches_connes_distance(name):
             assert np.isnan(m[a, b]), (a, b)
 
 
-def _tree_with_chord():
-    """The depth-4 tree plus a bond between its outermost leaves: one cycle, no tree."""
-    tree = build_binary_tree(4)
-    return Graph.from_edges(tree.node_count, list(tree.bonds) + [(15, 30)])
-
-
-@pytest.mark.parametrize("g,width", [
-    (build_path(400), 2),
-    (build_cycle(30), 5),
-    (_tree_with_chord(), 16),
-    (build_random(80, 0.04, 1), 43),
+@pytest.mark.parametrize("g,width,band", [
+    (build_path(400), 2, True),
+    (build_cycle(30), 5, True),
+    (_tree_with_chord(), 16, False),
+    (build_random(80, 0.04, 1), 43, True),
 ], ids=["path400", "cycle30", "tree4_chord", "random80"])
-def test_band_width_in_reverse_cuthill_mckee_order(g, width):
+def test_band_width_in_reverse_cuthill_mckee_order(g, width, band):
+    # the tree with a chord has a band of 17 x 31 entries against a sparse
+    # LU's 115 in L: more than BAND_FILL times as many
     newton = connes._NewtonSystems(g)
     assert not newton.dense
     assert newton.width == width
+    assert newton.band == band
     assert np.array_equal(np.sort(newton.order), np.arange(g.node_count))
-    assert newton.entries_per_pair >= (width + 1) * g.node_count
+    if band:
+        assert newton.entries_per_pair >= (width + 1) * g.node_count
+    else:
+        assert g.node_count < newton.entries_per_pair < (width + 1) * g.node_count
+
+
+def test_wide_band_with_little_fill_takes_sparse_lu(monkeypatch):
+    # the depth-10 tree with a chord has half-width 1 000: its band would be
+    # 16 MB a pair, and 49 MB for banded LU, where a sparse LU fills 0.1 MB
+    g = Graph.from_edges(2047, list(build_binary_tree(10).bonds) + [(1023, 2046)])
+    newton = connes._NewtonSystems(g)
+    assert newton.width == 1000 and not newton.band
+    band_calls = _count_calls(monkeypatch, "dpbtrf")
+    lu_calls = _count_calls(monkeypatch, "splu")
+    tracemalloc.start()
+    try:
+        result = connes_distance(g, 0, 1023)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.certified
+    assert len(lu_calls) > result.iterations > 0 and not band_calls
+    assert peak < 8 * 2 ** 20
+    # the distance is the tree's own, the 10-hop path's
+    assert result.distance == pytest.approx(lattice_closed_form(10), abs=1e-7)
 
 
 @pytest.mark.parametrize("g,sample", [
@@ -883,9 +914,10 @@ def test_band_width_in_reverse_cuthill_mckee_order(g, width):
     (build_random(50, 0.05, 1), 40),
 ], ids=["cycle30", "tree4_chord", "path30", "tree4", "random50"])
 def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
-    # the sparse branch factors each pair of a shrinking stack as its own band
-    # on the graphs with a cycle (half-width 27 on the random graph, 5 on the
-    # cycle); a tree takes one path solve per hop distance
+    # the sparse branch factors each pair of a shrinking stack on its own, as
+    # a band on the random graph (half-width 27) and on the cycle (5), by
+    # sparse LU on the tree with a chord; a tree takes one path solve per hop
+    # distance
     assert not connes._NewtonSystems(g).dense
     m = distance_matrix(g)
     a, b = np.triu_indices(g.node_count, 1)
@@ -896,6 +928,28 @@ def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
         result = connes_distance(g, a, b)
         assert result.certified, (a, b)
         assert m[a, b] == result.distance, (a, b)
+
+
+def test_failed_pair_leaves_its_stack_alone(monkeypatch):
+    # every system of a pair grounded at node 3 solves to NaN: those pairs
+    # stop at once, uncertified, and the rest of their stacks, which take
+    # that iteration again, still equal their solves alone bit for bit
+    g = build_cycle(30)
+    real = connes._NewtonSystems._band_solve
+
+    def band_solve(self, values):
+        row = slice(self.indptr[3], self.indptr[4])
+        if values[self.diagonal[3]] == 1.0 and np.count_nonzero(values[row]) == 1:
+            return lambda b: np.full(self.n, np.nan)
+        return real(self, values)
+
+    monkeypatch.setattr(connes._NewtonSystems, "_band_solve", band_solve)
+    m = distance_matrix(g)
+    assert np.isnan(m[3, 4:]).all()
+    assert np.isnan(m).sum() == 2 * 26
+    monkeypatch.undo()
+    for a, b in [(0, 1), (2, 17), (4, 29), (10, 25)]:
+        assert m[a, b] == connes_distance(g, a, b).distance, (a, b)
 
 
 def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
