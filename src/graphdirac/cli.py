@@ -205,8 +205,12 @@ def build_parser():
     return parser
 
 
+# main's parser, built once per process (build_parser returns a new one each call)
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

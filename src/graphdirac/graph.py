@@ -122,9 +122,13 @@ class Graph:
         _reject((np.minimum(i, j) < 0) | (np.maximum(i, j) >= node_count),
                 f"bond ({{}},{{}}) out of range for {node_count} nodes", i, j)
         _reject(i == j, "self-loop at node {0}, bond ({0},{0})", i)
-        # one sort of the directed-edge keys gives CSR order, node-major then head
-        keys = np.sort(np.concatenate((i * node_count + j, j * node_count + i)))
-        tails, heads = np.divmod(keys, max(node_count, 1))
+        # one sort of the directed-edge keys, tail << shift | head, gives CSR
+        # order, node-major then head
+        shift = max(node_count - 1, 0).bit_length()
+        keys = np.concatenate((i, j)) << shift
+        keys |= np.concatenate((j, i))
+        keys.sort()
+        tails, heads = keys >> shift, keys & ((1 << shift) - 1)
         _reject(keys[1:] == keys[:-1], "duplicate bond ({},{})", tails, heads)
         g = cls.__new__(cls)
         g._store(np.bincount(tails, minlength=node_count), heads)
@@ -371,12 +375,29 @@ def _as_int(value, name):
 # {"nodes": n, "edges": [[i, j], ...]} with the same validation.
 # ---------------------------------------------------------------------------
 
+# the ASCII code points that str.isspace counts as whitespace
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
 def parse_graph(data):
-    """Parse either format (sniffed: JSON starts with '{')."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    if text.lstrip().startswith("{"):
-        return _parse_json(text)
+    """Parse either format (sniffed: JSON starts with '{') from str or UTF-8 bytes.
+
+    ASCII input is read as bytes, other text as code points; both give the
+    same graph, or the same GraphParseError.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        text = bytes(data) if data.isascii() else data.decode("utf-8")
+    else:
+        text = data.encode("ascii") if data.isascii() else data
+    stripped = text.lstrip(_ASCII_SPACE) if isinstance(text, bytes) else text.lstrip()
+    if _as_str(stripped[:1]) == "{":
+        return _parse_json(_as_str(text))
     return _parse_edgelist(text)
+
+
+def _as_str(text):
+    """``text`` as str; bytes reach here only when they are ASCII."""
+    return text.decode("ascii") if isinstance(text, bytes) else text
 
 
 def serialize_graph(g, fmt="edgelist"):
@@ -402,29 +423,37 @@ _KIND[[c for c in np.flatnonzero(_KIND).tolist() if chr(c).splitlines() == [""]]
 
 
 def _parse_edgelist(text):
-    """Parse edge-list text; a malformed file reports its first offending line.
+    """Parse edge-list text (ASCII bytes or str); a malformed file reports its
+    first offending line.
 
-    The text is tokenised as one code-point array (tokens are runs of
-    non-whitespace, as ``str.split`` finds them; lines end where
-    ``str.splitlines`` ends them), the checks run as masks over all lines,
-    and the earliest line any check flags is reported with the message of
+    The text is tokenised as one array of its bytes (ASCII) or code points
+    (tokens are runs of non-whitespace, as ``str.split`` finds them; lines
+    end where ``str.splitlines`` ends them) and the checks run as masks over
+    all lines.  A file that passes them goes to :meth:`Graph.from_edges`,
+    whose sort is the one duplicate check.  Otherwise, or when that check
+    fails, the earliest line any check flags is reported with the message of
     the first check that line fails.  Lines are sliced out of the text only
     for comments and messages.
     """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    if isinstance(text, bytes):
+        codes = np.frombuffer(text, dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     kind = _KIND.take(codes, mode="clip")
     breaks = np.flatnonzero(kind == 2)
     # "\r\n" is one line break: keep its "\r"
     breaks = breaks[(codes[breaks] != 10) | (codes[breaks - 1] != 13) | (breaks == 0)]
+    # tokens start and stop, alternately, where the space mask (padded with
+    # space at both ends) changes
+    space = np.ones(len(codes) + 2, dtype=bool)
+    np.not_equal(kind, 0, out=space[1:-1])
+    starts, stops = np.flatnonzero(space[1:] != space[:-1]).reshape(-1, 2).T
+    del kind, space  # the per-character arrays
 
     def line(k):  # line k stripped, as str.splitlines gives it and str.strip strips it
-        return text[breaks[k - 1] + 1 if k else 0:
-                    breaks[k] if k < len(breaks) else len(text)].strip()
+        return _as_str(text[breaks[k - 1] + 1 if k else 0:
+                            breaks[k] if k < len(breaks) else len(text)]).strip()
 
-    space = kind != 0
-    gap = np.concatenate(([True], space, [True]))
-    starts = np.flatnonzero(gap[:-2] & ~space)
-    stops = np.flatnonzero(~space & gap[2:]) + 1
     # line k runs from break k - 1 to break k; a text ending in a break gets
     # one more, empty line, which no check flags
     first = np.concatenate(([0], np.searchsorted(starts, breaks)))  # each line's first token
@@ -452,20 +481,32 @@ def _parse_edgelist(text):
         errors.append((k, f"expected two indices, got {line(k)!r}"))
 
     rows = np.flatnonzero((counts == 2) & ~comment)
-    tokens = (first[rows, None] + [0, 1]).ravel()
-    ends, integer = _token_indices(text, codes, starts[tokens], stops[tokens])
-    ends, integer = ends.reshape(-1, 2), integer.reshape(-1, 2).all(axis=1)
-    i, j = ends.T
+    tokens = np.concatenate((first[rows], first[rows] + 1))  # each row's i, then each j
+    del first, counts, comment  # a 10**6-node path file then peaks at 150 MB, not 167
+    ends, parsed = _token_indices(text, codes, starts[tokens], stops[tokens])
+    ends, parsed = ends.reshape(2, -1), parsed.reshape(2, -1)
+    i, j = ends
+    integer = parsed[0] & parsed[1]
     in_range = integer & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < NODE_CAP)
     loop = in_range & (i == j)
+    max_index = int(ends.max()) if ends.size else -1
+    if not errors and in_range.all() and not loop.any():
+        try:
+            g = Graph.from_edges(max(max_index + 1, declared_nodes or 0), ends.T)
+        except ValueError:  # a repeated bond: the one check left to from_edges
+            pass
+        else:
+            if declared_nodes is not None and declared_nodes <= max_index:
+                raise GraphParseError(
+                    f"declared node count {declared_nodes} below max index {max_index}")
+            return g
+
     keys = np.minimum(i, j) * NODE_CAP + np.maximum(i, j)
     valid = np.flatnonzero(in_range & ~loop)
+    # a stable order puts each key's first line first: flag the others
+    order = valid[np.argsort(keys[valid], kind="stable")]
     repeated = np.zeros(len(rows), dtype=bool)
-    ordered = np.sort(keys[valid])
-    if (ordered[1:] == ordered[:-1]).any():
-        # a stable order puts each key's first line first: flag the others
-        order = valid[np.argsort(keys[valid], kind="stable")]
-        repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
     for bad, message in ((~integer, "non-integer index in {line!r}"),
                          (integer & ~in_range,
                           f"node index outside 0..{NODE_CAP - 1} in {{line!r}}"),
@@ -476,38 +517,31 @@ def _parse_edgelist(text):
             r = int(hits[0])
             errors.append((int(rows[r]), message.format(
                 line=line(rows[r]), i=int(i[r]), j=int(j[r]))))
-    if errors:
-        k, message = min(errors)
-        raise GraphParseError(message, k + 1)
-
-    max_index = int(ends.max()) if ends.size else -1
-    n = max_index + 1
-    if declared_nodes is not None:
-        if declared_nodes < n:
-            raise GraphParseError(
-                f"declared node count {declared_nodes} below max index {max_index}")
-        n = declared_nodes
-    return Graph.from_edges(n, ends)
+    k, message = min(errors)
+    raise GraphParseError(message, k + 1)
 
 
 def _token_indices(text, codes, a, b):
     """int(text[a:b]) for each token, clipped to -1..NODE_CAP, and whether it parsed.
 
     Tokens of at most 18 ASCII digits are read digit by digit across all
-    tokens at once; any other token (a sign, '_', non-ASCII digits, junk)
-    goes through int() itself.
+    tokens at once, right-aligned at their ends; any other token (a sign,
+    '_', non-ASCII digits, junk) goes through int() itself.
     """
+    length = b - a
+    plain = length <= 18
     value = np.zeros(len(a), dtype=np.int64)
-    plain = b - a <= 18
-    for d in range(int(np.max(b - a, initial=0, where=plain))):
-        live = plain & (a + d < b)
-        digit = codes[np.where(live, a + d, 0)].astype(np.int64) - ord("0")
-        plain &= ~live | ((digit >= 0) & (digit <= 9))
-        value = np.where(live, value * 10 + digit, value)
+    for d in range(int(np.max(length, initial=0, where=plain)), 0, -1):
+        # the d-th code point before each token's end, or 0 before its start;
+        # the unsigned difference puts every non-digit above 9
+        digit = (codes.take(b - d, mode="clip") - ord("0")) * (length >= d)
+        plain &= digit <= 9
+        value *= 10
+        value += digit
     parsed = np.ones(len(a), dtype=bool)
     for t in np.flatnonzero(~plain).tolist():
         try:
-            value[t] = min(max(int(text[a[t]:b[t]]), -1), NODE_CAP)
+            value[t] = min(max(int(_as_str(text[a[t]:b[t]])), -1), NODE_CAP)
         except ValueError:
             parsed[t] = False
     return value, parsed

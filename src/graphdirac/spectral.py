@@ -62,7 +62,10 @@ def _as_sparse(m):
     if isinstance(m, LinearMap):
         m = m.matrix
     if sp.issparse(m):
-        M = sp.csr_array(m).astype(float, copy=False)
+        M = sp.csr_array(m)
+        if M.dtype != float:
+            # the constructor converts the data alone; astype would copy the indices too
+            M = sp.csr_array(M, dtype=float)
     else:
         M = sp.csr_array(np.asarray(m, dtype=float))
     if not np.isfinite(M.data).all():
@@ -139,6 +142,11 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
         raise ValueError("Lanczos needs a square matrix")
+    return _lanczos(M, tol, max_iter)
+
+
+def _lanczos(M, tol=1e-12, max_iter=200_000):
+    """:func:`lanczos_norm` of a square float CSR array, taken as it is."""
     n = M.shape[0]
     if n == 0:
         return PowerIterationResult(0.0, 0, True, 0.0, "lanczos")
@@ -181,7 +189,13 @@ def spectral_norm(m):
     scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
     if asym.nnz and float(np.max(np.abs(asym.data))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    result = lanczos_norm(M)
+    return _symmetric_norm(M)
+
+
+def _symmetric_norm(M):
+    """:func:`spectral_norm` of a float CSR array that is symmetric by
+    construction (a graph's adjacency, :func:`operator_norm`'s block), unchecked."""
+    result = _lanczos(M)
     if not result.converged:
         warnings.warn(
             f"lanczos iteration did not converge in {result.iterations} steps "
@@ -193,7 +207,7 @@ def operator_norm(m):
     """Largest singular value of a general (rectangular) map M: the norm of the
     symmetric block [[0, M], [M^t, 0]], whose eigenvalues are +-sigma_i."""
     M = _as_sparse(m)
-    return spectral_norm(sp.bmat([[None, M], [M.T, None]], format="csr"))
+    return _symmetric_norm(sp.bmat([[None, M], [M.T, None]], format="csr"))
 
 
 def prefix_average_degrees(g):
@@ -208,7 +222,7 @@ def adjacency_norm_bounds(g):
         return NormBounds(0.0, 0.0, 0.0)
     lower = float(np.max(prefix_average_degrees(g)))
     upper = float(np.max(g.degrees))
-    estimate = spectral_norm(adjacency_map(g))
+    estimate = _symmetric_norm(_as_sparse(adjacency_map(g)))
     if not (lower <= estimate + 1e-8 and estimate <= upper + 1e-8):
         raise RuntimeError(
             f"norm estimate {estimate} outside its bounds [{lower}, {upper}]")
@@ -239,7 +253,7 @@ def truncation_norm_sequence(family, depths):
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     graphs = [_FAMILIES[family](d) for d in depths]
-    norms = [spectral_norm(adjacency_map(g)) for g in graphs]
+    norms = [_symmetric_norm(_as_sparse(adjacency_map(g))) for g in graphs]
     monotone = all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
     return TruncationReport(family, tuple(depths), tuple(g.node_count for g in graphs),
                             tuple(norms), monotone)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from graphdirac import connes, parse_graph
+from graphdirac import cli, connes, parse_graph
 from graphdirac.cli import main
 
 
@@ -177,6 +177,17 @@ def test_unknown_verb_rejected(capsys):
     code, out, err = run(capsys, "truncation", "--max-depth", "0")
     assert code == 2
     assert out == "" and "at least one depth" in err
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", None)
+    path = tmp_path / "p.edges"
+    for n in ("3", "4"):
+        code, _, _ = run(capsys, "gen", "--family", "path", "--n", n, "--out", str(path))
+        assert code == 0 and parse_graph(path.read_bytes()).node_count == int(n)
+    # the public builder still returns a new parser on every call
+    assert build() is not build()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

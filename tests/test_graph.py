@@ -289,7 +289,7 @@ def test_serialize_unknown_format():
         serialize_graph(build_path(2), fmt="yaml")
 
 
-@pytest.mark.parametrize("text,lineno", [
+_REJECTED = [
     ("0 0\n", 1),              # self-loop
     ("0 1\n0 1\n", 2),         # duplicate
     ("0 1\n1 0\n", 2),         # reversed repeat
@@ -299,26 +299,53 @@ def test_serialize_unknown_format():
     ("# a comment\n# nodes: 10000000000\n0 1\n", 2),  # node count beyond NODE_CAP
     ("0 1\n1 10000000000\n", 2),                       # node index beyond NODE_CAP
     ('{\n  "nodes": 10000000000,\n  "edges": []\n}', 2),  # JSON node count beyond NODE_CAP
-])
+]
+
+
+@pytest.mark.parametrize("text,lineno", _REJECTED)
 def test_parse_edgelist_rejects(text, lineno):
     with pytest.raises(GraphParseError) as err:
         parse_graph(text)
     assert err.value.lineno == lineno
 
 
-@pytest.mark.parametrize("text,lineno,message", [
+_TWO_ERRORS = [
     ("0 1\n2 x\n3 3\n", 2, "non-integer index in '2 x'"),
     ("0 1\n3 3\n2 x\n", 2, "self-loop at node 3"),
     ("0 1\n1 2 3\n1 0\n", 2, "expected two indices, got '1 2 3'"),
     ("0 1\n1 0\n1 2 3\n", 2, "duplicate or reversed bond (1,0)"),
     ("2 -1\n# nodes: x\n", 1, "node index outside 0..4999999 in '2 -1'"),
     ("0 1\n# nodes: x\n2 -1\n", 2, "malformed node-count comment"),
-])
+]
+
+
+@pytest.mark.parametrize("text,lineno,message", _TWO_ERRORS)
 def test_parse_edgelist_reports_earliest_of_two_errors(text, lineno, message):
     with pytest.raises(GraphParseError) as err:
         parse_graph(text)
     assert err.value.lineno == lineno
     assert str(err.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("text", [case[0] for case in _REJECTED + _TWO_ERRORS])
+def test_parse_errors_are_the_same_for_bytes_and_str(text):
+    # ASCII str and bytes are read as bytes; a leading U+3000 (a space) sends
+    # an edge list through the code-point array instead
+    inputs = [text, text.encode(), bytearray(text.encode())]
+    if not text.startswith("{"):
+        inputs.append("\u3000" + text)
+    outcomes = [_parse_outcome(parse_graph, data) for data in inputs]
+    assert not isinstance(outcomes[0], Graph)
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def test_json_is_sniffed_past_any_leading_whitespace():
+    # str.lstrip strips "\x1c" and "\x1f" (json.loads does not) and U+3000
+    text = '\x1c\x1f {"nodes": 2, "edges": [[0, 1]]}'
+    for data in (text, text.encode(), "\u3000" + text):
+        with pytest.raises(GraphParseError, match="invalid JSON"):
+            parse_graph(data)
+    assert parse_graph(b' \n\t{"nodes": 2, "edges": [[0, 1]]}') == build_path(2)
 
 
 def _loop_parse_edgelist(text):
@@ -398,14 +425,16 @@ def test_parse_edgelist_matches_loop_reference():
     outcomes = {"graph": 0, "error": 0}
     for text in texts:
         expected = _parse_outcome(_loop_parse_edgelist, text)
-        assert _parse_outcome(parse_graph, text) == expected, repr(text)
+        # ASCII bytes are read as bytes, other UTF-8 is decoded: both match the loop
+        for data in (text, text.encode()):
+            assert _parse_outcome(parse_graph, data) == expected, repr(data)
         outcomes["graph" if isinstance(expected, Graph) else "error"] += 1
     assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_parse_edgelist_finds_a_late_duplicate_in_a_long_file():
-    # the line-ordered duplicate search runs only once a sort has found a
-    # repeated bond; it must still name the last of 12 001 shuffled lines
+    # the line-ordered duplicate search runs only once from_edges's sort has
+    # found a repeated bond; it must still name the last of 12 001 shuffled lines
     n = 12_000
     bonds = [(k, k + 1) if k % 2 else (k + 1, k) for k in range(n)]
     random.Random(4).shuffle(bonds)
@@ -419,6 +448,19 @@ def test_parse_edgelist_finds_a_late_duplicate_in_a_long_file():
     with pytest.raises(GraphParseError) as err:
         parse_graph("\n".join(lines) + "\n")
     assert str(err.value) == f"line 101: non-integer index in {lines[100]!r}"
+
+
+def test_million_node_path_file_parses_in_bounded_memory():
+    g = build_path(10 ** 6)
+    data = serialize_graph(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak <= 240e6  # for a 14 MB file
 
 
 def test_parse_json_rejects():
