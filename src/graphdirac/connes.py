@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -197,12 +197,10 @@ class _NewtonSystems:
     def _sparse_setup(self):
         """In reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
         lies within ``width`` of the diagonal: its upper entries go to their
-        slots in the (width + 1, n) band that dpbtrf takes, and all of them to
-        theirs in dgbtrf's (3 width + 1, n) band, whose first width rows take
-        the fill of partial pivoting; both bands Fortran-ordered.  ``band``
-        tells whether the pairs are factored so (``BAND_FILL``) or by sparse
-        LU; a band within BAND_FILL times the pattern's upper triangle needs
-        no trial, a wider one is weighed against one trial LU's fill."""
+        slots in the Fortran-ordered (width + 1, n) band that dpbtrf takes.
+        ``band`` tells whether the pairs are factored so (``BAND_FILL``) or by
+        sparse LU; a band within BAND_FILL times the pattern's upper triangle
+        needs no trial, a wider one is weighed against one trial LU's fill."""
         n = self.n
         self.order = csgraph.reverse_cuthill_mckee(
             csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
@@ -213,7 +211,6 @@ class _NewtonSystems:
         self.width = w = int(np.abs(row - col).max())
         self.upper = np.flatnonzero(row <= col)
         self.band_slots = (col * (w + 1) + w + row - col)[self.upper]
-        self.lu_slots = col * (3 * w + 1) + 2 * w + row - col
         self.factor_entries = (w + 1) * n
         self.band = self.factor_entries <= BAND_FILL * self.upper.size
         if not self.band:
@@ -277,8 +274,10 @@ class _NewtonSystems:
         sides b, each pair on its own factorization, so that a pair's
         rounding does not depend on its stack: one batched dense Cholesky
         factorization of the stack, or a banded one (``_band_solve``) or a
-        sparse LU (``_sparse_solve``) a pair.  A pair whose dense Cholesky
-        fails is refactored alone and falls back to least squares."""
+        sparse LU (``_sparse_solve``) a pair.  The systems are positive
+        definite, so a pair whose factorization fails is singular to working
+        precision and solves to NaN; a failed batch is refactored a pair at a
+        time, so that the other pairs stay as they solve alone."""
         if not self.dense:
             factor = self._band_solve if self.band else self._sparse_solve
             solves = [factor(values) for values in hess]
@@ -294,59 +293,39 @@ class _NewtonSystems:
                                            for factor, row in zip(factors, b)])
         return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
 
+    def _failed(self, b):
+        return np.full(self.n, np.nan)
+
     def _dense_solve(self, values):
-        matrix = self.dense_matrix(values[None])[0]
         try:
-            upper = cholesky(matrix).T
+            upper = cholesky(self.dense_matrix(values[None])[0]).T
         except LinAlgError:
-            return self._least_squares(values)
+            return self._failed
         return lambda b: dpotrs(upper, b, lower=0)[0]
 
     def _band_solve(self, values):
         """A function that solves one pair's system, its values in the slots
-        ``keys``, by banded Cholesky in the order ``order``.  Both systems are
-        positive definite, but a pivot may round to zero or below; the pair
-        is then refactored by banded LU with partial pivoting, and a U that
-        is exactly singular falls back to least squares."""
-        order, rank, w = self.order, self.rank, self.width
-        band = np.zeros((self.n, w + 1))
+        ``keys``, by banded Cholesky in the order ``order``."""
+        order, rank = self.order, self.rank
+        band = np.zeros((self.n, self.width + 1))
         band.flat[self.band_slots] = values[self.upper]
         factor, info = dpbtrf(band.T, overwrite_ab=1)
-        if not info:
-            return lambda b: dpbtrs(factor, b[order])[0][rank]
-        band = np.zeros((self.n, 3 * w + 1))
-        band.flat[self.lu_slots] = values
-        factor, pivots, info = dgbtrf(band.T, w, w, overwrite_ab=1)
-        if not info:
-            return lambda b: dgbtrs(factor, w, w, b[order], pivots)[0][rank]
-        return self._least_squares(values)
+        if info:
+            return self._failed
+        return lambda b: dpbtrs(factor, b[order])[0][rank]
 
     def _sparse_solve(self, values):
-        """A function that solves one pair's system by sparse LU; an exactly
-        singular factor falls back to least squares."""
+        """A function that solves one pair's system by sparse LU."""
         try:
             return self._splu(values).solve
-        except RuntimeError:
-            return self._least_squares(values)
+        except RuntimeError:  # an exactly zero pivot
+            return self._failed
 
     def _splu(self, values):
         # the pattern is symmetric, so its CSR arrays are also its CSC ones;
         # symmetric ordering, no pivoting: both systems are positive definite
-        # (a zero pivot fails the factorization, as a nonpositive one fails a
-        # Cholesky factorization)
         return splu(csc_matrix((values, self.indices, self.indptr), shape=(self.n, self.n)),
                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-
-    def _least_squares(self, values):
-        """One pair's last resort: least squares on its dense matrix, which
-        the dense branch holds anyway and a graph of n^2 <= CHUNK_ENTRIES
-        affords.  A larger graph's pair solves to NaN instead: the pair then
-        stops at its last point (``_solve_pairs``), and its dual bound is
-        +inf."""
-        if not (self.dense or self.n * self.n <= CHUNK_ENTRIES):
-            return lambda b: np.full(self.n, np.nan)
-        matrix = self.dense_matrix(values[None])[0]
-        return lambda b: np.linalg.lstsq(matrix, b, rcond=None)[0]
 
 
 def random_feasible_point(g, gauge, rng, margin=0.5):
@@ -391,7 +370,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     The primal-dual loop keeps every lambda_i > 0, so L is positive definite
     off the gauge; a pair with a conductance <= 0, which may split the graph,
     gets U = +inf, an upper bound whatever R is, and so does a pair whose
-    every factorization failed, which solves to NaN (``_least_squares``).
+    factorization failed, which solves to NaN (``_NewtonSystems._factor``).
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
     with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
     with |r|, on the same factorization, plus the rounding of r's own
@@ -484,15 +463,15 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     move by one step length, 0.995 of the largest that keeps s and lambda
     nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
     whose s^t lambda is at most 1e-4 tol, or that has run MAX_NEWTON
-    iterations, or whose Newton system no factorization solves
-    (``_least_squares``), is due: it leaves the working stack and is parked,
-    and the others take that iteration again.  When the working stack is
-    empty, the parked pairs are moved onto the boundary and certified in one
-    round; a pair leaves with that certificate when it is certified, failed
-    or at MAX_NEWTON iterations, and goes back on the working stack with its
-    own (f, s, lambda) and iteration count otherwise, to take one more
-    iteration before it is due again.  The rows of f are the working
-    stack and are overwritten.
+    iterations, or whose Newton system does not factor and so solves to NaN
+    (``_NewtonSystems._factor``), is due: it leaves the working stack and is
+    parked, and the others take that iteration again.  When the working
+    stack is empty, the parked pairs are moved onto the boundary and
+    certified in one round; a pair leaves with that certificate when it is
+    certified, failed or at MAX_NEWTON iterations, and goes back on the
+    working stack with its own (f, s, lambda) and iteration count
+    otherwise, to take one more iteration before it is due again.  The rows
+    of f are the working stack and are overwritten.
     """
     k, n = f.shape
     out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))

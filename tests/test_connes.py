@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_uncertifiable_tolerance_is_flagged_not_raised():
     assert result.distance == pytest.approx(SQRT2, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [12, 40])
+def test_tolerance_below_rounding_stops_at_the_first_singular_system(n):
+    # past what float64 can certify the Newton matrix turns singular to
+    # working precision; the pair stops there with that point's certificate
+    # instead of stepping on to MAX_NEWTON and a worse gap
+    result = connes_distance(build_cycle(n), 0, n // 2, tol=1e-15)
+    assert not result.certified
+    assert result.iterations < connes.MAX_NEWTON
+    assert result.gap <= 1e-12
+
+
+def test_tolerance_below_rounding_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = distance_matrix(build_cycle(30), tol=1e-15)
+    assert m.shape == (30, 30)
+
+
 # --- the sparse Newton step ---------------------------------------------------------
 
 def _constraint_jacobian(g, f):
@@ -385,70 +404,19 @@ def test_one_factorization_per_iteration_and_certificate(monkeypatch, g, pair, f
     assert len(factorizations) == result.iterations + len(certificates)
 
 
-def _singular_cholesky(a):
-    raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-
 def _indefinite_band(band, **kwargs):
     return band, 1  # dpbtrf's info: the leading minor of order 1 is not positive
 
 
-def _singular_band_lu(band, kl, ku, **kwargs):
-    return band, np.zeros(band.shape[1], dtype=np.int32), 1  # dgbtrf's info: U(1, 1) = 0
-
-
-def _count_lstsq(monkeypatch):
-    calls = []
-    real = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name,failing,n", [
-    ("cholesky", _singular_cholesky, 5),
-    ("dgbtrf", _singular_band_lu, 30),
-])
-def test_failed_factorization_falls_back_to_least_squares(monkeypatch, name, failing, n):
-    # the path of 5 is on the dense branch, the path of 30 on the band, where
-    # least squares follows when both the banded Cholesky and LU fail
-    monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
-    monkeypatch.setattr(connes, name, failing)
-    lstsq_calls = _count_lstsq(monkeypatch)
-    result = connes_distance(build_path(n), 0, n - 1)
-    assert len(lstsq_calls) >= result.iterations > 0
-    assert result.certified
-    assert result.distance == pytest.approx(lattice_closed_form(n - 1), abs=1e-5)
-
-
-def test_failed_band_cholesky_falls_back_to_banded_lu(monkeypatch):
-    monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
-    lu_calls = _count_calls(monkeypatch, "dgbtrf")
-    lstsq_calls = _count_lstsq(monkeypatch)
-    result = connes_distance(build_path(30), 0, 29)
-    assert len(lu_calls) >= result.iterations > 0
-    assert not lstsq_calls
-    assert result.certified
-    assert result.distance == pytest.approx(lattice_closed_form(29), abs=1e-7)
-
-
 def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified(monkeypatch):
-    # past n^2 > CHUNK_ENTRIES no pair's matrix is made dense for least
-    # squares: a pair none of whose factorizations holds solves to NaN, and
-    # comes back at once, uncertified, with the dual bound +inf
+    # no pair's matrix is made dense: a pair whose factorization fails solves
+    # to NaN, and comes back at once, uncertified, with the dual bound +inf
     monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
-    monkeypatch.setattr(connes, "dgbtrf", _singular_band_lu)
-    monkeypatch.setattr(connes, "CHUNK_ENTRIES", 30 * 30 - 1)
     densified = []
     monkeypatch.setattr(connes._NewtonSystems, "dense_matrix",
                         lambda self, hess: densified.append(len(hess)))
-    lstsq_calls = _count_lstsq(monkeypatch)
     result = connes_distance(build_path(30), 0, 29)
-    assert not densified and not lstsq_calls
+    assert not densified
     assert not result.certified
     assert result.upper_bound == math.inf
     # the pair stops at its last point, the start, instead of running on NaN
@@ -458,7 +426,7 @@ def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified
     newton = connes._NewtonSystems(build_path(30))
     bound = connes._dual_bound(newton, np.ones((1, 30)), np.array([0]), np.array([29]))
     assert bound[0] == math.inf
-    assert not densified and not lstsq_calls
+    assert not densified
 
 
 def _tree_with_chord():
@@ -469,10 +437,10 @@ def _tree_with_chord():
 
 @pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
                          ids=["dense", "sparse", "sparse_lu"])
-def test_one_failed_factorization_in_a_stack(monkeypatch, g):
+def test_one_failed_factorization_in_a_stack(g):
     # a zero Hessian for one pair of four fails the stack's batched Cholesky
-    # (dense), its own band's Cholesky and LU (sparse) or its own sparse LU;
-    # only that pair goes to least squares
+    # (dense), its own banded Cholesky (sparse) or its own sparse LU; only
+    # that pair solves to NaN
     newton = connes._NewtonSystems(g)
     n, k = g.node_count, 4
     rng = np.random.default_rng(3)
@@ -482,12 +450,10 @@ def test_one_failed_factorization_in_a_stack(monkeypatch, g):
     grad, hess = _primal_dual_system(g, newton, f, lam, lam, gauges, targets)
     hess[2] = 0.0
     alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in (0, 1, 3)]
-    lstsq_calls = _count_lstsq(monkeypatch)
     step = newton._factor(hess)(-grad)
-    assert len(lstsq_calls) == 1
     for r, expected in zip((0, 1, 3), alone):
         assert np.array_equal(step[r], expected)
-    assert np.array_equal(step[2], np.zeros(n))  # least squares on the zero matrix
+    assert np.isnan(step[2]).all() and step[2].shape == (n,)
 
 
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
@@ -623,16 +589,19 @@ def test_split_support_gives_no_bound():
 
 def test_split_pair_does_not_fail_its_stack(monkeypatch):
     # the split pair is factored with unit multipliers, so the stack's one
-    # factorization holds and no pair falls back to least squares
+    # batched factorization holds and no pair is refactored alone
     g = build_path(5)
     lam = np.array([[0.5, 1.0, 2.0, 1.0, 0.5],
                     [1.0, 0.0, 0.0, 0.0, 1.0],
                     [0.3, 0.7, 0.2, 0.9, 0.4]])
     gauges, targets = np.array([0, 0, 1]), np.array([4, 4, 3])
     alone = [_bound(g, lam[r], gauges[r], targets[r]) for r in (0, 2)]
-    lstsq_calls = _count_lstsq(monkeypatch)
+    dense_solves = []
+    real = connes._NewtonSystems._dense_solve
+    monkeypatch.setattr(connes._NewtonSystems, "_dense_solve",
+                        lambda self, values: dense_solves.append(1) or real(self, values))
     upper = connes._dual_bound(connes._NewtonSystems(g), lam, gauges, targets)
-    assert not lstsq_calls
+    assert not dense_solves
     assert upper[1] == math.inf
     assert [upper[0], upper[2]] == alone
 
