@@ -27,9 +27,9 @@ Randic 1993); the gap U - (f_b - f_a) bounds the error.
 For the path graph on nodes 0..n the optimum is known in closed form:
 sqrt(floor(n^2/2)) for n even and sqrt(floor(n^2/2) + 1) for n odd, attained
 by an alternating step profile; the same value is the distance between any
-two nodes d apart in a tree, where the solver works on the a-b path alone.
-These closed forms and an independent grid-search oracle keep the solver
-honest.
+two nodes d apart in a tree, where the optimizer and the multipliers are
+written down on the a-b path with no solve.  These closed forms and an
+independent grid-search oracle keep the solver honest.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import (_as_int, _bfs_path, _check_node, _csgraph, build_path,
-                    combinatorial_distance, induced_subgraph, shortest_path)
+from .graph import (_as_int, _bfs_path, _check_node, _csgraph, combinatorial_distance,
+                    induced_subgraph, shortest_path)
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -104,17 +104,10 @@ class ConnesResult:
     gap: float                  # upper_bound - distance
 
     def to_json(self):
-        return json.dumps({
-            "distance": self.distance,
-            "certified": self.certified,
-            "upper_bound": self.upper_bound,
-            "gap": self.gap,
-            "kkt_residual": self.kkt_residual,
-            "iterations": self.iterations,
-            "f": [float(x) for x in self.optimizer],
-            "slacks": [float(x) for x in self.slacks],
-            "multipliers": [float(x) for x in self.multipliers],
-        })
+        keys = ("distance", "certified", "upper_bound", "gap", "kkt_residual", "iterations")
+        arrays = {"f": self.optimizer, "slacks": self.slacks, "multipliers": self.multipliers}
+        return json.dumps({**{key: getattr(self, key) for key in keys},
+                           **{key: array.tolist() for key, array in arrays.items()}})
 
 
 class _NewtonSystems:
@@ -459,23 +452,25 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     predictor's J df, a(df) and multiplier step, and sigma = (mu_aff / mu)^3
     from the predictor's best step.  The q and J(df_aff) terms are the
     second-order terms of the quadratic constraints and of stationarity,
-    which is bilinear in (f, lambda).  Then f, s and lambda
-    move by one step length, 0.995 of the largest that keeps s and lambda
-    nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
-    whose s^t lambda is at most 1e-4 tol, or that has run MAX_NEWTON
-    iterations, or whose Newton system does not factor and so solves to NaN
+    which is bilinear in (f, lambda).  Then f, s and lambda move by one step
+    length, 0.995 of the largest that keeps s and lambda nonnegative, with
+    s -> s - t p - t^2 q exact for the quadratic a.  A pair whose s^t lambda
+    is at most 1e-4 tol, or that has run MAX_NEWTON iterations, or whose
+    Newton system does not factor and so solves to NaN
     (``_NewtonSystems._factor``), is due: it leaves the working stack and is
     parked, and the others take that iteration again.  When the working
     stack is empty, the parked pairs are moved onto the boundary and
-    certified in one round; a pair leaves with that certificate when it is
-    certified, failed or at MAX_NEWTON iterations, and goes back on the
-    working stack with its own (f, s, lambda) and iteration count
-    otherwise, to take one more iteration before it is due again.  The rows
-    of f are the working stack and are overwritten.
+    certified in one round; a pair leaves when it is certified, failed or at
+    MAX_NEWTON iterations, and goes back on the working stack with its own
+    (f, s, lambda) and iteration count otherwise, to take one more iteration
+    before it is due again.  A pair returns its certified round, or else its
+    round with the smallest gap.  The rows of f are the working stack and are
+    overwritten.
     """
     k, n = f.shape
-    out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
-    out_kkt, out_upper, out_certified = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    out_f, out_prof, out_lam = np.empty((3, k, n))
+    out_kkt, out_upper, out_gap = np.full((3, k), np.nan)  # NaN until a pair's first round
+    out_certified = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
@@ -498,12 +493,15 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             parked = []
             checked[pairs] = iterations[pairs]
             bf, prof = _on_boundary(g, newton, f)
-            kkt, upper, certified = _certificate(newton, bf, prof, lam, gauges[pairs],
-                                                 targets[pairs], tol)
+            a, b = gauges[pairs], targets[pairs]
+            kkt, upper, certified = _certificate(newton, bf, prof, lam, a, b, tol)
+            gap = upper - (bf[np.arange(pairs.size), b] - bf[np.arange(pairs.size), a])
+            # a pair keeps its round with the smallest gap, or its certified one
+            best = certified | ~(gap >= out_gap[pairs])
+            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified,
+                                   out_gap), (bf, prof, lam, kkt, upper, certified, gap)):
+                out[pairs[best]] = value[best]
             done = certified | (iterations[pairs] == MAX_NEWTON) | failed[pairs]
-            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified),
-                                  (bf, prof, lam, kkt, upper, certified)):
-                out[pairs[done]] = value[done]
             pairs, f, s, lam = (x[~done] for x in (pairs, f, s, lam))
             continue
         rows, a, b = np.arange(pairs.size), gauges[pairs], targets[pairs]
@@ -536,26 +534,26 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
         lam += t * dlam
         iterations[pairs] += 1
     distance = out_f[np.arange(k), targets] - out_f[np.arange(k), gauges]
-    return (distance, out_f, out_prof, out_lam, out_kkt, iterations, out_upper,
-            out_upper - distance, out_certified)
+    return (distance, out_f, out_prof, out_lam, out_kkt, iterations, out_upper, out_gap,
+            out_certified)
 
 
 def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     """Distance between nodes a and b with a two-sided certificate.
 
-    Starts from ``x0`` (shifted to the gauge f_a = 0; it must be a finite,
-    strictly feasible node vector) or from f = 0 and takes primal-dual
-    interior-point iterations with Mehrotra's predictor-corrector, at most
-    MAX_NEWTON of them; the pair runs as a stack of one through the
-    lockstep loop that ``distance_matrix`` uses for all its pairs.  When the
-    complementarity s^t lambda is at most 1e-4 tol, the optimizer is moved
-    onto the constraint boundary (exact by homogeneity) and the multipliers
-    give the dual bound ``upper_bound``; the result is ``certified`` when the
-    gap between the two is at most tol, so that the distance is within tol
-    of the true one.  A pair that does not certify goes on until the cap.
-    ``iterations`` counts the primal-dual iterations.  Non-certified results
-    are returned, not raised.  On a tree the pair is solved on its a-b path,
-    with x0 restricted to it (``_solve_on_path``).
+    ``x0``, if given, must be a finite, strictly feasible node vector; it is
+    shifted to the gauge f_a = 0.  On a tree the pair is certified from the
+    closed form on its a-b path in O(d), with ``iterations`` = 0 and x0
+    unused (``_solve_on_path``).  Otherwise the pair starts from x0 or f = 0
+    and takes at most MAX_NEWTON primal-dual interior-point iterations with
+    Mehrotra's predictor-corrector, as a stack of one through the loop that
+    ``distance_matrix`` uses for all its pairs.  When the complementarity
+    s^t lambda is at most 1e-4 tol, the optimizer is moved onto the
+    constraint boundary (exact by homogeneity) and the multipliers give the
+    dual bound ``upper_bound``; the result is ``certified`` when the gap
+    between the two is at most tol, so that the distance is within tol of
+    the true one.  A pair that does not certify goes on until the cap and
+    returns its round with the smallest gap, not raised.
     """
     _check_node(g, a, b)
     _check_tol(tol)
@@ -578,10 +576,9 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
     if _is_tree(g):
-        fields = _solve_on_path(g, a, b, f, tol)
-    else:
-        fields = _solve_pairs(g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
-    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = fields
+        return _solve_on_path(g, a, b, tol)
+    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
+        g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
     return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
                         int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
 
@@ -590,26 +587,20 @@ def _is_tree(g):
     return g.connected and g.directed_edge_count == 2 * (g.node_count - 1)
 
 
-def _solve_on_path(g, a, b, f, tol):
-    """``_solve_pairs``'s fields for the pair (a, b) of the tree g, a != b,
-    from the gauge-fixed strictly feasible start f, solved on the a-b path.
+def _solve_on_path(g, a, b, tol):
+    """The result for the pair (a, b) of the tree g, a != b, with no solve.
 
-    A subtree hanging off the path meets it at one node v; holding it at f_v
-    changes neither f_b - f_a nor any a_i on the path, and makes every a_i
-    inside it 0.  So the program on g is the lattice program on the path's d
-    bonds: the pair (0, d) of ``build_path(d + 1)``, started from f on the
-    path, solved and certified there.  The optimizer takes each node's value
-    at its nearest path node; the multipliers are 0 off the path, and the
-    computed profile is the path's on it and exactly 0 off it.  With those
-    multipliers a hanging subtree carries no conductance, so R_lambda(a, b)
-    and the dual bound U are the path's.
+    A subtree hanging off the a-b path meets it at one node v; holding it at
+    f_v changes neither f_b - f_a nor any a_i on the path, and makes every
+    a_i inside it 0.  So the program on g is the lattice program on the
+    path's d bonds (``_lattice_certificate``).  The optimizer takes each
+    node's value at its nearest path node; the multipliers are 0 off the
+    path, so a hanging subtree carries no conductance and U is the path's,
+    and the computed profile is the path's on it and exactly 0 off it.
     """
     path, parent = _bfs_path(g, a, b)
     path = np.array(path)
-    line = build_path(path.size)
-    distance, line_f, line_prof, line_lam, *rest = _solve_pairs(
-        line, _NewtonSystems(line), np.array([0]), np.array([path.size - 1]), f[None, path], tol)
-    n = g.node_count
+    line_f, line_prof, line_lam, kkt, upper, certified = _lattice_certificate(path.size - 1, tol)
     # in a tree a node's nearest path node is the first on its way to a: path
     # nodes point to themselves, the others to their BFS parent, and pointer
     # jumping follows the chains in about log2(depth) rounds
@@ -618,11 +609,55 @@ def _solve_on_path(g, a, b, f, tol):
     jumped = nearest[nearest]
     while not np.array_equal(jumped, nearest):
         nearest, jumped = jumped, jumped[jumped]
-    position = np.empty(n, dtype=np.int64)
-    position[path] = np.arange(path.size)
-    prof, multipliers = np.zeros((1, n)), np.zeros((1, n))
-    prof[:, path], multipliers[:, path] = line_prof, line_lam
-    return (distance, line_f[:, position[nearest]], prof, multipliers, *rest)
+    f, prof, multipliers = np.zeros((3, g.node_count))
+    f[path], prof[path], multipliers[path] = line_f, line_prof, line_lam
+    distance = float(line_f[-1])
+    return ConnesResult(distance, f[nearest], prof, multipliers, kkt, 0, certified, upper,
+                        upper - distance)
+
+
+def _lattice_certificate(d, tol):
+    """The optimizer f (f_0 = 0), its computed profile, the multipliers, the
+    KKT residual, the dual bound U and the verdict of the lattice program on
+    d >= 1 bonds, written down in O(d) from its jumps h = lattice_step_profile(d).
+
+    f_j = min(t_j, f_{j-1} + sqrt(1 - gamma - (f_{j-1} - f_{j-2})^2)), t_j the
+    prefix sums of h, stepped down an ulp at a time while the computed a_{j-1}
+    exceeds 1 - gamma; gamma = 5u, ``_NewtonSystems``' allowance at degree 2,
+    so the computed profile proves f feasible.  Stationarity asks for bond
+    conductances c_j = 1 / (2 h_j): lambda_0 = 0 and lambda_j = c_{j-1} -
+    lambda_{j-1}, that is k (c_1 - c_0) at j = 2k and c_0 - k (c_1 - c_0) at
+    j = 2k + 1 (c_1 - c_0 is exact), with rounding negatives clipped to 0.
+    On a path R_lambda is the series of the reciprocal conductances, so U
+    needs no factorization.  Each conductance, its reciprocal, each fsum and
+    U's sum round once, so the exact U is at most (1 + u) / (1 - u)^3 < 1 + 5u
+    times the computed sum, and its product by 1 + 10u, rounded, stays above.
+    """
+    h = lattice_step_profile(d)
+    j = np.arange(d + 1)
+    prefix = ((j + 1) // 2 * h[0] + j // 2 * h[1 % d]).tolist()  # h alternates h_0, h_1
+    cap = 1.0 - 5 * UNIT_ROUNDOFF
+    f, left, square = [0.0], 0.0, 0.0  # f_{j-1} and the computed square of the jump into it
+    for x in prefix[1:]:
+        top = left + math.sqrt(cap - square)
+        if x > top:
+            x = top
+        while square + (x - left) * (x - left) > cap:
+            x = math.nextafter(x, -math.inf)
+        f.append(x)
+        left, square = x, (x - left) * (x - left)
+    f = np.array(f)
+    jumps = np.diff(f)
+    prof = np.append(jumps * jumps, 0.0) + np.insert(jumps * jumps, 0, 0.0)
+    c0, step = 0.5 / h[0], 0.5 / h[1 % d] - 0.5 / h[0]
+    lam = np.maximum(np.where(j % 2, c0 - j // 2 * step, j // 2 * step), 0.0)
+    conductance = lam[:-1] + lam[1:]
+    upper = float(_exact_sums((lam, 0.25 / conductance)).sum() * (1.0 + 10 * UNIT_ROUNDOFF))
+    # c - J^t lambda: node j's net outflow of the bond currents 2 c_j (f_j - f_{j-1})
+    residual = np.diff(np.concatenate(([1.0], 2.0 * conductance * jumps, [1.0])))
+    kkt = max(math.sqrt(residual @ residual), float((lam * (1.0 - prof)).max()))
+    certified = bool(prof.max() <= cap and (lam >= 0.0).all() and upper - f[-1] <= tol)
+    return f, prof, lam, kkt, upper, certified
 
 
 def _check_tol(tol):
@@ -661,25 +696,17 @@ def lattice_step_profile(n):
     amp = 1.0 + 1.0 / (n // 2)
     h_max = amp / math.sqrt(1.0 + amp * amp)
     h_min = 1.0 / math.sqrt(1.0 + amp * amp)
-    profile = np.empty(n)
+    profile = np.full(n, h_min)
     profile[0::2] = h_max
-    profile[1::2] = h_min
     return profile
 
 
 def tree_distance_closed_form(g, a, b):
-    """Distance in an acyclic connected graph: the lattice value at the path length.
-
-    The unique-path profile extends to the whole tree by constant
-    continuation, so the lattice optimum is attained exactly.
-    """
+    """Distance in a tree: the lattice value at the path length, attained by
+    continuing the path's profile constantly over the rest of the tree."""
     _check_node(g, a, b)
-    if not g.connected:
-        raise ValueError("tree distance needs a connected graph")
-    if g.directed_edge_count // 2 != g.node_count - 1:
-        raise ValueError("graph has a cycle; closed form only holds for trees")
-    if a == b:
-        return 0.0
+    if not _is_tree(g):
+        raise ValueError("closed form only holds for trees: connected, without cycles")
     return lattice_closed_form(combinatorial_distance(g, a, b))
 
 
@@ -749,7 +776,7 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     primal-dual loop together, in chunks of at most CHUNK_ENTRIES Hessian
     entries; each pair is certified on its own and agrees with
     ``connes_distance`` on that pair.  On a tree the distance depends only
-    on the hop count d, so each d takes one solve on a path of d bonds, the
+    on the hop count d, so each d takes one ``_lattice_certificate``, the
     one ``connes_distance`` makes for every pair d apart.  Per-pair
     certification failures are flagged by a NaN entry rather than aborting
     the sweep.
@@ -765,10 +792,8 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     if _is_tree(g):
         hops = csgraph.shortest_path(_csgraph(g), unweighted=True)
         for d in range(1, int(hops.max()) + 1):  # a tree has pairs at every d up to its diameter
-            apart = hops == d
-            a, b = np.argwhere(apart)[0]
-            distance, *_, certified = _solve_on_path(g, a, b, np.zeros(n), tol)
-            out[apart] = distance[0] if certified[0] else np.nan
+            f, *_, certified = _lattice_certificate(d, tol)
+            out[hops == d] = f[-1] if certified else np.nan
         return out
     newton = _NewtonSystems(g)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
@@ -827,14 +852,8 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
         gap = sub_dist - dist
         relation = "==" if abs(gap) <= 1e-8 else (">=" if gap > 0 else "<=")
         samples.append(SubgraphComparison(kept, sub_dist, relation))
-    return ComparisonReport(
-        distance=dist,
-        combinatorial=d,
-        minimal_path_distance=dist_path,
-        within_combinatorial=bool(dist <= d + 1e-8),
-        within_minimal_path=bool(dist <= dist_path + 1e-8),
-        subgraphs=samples,
-    )
+    return ComparisonReport(dist, d, dist_path, bool(dist <= d + 1e-8),
+                            bool(dist <= dist_path + 1e-8), samples)
 
 
 def scale_normalization_check(g, f):

@@ -332,9 +332,9 @@ def _bfs_path(g, a, b):
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
     while path[-1] != a:
-        if parent[path[-1]] < 0:
+        path.append(parent.item(path[-1]))
+        if path[-1] < 0:
             raise ValueError(f"no path between nodes {a} and {b}")
-        path.append(int(parent[path[-1]]))
     return path[::-1], parent
 
 

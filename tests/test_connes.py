@@ -364,6 +364,16 @@ def test_sparse_step_matches_dense_assembly(name):
         assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
 
 
+def _solve_pair(g, a, b, tol=connes.DEFAULT_TOL):
+    """The interior-point solve that ``connes_distance`` makes on a graph with
+    a cycle, made here on any graph, trees included, from f = 0."""
+    distance, f, prof, lam, kkt, iterations, upper, gap, certified = connes._solve_pairs(
+        g, connes._NewtonSystems(g), np.array([a]), np.array([b]), np.zeros((1, g.node_count)), tol)
+    return connes.ConnesResult(float(distance[0]), f[0], prof[0], lam[0], float(kkt[0]),
+                               int(iterations[0]), bool(certified[0]), float(upper[0]),
+                               float(gap[0]))
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(connes, name)
@@ -383,7 +393,7 @@ def _count_calls(monkeypatch, name):
 def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
     band_calls = _count_calls(monkeypatch, "dpbtrf")
     dense_calls = _count_calls(monkeypatch, "cholesky")
-    result = connes_distance(g, *pair)
+    result = _solve_pair(g, *pair)
     assert result.certified
     used, unused = (band_calls, dense_calls) if sparse else (dense_calls, band_calls)
     assert len(used) >= result.iterations > 0
@@ -399,7 +409,7 @@ def test_one_factorization_per_iteration_and_certificate(monkeypatch, g, pair, f
     # dual bound's two solves
     factorizations = _count_calls(monkeypatch, factorize)
     certificates = _count_calls(monkeypatch, "_certificate")
-    result = connes_distance(g, *pair)
+    result = _solve_pair(g, *pair)
     assert result.certified
     assert len(factorizations) == result.iterations + len(certificates)
 
@@ -415,7 +425,7 @@ def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified
     densified = []
     monkeypatch.setattr(connes._NewtonSystems, "dense_matrix",
                         lambda self, hess: densified.append(len(hess)))
-    result = connes_distance(build_path(30), 0, 29)
+    result = _solve_pair(build_path(30), 0, 29)
     assert not densified
     assert not result.certified
     assert result.upper_bound == math.inf
@@ -458,7 +468,7 @@ def test_one_failed_factorization_in_a_stack(g):
 
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
     band_calls = _count_calls(monkeypatch, "dpbtrf")
-    result = connes_distance(build_path(61), 0, 60)
+    result = _solve_pair(build_path(61), 0, 60)
     assert band_calls
     assert result.certified
     assert result.distance == pytest.approx(lattice_closed_form(60), abs=1e-5)
@@ -607,9 +617,9 @@ def test_split_pair_does_not_fail_its_stack(monkeypatch):
 
 
 def _pair_solves():
-    tree = build_binary_tree(7)
-    solves = [lambda: connes_distance(build_path(400), 0, 399),
-              lambda: connes_distance(tree, 2 ** 7 - 1, 2 ** 8 - 2)]
+    # the tree pairs' interior-point solves on their paths
+    solves = [lambda: _solve_pair(build_path(400), 0, 399),
+              lambda: _solve_pair(build_path(15), 0, 14)]
     for seed in (0, 1, 2):
         solves.append(lambda seed=seed: distance_matrix(build_random(20, 0.3, seed)))
     return solves
@@ -1031,16 +1041,17 @@ def test_tree_optimizer_takes_the_nearest_path_node(seed):
     assert np.array_equal(f, f[nearest])
 
 
-def test_tree_solve_starts_from_x0_on_the_path():
+def test_tree_solve_checks_x0_and_leaves_it_unused():
     g, a, b = _relabelled_tree_pair(3)
-    path = shortest_path(g, a, b)
     x0 = random_feasible_point(g, a, np.random.default_rng(3), margin=0.9)
     result = connes_distance(g, a, b, x0=x0)
-    on_line = connes_distance(build_path(len(path)), 0, len(path) - 1, x0=x0[path])
+    cold = connes_distance(g, a, b)
     assert result.certified
-    assert (result.distance, result.iterations) == (on_line.distance, on_line.iterations)
-    assert np.array_equal(result.optimizer[path], on_line.optimizer)
-    assert np.array_equal(result.multipliers[path], on_line.multipliers)
+    for field in ("distance", "upper_bound", "gap", "kkt_residual", "iterations", "certified"):
+        assert getattr(result, field) == getattr(cold, field)
+    for field in ("optimizer", "slacks", "multipliers"):
+        assert np.array_equal(getattr(result, field), getattr(cold, field))
+    path = shortest_path(g, a, b)
     # x0 is checked on the whole tree: a jump off the path makes it infeasible
     leaf = next(v for v in range(g.node_count) if g.degrees[v] == 1 and v not in path)
     x0 = np.zeros(g.node_count)
@@ -1051,7 +1062,7 @@ def test_tree_solve_starts_from_x0_on_the_path():
 
 @pytest.mark.parametrize("g", [build_binary_tree(6), build_path(100)], ids=["tree6", "path100"])
 def test_tree_distance_matrix_takes_one_solve_per_hop_distance(monkeypatch, g):
-    solves = _count_calls(monkeypatch, "_solve_pairs")
+    solves = _count_calls(monkeypatch, "_lattice_certificate")
     m = distance_matrix(g)
     n = g.node_count
     hops = np.array([bfs_distances(g, v) for v in range(n)])
@@ -1065,16 +1076,70 @@ def test_tree_distance_matrix_takes_one_solve_per_hop_distance(monkeypatch, g):
 
 
 def test_tree_pairs_at_one_hop_distance_share_their_certificate(monkeypatch):
-    real = connes._certificate
+    real = connes._lattice_certificate
 
-    def forced(newton, f, prof, multipliers, gauges, targets, tol):
-        # the solve at hop distance 2 is the pair (0, 2) of a path of 3 nodes
-        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
-        return kkt, upper, certified & ~((newton.n == 3) & (targets == 2))
+    def forced(d, tol):
+        # the certificate at hop distance 2 fails
+        *fields, certified = real(d, tol)
+        return (*fields, certified and d != 2)
 
-    monkeypatch.setattr(connes, "_certificate", forced)
+    monkeypatch.setattr(connes, "_lattice_certificate", forced)
     nan = np.isnan(distance_matrix(build_path(4)))
     assert nan[0, 2] and nan[1, 3] and nan.sum() == 4
+
+
+@pytest.mark.parametrize("bonds", [range(1, 251), range(251, 501)], ids=["1-250", "251-500"])
+def test_path_pair_is_certified_from_the_closed_form(bonds):
+    for d in bonds:
+        g = build_path(d + 1)
+        result = connes_distance(g, 0, d)
+        assert result.certified, d
+        assert result.iterations == 0
+        assert result.distance <= lattice_closed_form(d) <= result.upper_bound, d
+        assert constraint_profile(g, result.optimizer).max() <= 1.0 - 5 * connes.UNIT_ROUNDOFF
+        assert result.multipliers.min() >= 0.0
+        assert result.kkt_residual <= 1e-7, d
+
+
+@pytest.mark.parametrize("n", [20_000, 50_000])
+def test_long_path_endpoints_certify_at_the_default_tol(n):
+    result = connes_distance(build_path(n), 0, n - 1)
+    assert result.certified
+    assert result.gap <= connes.DEFAULT_TOL
+    assert abs(result.distance - lattice_closed_form(n - 1)) <= connes.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_relabelled_tree_optimizer_is_feasible_on_the_whole_graph(seed):
+    # off the path every jump is an exact zero, which adds no rounding to a
+    # node's a_i, so the path's gamma = 5u proves the whole tree feasible
+    g, a, b = _relabelled_tree_pair(seed)
+    result = connes_distance(g, a, b)
+    assert result.certified
+    assert np.array_equal(constraint_profile(g, result.optimizer), result.slacks)
+    assert result.slacks.max() <= 1.0 - 5 * connes.UNIT_ROUNDOFF
+
+
+def test_uncertified_pair_returns_its_best_round(monkeypatch):
+    # at a tol below rounding the pair runs to MAX_NEWTON, and its later
+    # rounds are far worse than its best
+    gaps = []
+    real = connes._certificate
+
+    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
+        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
+        stack = np.arange(len(gauges))
+        gaps.extend(upper - (f[stack, targets] - f[stack, gauges]))
+        return kkt, upper, certified
+
+    monkeypatch.setattr(connes, "_certificate", recorded)
+    g = _tree_with_chord()
+    result = connes_distance(g, 0, 30, tol=1e-15)
+    assert not result.certified and result.iterations == connes.MAX_NEWTON
+    assert len(gaps) > 1 and gaps[-1] > min(gaps)
+    assert result.gap == min(gaps)
+    assert result.gap == result.upper_bound - result.distance
+    assert np.array_equal(result.slacks, constraint_profile(g, result.optimizer))
 
 
 def test_depth_17_leaf_pair_is_certified():
