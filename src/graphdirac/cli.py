@@ -86,7 +86,7 @@ def _identity_checks(g):
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.node_count)
     df = d.apply(f)  # antisymmetric: in H1a
-    return [
+    checks = [
         ("d*d = -2Δ", (d_star @ d).entrywise_equal(-2 * lap)),
         ("d1*d1 = V", (d1.adjoint() @ d1).entrywise_equal(V)),
         ("d2*d2 = V", (d2.adjoint() @ d2).entrywise_equal(V)),
@@ -101,13 +101,19 @@ def _identity_checks(g):
         ("‖df‖² = (f|-2Δf)", bool(abs(
             float(np.sum(df ** 2)) - float(f @ ((-2 * lap).apply(f)))) <= 1e-9)),
     ]
+    return checks
 
 
 def _cmd_check(args):
     g = _load_graph(args.graph)
     checks = _identity_checks(g)
-    _emit("".join(f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in checks), args.out)
-    return 0 if all(ok for _, ok in checks) else 1
+    all_ok = True
+    lines = []
+    for name, ok in checks:
+        lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
+        all_ok = all_ok and ok
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if all_ok else 1
 
 
 def _cmd_connes(args):

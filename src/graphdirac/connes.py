@@ -98,16 +98,23 @@ class ConnesResult:
     slacks: np.ndarray          # the constraint values a_i (feasible iff <= 1)
     multipliers: np.ndarray
     kkt_residual: float
-    iterations: int             # primal-dual iterations
+    iterations: int             # primal-dual iterations run, over every round
     certified: bool             # distance <= true distance <= upper_bound, gap <= tol
     upper_bound: float          # the dual bound U(multipliers), rounding included
     gap: float                  # upper_bound - distance
 
     def to_json(self):
-        keys = ("distance", "certified", "upper_bound", "gap", "kkt_residual", "iterations")
-        arrays = {"f": self.optimizer, "slacks": self.slacks, "multipliers": self.multipliers}
-        return json.dumps({**{key: getattr(self, key) for key in keys},
-                           **{key: array.tolist() for key, array in arrays.items()}})
+        return json.dumps({
+            "distance": self.distance,
+            "certified": self.certified,
+            "upper_bound": self.upper_bound,
+            "gap": self.gap,
+            "kkt_residual": self.kkt_residual,
+            "iterations": self.iterations,
+            "f": [float(x) for x in self.optimizer],
+            "slacks": [float(x) for x in self.slacks],
+            "multipliers": [float(x) for x in self.multipliers],
+        })
 
 
 class _NewtonSystems:
@@ -452,25 +459,25 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     predictor's J df, a(df) and multiplier step, and sigma = (mu_aff / mu)^3
     from the predictor's best step.  The q and J(df_aff) terms are the
     second-order terms of the quadratic constraints and of stationarity,
-    which is bilinear in (f, lambda).  Then f, s and lambda move by one step
-    length, 0.995 of the largest that keeps s and lambda nonnegative, with
-    s -> s - t p - t^2 q exact for the quadratic a.  A pair whose s^t lambda
-    is at most 1e-4 tol, or that has run MAX_NEWTON iterations, or whose
-    Newton system does not factor and so solves to NaN
+    which is bilinear in (f, lambda).  Then f, s and lambda
+    move by one step length, 0.995 of the largest that keeps s and lambda
+    nonnegative, with s -> s - t p - t^2 q exact for the quadratic a.  A pair
+    whose s^t lambda is at most 1e-4 tol, or that has run MAX_NEWTON
+    iterations, or whose Newton system does not factor and so solves to NaN
     (``_NewtonSystems._factor``), is due: it leaves the working stack and is
     parked, and the others take that iteration again.  When the working
     stack is empty, the parked pairs are moved onto the boundary and
     certified in one round; a pair leaves when it is certified, failed or at
     MAX_NEWTON iterations, and goes back on the working stack with its own
     (f, s, lambda) and iteration count otherwise, to take one more iteration
-    before it is due again.  A pair returns its certified round, or else its
-    round with the smallest gap.  The rows of f are the working stack and are
-    overwritten.
+    before it is due again.  An uncertified pair returns its round with the
+    smallest gap, and ``iterations`` counts all its iterations, later rounds
+    included.  The rows of f are the working stack and are overwritten.
     """
     k, n = f.shape
-    out_f, out_prof, out_lam = np.empty((3, k, n))
-    out_kkt, out_upper, out_gap = np.full((3, k), np.nan)  # NaN until a pair's first round
-    out_certified = np.zeros(k, dtype=bool)
+    out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
+    out_kkt, out_upper, out_certified = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    out_gap = np.full(k, np.nan)  # NaN until a pair's first round
     iterations = np.zeros(k, dtype=int)
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
@@ -553,7 +560,8 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     dual bound ``upper_bound``; the result is ``certified`` when the gap
     between the two is at most tol, so that the distance is within tol of
     the true one.  A pair that does not certify goes on until the cap and
-    returns its round with the smallest gap, not raised.
+    returns its round with the smallest gap, not raised; ``iterations``
+    still counts every iteration it ran.
     """
     _check_node(g, a, b)
     _check_tol(tol)
@@ -639,9 +647,7 @@ def _lattice_certificate(d, tol):
     cap = 1.0 - 5 * UNIT_ROUNDOFF
     f, left, square = [0.0], 0.0, 0.0  # f_{j-1} and the computed square of the jump into it
     for x in prefix[1:]:
-        top = left + math.sqrt(cap - square)
-        if x > top:
-            x = top
+        x = min(x, left + math.sqrt(cap - square))
         while square + (x - left) * (x - left) > cap:
             x = math.nextafter(x, -math.inf)
         f.append(x)
@@ -696,17 +702,25 @@ def lattice_step_profile(n):
     amp = 1.0 + 1.0 / (n // 2)
     h_max = amp / math.sqrt(1.0 + amp * amp)
     h_min = 1.0 / math.sqrt(1.0 + amp * amp)
-    profile = np.full(n, h_min)
+    profile = np.empty(n)
     profile[0::2] = h_max
+    profile[1::2] = h_min
     return profile
 
 
 def tree_distance_closed_form(g, a, b):
-    """Distance in a tree: the lattice value at the path length, attained by
-    continuing the path's profile constantly over the rest of the tree."""
+    """Distance in an acyclic connected graph: the lattice value at the path length.
+
+    The unique-path profile extends to the whole tree by constant
+    continuation, so the lattice optimum is attained exactly.
+    """
     _check_node(g, a, b)
-    if not _is_tree(g):
-        raise ValueError("closed form only holds for trees: connected, without cycles")
+    if not g.connected:
+        raise ValueError("tree distance needs a connected graph")
+    if g.directed_edge_count // 2 != g.node_count - 1:
+        raise ValueError("graph has a cycle; closed form only holds for trees")
+    if a == b:
+        return 0.0
     return lattice_closed_form(combinatorial_distance(g, a, b))
 
 
@@ -852,8 +866,14 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
         gap = sub_dist - dist
         relation = "==" if abs(gap) <= 1e-8 else (">=" if gap > 0 else "<=")
         samples.append(SubgraphComparison(kept, sub_dist, relation))
-    return ComparisonReport(dist, d, dist_path, bool(dist <= d + 1e-8),
-                            bool(dist <= dist_path + 1e-8), samples)
+    return ComparisonReport(
+        distance=dist,
+        combinatorial=d,
+        minimal_path_distance=dist_path,
+        within_combinatorial=bool(dist <= d + 1e-8),
+        within_minimal_path=bool(dist <= dist_path + 1e-8),
+        subgraphs=samples,
+    )
 
 
 def scale_normalization_check(g, f):

@@ -516,7 +516,7 @@ def test_path_of_ten_thousand_nodes_in_linear_memory():
     g = build_path(n)
     tracemalloc.start()
     try:
-        result = connes_distance(g, 0, n - 1)
+        result = _solve_pair(g, 0, n - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -529,7 +529,7 @@ def test_path_of_ten_thousand_nodes_to_rounding_level():
     n = 10_000
     tracemalloc.start()
     try:
-        result = connes_distance(build_path(n), 0, n - 1)
+        result = _solve_pair(build_path(n), 0, n - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -727,8 +727,8 @@ def test_lattice_step_profile():
 def test_solver_matches_lattice_closed_form():
     for n in (2, 3, 5):
         g = build_path(n + 1)
-        value = connes_distance(g, 0, n).distance
-        assert value == pytest.approx(lattice_closed_form(n), abs=1e-5)
+        for value in (connes_distance(g, 0, n).distance, _solve_pair(g, 0, n).distance):
+            assert value == pytest.approx(lattice_closed_form(n), abs=1e-5)
 
 
 def test_lattice_solver_interior_activity():
@@ -736,8 +736,9 @@ def test_lattice_solver_interior_activity():
     # iterate sits within ~sqrt(mu) of it along the ridge's flat directions,
     # so 1e-4 is the honest tolerance
     for n in (2, 4, 6, 8):
-        result = connes_distance(build_path(n + 1), 0, n)
-        assert np.all(result.slacks[1:-1] >= 1.0 - 1e-4)
+        g = build_path(n + 1)
+        for result in (connes_distance(g, 0, n), _solve_pair(g, 0, n)):
+            assert np.all(result.slacks[1:-1] >= 1.0 - 1e-4)
 
 
 def test_tree_closed_form():
@@ -1101,7 +1102,7 @@ def test_path_pair_is_certified_from_the_closed_form(bonds):
         assert result.kkt_residual <= 1e-7, d
 
 
-@pytest.mark.parametrize("n", [20_000, 50_000])
+@pytest.mark.parametrize("n", [10_000, 20_000, 50_000])
 def test_long_path_endpoints_certify_at_the_default_tol(n):
     result = connes_distance(build_path(n), 0, n - 1)
     assert result.certified
@@ -1150,9 +1151,10 @@ def test_depth_17_leaf_pair_is_certified():
 
 
 def _boundary_solves():
+    # the depth-7 and depth-9 leaf pairs as their interior-point solves on
+    # their paths of 14 and 18 bonds
     solves = [(build_path(400), 0, 399), (build_path(10_000), 0, 9_999),
-              (build_binary_tree(7), 2 ** 7 - 1, 2 ** 8 - 2),
-              (build_binary_tree(9), 2 ** 9 - 1, 2 ** 10 - 2)]
+              (build_path(15), 0, 14), (build_path(19), 0, 18)]
     for seed in range(5):
         g = build_random(20, 0.3, seed)
         solves += [(g, 0, k) for k in range(1, 20)]
@@ -1164,19 +1166,19 @@ def test_returned_optimizer_is_feasible():
     # on the 10^4-node path, rounding the scaled values moves a_i by about
     # 1e-12, which an allowance sized from the degree alone does not cover
     for g, a, b in _boundary_solves():
-        result = connes_distance(g, a, b)
+        result = _solve_pair(g, a, b)
         assert result.certified, (g, a, b)
         assert np.array_equal(result.slacks, constraint_profile(g, result.optimizer)), (g, a, b)
         assert result.slacks.max() <= 1.0, (g, a, b)
 
 
 def test_solves_take_few_iterations():
-    result = connes_distance(build_path(400), 0, 399)
+    result = _solve_pair(build_path(400), 0, 399)
     assert result.iterations <= 20
     assert result.certified
     assert abs(result.distance - lattice_closed_form(399)) <= 1e-10
     assert result.distance <= lattice_closed_form(399) <= result.upper_bound
-    result = connes_distance(build_binary_tree(7), 2 ** 7 - 1, 2 ** 8 - 2)
+    result = _solve_pair(build_path(15), 0, 14)  # the depth-7 leaf pair's path
     assert result.iterations <= 20
     assert result.certified
     g = build_random(20, 0.3, 1)
