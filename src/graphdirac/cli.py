@@ -24,11 +24,11 @@ def _load_graph(path):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return graph.parse_graph(data)
     except graph.GraphParseError as exc:
-        raise SystemExit(f"error: {path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _emit(text, out):
@@ -43,18 +43,15 @@ def _emit(text, out):
 
 
 def _cmd_gen(args):
-    try:
-        if args.family == "path":
-            g = graph.build_path(_require(args.n, "--n"))
-        elif args.family == "cycle":
-            g = graph.build_cycle(_require(args.n, "--n"))
-        elif args.family == "tree":
-            g = graph.build_binary_tree(_require(args.depth, "--depth"))
-        else:
-            g = graph.build_random(_require(args.n, "--n"),
-                                   _require(args.p, "--p"), args.seed)
-    except (ValueError, graph.GenerationError) as exc:
-        raise SystemExit(f"error: {exc}")
+    if args.family == "path":
+        g = graph.build_path(_require(args.n, "--n"))
+    elif args.family == "cycle":
+        g = graph.build_cycle(_require(args.n, "--n"))
+    elif args.family == "tree":
+        g = graph.build_binary_tree(_require(args.depth, "--depth"))
+    else:
+        g = graph.build_random(_require(args.n, "--n"),
+                               _require(args.p, "--p"), args.seed)
     payload = graph.serialize_graph(g, fmt=args.format).decode("utf-8")
     _emit(payload, args.out)
     return 0
@@ -62,7 +59,7 @@ def _cmd_gen(args):
 
 def _require(value, flag):
     if value is None:
-        raise SystemExit(f"error: {flag} is required for this family")
+        raise ValueError(f"{flag} is required for this family")
     return value
 
 
@@ -118,10 +115,7 @@ def _cmd_check(args):
 
 def _cmd_connes(args):
     g = _load_graph(args.graph)
-    try:
-        result = connes.connes_distance(g, args.src, args.dst, tol=args.tol)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    result = connes.connes_distance(g, args.src, args.dst, tol=args.tol)
     _emit(result.to_json(), args.out)
     if not result.certified:
         print(f"warning: solve not certified (gap {result.gap:.3g} to the dual bound, "
@@ -132,10 +126,7 @@ def _cmd_connes(args):
 
 def _cmd_connes_matrix(args):
     g = _load_graph(args.graph)
-    try:
-        matrix = connes.distance_matrix(g, tol=args.tol)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    matrix = connes.distance_matrix(g, tol=args.tol)
     n = g.node_count
     lines = ["i,j,distance"]
     lines += [f"{i},{j},{matrix[i, j]:.12g}" for i in range(n) for j in range(i + 1, n)]
@@ -148,10 +139,7 @@ def _cmd_truncation(args):
     depths = list(range(1, args.max_depth + 1))
     if args.family in ("path", "cycle"):
         depths = [d for d in depths if d >= (2 if args.family == "path" else 3)]
-    try:
-        report = spectral.truncation_norm_sequence(args.family, depths)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    report = spectral.truncation_norm_sequence(args.family, depths)
     _emit(report.to_csv(), args.out)
     return 0 if report.monotone else 1
 
@@ -213,11 +201,9 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
+    except (ValueError, graph.GenerationError) as exc:  # usage and input errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -715,10 +715,8 @@ def tree_distance_closed_form(g, a, b):
     continuation, so the lattice optimum is attained exactly.
     """
     _check_node(g, a, b)
-    if not g.connected:
-        raise ValueError("tree distance needs a connected graph")
-    if g.directed_edge_count // 2 != g.node_count - 1:
-        raise ValueError("graph has a cycle; closed form only holds for trees")
+    if not _is_tree(g):
+        raise ValueError("closed form only holds for connected acyclic graphs")
     if a == b:
         return 0.0
     return lattice_closed_form(combinatorial_distance(g, a, b))
@@ -797,18 +795,19 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     n = g.node_count
-    out = np.zeros((n, n))
-    gauges, targets = np.triu_indices(n, 1)
-    if not gauges.size:
-        return out
+    if n < 2:
+        return np.zeros((n, n))
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
     if _is_tree(g):
-        hops = csgraph.shortest_path(_csgraph(g), unweighted=True)
-        for d in range(1, int(hops.max()) + 1):  # a tree has pairs at every d up to its diameter
+        hops = csgraph.shortest_path(_csgraph(g), unweighted=True).astype(np.int64)
+        value = np.zeros(int(hops.max()) + 1)  # value[d] for the pairs d apart; value[0] = 0
+        for d in range(1, value.size):  # a tree has pairs at every d up to its diameter
             f, *_, certified = _lattice_certificate(d, tol)
-            out[hops == d] = f[-1] if certified else np.nan
-        return out
+            value[d] = f[-1] if certified else np.nan
+        return value[hops]
+    out = np.zeros((n, n))
+    gauges, targets = np.triu_indices(n, 1)
     newton = _NewtonSystems(g)
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):
@@ -874,12 +873,3 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
         within_minimal_path=bool(dist <= dist_path + 1e-8),
         subgraphs=samples,
     )
-
-
-def scale_normalization_check(g, f):
-    """Verify the rescaling f -> f/||df|| lands on the unit constraint sphere, within 1e-9."""
-    norm = commutator_norm(g, f)
-    if norm == 0.0:
-        raise ValueError("degenerate input: f has zero commutator norm")
-    rescaled = np.asarray(f, dtype=float) / norm
-    return abs(commutator_norm(g, rescaled) - 1.0) <= 1e-9

@@ -17,7 +17,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,51 +53,17 @@ _DRAW_CHUNK = 1 << 20
 class Graph:
     """Immutable simple undirected graph stored as two int64 CSR arrays.
 
-    ``Graph(adjacency)`` takes one sequence of neighbours per node and checks
-    validity (integer indices in range, no self-loops, sorted without duplicates,
-    every bond with its reverse); :meth:`from_edges` takes the bonds.  The
-    Python views (``adjacency[i]`` is the sorted tuple of neighbours of node
-    i, ``directed_edges``, ``edge_index``, ``bonds``) are derived from the
-    arrays on first use.  Disconnected graphs are allowed -- they are a
-    distinct validated state, flagged by :attr:`connected` -- but every
-    builder in this module produces a connected graph.
+    :meth:`from_edges` is the one constructor: it takes the bonds and checks
+    them (integer indices in range, no self-loops, no duplicate or reversed
+    bond).  The Python views (``adjacency[i]`` is the sorted tuple of
+    neighbours of node i, ``directed_edges``, ``edge_index``, ``bonds``) are
+    derived from the arrays on first use.  Disconnected graphs are allowed --
+    they are a distinct validated state, flagged by :attr:`connected` -- but
+    every builder in this module produces a connected graph.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-
-    def __init__(self, adjacency):
-        n = len(adjacency)
-        _check_cap(n)
-        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-        try:
-            heads = np.fromiter(map(operator.index, chain.from_iterable(adjacency)),
-                                dtype=np.int64, count=int(degrees.sum()))
-        except (TypeError, OverflowError):
-            # non-integers or Python ints beyond int64: name the first bad neighbour
-            for i, row in enumerate(adjacency):
-                for k in row:
-                    if not 0 <= _as_int(k, f"node {i}: neighbour index") < n:
-                        raise ValueError(f"node {i}: neighbour index out of range") from None
-            raise
-        tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        _reject((heads < 0) | (heads >= n), "node {}: neighbour index out of range", tails)
-        _reject(heads == tails, "node {}: self-loop", tails)
-        # node-major keys increase across rows, so a step <= 0 is inside one row
-        keys = tails * n + heads
-        step = np.diff(keys)
-        _reject(step < 0, "node {}: neighbours not sorted", tails[1:])
-        _reject(step == 0, "node {}: duplicate neighbour", tails[1:])
-        _reject(~np.isin(heads * n + tails, keys), "bond ({},{}) missing its reverse",
-                tails, heads)
-        self._store(degrees, heads)
-
-    def _store(self, degrees, heads):
-        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        for name, array in (("indptr", indptr), ("indices", heads)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
     @classmethod
     def from_edges(cls, node_count, edges):
@@ -130,8 +95,12 @@ class Graph:
         keys.sort()
         tails, heads = keys >> shift, keys & ((1 << shift) - 1)
         _reject(keys[1:] == keys[:-1], "duplicate bond ({},{})", tails, heads)
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=node_count), out=indptr[1:])
         g = cls.__new__(cls)
-        g._store(np.bincount(tails, minlength=node_count), heads)
+        for name, array in (("indptr", indptr), ("indices", heads)):
+            array.flags.writeable = False
+            object.__setattr__(g, name, array)
         return g
 
     @property

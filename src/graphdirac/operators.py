@@ -254,19 +254,6 @@ def cycle_edge_vector(g, nodes):
     return vals
 
 
-def format_coordinate_text(m):
-    """Coordinate-format export: 'row col value' per stored entry, 0-based."""
-    coo = sp.coo_array(m.matrix if isinstance(m, LinearMap) else m)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}" for i in order]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_coordinate_text(m, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_coordinate_text(m))
-
-
 def _node_vector(g, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (g.node_count,):

@@ -71,6 +71,13 @@ def test_gen_negative_seed_names_the_seed(capsys):
     assert "seed must be nonnegative, got -1" in err
 
 
+def test_gen_exhausted_retries_is_usage_error(capsys):
+    # p = 0.001 on 50 nodes draws no connected graph in MAX_RANDOM_RETRIES attempts
+    code, out, err = run(capsys, "gen", "--family", "random", "--n", "50", "--p", "0.001")
+    assert code == 2
+    assert err.startswith("error: no connected graph") and out == ""
+
+
 def test_spectral_tree(tmp_path, capsys):
     path = tmp_path / "tree.edges"
     run(capsys, "gen", "--family", "tree", "--depth", "8", "--out", str(path))

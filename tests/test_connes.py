@@ -30,7 +30,6 @@ from graphdirac import (
     lattice_step_profile,
     operator_norm,
     random_feasible_point,
-    scale_normalization_check,
     shortest_path,
     tree_distance_closed_form,
 )
@@ -1274,15 +1273,6 @@ def test_comparison_rejects_equal_pair():
 
 
 # --- rescaling ---------------------------------------------------------------------------
-
-def test_scale_normalization():
-    g = build_cycle(4)
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal(4) * 3.0
-    assert scale_normalization_check(g, f)
-    with pytest.raises(ValueError):
-        scale_normalization_check(g, np.zeros(4))
-
 
 def test_scaling_homogeneity():
     # every node of the hat profile has two unit jumps, so the norm is sqrt(2)

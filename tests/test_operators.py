@@ -19,14 +19,12 @@ from graphdirac import (
     delta2_map,
     dirac_operator,
     edge_function_map,
-    format_coordinate_text,
     function_representation,
     incidence_map,
     is_antisymmetric,
     laplacian_map,
     node_function_map,
     shortest_path,
-    write_coordinate_text,
 )
 
 from conftest import complete_graph, fixture_graphs, random_connected_graphs
@@ -428,23 +426,6 @@ def test_apply_checks_length():
         node_function_map(build_path(3), [1.0, 2.0])
     with pytest.raises(ValueError, match="non-finite"):
         node_function_map(build_path(3), [1.0, np.nan, 2.0])
-
-
-def test_coordinate_text_export(tmp_path):
-    g = build_path(2)
-    text = format_coordinate_text(laplacian_map(g))
-    rows = [line.split() for line in text.strip().splitlines()]
-    triplets = {(int(r), int(c)): float(v) for r, c, v in rows}
-    assert triplets == {(0, 0): -1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
-    # the file holds the same text, and its values read back exactly
-    m = dirac_operator(build_cycle(5))
-    path = tmp_path / "m.txt"
-    write_coordinate_text(m, path)
-    assert path.read_text(encoding="utf-8") == format_coordinate_text(m)
-    r, c, v = np.loadtxt(path, unpack=True)
-    back = np.zeros(m.shape)
-    back[r.astype(int), c.astype(int)] = v
-    assert np.array_equal(back, m.toarray())
 
 
 def test_node_function_map_is_diagonal():
