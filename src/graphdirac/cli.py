@@ -35,9 +35,12 @@ def _emit(text, out):
     if out:
         # Opening with O_TRUNC makes ext4 (auto_da_alloc) flush the old data on
         # close; overwrite in place and cut the old tail after writing instead.
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-            f.write(text)
-            f.truncate()
+        try:
+            with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+                f.write(text)
+                f.truncate()
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -78,6 +78,14 @@ def test_gen_exhausted_retries_is_usage_error(capsys):
     assert err.startswith("error: no connected graph") and out == ""
 
 
+def test_gen_unwritable_out_is_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "gen", "--family", "path", "--n", "3", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: cannot write") and out == ""
+    assert "Traceback" not in err
+
+
 def test_spectral_tree(tmp_path, capsys):
     path = tmp_path / "tree.edges"
     run(capsys, "gen", "--family", "tree", "--depth", "8", "--out", str(path))

@@ -174,6 +174,17 @@ def test_random_at_its_cap_in_small_memory():
     assert peak < 32 * 2 ** 20
 
 
+def test_random_draw_stays_small():
+    # one chunk of 2**20 uniforms alone would be 8 MB
+    tracemalloc.start()
+    try:
+        build_random(2000, 0.005, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("build,args,message", [
     (build_path, (5.0,), "node count 5.0 is not an integer"),
     (build_cycle, ("5",), "node count '5' is not an integer"),
@@ -276,6 +287,31 @@ def test_serialize_parse_roundtrip(fmt):
     graphs.append(Graph.from_edges(5, [(0, 1), (3, 4)]))  # disconnected, isolated node
     for g in graphs:
         assert parse_graph(serialize_graph(g, fmt=fmt)).adjacency == g.adjacency
+
+
+def _reference_serialize(g, fmt):
+    """The per-bond writer: one f-string per bond, or json.dumps of bond lists."""
+    up = g.edge_tails < g.indices
+    bonds = list(zip(g.edge_tails[up].tolist(), g.indices[up].tolist()))
+    if fmt == "edgelist":
+        lines = [f"# nodes: {g.node_count}"]
+        lines += [f"{i} {j}" for i, j in bonds]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    doc = {"nodes": g.node_count, "edges": [[i, j] for i, j in bonds]}
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_serialize_matches_per_bond_writer(fmt):
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+              Graph.from_edges(12, [(0, 10), (1, 11)]),  # isolated trailing node
+              Graph.from_edges(1_000_001, [(0, 1_000_000), (9, 10), (99, 100)])]  # digit counts
+    graphs += [build_binary_tree(depth) for depth in range(12)]
+    graphs += [build_random(2000, 0.005, seed) for seed in range(3)]
+    for g in graphs:
+        data = serialize_graph(g, fmt=fmt)
+        assert data == _reference_serialize(g, fmt), g
+        assert parse_graph(data) == g
 
 
 def test_serialize_json_shape():
