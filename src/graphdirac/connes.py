@@ -45,8 +45,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import (_as_int, _bfs_path, _check_node, _csgraph, combinatorial_distance,
-                    induced_subgraph, shortest_path)
+from .graph import (_as_int, _bfs_path, _check_node, _check_tol, _csgraph,
+                    combinatorial_distance, induced_subgraph, shortest_path)
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -332,6 +332,7 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     """Strictly feasible start with max constraint value ``margin`` in [0, 1)."""
     if not (isinstance(margin, numbers.Real) and 0.0 <= margin < 1.0):  # NaN fails
         raise ValueError(f"margin must be in [0, 1), got {margin!r}")
+    _check_node(g, gauge)
     f = rng.standard_normal(g.node_count)
     f[gauge] = 0.0
     top = constraint_profile(g, f).max()
@@ -666,11 +667,6 @@ def _lattice_certificate(d, tol):
     return f, prof, lam, kkt, upper, certified
 
 
-def _check_tol(tol):
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):  # NaN fails both
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
 def lattice_closed_form(n):
     """Distance across n bonds of the one-dimensional lattice (or any tree path).
 
@@ -784,12 +780,13 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
 def distance_matrix(g, tol=DEFAULT_TOL):
     """All-pairs distances; symmetric with zero diagonal.
 
-    The pairs share one Newton pattern and run through ``connes_distance``'s
-    primal-dual loop together, in chunks of at most CHUNK_ENTRIES Hessian
-    entries; each pair is certified on its own and agrees with
-    ``connes_distance`` on that pair.  On a tree the distance depends only
-    on the hop count d, so each d takes one ``_lattice_certificate``, the
-    one ``connes_distance`` makes for every pair d apart.  Per-pair
+    On a tree the entry for a pair d hops apart is ``lattice_closed_form(d)``,
+    the correctly rounded exact distance: it lies within the pair's
+    ``connes_distance`` certificate, is exact at any tol and is never NaN.
+    On a graph with a cycle the pairs share one Newton pattern and run
+    through ``connes_distance``'s primal-dual loop together, in chunks of at
+    most CHUNK_ENTRIES Hessian entries; each pair is certified on its own
+    and agrees with ``connes_distance`` on that pair.  Per-pair
     certification failures are flagged by a NaN entry rather than aborting
     the sweep.
     """
@@ -801,11 +798,7 @@ def distance_matrix(g, tol=DEFAULT_TOL):
         raise ValueError("distance is only defined on connected graphs")
     if _is_tree(g):
         hops = csgraph.shortest_path(_csgraph(g), unweighted=True).astype(np.int64)
-        value = np.zeros(int(hops.max()) + 1)  # value[d] for the pairs d apart; value[0] = 0
-        for d in range(1, value.size):  # a tree has pairs at every d up to its diameter
-            f, *_, certified = _lattice_certificate(d, tol)
-            value[d] = f[-1] if certified else np.nan
-        return value[hops]
+        return np.array([lattice_closed_form(d) for d in range(int(hops.max()) + 1)])[hops]
     out = np.zeros((n, n))
     gauges, targets = np.triu_indices(n, 1)
     newton = _NewtonSystems(g)

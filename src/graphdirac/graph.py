@@ -329,6 +329,11 @@ def _check_node(g, *nodes):
             raise ValueError(f"node index {v} out of range (n={g.node_count})")
 
 
+def _check_tol(tol):
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):  # NaN fails both
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _as_int(value, name):
     """``operator.index(value)``, or a ValueError naming the argument."""
     try:
@@ -354,7 +359,11 @@ def parse_graph(data):
     same graph, or the same GraphParseError.
     """
     if isinstance(data, (bytes, bytearray)):
-        text = bytes(data) if data.isascii() else data.decode("utf-8")
+        try:
+            text = bytes(data) if data.isascii() else data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the first bad byte's line, as splitlines counts
+            head = data[:exc.start].decode("utf-8") + "x"
+            raise GraphParseError("not UTF-8 text", len(head.splitlines())) from None
     else:
         text = data.encode("ascii") if data.isascii() else data
     stripped = text.lstrip(_ASCII_SPACE) if isinstance(text, bytes) else text.lstrip()
@@ -374,9 +383,10 @@ def serialize_graph(g, fmt="edgelist"):
     if fmt == "edgelist":
         ends = tuple(g._bond_ends().ravel().tolist())
         return (f"# nodes: {g.node_count}\n" + "%d %d\n" * (len(ends) // 2) % ends).encode("utf-8")
-    if fmt == "json":
-        doc = {"nodes": g.node_count, "edges": g._bond_ends().tolist()}
-        return (json.dumps(doc) + "\n").encode("utf-8")
+    if fmt == "json":  # the bytes json.dumps writes
+        ends = g._bond_ends()
+        edges = ("[%d, %d], " * len(ends))[:-2] % tuple(ends.ravel().tolist())
+        return f'{{"nodes": {g.node_count}, "edges": [{edges}]}}\n'.encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (expected 'edgelist' or 'json')")
 
 

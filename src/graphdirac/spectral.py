@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .graph import _as_int, build_binary_tree, build_cycle, build_path, component_count
+from .graph import _as_int, _check_tol, build_binary_tree, build_cycle, build_path, component_count
 from .operators import LinearMap, adjacency_map
 
 
@@ -82,6 +82,7 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
     possible).  Convergence is declared when the Rayleigh residual
     ||M^2 v - rho v|| drops below tol * rho.
     """
+    _check_iteration(tol, max_iter)
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
         raise ValueError("power iteration needs a square matrix")
@@ -104,6 +105,12 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
                                         "power")
     return PowerIterationResult(float(np.sqrt(max(rho, 0.0))), max_iter, False, residual,
                                 "power")
+
+
+def _check_iteration(tol, max_iter):
+    _check_tol(tol)
+    if _as_int(max_iter, "max_iter") < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _start_vector(n):
@@ -139,6 +146,7 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     the whole space).  Checks come every 10 steps, then every k/8 steps, so
     their O(k) cost stays below that of the matvecs even when k reaches n.
     """
+    _check_iteration(tol, max_iter)
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
         raise ValueError("Lanczos needs a square matrix")

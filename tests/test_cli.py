@@ -123,7 +123,7 @@ def test_connes_matrix_csv(tmp_path, capsys):
 
 def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     graph_path = tmp_path / "p.edges"
-    # a cycle: on a tree every pair at one hop distance shares one solve
+    # a cycle: a tree's entries are the closed form and never NaN
     run(capsys, "gen", "--family", "cycle", "--n", "4", "--out", str(graph_path))
     certify = connes._certificate
 
@@ -174,6 +174,14 @@ def test_parse_error_reported(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--graph", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+    code, out, err = run(capsys, "check", "--graph", str(bad))
+    assert code == 2 and not out
+    assert err == f"error: {bad}: line 2: not UTF-8 text\n"
 
 
 def test_oversized_graph_file_rejected(tmp_path, capsys):

@@ -220,6 +220,18 @@ def test_random_feasible_point_checks_margin():
         assert f[0] == 0.0 and constraint_profile(g, f).max() == pytest.approx(margin)
 
 
+def test_random_feasible_point_checks_gauge():
+    g = build_path(4)
+    rng = np.random.default_rng(3)
+    for gauge in (-1, 4, 9):
+        with pytest.raises(ValueError, match=f"node index {gauge} out of range"):
+            random_feasible_point(g, gauge, rng)
+    for gauge in (1.5, "0", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            random_feasible_point(g, gauge, rng)
+    assert random_feasible_point(g, np.int64(3), rng)[3] == 0.0
+
+
 def test_result_json_keys():
     result = connes_distance(build_path(3), 0, 2)
     doc = json.loads(result.to_json())
@@ -831,14 +843,24 @@ def _batch_graphs():
     return graphs
 
 
+def _assert_tree_entry(g, m, a, b, result):
+    # a tree's entry is the closed form, bit for bit, inside the pair's certificate
+    assert m[a, b] == tree_distance_closed_form(g, a, b), (a, b)
+    assert result.distance <= m[a, b] <= result.upper_bound, (a, b)
+
+
 @pytest.mark.parametrize("name", sorted(_batch_graphs()))
 def test_distance_matrix_matches_connes_distance(name):
+    # on a graph with a cycle each entry is connes_distance's, bit for bit
     g = _batch_graphs()[name]
     m = distance_matrix(g)
     assert np.array_equal(m, m.T, equal_nan=True)
+    tree = connes._is_tree(g)
     for a, b in zip(*np.triu_indices(g.node_count, 1)):
         result = connes_distance(g, a, b)
-        if result.certified:
+        if tree:
+            _assert_tree_entry(g, m, a, b, result)
+        elif result.certified:
             assert m[a, b] == result.distance, (a, b)
         else:
             assert np.isnan(m[a, b]), (a, b)
@@ -895,8 +917,7 @@ def test_wide_band_with_little_fill_takes_sparse_lu(monkeypatch):
 def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
     # the sparse branch factors each pair of a shrinking stack on its own, as
     # a band on the random graph (half-width 27) and on the cycle (5), by
-    # sparse LU on the tree with a chord; a tree takes one path solve per hop
-    # distance
+    # sparse LU on the tree with a chord; a tree takes no solve at all
     assert not connes._NewtonSystems(g).dense
     m = distance_matrix(g)
     a, b = np.triu_indices(g.node_count, 1)
@@ -906,7 +927,10 @@ def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
     for a, b in zip(a, b):
         result = connes_distance(g, a, b)
         assert result.certified, (a, b)
-        assert m[a, b] == result.distance, (a, b)
+        if connes._is_tree(g):
+            _assert_tree_entry(g, m, a, b, result)
+        else:
+            assert m[a, b] == result.distance, (a, b)
 
 
 def test_failed_pair_leaves_its_stack_alone(monkeypatch):
@@ -1060,32 +1084,43 @@ def test_tree_solve_checks_x0_and_leaves_it_unused():
         connes_distance(g, a, b, x0=x0)
 
 
-@pytest.mark.parametrize("g", [build_binary_tree(6), build_path(100)], ids=["tree6", "path100"])
-def test_tree_distance_matrix_takes_one_solve_per_hop_distance(monkeypatch, g):
-    solves = _count_calls(monkeypatch, "_lattice_certificate")
+_TREES = {name: g for name, g in fixture_graphs().items() if connes._is_tree(g)}
+_TREES.update(path30=build_path(30), path100=build_path(100), tree4=build_binary_tree(4),
+              tree6=build_binary_tree(6))
+
+
+@pytest.mark.parametrize("name", sorted(_TREES))
+def test_tree_distance_matrix_reads_the_closed_form_off_the_hops(monkeypatch, name):
+    g = _TREES[name]
+    certificates = _count_calls(monkeypatch, "_lattice_certificate")
     m = distance_matrix(g)
+    assert not certificates
     n = g.node_count
     hops = np.array([bfs_distances(g, v) for v in range(n)])
-    assert len(solves) == hops.max()
-    expected = np.vectorize(lattice_closed_form)(hops)
-    assert np.abs(m - expected).max() <= 1e-7
-    assert np.array_equal(m, m.T)
-    rng = np.random.default_rng(n)
-    for a, b in rng.integers(n, size=(12, 2)):
-        assert m[a, b] == connes_distance(g, a, b).distance, (a, b)
+    assert np.array_equal(m, np.vectorize(lattice_closed_form)(hops))
+    assert not np.isnan(m).any()
+    a, b = np.triu_indices(n, 1)
+    if a.size > 500:  # a seeded sample, and the pair farthest apart
+        picked = np.append(np.random.default_rng(n).choice(a.size, 40, replace=False),
+                           np.argmax(hops[a, b]))
+        a, b = a[picked], b[picked]
+    for a, b in zip(a, b):
+        _assert_tree_entry(g, m, a, b, connes_distance(g, a, b))
 
 
-def test_tree_pairs_at_one_hop_distance_share_their_certificate(monkeypatch):
+def test_tree_distance_matrix_needs_no_certificate(monkeypatch):
+    # with every lattice certificate failing, or at a tol that no float64
+    # point meets, a tree's matrix is the same exact one, with no NaN
     real = connes._lattice_certificate
-
-    def forced(d, tol):
-        # the certificate at hop distance 2 fails
-        *fields, certified = real(d, tol)
-        return (*fields, certified and d != 2)
-
-    monkeypatch.setattr(connes, "_lattice_certificate", forced)
-    nan = np.isnan(distance_matrix(build_path(4)))
-    assert nan[0, 2] and nan[1, 3] and nan.sum() == 4
+    for g in (build_path(4), build_binary_tree(4)):
+        m = distance_matrix(g)
+        assert not np.isnan(m).any()
+        assert np.array_equal(distance_matrix(g, tol=1e-300), m)
+        monkeypatch.setattr(connes, "_lattice_certificate",
+                            lambda d, tol: (*real(d, tol)[:-1], False))
+        assert not connes_distance(g, 0, g.node_count - 1).certified
+        assert np.array_equal(distance_matrix(g), m)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("bonds", [range(1, 251), range(251, 501)], ids=["1-250", "251-500"])

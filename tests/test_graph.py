@@ -314,6 +314,21 @@ def test_serialize_matches_per_bond_writer(fmt):
         assert parse_graph(data) == g
 
 
+def test_million_node_path_json_writes_in_bounded_memory():
+    # one printf over the bond ends, not 10**6 two-element lists (171 MB);
+    # the 24 MB of arrays the graph caches for good are made before the write
+    g = build_path(10 ** 6)
+    g.edge_tails
+    tracemalloc.start()
+    try:
+        data = serialize_graph(g, fmt="json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == _reference_serialize(g, "json")
+    assert peak < 140 * 2 ** 20
+
+
 def test_serialize_json_shape():
     doc = json.loads(serialize_graph(build_path(3), fmt="json"))
     assert doc == {"nodes": 3, "edges": [[0, 1], [1, 2]]}
@@ -372,6 +387,21 @@ def test_parse_errors_are_the_same_for_bytes_and_str(text):
     outcomes = [_parse_outcome(parse_graph, data) for data in inputs]
     assert not isinstance(outcomes[0], Graph)
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@pytest.mark.parametrize("data,lineno", [
+    (b"0 1\n\xff\xfe 2\n", 2),
+    (bytearray(b"0 1\n\xff\xfe 2\n"), 2),
+    (b"\xff", 1),
+    (b"0 1\r\n1 2\r\x85 3\n", 3),  # "\r\n" is one line break, a lone "\r" another
+    ("0 1\x1c1 2\n\u00e9".encode() + b"\xc3", 3),  # "\x1c" breaks a line; a cut-off sequence
+    (b'{"nodes": 2,\n"edges": [[0, 1]]}\xff', 2),
+])
+def test_parse_rejects_bytes_that_are_not_utf8(data, lineno):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(data)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: not UTF-8 text"
 
 
 def test_json_is_sniffed_past_any_leading_whitespace():

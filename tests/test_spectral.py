@@ -73,6 +73,21 @@ def test_power_iteration_reports_non_convergence():
     assert not res.converged and res.iterations == 3 and res.estimate > 0
 
 
+@pytest.mark.parametrize("norm", [lanczos_norm, power_iteration_norm])
+def test_iterative_norms_check_tol_and_max_iter(norm):
+    A = adjacency_map(build_path(5))
+    for tol in (0, 0.0, -1e-12, np.nan, np.inf, 1j, "1e-12", None):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            norm(A, tol=tol)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            norm(A, max_iter=max_iter)
+    for max_iter in (2.5, "3", None):
+        with pytest.raises(ValueError, match="max_iter .* is not an integer"):
+            norm(A, max_iter=max_iter)
+    assert norm(A, max_iter=np.int64(1)).iterations == 1
+
+
 def test_lanczos_matches_dense():
     graphs = list(fixture_graphs().values()) + random_connected_graphs(15, max_nodes=64, seed=6)
     negative_dominant = 0
