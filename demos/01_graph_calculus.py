@@ -25,7 +25,8 @@ print("== building blocks ==")
 g = build_cycle(4)
 print("square:", g)
 print("adjacency lists:", g.adjacency)
-print("directed edges (tail, head):", g.directed_edges)
+edges = list(zip(g.edge_tails.tolist(), g.edge_heads.tolist()))
+print("directed edges (tail, head):", edges)
 print("degree sum equals directed edge count:",
       int(g.degrees.sum()), "=", g.directed_edge_count)
 
@@ -33,7 +34,7 @@ print("\n== the coboundary d: node functions to edge functions ==")
 f = np.array([0.0, 1.0, 3.0, 1.0])
 d = coboundary_map(g)
 df = d.apply(f)
-for (i, k), value in zip(g.directed_edges, df):
+for (i, k), value in zip(edges, df):
     print(f"  (df)({i}->{k}) = f_{k} - f_{i} = {value:+.1f}")
 print("df is antisymmetric:", is_antisymmetric(g, df))
 

@@ -45,8 +45,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import (_as_int, _bfs_path, _check_node, _check_tol, _csgraph,
-                    combinatorial_distance, induced_subgraph, shortest_path)
+from .graph import (_as_int, _check_node, _check_tol, _csgraph, combinatorial_distance,
+                    induced_subgraph, shortest_path)
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -76,9 +76,9 @@ def constraint_profile(g, f):
     # one bincount for the stack; each row's sums keep the order of its own
     # bincount, so a row's profile does not depend on the stack it is in
     stack = f[None] if f.ndim == 1 else f
-    k = stack.shape[0]
-    v = (stack[:, g.edge_heads] - stack[:, g.edge_tails]) ** 2
-    bins = (np.arange(k)[:, None] * n + g.edge_tails).ravel()
+    k, tails = stack.shape[0], g.edge_tails
+    v = (stack[:, g.edge_heads] - stack[:, tails]) ** 2
+    bins = (np.arange(k)[:, None] * n + tails).ravel()
     return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(f.shape)
 
 
@@ -141,8 +141,8 @@ class _NewtonSystems:
     def __init__(self, g):
         n, m = g.node_count, g.directed_edge_count
         self.n = n
-        self.tails, self.heads = g.edge_tails, g.edge_heads
-        self.max_degree = int(g.degrees.max()) if n else 0
+        self.tails, self.heads, degrees = g.edge_tails, g.edge_heads, g.degrees
+        self.max_degree = int(degrees.max()) if n else 0
         # relative rounding of a sum over one node's edges, such as a_i
         self.gamma = (self.max_degree + 3) * UNIT_ROUNDOFF
         nodes, entries = np.arange(n), np.arange(n + m)
@@ -153,7 +153,7 @@ class _NewtonSystems:
         self.column_sums = csr_matrix((np.ones(n + m), (cols, entries)), shape=(n, n + m))
         # every ordered pair (p, q) of entries in one row of J
         by_row = np.argsort(self.rows, kind="stable")
-        row_len = g.degrees + 1
+        row_len = degrees + 1
         row_start = np.cumsum(row_len) - row_len
         block = row_len[self.rows[by_row]]
         block_end = np.cumsum(block)
@@ -165,7 +165,7 @@ class _NewtonSystems:
         # for each neighbour k
         diag_p, diag_q = p < n, q < n
         curvature = 2.0 * np.where(
-            p == q, np.where(diag_p, g.degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
+            p == q, np.where(diag_p, degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
         self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
         # a pair and its mirror share the product r_i^2 J_ip J_iq, so only the
         # pairs p <= q are multiplied; one sparse matrix adds them, and the
@@ -566,14 +566,9 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     """
     _check_node(g, a, b)
     _check_tol(tol)
-    n = g.node_count
-    if a == b:
-        zero = np.zeros(n)
-        return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
-                            0.0, 0, True, 0.0, 0.0)
-    if not g.connected:
+    if a != b and not g.connected:
         raise ValueError("distance is only defined on connected graphs")
-
+    n = g.node_count
     f = np.zeros(n)
     if x0 is not None:
         f = np.array(x0, dtype=float)
@@ -584,6 +579,10 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         f -= f[a]  # enforce the gauge
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
+    if a == b:
+        zero = np.zeros(n)
+        return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
+                            0.0, 0, True, 0.0, 0.0)
     if _is_tree(g):
         return _solve_on_path(g, a, b, tol)
     distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
@@ -607,8 +606,12 @@ def _solve_on_path(g, a, b, tol):
     path, so a hanging subtree carries no conductance and U is the path's,
     and the computed profile is the path's on it and exactly 0 off it.
     """
-    path, parent = _bfs_path(g, a, b)
-    path = np.array(path)
+    # in a tree the a-b path is the nodes whose parents toward a and toward b
+    # differ, and the BFS from a lists them by hops from a
+    graph = _csgraph(g)
+    order, parent = csgraph.breadth_first_order(graph, a, return_predecessors=True)
+    toward_b = csgraph.breadth_first_order(graph, b, return_predecessors=True)[1]
+    path = order[(parent != toward_b)[order]]
     line_f, line_prof, line_lam, kkt, upper, certified = _lattice_certificate(path.size - 1, tol)
     # in a tree a node's nearest path node is the first on its way to a: path
     # nodes point to themselves, the others to their BFS parent, and pointer
@@ -758,8 +761,8 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
             F[:, free] = block
             amax = np.zeros(block.shape[0])
             for i in range(n):
-                nbrs = list(g.adjacency[i])
-                if nbrs:
+                nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
+                if nbrs.size:
                     a_i = ((F[:, nbrs] - F[:, [i]]) ** 2).sum(axis=1)
                     amax = np.maximum(amax, a_i)
             scale = np.sqrt(np.maximum(amax, 1e-300))

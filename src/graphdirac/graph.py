@@ -56,11 +56,13 @@ class Graph:
 
     :meth:`from_edges` is the one constructor: it takes the bonds and checks
     them (integer indices in range, no self-loops, no duplicate or reversed
-    bond).  The Python views (``adjacency[i]`` is the sorted tuple of
-    neighbours of node i, ``directed_edges``, ``edge_index``, ``bonds``) are
-    derived from the arrays on first use.  Disconnected graphs are allowed --
-    they are a distinct validated state, flagged by :attr:`connected` -- but
-    every builder in this module produces a connected graph.
+    bond).  ``degrees``, ``edge_tails`` and ``edge_heads`` are read off the
+    arrays on every use; the Python views ``adjacency`` (``adjacency[i]`` is
+    the sorted tuple of neighbours of node i) and ``bonds`` are built on
+    first use and cached, for callers outside the library, which reads only
+    the arrays.  Disconnected graphs are allowed -- they are a distinct
+    validated state, flagged by :attr:`connected` -- but every builder in
+    this module produces a connected graph.
     """
 
     indptr: np.ndarray
@@ -113,11 +115,11 @@ class Graph:
         """m = sum of degrees = twice the number of bonds."""
         return len(self.indices)
 
-    @cached_property
+    @property
     def degrees(self):
         return np.diff(self.indptr)
 
-    @cached_property
+    @property
     def edge_tails(self):
         return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
@@ -131,22 +133,14 @@ class Graph:
         return tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
-    def directed_edges(self):
-        """Canonical (tail, head) list: node-major, then head ascending."""
-        return tuple(zip(self.edge_tails.tolist(), self.indices.tolist()))
-
-    @cached_property
-    def edge_index(self):
-        return dict(zip(self.directed_edges, range(self.directed_edge_count)))
-
-    @cached_property
     def bonds(self):
         return tuple(zip(*self._bond_ends().T.tolist()))
 
     def _bond_ends(self):
         """Each bond's lower and higher end, an (m, 2) array in canonical bond order."""
-        up = self.edge_tails < self.indices
-        return np.column_stack((self.edge_tails[up], self.indices[up]))
+        tails = self.edge_tails
+        up = tails < self.indices
+        return np.column_stack((tails[up], self.indices[up]))
 
     @cached_property
     def connected(self):
@@ -290,12 +284,6 @@ def combinatorial_distance(g, a, b):
 
 def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
-    return _bfs_path(g, a, b)[0]
-
-
-def _bfs_path(g, a, b):
-    """``shortest_path`` and the parent array of the BFS from a that it
-    follows (negative at a and at the nodes a does not reach)."""
     _check_node(g, a, b)
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
@@ -303,7 +291,7 @@ def _bfs_path(g, a, b):
         path.append(parent.item(path[-1]))
         if path[-1] < 0:
             raise ValueError(f"no path between nodes {a} and {b}")
-    return path[::-1], parent
+    return path[::-1]
 
 
 def induced_subgraph(g, nodes):
@@ -324,9 +312,10 @@ def induced_subgraph(g, nodes):
 
 
 def _check_node(g, *nodes):
+    n = g.node_count
     for v in nodes:
-        if not 0 <= _as_int(v, "node index") < g.node_count:
-            raise ValueError(f"node index {v} out of range (n={g.node_count})")
+        if not 0 <= _as_int(v, "node index") < n:
+            raise ValueError(f"node index {v} out of range (n={n})")
 
 
 def _check_tol(tol):

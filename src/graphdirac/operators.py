@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _check_node
+from .graph import _check_node, _reject
 
 VALID_SPACES = ("H0", "H1", "H", "bonds")
 
@@ -169,8 +169,7 @@ def incidence_map(g, orientation=None):
     explicit ``orientation`` is a +-1 sequence per bond flipping that choice.
     B B^t = V - A holds for any orientation.
     """
-    up = g.edge_tails < g.edge_heads
-    tails, heads = g.edge_tails[up], g.edge_heads[up]
+    tails, heads = g._bond_ends().T
     if orientation is None:
         orientation = np.ones(len(tails), dtype=np.int64)
     orientation = np.asarray(orientation)
@@ -243,14 +242,17 @@ def cycle_edge_vector(g, nodes):
     if len(nodes) < 3:
         raise ValueError("a cycle needs at least 3 nodes")
     _check_node(g, *nodes)
+    n = g.node_count
+    u = np.asarray(nodes, dtype=np.int64)
+    v = np.roll(u, -1)
+    # the keys tail * n + head ascend in directed-edge order; the key n * n
+    # past the end matches no step
+    keys = np.append(g.edge_tails * n + g.indices, n * n)
+    steps = u * n + v
+    found = np.searchsorted(keys, np.concatenate((steps, v * n + u)))
+    _reject(keys[found[:u.size]] != steps, "({},{}) is not a bond of the graph", u, v)
     vals = np.zeros(g.directed_edge_count)
-    # index-wise wrap, so that lists, tuples and arrays all close the cycle
-    for k, u in enumerate(nodes):
-        v = nodes[(k + 1) % len(nodes)]
-        if (u, v) not in g.edge_index:
-            raise ValueError(f"({u},{v}) is not a bond of the graph")
-        vals[g.edge_index[(u, v)]] += 1.0
-        vals[g.edge_index[(v, u)]] -= 1.0
+    np.add.at(vals, found, np.repeat([1.0, -1.0], u.size))
     return vals
 
 

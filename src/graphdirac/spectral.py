@@ -220,7 +220,8 @@ def operator_norm(m):
 
 def prefix_average_degrees(g):
     """Prefix averages 2*bonds(G_j)/j for the induced subgraphs on nodes 0..j-1."""
-    lower = np.bincount(g.edge_tails[g.edge_heads < g.edge_tails], minlength=g.node_count)
+    tails = g.edge_tails
+    lower = np.bincount(tails[g.edge_heads < tails], minlength=g.node_count)
     return 2.0 * np.cumsum(lower) / np.arange(1, g.node_count + 1)
 
 

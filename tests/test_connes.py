@@ -158,6 +158,22 @@ def test_solver_validates_input():
     for bad in ("1e-7", None, [1e-7]):
         with pytest.raises(ValueError, match="tol"):
             connes_distance(g, 0, 2, tol=bad)
+
+
+def test_equal_nodes_check_x0_as_distinct_ones_do():
+    # pair (1, 1) is 0 with no solve, but a bad start is still an error
+    for g in (build_path(3), build_cycle(4)):
+        bad = np.zeros(g.node_count)
+        bad[0] = 5.0
+        nan = np.zeros(g.node_count)
+        nan[0] = math.nan
+        for x0, message in ((nan, "x0 has non-finite entries"),
+                            (np.zeros(g.node_count + 1), "x0 has shape"),
+                            (bad, "x0 is not strictly feasible")):
+            for a, b in ((0, 2), (1, 1)):
+                with pytest.raises(ValueError, match=message):
+                    connes_distance(g, a, b, x0=x0)
+        assert connes_distance(g, 1, 1, x0=np.zeros(g.node_count)).distance == 0.0
         with pytest.raises(ValueError, match="tol"):
             distance_matrix(g, tol=bad)
     for fn in (lattice_closed_form, lattice_step_profile):

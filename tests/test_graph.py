@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import graphdirac as gd
 from graphdirac import (
     GenerationError,
     Graph,
@@ -316,9 +317,8 @@ def test_serialize_matches_per_bond_writer(fmt):
 
 def test_million_node_path_json_writes_in_bounded_memory():
     # one printf over the bond ends, not 10**6 two-element lists (171 MB);
-    # the 24 MB of arrays the graph caches for good are made before the write
+    # the graph caches no arrays, so its edge tails are made inside the write
     g = build_path(10 ** 6)
-    g.edge_tails
     tracemalloc.start()
     try:
         data = serialize_graph(g, fmt="json")
@@ -626,8 +626,6 @@ def _reference_views(n, bonds):
     directed = tuple((i, k) for i, row in enumerate(adjacency) for k in row)
     return {
         "adjacency": adjacency,
-        "directed_edges": directed,
-        "edge_index": {e: idx for idx, e in enumerate(directed)},
         "bonds": tuple((i, k) for i, k in directed if i < k),
         "edge_tails": [i for i, _ in directed],
         "edge_heads": [k for _, k in directed],
@@ -758,3 +756,66 @@ def test_large_star_builds_from_shuffled_bonds():
     assert np.count_nonzero(g.degrees == 1) == leaves
     assert g.connected
     assert g.adjacency[hub] == tuple(k for k in range(leaves + 1) if k != hub)
+
+
+def _node_function(g):
+    return np.linspace(0.0, 0.3, g.node_count)
+
+
+def _tree():
+    return build_binary_tree(3)
+
+
+def _cycle():
+    return build_cycle(5)
+
+
+# each library entry point that takes or returns a graph: the graph it is
+# called on, and the call
+_ENTRY_POINTS = {
+    "parse_graph edgelist": (_cycle, lambda g: parse_graph("0 1\n1 2\n2 0\n")),
+    "parse_graph json": (_cycle, lambda g: parse_graph('{"nodes": 3, "edges": [[0, 1], [1, 2]]}')),
+    "serialize_graph edgelist": (_cycle, lambda g: serialize_graph(g, "edgelist")),
+    "serialize_graph json": (_cycle, lambda g: serialize_graph(g, "json")),
+    "bfs_distances": (_cycle, lambda g: bfs_distances(g, 0)),
+    "combinatorial_distance": (_cycle, lambda g: combinatorial_distance(g, 0, 2)),
+    "shortest_path": (_cycle, lambda g: shortest_path(g, 0, 2)),
+    "component_labels": (_cycle, component_labels),
+    "induced_subgraph": (_cycle, lambda g: induced_subgraph(g, [0, 1, 2])),
+    "is_antisymmetric": (_cycle, lambda g: gd.is_antisymmetric(g, np.zeros(g.directed_edge_count))),
+    "edge_function_map left": (_cycle, lambda g: gd.edge_function_map(g, _node_function(g))),
+    "edge_function_map right": (
+        _cycle, lambda g: gd.edge_function_map(g, _node_function(g), side="right")),
+    "cycle_edge_vector": (_cycle, lambda g: gd.cycle_edge_vector(g, range(5))),
+    "adjacency_norm_bounds": (_cycle, gd.adjacency_norm_bounds),
+    "prefix_average_degrees": (_cycle, gd.prefix_average_degrees),
+    "cycle_space_dims": (_cycle, gd.cycle_space_dims),
+    "constraint_profile": (_cycle, lambda g: gd.constraint_profile(g, _node_function(g))),
+    "commutator_norm": (_cycle, lambda g: gd.commutator_norm(g, _node_function(g))),
+    "random_feasible_point": (
+        _cycle, lambda g: gd.random_feasible_point(g, 0, np.random.default_rng(0))),
+    "connes_distance tree": (_tree, lambda g: gd.connes_distance(g, 7, 14)),
+    "connes_distance cycle": (_cycle, lambda g: gd.connes_distance(g, 0, 2)),
+    "tree_distance_closed_form": (_tree, lambda g: gd.tree_distance_closed_form(g, 7, 14)),
+    "distance_matrix tree": (_tree, gd.distance_matrix),
+    "distance_matrix cycle": (_cycle, gd.distance_matrix),
+    "brute_force_distance": (lambda: build_cycle(4), lambda g: gd.brute_force_distance(g, 0, 2)),
+    "comparison_suite": (_cycle, lambda g: gd.comparison_suite(g, 0, 2)),
+}
+for _name in ("coboundary_map", "d1_map", "d2_map", "delta1_map", "delta2_map", "adjacency_map",
+              "degree_map", "laplacian_map", "incidence_map", "dirac_operator", "chirality_map"):
+    _ENTRY_POINTS[_name] = (_cycle, getattr(gd, _name))
+for _name in ("node_function_map", "function_representation", "commutator_map"):
+    _ENTRY_POINTS[_name] = (_cycle, lambda g, _map=getattr(gd, _name): _map(g, _node_function(g)))
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_library_leaves_only_the_arrays_on_a_graph(name):
+    # library code reads the CSR arrays and caches nothing else: a graph it
+    # took or made holds them and at most its cached connectivity
+    build, call = _ENTRY_POINTS[name]
+    g = build()
+    result = call(g)
+    for built in (g, result, *(result if isinstance(result, tuple) else ())):
+        if isinstance(built, Graph):
+            assert set(vars(built)) <= {"indptr", "indices", "connected"}, name

@@ -34,12 +34,23 @@ def random_node_function(g, rng):
     return rng.standard_normal(g.node_count)
 
 
+def directed_edges(g):
+    """(tail, head) of every directed edge, in the canonical order."""
+    return list(zip(g.edge_tails.tolist(), g.edge_heads.tolist()))
+
+
+def edge_position(g, i, k):
+    """Position of the directed edge (i, k) in the canonical order."""
+    (position,) = np.flatnonzero((g.edge_tails == i) & (g.edge_heads == k))
+    return position
+
+
 # --- coboundary and boundary ------------------------------------------------
 
 def test_apply_d_single_bond():
     g = build_path(2)
     e = coboundary_map(g).apply([0.0, 1.0])
-    assert g.directed_edges == ((0, 1), (1, 0))
+    assert directed_edges(g) == [(0, 1), (1, 0)]
     assert np.allclose(np.asarray(e), [1.0, -1.0])
     assert is_antisymmetric(g, e)
 
@@ -69,7 +80,7 @@ def test_apply_d_length_mismatch():
 def test_delta1_on_basis_edge():
     g = build_path(2)
     basis = np.zeros(2)
-    basis[g.edge_index[(0, 1)]] = 1.0  # the directed bond 0 -> 1
+    basis[edge_position(g, 0, 1)] = 1.0  # the directed bond 0 -> 1
     assert np.allclose(delta1_map(g).apply(basis), [0.0, 1.0])  # terminal node
     assert np.allclose(delta2_map(g).apply(basis), [1.0, 0.0])  # initial node
 
@@ -77,8 +88,8 @@ def test_delta1_on_basis_edge():
 def test_delta_on_oriented_bond():
     g = build_path(2)
     b = np.zeros(2)
-    b[g.edge_index[(0, 1)]] = 1.0
-    b[g.edge_index[(1, 0)]] = -1.0
+    b[edge_position(g, 0, 1)] = 1.0
+    b[edge_position(g, 1, 0)] = -1.0
     assert np.allclose(delta1_map(g).apply(b), [-1.0, 1.0])  # n_1 - n_0
 
 
@@ -92,8 +103,8 @@ def test_d1_d2_on_indicator():
     f = np.array([1.0, 0.0])
     e1 = np.asarray(d1_map(g).apply(f))
     e2 = np.asarray(d2_map(g).apply(f))
-    assert e1[g.edge_index[(1, 0)]] == 1.0 and e1[g.edge_index[(0, 1)]] == 0.0
-    assert e2[g.edge_index[(0, 1)]] == 1.0 and e2[g.edge_index[(1, 0)]] == 0.0
+    assert e1[edge_position(g, 1, 0)] == 1.0 and e1[edge_position(g, 0, 1)] == 0.0
+    assert e2[edge_position(g, 0, 1)] == 1.0 and e2[edge_position(g, 1, 0)] == 0.0
     assert not is_antisymmetric(g, d1_map(g).apply(f))
 
 
@@ -268,6 +279,45 @@ def test_is_antisymmetric_checks_length():
             is_antisymmetric(g, np.zeros(length))
 
 
+def _reference_cycle_edge_vector(g, nodes):
+    """The oriented-bond sum step by step, through a dict of edge positions."""
+    index = {e: idx for idx, e in enumerate(directed_edges(g))}
+    vals = np.zeros(g.directed_edge_count)
+    for k, u in enumerate(nodes):
+        v = nodes[(k + 1) % len(nodes)]
+        if (u, v) not in index:
+            raise ValueError(f"({u},{v}) is not a bond of the graph")
+        vals[index[(u, v)]] += 1.0
+        vals[index[(v, u)]] -= 1.0
+    return vals
+
+
+def test_cycle_edge_vector_matches_step_by_step_sum():
+    cases = [(build_cycle(10 ** 5), list(range(10 ** 5)))]
+    for g in fixture_graphs().values():
+        nodes = fixture_cycle(g)
+        if nodes is not None:
+            # the cycle both ways, and twice round
+            cases += [(g, nodes), (g, nodes[::-1]), (g, nodes + nodes)]
+        # closed walks through nodes 0, 1, 2, and the first missing bond
+        cases.append((g, [0, 1, 0, 1]))
+        if g.node_count > 2:
+            cases += [(g, [0, 1, 2, 1]), (g, list(range(g.node_count)))]
+    cases += [(Graph.from_edges(3, []), [0, 1, 2])]  # no bonds at all
+    raised = 0
+    for g, nodes in cases:
+        try:
+            expected = _reference_cycle_edge_vector(g, nodes)
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError) as info:
+                cycle_edge_vector(g, nodes)
+            assert str(info.value) == str(exc)
+        else:
+            assert np.array_equal(cycle_edge_vector(g, nodes), expected)
+    assert raised >= 10
+
+
 def test_cycle_edge_vector_validates():
     g = build_path(4)
     with pytest.raises(ValueError):
@@ -352,7 +402,7 @@ def test_left_and_right_edge_actions():
     f = np.array([2.0, 3.0, 5.0])
     left = edge_function_map(g, f, side="left").toarray()
     right = edge_function_map(g, f, side="right").toarray()
-    for (i, k), idx in g.edge_index.items():
+    for idx, (i, k) in enumerate(directed_edges(g)):
         assert left[idx, idx] == f[i]
         assert right[idx, idx] == f[k]
     with pytest.raises(ValueError):
@@ -396,7 +446,7 @@ def test_commutator_blocks_match_definition():
         n, m = g.node_count, g.directed_edge_count
         f = random_node_function(g, rng)
         expected = np.zeros((n + m, n + m))
-        for (i, k), idx in g.edge_index.items():
+        for idx, (i, k) in enumerate(directed_edges(g)):
             expected[n + idx, k] = f[k] - f[i]
             expected[k, n + idx] = f[i] - f[k]
         C = commutator_map(g, f).toarray()
