@@ -73,11 +73,15 @@ def constraint_profile(g, f):
     n = g.node_count
     if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"node vector has shape {f.shape}, expected ({n},) or (k, {n})")
-    # one bincount for the stack; each row's sums keep the order of its own
-    # bincount, so a row's profile does not depend on the stack it is in
+    return _profile(g.edge_tails, g.edge_heads, f)
+
+
+def _profile(tails, heads, f):
+    """``constraint_profile`` of a checked float f over the edges tails -> heads."""
+    # one bincount for the stack, in which each row sums as it would alone
     stack = f[None] if f.ndim == 1 else f
-    k, tails = stack.shape[0], g.edge_tails
-    v = (stack[:, g.edge_heads] - stack[:, tails]) ** 2
+    k, n = stack.shape
+    v = (stack[:, heads] - stack[:, tails]) ** 2
     bins = (np.arange(k)[:, None] * n + tails).ravel()
     return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(f.shape)
 
@@ -341,7 +345,7 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _on_boundary(g, newton, f):
+def _on_boundary(newton, f):
     """f scaled onto the constraint boundary, less a rounding allowance, and
     the profile of the scaled point as computed; a zero f stays.
 
@@ -354,12 +358,12 @@ def _on_boundary(g, newton, f):
     at most 1 - gamma: the certificate's check on the computed profile then
     proves the scaled point feasible.
     """
-    top = constraint_profile(g, f).max(axis=1, keepdims=True)
+    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
     top = np.where(top > 0.0, top, 1.0)
     reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
     eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
     bf = f / np.sqrt(top * (1.0 + eta))
-    return bf, constraint_profile(g, bf)
+    return bf, _profile(newton.tails, newton.heads, bf)
 
 
 def _dual_bound(newton, multipliers, gauges, targets):
@@ -483,7 +487,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
-    s = 1.0 - constraint_profile(g, f)
+    s = 1.0 - _profile(newton.tails, newton.heads, f)
     lam = np.full((k, n), 0.1)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
@@ -500,7 +504,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             pairs, f, s, lam = (np.concatenate(x) for x in zip(*parked))
             parked = []
             checked[pairs] = iterations[pairs]
-            bf, prof = _on_boundary(g, newton, f)
+            bf, prof = _on_boundary(newton, f)
             a, b = gauges[pairs], targets[pairs]
             kkt, upper, certified = _certificate(newton, bf, prof, lam, a, b, tol)
             gap = upper - (bf[np.arange(pairs.size), b] - bf[np.arange(pairs.size), a])
@@ -522,7 +526,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
+        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
@@ -534,7 +538,7 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q = newton.constraint_steps(jac, df), constraint_profile(g, df)
+        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df

@@ -158,6 +158,19 @@ def test_solver_validates_input():
     for bad in ("1e-7", None, [1e-7]):
         with pytest.raises(ValueError, match="tol"):
             connes_distance(g, 0, 2, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            distance_matrix(g, tol=bad)
+    for fn in (lattice_closed_form, lattice_step_profile):
+        with pytest.raises(ValueError, match="n 2.5 is not an integer"):
+            fn(2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-1)
+    assert lattice_closed_form(np.uint8(200)) == lattice_closed_form(200)
+    for points in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid_points must be at least 2"):
+            brute_force_distance(g, 0, 2, grid_points=points)
+    with pytest.raises(ValueError, match="grid_points 2.5 is not an integer"):
+        brute_force_distance(g, 0, 2, grid_points=2.5)
 
 
 def test_equal_nodes_check_x0_as_distinct_ones_do():
@@ -174,19 +187,6 @@ def test_equal_nodes_check_x0_as_distinct_ones_do():
                 with pytest.raises(ValueError, match=message):
                     connes_distance(g, a, b, x0=x0)
         assert connes_distance(g, 1, 1, x0=np.zeros(g.node_count)).distance == 0.0
-        with pytest.raises(ValueError, match="tol"):
-            distance_matrix(g, tol=bad)
-    for fn in (lattice_closed_form, lattice_step_profile):
-        with pytest.raises(ValueError, match="n 2.5 is not an integer"):
-            fn(2.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(-1)
-    assert lattice_closed_form(np.uint8(200)) == lattice_closed_form(200)
-    for points in (1, 0, -3):
-        with pytest.raises(ValueError, match="grid_points must be at least 2"):
-            brute_force_distance(g, 0, 2, grid_points=points)
-    with pytest.raises(ValueError, match="grid_points 2.5 is not an integer"):
-        brute_force_distance(g, 0, 2, grid_points=2.5)
 
 
 def test_node_indices_must_be_integers():
@@ -613,7 +613,7 @@ def test_split_support_gives_no_bound():
     assert _bound(g, lam, 0, 4) == math.inf
     newton = connes._NewtonSystems(g)
     f = np.array([[0.0, 0.5, 1.0, 1.5, 2.0]])
-    f, prof = connes._on_boundary(g, newton, f)
+    f, prof = connes._on_boundary(newton, f)
     kkt, upper, certified = connes._certificate(newton, f, prof, lam[None], np.array([0]),
                                                 np.array([4]), 1.0)
     assert upper[0] == math.inf and not certified[0]
