@@ -345,27 +345,6 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _on_boundary(newton, f):
-    """f scaled onto the constraint boundary, less a rounding allowance, and
-    the profile of the scaled point as computed; a zero f stays.
-
-    f / sqrt(max a_i) is on the boundary by homogeneity, but the max and the
-    scaling round.  A computed a_i is within a relative gamma =
-    (max degree + 3) u of the exact one, and rounding the scaled values x
-    moves each jump by up to u (|x_i| + |x_k|), so sqrt(a_i) by up to
-    2 u max|x| sqrt(max degree).  Scaling by 1 / sqrt(max a_i (1 + eta)),
-    eta = 4 gamma + 4 u max|x| sqrt(max degree), leaves every computed a_i
-    at most 1 - gamma: the certificate's check on the computed profile then
-    proves the scaled point feasible.
-    """
-    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
-    top = np.where(top > 0.0, top, 1.0)
-    reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
-    eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
-    bf = f / np.sqrt(top * (1.0 + eta))
-    return bf, _profile(newton.tails, newton.heads, bf)
-
-
 def _dual_bound(newton, multipliers, gauges, targets):
     """The Lagrange dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 on
     each pair's distance, rounding included.
@@ -417,14 +396,29 @@ def _exact_sums(rows):
     return np.array([math.fsum(row) for row in rows])
 
 
-def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
-    """The KKT residual max(||c - J^t lambda||, max lambda_i (1 - a_i)), the
-    dual bound U(lambda) and the verdict for a stack of points f (computed
-    profiles prof) and multipliers lambda >= 0.  A pair is certified when
-    every computed a_i is at most 1 - gamma, which proves f feasible
-    (``_on_boundary``), and U - (f_b - f_a) <= tol: its distance is then
-    within tol of the true one, whatever the residual."""
+def _certificate(newton, f, multipliers, gauges, targets, tol):
+    """The certificate of a stack of points f with multipliers lambda >= 0:
+    f moved onto the constraint boundary, its computed profile, the KKT
+    residual max(||c - J^t lambda||, max lambda_i (1 - a_i)) there, the dual
+    bound U(lambda), the gap U - (f_b - f_a) and the verdict; a zero f stays.
+
+    f / sqrt(max a_i) is on the boundary by homogeneity, but the max and the
+    scaling round.  A computed a_i is within a relative gamma =
+    (max degree + 3) u of the exact one, and rounding the scaled values x
+    moves each jump by up to u (|x_i| + |x_k|), so sqrt(a_i) by up to
+    2 u max|x| sqrt(max degree).  Scaling by 1 / sqrt(max a_i (1 + eta)),
+    eta = 4 gamma + 4 u max|x| sqrt(max degree), leaves every computed a_i
+    at most 1 - gamma.  A pair is certified when they are, which proves the
+    moved point feasible, every lambda_i >= 0 and its gap at most tol: its
+    distance is then within tol of the true one, whatever the residual.
+    """
     stack = np.arange(len(gauges))
+    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
+    top = np.where(top > 0.0, top, 1.0)
+    reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
+    eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
+    f = f / np.sqrt(top * (1.0 + eta))
+    prof = _profile(newton.tails, newton.heads, f)
     residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
@@ -432,7 +426,7 @@ def _certificate(newton, f, prof, multipliers, gauges, targets, tol):
     upper = _dual_bound(newton, multipliers, gauges, targets)
     gap = upper - (f[stack, targets] - f[stack, gauges])
     feasible = prof.max(axis=1) <= 1.0 - newton.gamma
-    return kkt, upper, feasible & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
+    return f, prof, kkt, upper, gap, feasible & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
 
 
 def _step_length(s, p, q, multipliers, dlam):
@@ -450,9 +444,10 @@ def _step_length(s, p, q, multipliers, dlam):
     return np.minimum(1.0, np.minimum(slack, dual).min(axis=1))
 
 
-def _solve_pairs(g, newton, gauges, targets, f, tol):
-    """The fields of ``ConnesResult``, as arrays, for a stack of k pairs of
-    g solved from the strictly feasible rows of f and certified.
+def _solve_pairs(newton, gauges, targets, f, tol):
+    """The fields of ``ConnesResult``, as arrays in its order, for a stack of
+    k pairs of the graph of ``newton`` solved from the strictly feasible rows
+    of f and certified.
 
     Pair r maximizes f_b - f_a with a = gauges[r], b = targets[r], f_a = 0.
     The pairs take primal-dual steps on (f, s, lambda) in lockstep, from
@@ -504,14 +499,12 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
             pairs, f, s, lam = (np.concatenate(x) for x in zip(*parked))
             parked = []
             checked[pairs] = iterations[pairs]
-            bf, prof = _on_boundary(newton, f)
-            a, b = gauges[pairs], targets[pairs]
-            kkt, upper, certified = _certificate(newton, bf, prof, lam, a, b, tol)
-            gap = upper - (bf[np.arange(pairs.size), b] - bf[np.arange(pairs.size), a])
+            bf, prof, kkt, upper, gap, certified = _certificate(
+                newton, f, lam, gauges[pairs], targets[pairs], tol)
             # a pair keeps its round with the smallest gap, or its certified one
             best = certified | ~(gap >= out_gap[pairs])
-            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_upper, out_certified,
-                                   out_gap), (bf, prof, lam, kkt, upper, certified, gap)):
+            for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_certified, out_upper,
+                                   out_gap), (bf, prof, lam, kkt, certified, upper, gap)):
                 out[pairs[best]] = value[best]
             done = certified | (iterations[pairs] == MAX_NEWTON) | failed[pairs]
             pairs, f, s, lam = (x[~done] for x in (pairs, f, s, lam))
@@ -546,8 +539,8 @@ def _solve_pairs(g, newton, gauges, targets, f, tol):
         lam += t * dlam
         iterations[pairs] += 1
     distance = out_f[np.arange(k), targets] - out_f[np.arange(k), gauges]
-    return (distance, out_f, out_prof, out_lam, out_kkt, iterations, out_upper, out_gap,
-            out_certified)
+    return (distance, out_f, out_prof, out_lam, out_kkt, iterations, out_certified, out_upper,
+            out_gap)
 
 
 def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
@@ -589,10 +582,8 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
                             0.0, 0, True, 0.0, 0.0)
     if _is_tree(g):
         return _solve_on_path(g, a, b, tol)
-    distance, f, prof, multipliers, kkt, iterations, upper, gap, certified = _solve_pairs(
-        g, _NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
-    return ConnesResult(float(distance[0]), f[0], prof[0], multipliers[0], float(kkt[0]),
-                        int(iterations[0]), bool(certified[0]), float(upper[0]), float(gap[0]))
+    fields = _solve_pairs(_NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
+    return ConnesResult(*(x[0] if x.ndim > 1 else x[0].item() for x in fields))
 
 
 def _is_tree(g):
@@ -736,7 +727,15 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     candidate is rescaled onto the constraint boundary f / sqrt(max a_i(f)),
     which is feasible by homogeneity and can only improve the objective.  The
     returned value is a guaranteed lower bound within O(resolution * n) of
-    the supremum.  Node count is capped; the grid is exponential.
+    the supremum, rounding included.  Node count is capped; the grid is
+    exponential.
+
+    f_b - f_a = f_b is exact; a computed a_i rounds each jump (twice in its
+    square), square and addition, so the exact max a_i is at most the
+    computed one over (1 - u)^(n + 1).  The divisor, the computed max times
+    the float 1 + 4 (n + 2) u, square-rooted, both rounded, is then at least
+    the exact sqrt(max a_i), as (1 + 4 (n + 2) u) (1 - u)^(n + 4) >= 1, and
+    the float below the rounded quotient at most the value of f / divisor.
     """
     _check_node(g, a, b)
     if _as_int(grid_points, "grid_points") < 2:
@@ -755,8 +754,9 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     best_point = center.copy()
     completed = 0
     spacing = np.inf
-    # keep refining until the scanned spacing beats the requested resolution
-    while completed < rounds or spacing > resolution:
+    # keep refining until the scanned spacing beats the requested resolution,
+    # for at most 12 rounds
+    while completed < 12 and (completed < rounds or spacing > resolution):
         spacing = 2.0 * width / (grid_points - 1)
         axes = [np.linspace(c - width, c + width, grid_points) for c in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(free))
@@ -769,8 +769,8 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
                 if nbrs.size:
                     a_i = ((F[:, nbrs] - F[:, [i]]) ** 2).sum(axis=1)
                     amax = np.maximum(amax, a_i)
-            scale = np.sqrt(np.maximum(amax, 1e-300))
-            values = F[:, b] / scale
+            scale = np.sqrt(np.maximum(amax, 1e-300) * (1.0 + 4 * (n + 2) * UNIT_ROUNDOFF))
+            values = np.nextafter(F[:, b] / scale, -np.inf)
             values[amax == 0.0] = 0.0
             j = int(np.argmax(values))
             if values[j] > best_value:
@@ -779,8 +779,6 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
         center = best_point
         width /= 10.0
         completed += 1
-        if completed >= 12:
-            break
     return best_value
 
 
@@ -812,7 +810,7 @@ def distance_matrix(g, tol=DEFAULT_TOL):
     chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
     for start in range(0, gauges.size, chunk):
         a, b = gauges[start:start + chunk], targets[start:start + chunk]
-        distance, *_, certified = _solve_pairs(g, newton, a, b, np.zeros((a.size, n)), tol)
+        distance, *_, certified, _, _ = _solve_pairs(newton, a, b, np.zeros((a.size, n)), tol)
         out[a, b] = out[b, a] = np.where(certified, distance, np.nan)
     return out
 

@@ -83,9 +83,7 @@ def power_iteration_norm(m, tol=1e-12, max_iter=200_000):
     ||M^2 v - rho v|| drops below tol * rho.
     """
     _check_iteration(tol, max_iter)
-    M = _as_sparse(m)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("power iteration needs a square matrix")
+    M = _symmetric(m)
     n = M.shape[0]
     if n == 0:
         return PowerIterationResult(0.0, 0, True, 0.0, "power")
@@ -147,10 +145,7 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     their O(k) cost stays below that of the matvecs even when k reaches n.
     """
     _check_iteration(tol, max_iter)
-    M = _as_sparse(m)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("Lanczos needs a square matrix")
-    return _lanczos(M, tol, max_iter)
+    return _lanczos(_symmetric(m), tol, max_iter)
 
 
 def _lanczos(M, tol=1e-12, max_iter=200_000):
@@ -190,14 +185,20 @@ def spectral_norm(m):
 
     A run that does not converge warns and returns its last estimate.
     """
+    return _symmetric_norm(_symmetric(m))
+
+
+def _symmetric(m):
+    """``m`` as a float CSR array (``_as_sparse``), checked square and
+    symmetric to 1e-12 of its largest entry (or of 1)."""
     M = _as_sparse(m)
     if M.shape[0] != M.shape[1]:
-        raise ValueError("spectral_norm needs a square symmetric matrix")
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     asym = M - M.T
     scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
     if asym.nnz and float(np.max(np.abs(asym.data))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    return _symmetric_norm(M)
+    return M
 
 
 def _symmetric_norm(M):

@@ -248,6 +248,14 @@ def test_random_feasible_point_checks_gauge():
     assert random_feasible_point(g, np.int64(3), rng)[3] == 0.0
 
 
+def test_random_feasible_point_without_bonds_is_zero():
+    # every profile is 0, so no scale reaches the margin: the start is f = 0
+    rng = np.random.default_rng(3)
+    for n in (1, 3):
+        f = random_feasible_point(Graph.from_edges(n, []), 0, rng)
+        assert np.array_equal(f, np.zeros(n))
+
+
 def test_result_json_keys():
     result = connes_distance(build_path(3), 0, 2)
     doc = json.loads(result.to_json())
@@ -394,11 +402,9 @@ def test_sparse_step_matches_dense_assembly(name):
 def _solve_pair(g, a, b, tol=connes.DEFAULT_TOL):
     """The interior-point solve that ``connes_distance`` makes on a graph with
     a cycle, made here on any graph, trees included, from f = 0."""
-    distance, f, prof, lam, kkt, iterations, upper, gap, certified = connes._solve_pairs(
-        g, connes._NewtonSystems(g), np.array([a]), np.array([b]), np.zeros((1, g.node_count)), tol)
-    return connes.ConnesResult(float(distance[0]), f[0], prof[0], lam[0], float(kkt[0]),
-                               int(iterations[0]), bool(certified[0]), float(upper[0]),
-                               float(gap[0]))
+    fields = connes._solve_pairs(connes._NewtonSystems(g), np.array([a]), np.array([b]),
+                                 np.zeros((1, g.node_count)), tol)
+    return connes.ConnesResult(*(x[0] if x.ndim > 1 else x[0].item() for x in fields))
 
 
 def _count_calls(monkeypatch, name):
@@ -529,12 +535,14 @@ def test_certificate_matches_dense_jacobian(name):
             # the multipliers mu / s moved along df, as the solver moves them
             steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
-            residual = connes._certificate(newton, f[None], prof[None], multipliers,
-                                           np.array([a]), np.array([b]), 1e-7)[0]
+            moved, moved_prof, residual = connes._certificate(
+                newton, f[None], multipliers, np.array([a]), np.array([b]), 1e-7)[:3]
             lam = np.maximum(0.0, mu / s * (1.0 + (J @ direction) / s))
             assert np.abs(multipliers[0] - lam).max() <= 1e-12 * max(lam.max(), mu)
-            stationarity = np.linalg.norm(c - J.T @ multipliers[0])
-            kkt = max(stationarity, (multipliers[0] * s).max())
+            # the residual is the moved point's
+            assert np.array_equal(moved_prof[0], constraint_profile(g, moved[0]))
+            stationarity = np.linalg.norm(c - _constraint_jacobian(g, moved[0]).T @ multipliers[0])
+            kkt = max(stationarity, (multipliers[0] * (1.0 - moved_prof[0])).max())
             assert abs(residual[0] - kkt) <= 1e-12 * max(kkt, 1.0)
 
 
@@ -613,10 +621,9 @@ def test_split_support_gives_no_bound():
     assert _bound(g, lam, 0, 4) == math.inf
     newton = connes._NewtonSystems(g)
     f = np.array([[0.0, 0.5, 1.0, 1.5, 2.0]])
-    f, prof = connes._on_boundary(newton, f)
-    kkt, upper, certified = connes._certificate(newton, f, prof, lam[None], np.array([0]),
-                                                np.array([4]), 1.0)
-    assert upper[0] == math.inf and not certified[0]
+    *_, upper, gap, certified = connes._certificate(newton, f, lam[None], np.array([0]),
+                                                    np.array([4]), 1.0)
+    assert upper[0] == math.inf and gap[0] == math.inf and not certified[0]
     # and so does a bond off the a-b path: on the path 0-1-2 with the tail
     # 1-3-4, the bond (3,4) has conductance 0 although R_lambda(0, 2) is finite
     g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
@@ -660,9 +667,9 @@ def test_every_certificate_sees_positive_multipliers(monkeypatch, solve):
     seen = []
     real = connes._certificate
 
-    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
+    def recorded(newton, f, multipliers, gauges, targets, tol):
         seen.append(multipliers.min())
-        return real(newton, f, prof, multipliers, gauges, targets, tol)
+        return real(newton, f, multipliers, gauges, targets, tol)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     solve()
@@ -673,8 +680,8 @@ def test_every_certificate_sees_positive_multipliers(monkeypatch, solve):
 def test_every_random_pair_is_certified_within_its_bound(seed):
     g = build_random(20, 0.3, seed)
     a, b = np.triu_indices(g.node_count, 1)
-    distance, *_, upper, gap, certified = connes._solve_pairs(
-        g, connes._NewtonSystems(g), a, b, np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)
+    distance, *_, certified, upper, gap = connes._solve_pairs(
+        connes._NewtonSystems(g), a, b, np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)
     assert certified.all()
     assert np.all(distance <= upper)
     assert np.all(gap <= connes.DEFAULT_TOL)
@@ -779,6 +786,7 @@ def test_tree_closed_form():
     expected = math.sqrt(18.0)
     assert tree_distance_closed_form(tree, a, b) == pytest.approx(expected)
     assert connes_distance(tree, a, b).distance == pytest.approx(expected, abs=1e-5)
+    assert tree_distance_closed_form(tree, a, a) == 0.0
 
 
 def test_tree_closed_form_counts_bonds_without_building_them():
@@ -812,6 +820,20 @@ def test_brute_force_triangle():
 def test_brute_force_node_cap():
     with pytest.raises(ValueError):
         brute_force_distance(build_path(7), 0, 6)
+
+
+def test_brute_force_same_node_and_disconnected():
+    assert brute_force_distance(build_cycle(4), 1, 1) == 0.0
+    with pytest.raises(ValueError, match="distance is only defined on connected graphs"):
+        brute_force_distance(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, 3)
+
+
+def test_brute_force_is_a_lower_bound_at_its_round_cap():
+    # resolution 0 runs all 12 rounds, to a spacing of 2.5e-12; rescaling
+    # without a rounding allowance returned 1.4142135623730954 here, above
+    # the supremum sqrt(2) = 1.4142135623730951
+    value = brute_force_distance(build_path(3), 0, 2, resolution=0)
+    assert SQRT2 - 1e-11 <= value <= SQRT2
 
 
 def test_solver_agrees_with_brute_force():
@@ -1006,9 +1028,9 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
     stacks = []
     real = connes._solve_pairs
 
-    def recorded(g, newton, gauges, *args):
+    def recorded(newton, gauges, *args):
         stacks.append(len(gauges))
-        return real(g, newton, gauges, *args)
+        return real(newton, gauges, *args)
 
     monkeypatch.setattr(connes, "_solve_pairs", recorded)
     monkeypatch.setattr(connes, "CHUNK_ENTRIES", 7 * connes._NewtonSystems(g).entries_per_pair)
@@ -1024,9 +1046,9 @@ def test_distance_matrix_certifies_in_one_round(monkeypatch):
     certificates = []
     real = connes._certificate
 
-    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
+    def recorded(newton, f, multipliers, gauges, targets, tol):
         certificates.append(len(gauges))
-        return real(newton, f, prof, multipliers, gauges, targets, tol)
+        return real(newton, f, multipliers, gauges, targets, tol)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     m = distance_matrix(build_random(20, 0.3, 1))
@@ -1037,12 +1059,12 @@ def test_distance_matrix_certifies_in_one_round(monkeypatch):
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     real = connes._certificate
 
-    def forced(newton, f, prof, multipliers, gauges, targets, tol):
+    def forced(newton, f, multipliers, gauges, targets, tol):
         # a tolerance no gap meets leaves the pair (1, 3) uncertified
-        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
-        strict = real(newton, f, prof, multipliers, gauges, targets, 1e-300)[2]
+        *fields, certified = real(newton, f, multipliers, gauges, targets, tol)
+        strict = real(newton, f, multipliers, gauges, targets, 1e-300)[-1]
         pair = (gauges == 1) & (targets == 3)
-        return kkt, upper, np.where(pair, strict, certified)
+        return (*fields, np.where(pair, strict, certified))
 
     monkeypatch.setattr(connes, "_certificate", forced)
     nan = np.isnan(distance_matrix(build_cycle(5)))
@@ -1177,11 +1199,10 @@ def test_uncertified_pair_returns_its_best_round(monkeypatch):
     gaps = []
     real = connes._certificate
 
-    def recorded(newton, f, prof, multipliers, gauges, targets, tol):
-        kkt, upper, certified = real(newton, f, prof, multipliers, gauges, targets, tol)
-        stack = np.arange(len(gauges))
-        gaps.extend(upper - (f[stack, targets] - f[stack, gauges]))
-        return kkt, upper, certified
+    def recorded(newton, f, multipliers, gauges, targets, tol):
+        fields = real(newton, f, multipliers, gauges, targets, tol)
+        gaps.extend(fields[4])
+        return fields
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     g = _tree_with_chord()
@@ -1233,7 +1254,7 @@ def test_solves_take_few_iterations():
     assert result.certified
     g = build_random(20, 0.3, 1)
     a, b = np.triu_indices(g.node_count, 1)
-    iterations = connes._solve_pairs(g, connes._NewtonSystems(g), a, b,
+    iterations = connes._solve_pairs(connes._NewtonSystems(g), a, b,
                                      np.zeros((a.size, g.node_count)), connes.DEFAULT_TOL)[5]
     assert np.median(iterations) <= 20
 

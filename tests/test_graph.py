@@ -244,6 +244,8 @@ def test_shortest_path_endpoints_and_length():
     assert len(path) - 1 == combinatorial_distance(g, 0, 3)
     for u, v in zip(path, path[1:]):
         assert v in g.adjacency[u]
+    with pytest.raises(ValueError, match="no path between nodes 0 and 3"):
+        shortest_path(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, 3)
 
 
 def test_induced_subgraph_of_cycle_is_path():

@@ -325,6 +325,8 @@ def test_cycle_edge_vector_validates():
     for nodes in ([0, 1.0, 2], [0, 1, 4]):
         with pytest.raises(ValueError, match="node index"):
             cycle_edge_vector(build_cycle(3), nodes)
+    with pytest.raises(ValueError, match="a cycle needs at least 3 nodes"):
+        cycle_edge_vector(build_cycle(3), [0, 1])
 
 
 # --- Dirac operator, chirality, conjugation ----------------------------------
@@ -467,6 +469,19 @@ def test_map_composition_checks_spaces():
         coboundary_map(g) @ coboundary_map(g)  # H1 <- H0 twice cannot compose
     with pytest.raises(ValueError):
         coboundary_map(g) + delta1_map(g)
+    # a non-map operand is left to its own __rmatmul__
+    assert coboundary_map(g).__matmul__(np.eye(3)) is NotImplemented
+    with pytest.raises(TypeError):
+        coboundary_map(g) @ "H0"
+
+
+def test_map_space_tags_and_negation():
+    with pytest.raises(ValueError, match="unknown space tag on map H0->H2"):
+        LinearMap(np.eye(2), "H0", "H2")
+    d = coboundary_map(build_path(3))
+    minus = -d
+    assert (minus.domain, minus.codomain) == (d.domain, d.codomain)
+    assert np.array_equal(minus.toarray(), -d.toarray())
 
 
 def test_apply_checks_length():

@@ -67,6 +67,11 @@ def test_power_iteration_on_bipartite_pairs():
     assert res.converged and res.estimate == pytest.approx(expected, abs=1e-9)
 
 
+def test_power_iteration_of_a_zero_matrix():
+    res = power_iteration_norm(np.zeros((3, 3)))
+    assert (res.estimate, res.iterations, res.converged, res.residual) == (0.0, 1, True, 0.0)
+
+
 def test_power_iteration_reports_non_convergence():
     A = adjacency_map(build_path(50))
     res = power_iteration_norm(A, tol=1e-14, max_iter=3)
@@ -192,11 +197,14 @@ def test_norms_reject_non_finite_matrices(bad, form):
 
 
 def test_spectral_norm_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    for norm in (power_iteration_norm, lanczos_norm):
-        with pytest.raises(ValueError, match="square matrix"):
+    # [[0, 2], [0, 0]] has largest singular value 2; unchecked, Lanczos gave
+    # 1.414 and power iteration 0.0, both with converged=True
+    for norm in (spectral_norm, power_iteration_norm, lanczos_norm):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            norm(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
             norm(np.zeros((2, 3)))
+    for norm in (power_iteration_norm, lanczos_norm):
         empty = norm(np.zeros((0, 0)))
         assert (empty.estimate, empty.iterations, empty.converged) == (0.0, 0, True)
 
@@ -277,6 +285,11 @@ def test_bounds_violation_raises(monkeypatch):
     monkeypatch.setattr(spectral, "_symmetric_norm", lambda *args, **kwargs: 3.5)
     with pytest.raises(RuntimeError, match="outside its bounds"):
         adjacency_norm_bounds(build_path(4))
+
+
+def test_bounds_of_the_empty_graph():
+    b = adjacency_norm_bounds(Graph.from_edges(0, []))
+    assert (b.lower, b.upper, b.estimate) == (0.0, 0.0, 0.0)
 
 
 def test_bounds_sandwich_everywhere():
@@ -408,3 +421,6 @@ def test_rank_matches_rational_oracle():
         dims = cycle_space_dims(g)
         assert rational_rank(dstar) == dims.rank_dstar == g.node_count - 1
         assert dims.kernel_dim == int(g.degrees.sum()) - (g.node_count - 1)
+    # a wide matrix of full row rank stops once every row holds a pivot
+    assert rational_rank(np.array([[1, 0, 2, 3], [0, 1, 1, 1]])) == 2
+    assert rational_rank(np.array([[1, 2, 3]])) == 1
