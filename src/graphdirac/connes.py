@@ -280,32 +280,29 @@ class _NewtonSystems:
         factorization of the stack, or a banded one (``_band_solve``) or a
         sparse LU (``_sparse_solve``) a pair.  The systems are positive
         definite, so a pair whose factorization fails is singular to working
-        precision and solves to NaN; a failed batch is refactored a pair at a
-        time, so that the other pairs stay as they solve alone."""
+        precision and solves to NaN.  A failed batch is halved, and each
+        failed half again, down to the pairs that fail alone; numpy factors
+        each matrix of a batch on its own, so the other pairs stay as they
+        solve alone."""
         if not self.dense:
             factor = self._band_solve if self.band else self._sparse_solve
             solves = [factor(values) for values in hess]
-        else:
-            try:
-                factors = cholesky(self.dense_matrix(hess))
-            except LinAlgError:  # a pair is not positive definite
-                solves = [self._dense_solve(values) for values in hess]
-            else:
-                # C-ordered lower factors L; L.T is the Fortran-ordered upper
-                # factor, which LAPACK takes without a copy
-                return lambda b: np.array([dpotrs(factor.T, row, lower=0)[0]
-                                           for factor, row in zip(factors, b)])
-        return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
+            return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
+        try:
+            factors = cholesky(self.dense_matrix(hess))
+        except LinAlgError:  # a pair is not positive definite
+            if len(hess) == 1:
+                return lambda b: np.full(b.shape, np.nan)
+            half = len(hess) // 2
+            low, high = self._factor(hess[:half]), self._factor(hess[half:])
+            return lambda b: np.concatenate((low(b[:half]), high(b[half:])))
+        # C-ordered lower factors L; L.T is the Fortran-ordered upper factor,
+        # which LAPACK takes without a copy
+        return lambda b: np.array([dpotrs(factor.T, row, lower=0)[0]
+                                   for factor, row in zip(factors, b)])
 
     def _failed(self, b):
         return np.full(self.n, np.nan)
-
-    def _dense_solve(self, values):
-        try:
-            upper = cholesky(self.dense_matrix(values[None])[0]).T
-        except LinAlgError:
-            return self._failed
-        return lambda b: dpotrs(upper, b, lower=0)[0]
 
     def _band_solve(self, values):
         """A function that solves one pair's system, its values in the slots
@@ -392,8 +389,8 @@ def _dual_bound(newton, multipliers, gauges, targets):
     return np.where(split | np.isnan(upper), np.inf, upper)
 
 
-def _exact_sums(rows):
-    return np.array([math.fsum(row) for row in rows])
+def _exact_sums(rows):  # a memoryview hands fsum Python floats, with no list
+    return np.array([math.fsum(memoryview(row)) for row in rows])
 
 
 def _certificate(newton, f, multipliers, gauges, targets, tol):
@@ -631,37 +628,77 @@ def _lattice_certificate(d, tol):
     f_j = min(t_j, f_{j-1} + sqrt(1 - gamma - (f_{j-1} - f_{j-2})^2)), t_j the
     prefix sums of h, stepped down an ulp at a time while the computed a_{j-1}
     exceeds 1 - gamma; gamma = 5u, ``_NewtonSystems``' allowance at degree 2,
-    so the computed profile proves f feasible.  Stationarity asks for bond
-    conductances c_j = 1 / (2 h_j): lambda_0 = 0 and lambda_j = c_{j-1} -
-    lambda_{j-1}, that is k (c_1 - c_0) at j = 2k and c_0 - k (c_1 - c_0) at
-    j = 2k + 1 (c_1 - c_0 is exact), with rounding negatives clipped to 0.
-    On a path R_lambda is the series of the reciprocal conductances, so U
-    needs no factorization.  Each conductance, its reciprocal, each fsum and
-    U's sum round once, so the exact U is at most (1 + u) / (1 - u)^3 < 1 + 5u
-    times the computed sum, and its product by 1 + 10u, rounded, stays above.
+    so the computed profile proves f feasible.  Each f_j is in
+    [f_{j-1}, 2 f_{j-1}], so each jump is exact and f is their running sum.
+
+    Inside a binade [2^(e-1), 2^e), e >= 1, every float is a multiple of its
+    ulp, so a step whose candidate f_{j-1} + sqrt(...) is below t_j and 2^e,
+    and not a tie when rounded, takes a jump that depends only on the jump
+    into f_{j-1}.  Once two such steps take jumps a, b after a jump b, the
+    rest of the binade repeats them: it is copied in whole periods while the
+    candidates stay below 2^e, and about four steps a binade remain.  The
+    candidates and the exact prefix sums are linear in each parity class of
+    j, and t_j is within a relative 2u of the latter, so t_j - candidate >=
+    4u t_j at the two steps before a copy and at its last two keeps t_j from
+    binding in between.  The copy is the steps' own result, bit for bit, and
+    each a_j it repeats was checked.
+
+    Stationarity asks for bond conductances c_j = 1 / (2 h_j): lambda_0 = 0
+    and lambda_j = c_{j-1} - lambda_{j-1}, that is k (c_1 - c_0) at j = 2k and
+    c_0 - k (c_1 - c_0) at j = 2k + 1 (c_1 - c_0 is exact), with rounding
+    negatives clipped to 0.  On a path R_lambda is the series of the
+    reciprocal conductances, so U needs no factorization.  Each conductance,
+    its reciprocal, each fsum and U's sum round once, so the exact U is at
+    most (1 + u) / (1 - u)^3 < 1 + 5u times the computed sum, and its product
+    by 1 + 10u, rounded, stays above.
     """
-    h = lattice_step_profile(d)
-    j = np.arange(d + 1)
-    prefix = ((j + 1) // 2 * h[0] + j // 2 * h[1 % d]).tolist()  # h alternates h_0, h_1
-    cap = 1.0 - 5 * UNIT_ROUNDOFF
-    f, left, square = [0.0], 0.0, 0.0  # f_{j-1} and the computed square of the jump into it
-    for x in prefix[1:]:
-        x = min(x, left + math.sqrt(cap - square))
+    h0, h1 = _lattice_steps(d)
+    u = float(UNIT_ROUNDOFF)  # a Python float keeps the steps off numpy scalars
+    cap, margin = 1.0 - 5 * u, 4 * u
+    # the jumps f_j - f_{j-1}; f_j, the computed square of the jump into it,
+    # the binade top above it, and the (jump, candidate) of a clean last step
+    jumps, left, square, top, j, last = [], 0.0, 0.0, 1.0, 0, None
+    while j < d:
+        j += 1
+        t = (j + 1) // 2 * h0 + j // 2 * h1
+        s = math.sqrt(cap - square)
+        y = left + s
+        x = min(t, y)
         while square + (x - left) * (x - left) > cap:
             x = math.nextafter(x, -math.inf)
-        f.append(x)
-        left, square = x, (x - left) * (x - left)
-    f = np.array(f)
-    jumps = np.diff(f)
-    prof = np.append(jumps * jumps, 0.0) + np.insert(jumps * jumps, 0, 0.0)
-    c0, step = 0.5 / h[0], 0.5 / h[1 % d] - 0.5 / h[0]
-    lam = np.maximum(np.where(j % 2, c0 - j // 2 * step, j // 2 * step), 0.0)
+        jumps.append(jump := x - left)
+        clean = ((jump, y - left) if 1.0 <= left and y < top and t - y >= margin * t
+                 and 2.0 * abs(y - left - s) != top * u else None)
+        left, square = x, jump * jump
+        top *= 2.0 if x >= top else 1.0
+        if clean and last and jumps[-3] == jump:
+            (a, ra), (b, rb) = last, clean
+            # whole periods whose candidates stay below 2^e, and the last
+            # candidate of each parity class, which t must clear
+            periods = min(int(-((max(ra, a + rb) - (top - left)) // (a + b))), (d - j) // 2)
+            y = left + (periods - 1) * (a + b) + ra
+            ends = ((j + 2 * periods - 1, y), (j + 2 * periods, y - ra + a + rb))
+            if periods > 0 and all((i + 1) // 2 * h0 + i // 2 * h1 - c
+                                   >= margin * ((i + 1) // 2 * h0 + i // 2 * h1) for i, c in ends):
+                jumps += [a, b] * periods
+                left += periods * (a + b)
+                j += 2 * periods
+        last = clean
+    padded = np.array([0.0, *jumps, 0.0])  # no jump before f_0 or after f_d
+    f = padded[:-1].cumsum()
+    squares = padded * padded
+    prof = squares[1:] + squares[:-1]
+    c0, step = 0.5 / h0, 0.5 / h1 - 0.5 / h0
+    lam = np.arange(d + 1) // 2 * step
+    lam[1::2] = c0 - lam[1::2]
+    np.maximum(lam, 0.0, out=lam)
     conductance = lam[:-1] + lam[1:]
-    upper = float(_exact_sums((lam, 0.25 / conductance)).sum() * (1.0 + 10 * UNIT_ROUNDOFF))
+    upper = (math.fsum(memoryview(lam)) + math.fsum(memoryview(0.25 / conductance))) * (1 + 10 * u)
     # c - J^t lambda: node j's net outflow of the bond currents 2 c_j (f_j - f_{j-1})
-    residual = np.diff(np.concatenate(([1.0], 2.0 * conductance * jumps, [1.0])))
-    kkt = max(math.sqrt(residual @ residual), float((lam * (1.0 - prof)).max()))
-    certified = bool(prof.max() <= cap and (lam >= 0.0).all() and upper - f[-1] <= tol)
+    currents = np.concatenate(([1.0], 2.0 * conductance * padded[1:-1], [1.0]))
+    residual = currents[1:] - currents[:-1]
+    kkt = max(math.sqrt(residual.dot(residual)), float((lam * (1.0 - prof)).max()))
+    certified = bool(prof.max() <= cap and upper - f[-1] <= tol)  # lambda >= 0 by its clip
     return f, prof, lam, kkt, upper, certified
 
 
@@ -689,17 +726,19 @@ def lattice_step_profile(n):
     n = _as_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 1:
-        return np.ones(1)
-    if n % 2 == 0:
-        return np.full(n, math.sqrt(0.5))
-    amp = 1.0 + 1.0 / (n // 2)
-    h_max = amp / math.sqrt(1.0 + amp * amp)
-    h_min = 1.0 / math.sqrt(1.0 + amp * amp)
     profile = np.empty(n)
-    profile[0::2] = h_max
-    profile[1::2] = h_min
+    profile[0::2], profile[1::2] = _lattice_steps(n)
     return profile
+
+
+def _lattice_steps(n):
+    """h_max and h_min of ``lattice_step_profile(n)``, n >= 0 an int."""
+    if n == 1:
+        return 1.0, 1.0
+    if n % 2 == 0:
+        return math.sqrt(0.5), math.sqrt(0.5)
+    amp = 1.0 + 1.0 / (n // 2)
+    return amp / math.sqrt(1.0 + amp * amp), 1.0 / math.sqrt(1.0 + amp * amp)
 
 
 def tree_distance_closed_form(g, a, b):

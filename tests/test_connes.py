@@ -499,6 +499,34 @@ def test_one_failed_factorization_in_a_stack(g):
     assert np.isnan(step[2]).all() and step[2].shape == (n,)
 
 
+def _stacks_alone(real):
+    """numpy's cholesky, failing every stack of more than one matrix."""
+    def alone(a):
+        if a.ndim == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("every pair alone")
+        return real(a)
+    return alone
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+def test_failed_dense_stack_is_halved(monkeypatch, tol):
+    # below 1e-11 some pairs' batched Cholesky factorizations fail; halving
+    # the failed stacks gives every entry, NaN included, bit for bit as every
+    # pair factored alone
+    g = build_random(20, 0.3, 1)
+    calls = _count_calls(monkeypatch, "cholesky")
+    halved = distance_matrix(g, tol=tol)
+    halving = len(calls)
+    monkeypatch.setattr(connes, "cholesky", _stacks_alone(np.linalg.cholesky))
+    alone = distance_matrix(g, tol=tol)
+    assert np.array_equal(halved.view(np.int64), alone.view(np.int64))
+    if tol == 1e-14:
+        assert np.isnan(halved).any()
+    else:
+        # refactoring every pair of a failed stack alone took 668 calls here
+        assert halving < 300
+
+
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
     band_calls = _count_calls(monkeypatch, "dpbtrf")
     result = _solve_pair(build_path(61), 0, 60)
@@ -640,12 +668,9 @@ def test_split_pair_does_not_fail_its_stack(monkeypatch):
                     [0.3, 0.7, 0.2, 0.9, 0.4]])
     gauges, targets = np.array([0, 0, 1]), np.array([4, 4, 3])
     alone = [_bound(g, lam[r], gauges[r], targets[r]) for r in (0, 2)]
-    dense_solves = []
-    real = connes._NewtonSystems._dense_solve
-    monkeypatch.setattr(connes._NewtonSystems, "_dense_solve",
-                        lambda self, values: dense_solves.append(1) or real(self, values))
+    factorizations = _count_calls(monkeypatch, "cholesky")
     upper = connes._dual_bound(connes._NewtonSystems(g), lam, gauges, targets)
-    assert not dense_solves
+    assert len(factorizations) == 1
     assert upper[1] == math.inf
     assert [upper[0], upper[2]] == alone
 
@@ -1180,6 +1205,50 @@ def test_long_path_endpoints_certify_at_the_default_tol(n):
     assert result.certified
     assert result.gap <= connes.DEFAULT_TOL
     assert abs(result.distance - lattice_closed_form(n - 1)) <= connes.DEFAULT_TOL
+
+
+def _scalar_lattice_certificate(d, tol):
+    """The lattice certificate with one greedy step a bond, from the d-long
+    prefix sums: the oracle of ``_lattice_certificate``'s copied periods."""
+    h = lattice_step_profile(d)
+    j = np.arange(d + 1)
+    prefix = ((j + 1) // 2 * h[0] + j // 2 * h[1 % d]).tolist()
+    cap = 1.0 - 5 * connes.UNIT_ROUNDOFF
+    f, left, square = [0.0], 0.0, 0.0
+    for x in prefix[1:]:
+        x = min(x, left + math.sqrt(cap - square))
+        while square + (x - left) * (x - left) > cap:
+            x = math.nextafter(x, -math.inf)
+        f.append(x)
+        left, square = x, (x - left) * (x - left)
+    f = np.array(f)
+    jumps = np.diff(f)
+    prof = np.append(jumps * jumps, 0.0) + np.insert(jumps * jumps, 0, 0.0)
+    c0, step = 0.5 / h[0], 0.5 / h[1 % d] - 0.5 / h[0]
+    lam = np.maximum(np.where(j % 2, c0 - j // 2 * step, j // 2 * step), 0.0)
+    conductance = lam[:-1] + lam[1:]
+    total = math.fsum(lam) + math.fsum(0.25 / conductance)
+    upper = float(total * (1.0 + 10 * connes.UNIT_ROUNDOFF))
+    residual = np.diff(np.concatenate(([1.0], 2.0 * conductance * jumps, [1.0])))
+    kkt = max(math.sqrt(residual @ residual), float((lam * (1.0 - prof)).max()))
+    certified = bool(prof.max() <= cap and (lam >= 0.0).all() and upper - f[-1] <= tol)
+    return f, prof, lam, kkt, upper, certified
+
+
+def test_lattice_certificate_matches_the_scalar_greedy_bit_for_bit():
+    # both parities, and binade edges from 2 to 2^17
+    for d in [*range(1, 601), 1999, 2000, 9999, 10_000, 49_999, 50_000, 199_999]:
+        fast, slow = connes._lattice_certificate(d, 1e-7), _scalar_lattice_certificate(d, 1e-7)
+        for x, y in zip(fast[:3], slow[:3]):
+            assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), d
+        assert fast[3:] == slow[3:] and type(fast[4]) is float, d
+
+
+def test_million_node_path_endpoints_certify_from_the_closed_form():
+    # the odd-d greedy loses 2.39e-5 against the closed form here
+    result = connes_distance(build_path(10 ** 6), 0, 999_999, tol=1e-4)
+    assert result.certified
+    assert abs(result.distance - lattice_closed_form(999_999)) <= 3e-5
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
