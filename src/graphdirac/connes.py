@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -122,8 +122,8 @@ class ConnesResult:
 
 
 class _NewtonSystems:
-    """Newton systems for a stack of pairs of one graph on one fixed sparse
-    pattern: the primal-dual step's and the dual bound's.
+    """Newton systems for a stack of pairs of one graph on one fixed pattern:
+    the primal-dual step's and the dual bound's.
 
     Each is a weighted sum over nodes i of c_i * hess(a_i) +
     r_i^2 * grad(a_i) grad(a_i)^t, that is 2 L_c + J^t diag(r^2) J, where L_c
@@ -131,15 +131,22 @@ class _NewtonSystems:
     c = lambda and r^2 = lambda / s; the dual bound's Laplacian L_lambda
     c = lambda / 2 and r = 0.  Row i of the constraint Jacobian J holds node
     i and its neighbours, and both terms of node i live on the ordered pairs
-    of that row, so every system has the two-hop pattern.  The pattern, and
-    the sparse matrices that add each system's terms into it, are built once
-    per graph; a system is then a few sparse products over the stack, and
-    ``_factor`` turns it into the function that solves it, from a batched
-    dense Cholesky factorization, or a banded Cholesky factorization or a
-    sparse LU a pair.  The methods take J's entries as ``jacobian`` gives
-    them, so a caller computes them once a point.  Each pair's gauge node gets the
-    identity in its row and column, so a solution keeps full length with a
-    zero there.
+    of that row, so every system has the two-hop pattern.
+
+    Where that pattern is more than a quarter full (``dense``), a stack of k
+    pairs is a (k, n, n) array: r J is written into a zero (k, n, n) buffer
+    at J's fixed places, one batched matmul forms J^t diag(r^2) J in a
+    second, and 2 L_c is added at the bonds and the diagonal.  These
+    buffers, and the band that ``_factor`` gathers the factors into, are
+    allocated at the first, largest stack and reused for every smaller one,
+    so a dense system, and the function that solves it, are only valid until
+    the next.  Otherwise the pattern is sparse: it, and the sparse matrix
+    that adds each system's terms into its CSR slots ``keys``, are built
+    once per graph, and a system is a few sparse products over the stack.
+    ``_factor`` turns a system into the function that solves it.  The
+    methods take J's entries as ``jacobian`` gives them, so a caller
+    computes them once a point.  Each pair's gauge node gets the identity in
+    its row and column, so a solution keeps full length with a zero there.
     """
 
     def __init__(self, g):
@@ -164,13 +171,33 @@ class _NewtonSystems:
         within = np.arange(block_end[-1]) - np.repeat(block_end - block, block)
         p = np.repeat(by_row, block)
         q = by_row[np.repeat(row_start[self.rows[by_row]], block) + within]
+        self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
+        # above a quarter full, a dense solve beats the sparse factorizations'
+        # overhead
+        self.dense = 4 * self.keys.size > n * n
+        if self.dense:
+            # the flat places in a pair's n x n block of J's entries, of the
+            # bonds (i, k) and of the diagonal
+            self.jac_places = self.rows * n + cols
+            self.bond_places = self.tails * n + self.heads
+            self.diagonal_places = nodes * (n + 1)
+            # column c of a C-ordered lower factor L from its diagonal down,
+            # L[c + i, c] at (c, i), as dpbtrs's lower band of half-width
+            # n - 1 holds it; past the block's end the zero L[0, n - 1]
+            c, i = np.ogrid[:n, :n]
+            self.band_gather = np.where(c + i < n, (c + i) * n + c, n - 1)
+            self.identity_band = np.zeros((n, n))
+            self.identity_band[:, 0] = 1.0
+            self._scaled_jac, self._hess = np.zeros((0, n * n)), np.zeros((0, n, n))
+            self._band = np.zeros((0, n))
+            self.entries_per_pair = n * n
+            return
         pair_row = self.rows[p]
         # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and (k, i)
         # for each neighbour k
         diag_p, diag_q = p < n, q < n
         curvature = 2.0 * np.where(
             p == q, np.where(diag_p, degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
-        self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
         # a pair and its mirror share the product r_i^2 J_ip J_iq, so only the
         # pairs p <= q are multiplied; one sparse matrix adds them, and the
         # curvature terms c_i hess(a_i), into the Hessian's slots
@@ -189,14 +216,10 @@ class _NewtonSystems:
         self.indices = self.keys % n
         self.key_rows = self.keys // n
         self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
-        # above a quarter full, a dense solve beats the sparse factorizations'
-        # overhead
-        self.dense = 4 * self.keys.size > n * n
+        self._sparse_setup()
         # Hessian entries one pair holds: the terms the sparse sum adds up,
-        # and the dense matrix, the band or the sparse LU factors it fills
-        if not self.dense:
-            self._sparse_setup()
-        self.entries_per_pair = max(size + n, n * n if self.dense else self.factor_entries)
+        # and the band or the sparse LU factors it fills
+        self.entries_per_pair = max(size + n, self.factor_entries)
 
     def _sparse_setup(self):
         """In reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
@@ -227,11 +250,31 @@ class _NewtonSystems:
                 self.factor_entries = lu.L.nnz + lu.U.nnz
 
     def system(self, jac, curvature, root, gauges):
-        """The values in the CSR slots ``keys`` of
-        2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
+        """2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
         entries ``jac`` as ``jacobian`` gives them, with the identity in the
         row and column of the pair's gauge node; curvature and root are (k, n)
-        stacks, gauges a (k,) array of nodes."""
+        stacks, gauges a (k,) array of nodes.  A dense system is a (k, n, n)
+        view of the reused buffer, a sparse one the (k, keys.size) values in
+        the CSR slots ``keys``."""
+        if not self.dense:
+            return self._slot_system(jac, curvature, root, gauges)
+        n, k, stack = self.n, len(gauges), np.arange(len(gauges))
+        if k > len(self._hess):
+            self._scaled_jac, self._hess = np.zeros((k, n * n)), np.empty((k, n, n))
+        scaled, hess = self._scaled_jac[:k], self._hess[:k]
+        scaled[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
+        rj = scaled.reshape(k, n, n)
+        np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
+        flat = hess.reshape(k, n * n)
+        weights = 2.0 * (curvature.T[self.tails] + curvature.T[self.heads])
+        flat[:, self.bond_places] -= weights.T
+        flat[:, self.diagonal_places] += (self.tail_sums @ weights).T
+        hess[stack, gauges] = 0.0
+        hess[stack, :, gauges] = 0.0
+        hess[stack, gauges, gauges] = 1.0
+        return hess
+
+    def _slot_system(self, jac, curvature, root, gauges):
         n, size = self.n, self.half_p.size
         u = jac * root.T[self.rows]  # r_i J_ip
         terms = np.empty((size + n, len(gauges)))
@@ -268,38 +311,66 @@ class _NewtonSystems:
         residual[stack, gauges] -= 1.0
         return residual
 
-    def dense_matrix(self, hess):
-        out = np.zeros((len(hess), self.n * self.n))
-        out[:, self.keys] = hess
-        return out.reshape(-1, self.n, self.n)
-
     def _factor(self, hess):
         """A function that solves hess x = b for a (k, n) stack of right-hand
-        sides b, each pair on its own factorization, so that a pair's
-        rounding does not depend on its stack: one batched dense Cholesky
-        factorization of the stack, or a banded one (``_band_solve``) or a
-        sparse LU (``_sparse_solve``) a pair.  The systems are positive
-        definite, so a pair whose factorization fails is singular to working
-        precision and solves to NaN.  A failed batch is halved, and each
-        failed half again, down to the pairs that fail alone; numpy factors
-        each matrix of a batch on its own, so the other pairs stay as they
-        solve alone."""
+        sides b, so that a pair's rounding does not depend on its stack.
+
+        A sparse system is factored a pair, as a band (``_band_solve``) or by
+        sparse LU (``_sparse_solve``).  A dense stack is factored by numpy's
+        batched Cholesky, which factors each matrix on its own, and its
+        factors are gathered into the lower band storage of one
+        block-diagonal matrix of half-width n - 1, with one identity block
+        appended: every pair's columns then hold a full-length band, so one
+        dpbtrs call solves the stack (``_stack_solve``) and each pair's bits
+        are as it solves alone.  The systems are positive definite, so a pair
+        whose factorization fails is singular to working precision and solves
+        to NaN.  A failed batch is halved, and each failed half again, down to
+        the pairs that fail alone, whose blocks are the identity."""
         if not self.dense:
             factor = self._band_solve if self.band else self._sparse_solve
             solves = [factor(values) for values in hess]
             return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
+        k, n = len(hess), self.n
+        if k >= len(self._band) // n:
+            self._band = np.empty(((k + 1) * n, n))
+        band = self._band[:(k + 1) * n]
+        failed = self._cholesky_into(hess, band[:k * n].reshape(k, n, n))
+        band[k * n:] = self.identity_band
+        return lambda b: self._stack_solve(band, failed, b)
+
+    def _cholesky_into(self, hess, out):
+        """Factor the dense stack hess into its pairs' band columns out,
+        halving a stack that fails; which pairs failed alone."""
         try:
-            factors = cholesky(self.dense_matrix(hess))
+            factors = cholesky(hess)
         except LinAlgError:  # a pair is not positive definite
             if len(hess) == 1:
-                return lambda b: np.full(b.shape, np.nan)
+                out[0] = self.identity_band
+                return np.ones(1, dtype=bool)
             half = len(hess) // 2
-            low, high = self._factor(hess[:half]), self._factor(hess[half:])
-            return lambda b: np.concatenate((low(b[:half]), high(b[half:])))
-        # C-ordered lower factors L; L.T is the Fortran-ordered upper factor,
-        # which LAPACK takes without a copy
-        return lambda b: np.array([dpotrs(factor.T, row, lower=0)[0]
-                                   for factor, row in zip(factors, b)])
+            return np.concatenate((self._cholesky_into(hess[:half], out[:half]),
+                                   self._cholesky_into(hess[half:], out[half:])))
+        # the indices are in range; "clip" lets take write into out unbuffered
+        np.take(factors.reshape(len(hess), -1), self.band_gather, axis=1, out=out, mode="clip")
+        return np.zeros(len(hess), dtype=bool)
+
+    def _stack_solve(self, band, failed, b):
+        """Solve the stack b on the block band of ``_factor``, in one dpbtrs
+        call; a failed pair's right-hand side is zero there, and it solves to
+        NaN.  The band's zero coupling entries turn a neighbour's inf or NaN
+        into NaN (0 * inf), so a pair that solves to a non-finite value in the
+        stack is solved again alone, on its own block and the identity block:
+        only a pair that fails alone stays non-finite."""
+        n, k = self.n, len(b)
+        rhs = np.zeros((len(band) // n, n))
+        rhs[:k] = np.where(failed[:, None], 0.0, b)
+        x = dpbtrs(band.T, rhs.ravel(), lower=1, overwrite_b=1)[0].reshape(rhs.shape)[:k]
+        x[failed] = np.nan
+        if k > 1:
+            for r in np.flatnonzero(~(failed | np.isfinite(x).all(axis=1))):
+                alone = np.concatenate((band[r * n:(r + 1) * n], band[k * n:]))
+                x[r] = self._stack_solve(alone, failed[r:r + 1], b[r:r + 1])[0]
+        return x
 
     def _failed(self, b):
         return np.full(self.n, np.nan)
@@ -352,6 +423,10 @@ def _dual_bound(newton, multipliers, gauges, targets):
     off the gauge; a pair with a conductance <= 0, which may split the graph,
     gets U = +inf, an upper bound whatever R is, and so does a pair whose
     factorization failed, which solves to NaN (``_NewtonSystems._factor``).
+    The bound is taken at 2 fl(lambda / 2), whose halves are the weights the
+    solved Laplacian holds: that is lambda unless lambda / 2 underflows, and
+    any lambda >= 0 gives a bound, so a bond whose halves both underflow to
+    zero splits the pair instead of leaving a singular system to factor.
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
     with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
     with |r|, on the same factorization, plus the rounding of r's own
@@ -361,6 +436,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     """
     k, n = multipliers.shape
     stack = np.arange(k)
+    multipliers = 2.0 * (0.5 * multipliers)
     conductance = multipliers.T[newton.tails] + multipliers.T[newton.heads]
     split = ~(conductance > 0.0).all(axis=0)
     # unit multipliers stand in for a split pair's, so that its factorization

@@ -303,19 +303,28 @@ def induced_subgraph(g, nodes):
     kept = tuple(sorted(set(nodes)))
     if not kept:
         raise ValueError("node set must be nonempty")
-    _check_node(g, *kept)
     new_index = np.full(g.node_count, -1, dtype=np.int64)
-    new_index[list(kept)] = np.arange(len(kept))
+    new_index[_check_node(g, *kept)] = np.arange(len(kept))
     tails, heads = new_index[g.edge_tails], new_index[g.edge_heads]
     up = (tails >= 0) & (tails < heads)
     return Graph.from_edges(len(kept), np.column_stack((tails[up], heads[up]))), kept
 
 
 def _check_node(g, *nodes):
+    """The nodes as an int64 array, range-checked in one step.  A ValueError
+    names the first that is not an integer in range(n), as given: nodes that
+    hold a bad one are walked to find it."""
     n = g.node_count
-    for v in nodes:
-        if not 0 <= _as_int(v, "node index") < n:
-            raise ValueError(f"node index {v} out of range (n={n})")
+    try:
+        index = np.fromiter(map(operator.index, nodes), dtype=np.int64, count=len(nodes))
+    except (TypeError, OverflowError):  # not an integer, or past 64 bits
+        index = None
+    # read unsigned, a negative index is past n too
+    if index is None or np.count_nonzero(index.view(np.uint64) >= n):
+        for v in nodes:
+            if not 0 <= _as_int(v, "node index") < n:
+                raise ValueError(f"node index {v} out of range (n={n})")
+    return index
 
 
 def _check_tol(tol):

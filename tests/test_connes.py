@@ -388,7 +388,12 @@ def test_sparse_step_matches_dense_assembly(name):
                                          np.array([gauge]), np.array([b]))
         grad = grad[0]
         ref_grad, ref_H = _dense_gradient_hessian(g, f, lam, w, gauge, b)
-        H = newton.dense_matrix(hess)[0]
+        if newton.dense:
+            H = hess[0]
+        else:
+            H = np.zeros(n * n)
+            H[newton.keys] = hess[0]
+            H = H.reshape(n, n)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
         assert np.abs(H - ref_H).max() <= 1e-12 * np.abs(ref_H).max()
         # the pattern holds every nonzero, in CSR order
@@ -455,9 +460,7 @@ def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified
     # no pair's matrix is made dense: a pair whose factorization fails solves
     # to NaN, and comes back at once, uncertified, with the dual bound +inf
     monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
-    densified = []
-    monkeypatch.setattr(connes._NewtonSystems, "dense_matrix",
-                        lambda self, hess: densified.append(len(hess)))
+    densified = _count_calls(monkeypatch, "cholesky")
     result = _solve_pair(build_path(30), 0, 29)
     assert not densified
     assert not result.certified
@@ -478,25 +481,54 @@ def _tree_with_chord():
     return Graph.from_edges(tree.node_count, list(tree.bonds) + [(15, 30)])
 
 
-@pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
-                         ids=["dense", "sparse", "sparse_lu"])
-def test_one_failed_factorization_in_a_stack(g):
-    # a zero Hessian for one pair of four fails the stack's batched Cholesky
-    # (dense), its own banded Cholesky (sparse) or its own sparse LU; only
-    # that pair solves to NaN
+def _stack_of_four(g):
+    """A primal-dual stack of four pairs of g: the Newton systems, the
+    gradients and the Hessians."""
     newton = connes._NewtonSystems(g)
     n, k = g.node_count, 4
     rng = np.random.default_rng(3)
     gauges, targets = np.arange(k), np.arange(k) + 1
     f = np.stack([random_feasible_point(g, a, rng, margin=0.9) for a in gauges])
     lam = rng.uniform(0.01, 1.0, (k, n))
-    grad, hess = _primal_dual_system(g, newton, f, lam, lam, gauges, targets)
+    return (newton, *_primal_dual_system(g, newton, f, lam, lam, gauges, targets))
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
+                         ids=["dense", "sparse", "sparse_lu"])
+def test_one_failed_factorization_in_a_stack(g):
+    # a zero Hessian for one pair of four fails the stack's batched Cholesky
+    # (dense), its own banded Cholesky (sparse) or its own sparse LU; only
+    # that pair solves to NaN
+    n = g.node_count
+    newton, grad, hess = _stack_of_four(g)
     hess[2] = 0.0
     alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in (0, 1, 3)]
     step = newton._factor(hess)(-grad)
     for r, expected in zip((0, 1, 3), alone):
         assert np.array_equal(step[r], expected)
     assert np.isnan(step[2]).all() and step[2].shape == (n,)
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
+                         ids=["dense", "sparse", "sparse_lu"])
+def test_one_infinite_solve_in_a_stack(g):
+    # the Hessian 1e-310 I factors, and its pair solves to inf (NaN by
+    # sparse LU); the dense
+    # stack's one band solve would turn that into NaN (0 * inf) through the
+    # zero coupling entries of the pair before it, so a non-finite pair is
+    # solved again alone: every other pair is as it solves alone, bit for bit
+    n = g.node_count
+    newton, grad, hess = _stack_of_four(g)
+    if newton.dense:
+        hess[1] = 1e-310 * np.eye(n)
+    else:
+        hess[1] = 0.0
+        hess[1, newton.diagonal] = 1e-310
+    alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in range(4)]
+    step = newton._factor(hess)(-grad)
+    for r in (0, 2, 3):
+        assert np.isfinite(step[r]).all() and np.array_equal(step[r], alone[r]), r
+    assert not np.isfinite(step[1]).all() and not np.isfinite(alone[1]).all()
 
 
 def _stacks_alone(real):
@@ -970,18 +1002,21 @@ def test_wide_band_with_little_fill_takes_sparse_lu(monkeypatch):
     assert result.distance == pytest.approx(lattice_closed_form(10), abs=1e-7)
 
 
-@pytest.mark.parametrize("g,sample", [
-    (build_cycle(30), None),
-    (_tree_with_chord(), None),
-    (build_path(30), None),
-    (build_binary_tree(4), None),
-    (build_random(50, 0.05, 1), 40),
-], ids=["cycle30", "tree4_chord", "path30", "tree4", "random50"])
-def test_distance_matrix_sparse_branch_is_bit_identical(g, sample):
+@pytest.mark.parametrize("g,sample,dense", [
+    (build_cycle(30), None, False),
+    (_tree_with_chord(), None, False),
+    (build_path(30), None, False),
+    (build_binary_tree(4), None, False),
+    (build_random(50, 0.05, 1), 40, False),
+    (build_random(40, 0.3, 1), 25, True),
+], ids=["cycle30", "tree4_chord", "path30", "tree4", "random50", "random40_dense"])
+def test_distance_matrix_sparse_branch_is_bit_identical(g, sample, dense):
     # the sparse branch factors each pair of a shrinking stack on its own, as
     # a band on the random graph (half-width 27) and on the cycle (5), by
-    # sparse LU on the tree with a chord; a tree takes no solve at all
-    assert not connes._NewtonSystems(g).dense
+    # sparse LU on the tree with a chord; a tree takes no solve at all.  The
+    # dense 40-node graph's stacked band has half-width 39, past 32 entries a
+    # column, so its BLAS dot and band kernels run their blocked paths
+    assert connes._NewtonSystems(g).dense == dense
     m = distance_matrix(g)
     a, b = np.triu_indices(g.node_count, 1)
     if sample:  # every pair is in the matrix; a seeded sample is re-solved alone

@@ -243,6 +243,29 @@ def test_cycle_vector_closes_for_lists_tuples_and_arrays():
         assert np.abs(vec).sum() == 8  # all four bonds, both orientations
 
 
+@pytest.mark.parametrize("bad,message", [
+    (-1, "node index -1 out of range"),
+    (1000, "node index 1000 out of range"),
+    (2 ** 64, f"node index {2 ** 64} out of range"),
+    (500.0, "node index 500.0 is not an integer"),
+    (np.float64(500.0), r"node index np.float64\(500.0\) is not an integer"),
+    (np.True_, "node index np.True_ is not an integer"),
+])
+def test_long_cycle_names_its_first_bad_node(bad, message):
+    # a long node list is range-checked in one step; the error still names
+    # the first bad node as given, and floats are still no nodes
+    g = build_cycle(1000)
+    nodes = list(range(1000))
+    nodes[700], nodes[900] = bad, 1001
+    with pytest.raises(ValueError, match=message):
+        cycle_edge_vector(g, nodes)
+    nodes[700] = 700
+    with pytest.raises(ValueError, match="node index 1001 out of range"):
+        cycle_edge_vector(g, np.array(nodes))
+    nodes[900] = 900
+    assert np.abs(cycle_edge_vector(g, nodes)).sum() == 2000
+
+
 def fixture_cycle(g):
     """A cycle of g as a node list, or None for a tree: a bond closed through
     a path that avoids it."""
