@@ -27,9 +27,12 @@ Randic 1993); the gap U - (f_b - f_a) bounds the error.
 For the path graph on nodes 0..n the optimum is known in closed form:
 sqrt(floor(n^2/2)) for n even and sqrt(floor(n^2/2) + 1) for n odd, attained
 by an alternating step profile; the same value is the distance between any
-two nodes d apart in a tree, where the optimizer and the multipliers are
-written down on the a-b path with no solve.  These closed forms and an
-independent grid-search oracle keep the solver honest.
+two nodes d apart in a tree, where the multipliers and the bond jumps of
+the a-b path are written down with no solve.  There the lower bound is the
+exact sum of those feasible jumps, and the returned optimizer, their
+rounded running sum moved onto the feasible side, has f_b - f_a at most
+that bound.  These closed forms and an independent grid-search oracle keep
+the solver honest.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def commutator_norm(g, f):
 
 @dataclass(eq=False)
 class ConnesResult:
-    distance: float
+    distance: float             # lower bound optimizer[b] - optimizer[a]; on a tree pair
+                                # the sum of its path's feasible jumps, >= that difference
     optimizer: np.ndarray       # gauge-fixed: optimizer[a] = 0, on the constraint boundary
     slacks: np.ndarray          # the constraint values a_i (feasible iff <= 1)
     multipliers: np.ndarray
@@ -115,9 +119,9 @@ class ConnesResult:
             "gap": self.gap,
             "kkt_residual": self.kkt_residual,
             "iterations": self.iterations,
-            "f": [float(x) for x in self.optimizer],
-            "slacks": [float(x) for x in self.slacks],
-            "multipliers": [float(x) for x in self.multipliers],
+            "f": self.optimizer.tolist(),
+            "slacks": self.slacks.tolist(),
+            "multipliers": self.multipliers.tolist(),
         })
 
 
@@ -253,7 +257,8 @@ class _NewtonSystems:
         """2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
         entries ``jac`` as ``jacobian`` gives them, with the identity in the
         row and column of the pair's gauge node; curvature and root are (k, n)
-        stacks, gauges a (k,) array of nodes.  A dense system is a (k, n, n)
+        stacks, gauges a (k,) array of nodes, and a root of None drops the J
+        term with no work on J (the dual bound's).  A dense system is a (k, n, n)
         view of the reused buffer, a sparse one the (k, keys.size) values in
         the CSR slots ``keys``."""
         if not self.dense:
@@ -262,9 +267,12 @@ class _NewtonSystems:
         if k > len(self._hess):
             self._scaled_jac, self._hess = np.zeros((k, n * n)), np.empty((k, n, n))
         scaled, hess = self._scaled_jac[:k], self._hess[:k]
-        scaled[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
-        rj = scaled.reshape(k, n, n)
-        np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
+        if root is None:
+            hess[...] = 0.0
+        else:
+            scaled[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
+            rj = scaled.reshape(k, n, n)
+            np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
         flat = hess.reshape(k, n * n)
         weights = 2.0 * (curvature.T[self.tails] + curvature.T[self.heads])
         flat[:, self.bond_places] -= weights.T
@@ -276,11 +284,14 @@ class _NewtonSystems:
 
     def _slot_system(self, jac, curvature, root, gauges):
         n, size = self.n, self.half_p.size
-        u = jac * root.T[self.rows]  # r_i J_ip
         terms = np.empty((size + n, len(gauges)))
-        # the indices are in range; "clip" lets take write into terms unbuffered
-        np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
-        terms[:size] *= u[self.half_q]
+        if root is None:
+            terms[:size] = 0.0
+        else:
+            u = jac * root.T[self.rows]  # r_i J_ip
+            # the indices are in range; "clip" lets take write into terms unbuffered
+            np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
+            terms[:size] *= u[self.half_q]
         terms[size:] = curvature.T
         hess = (self.to_slots @ terms).T
         hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
@@ -443,8 +454,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     # cannot fail the stack's; its U is +inf whatever they give
     multipliers = np.where(split[:, None], 1.0, multipliers)
     conductance = np.where(split, 2.0, conductance)
-    zero = np.zeros((k, n))
-    solve = newton._factor(newton.system(newton.jacobian(zero), 0.5 * multipliers, zero, gauges))
+    solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges))
     rhs = np.zeros((k, n))
     rhs[stack, targets] = 1.0
     x = solve(rhs)
@@ -669,10 +679,12 @@ def _solve_on_path(g, a, b, tol):
     A subtree hanging off the a-b path meets it at one node v; holding it at
     f_v changes neither f_b - f_a nor any a_i on the path, and makes every
     a_i inside it 0.  So the program on g is the lattice program on the
-    path's d bonds (``_lattice_certificate``).  The optimizer takes each
-    node's value at its nearest path node; the multipliers are 0 off the
-    path, so a hanging subtree carries no conductance and U is the path's,
-    and the computed profile is the path's on it and exactly 0 off it.
+    path's d bonds (``_lattice_certificate``), and the distance is its lower
+    bound, the sum of the path's feasible jumps, at least f_b - f_a.  The
+    optimizer takes each node's value at its nearest path node; the
+    multipliers are 0 off the path, so a hanging subtree carries no
+    conductance and U is the path's, and the computed profile is the path's
+    on it and exactly 0 off it.
     """
     # in a tree the a-b path is the nodes whose parents toward a and toward b
     # differ, and the BFS from a lists them by hops from a
@@ -680,7 +692,8 @@ def _solve_on_path(g, a, b, tol):
     order, parent = csgraph.breadth_first_order(graph, a, return_predecessors=True)
     toward_b = csgraph.breadth_first_order(graph, b, return_predecessors=True)[1]
     path = order[(parent != toward_b)[order]]
-    line_f, line_prof, line_lam, kkt, upper, certified = _lattice_certificate(path.size - 1, tol)
+    _, line_f, line_prof, line_lam, distance, kkt, upper, certified = _lattice_certificate(
+        path.size - 1, tol)
     # in a tree a node's nearest path node is the first on its way to a: path
     # nodes point to themselves, the others to their BFS parent, and pointer
     # jumping follows the chains in about log2(depth) rounds
@@ -691,33 +704,28 @@ def _solve_on_path(g, a, b, tol):
         nearest, jumped = jumped, jumped[jumped]
     f, prof, multipliers = np.zeros((3, g.node_count))
     f[path], prof[path], multipliers[path] = line_f, line_prof, line_lam
-    distance = float(line_f[-1])
     return ConnesResult(distance, f[nearest], prof, multipliers, kkt, 0, certified, upper,
                         upper - distance)
 
 
 def _lattice_certificate(d, tol):
-    """The optimizer f (f_0 = 0), its computed profile, the multipliers, the
+    """The jumps (h_max, h_min) that prove the lower bound, the optimizer f
+    (f_0 = 0), its computed profile, the multipliers, the lower bound, the
     KKT residual, the dual bound U and the verdict of the lattice program on
-    d >= 1 bonds, written down in O(d) from its jumps h = lattice_step_profile(d).
+    d >= 1 bonds, written down in O(d) from h = lattice_step_profile(d).
 
-    f_j = min(t_j, f_{j-1} + sqrt(1 - gamma - (f_{j-1} - f_{j-2})^2)), t_j the
-    prefix sums of h, stepped down an ulp at a time while the computed a_{j-1}
-    exceeds 1 - gamma; gamma = 5u, ``_NewtonSystems``' allowance at degree 2,
-    so the computed profile proves f feasible.  Each f_j is in
-    [f_{j-1}, 2 f_{j-1}], so each jump is exact and f is their running sum.
-
-    Inside a binade [2^(e-1), 2^e), e >= 1, every float is a multiple of its
-    ulp, so a step whose candidate f_{j-1} + sqrt(...) is below t_j and 2^e,
-    and not a tie when rounded, takes a jump that depends only on the jump
-    into f_{j-1}.  Once two such steps take jumps a, b after a jump b, the
-    rest of the binade repeats them: it is copied in whole periods while the
-    candidates stay below 2^e, and about four steps a binade remain.  The
-    candidates and the exact prefix sums are linear in each parity class of
-    j, and t_j is within a relative 2u of the latter, so t_j - candidate >=
-    4u t_j at the two steps before a copy and at its last two keeps t_j from
-    binding in between.  The copy is the steps' own result, bit for bit, and
-    each a_j it repeats was checked.
+    a_j depends on f only through its jumps, and on a path any d jumps are
+    those of their running sum, so the jumps themselves are the witness:
+    h_max and h_min, scaled by 1 - 4u and stepped down an ulp together while
+    the computed h_max^2 + h_min^2 exceeds 1 - 5u (h_max^2 alone at d = 1,
+    which has no h_min).  The exact sum of the squares is then at most
+    (1 - 5u)(1 + u)^2 < 1, so the alternating jumps are feasible, and their
+    fsum, an ulp below its rounding, is at most their exact sum and so a
+    lower bound on the distance.  The optimizer is their running sum, which
+    rounds, moved onto the feasible side by ``_certificate``'s rule at
+    degree 2, gamma = 5u: its computed profile is at most 1 - gamma, and
+    f_d - f_0 lies below the lower bound by a relative eta / 2 at most,
+    about 1.6e-4 at d = 10^6.
 
     Stationarity asks for bond conductances c_j = 1 / (2 h_j): lambda_0 = 0
     and lambda_j = c_{j-1} - lambda_{j-1}, that is k (c_1 - c_0) at j = 2k and
@@ -730,39 +738,21 @@ def _lattice_certificate(d, tol):
     """
     h0, h1 = _lattice_steps(d)
     u = float(UNIT_ROUNDOFF)  # a Python float keeps the steps off numpy scalars
-    cap, margin = 1.0 - 5 * u, 4 * u
-    # the jumps f_j - f_{j-1}; f_j, the computed square of the jump into it,
-    # the binade top above it, and the (jump, candidate) of a clean last step
-    jumps, left, square, top, j, last = [], 0.0, 0.0, 1.0, 0, None
-    while j < d:
-        j += 1
-        t = (j + 1) // 2 * h0 + j // 2 * h1
-        s = math.sqrt(cap - square)
-        y = left + s
-        x = min(t, y)
-        while square + (x - left) * (x - left) > cap:
-            x = math.nextafter(x, -math.inf)
-        jumps.append(jump := x - left)
-        clean = ((jump, y - left) if 1.0 <= left and y < top and t - y >= margin * t
-                 and 2.0 * abs(y - left - s) != top * u else None)
-        left, square = x, jump * jump
-        top *= 2.0 if x >= top else 1.0
-        if clean and last and jumps[-3] == jump:
-            (a, ra), (b, rb) = last, clean
-            # whole periods whose candidates stay below 2^e, and the last
-            # candidate of each parity class, which t must clear
-            periods = min(int(-((max(ra, a + rb) - (top - left)) // (a + b))), (d - j) // 2)
-            y = left + (periods - 1) * (a + b) + ra
-            ends = ((j + 2 * periods - 1, y), (j + 2 * periods, y - ra + a + rb))
-            if periods > 0 and all((i + 1) // 2 * h0 + i // 2 * h1 - c
-                                   >= margin * ((i + 1) // 2 * h0 + i // 2 * h1) for i, c in ends):
-                jumps += [a, b] * periods
-                left += periods * (a + b)
-                j += 2 * periods
-        last = clean
-    padded = np.array([0.0, *jumps, 0.0])  # no jump before f_0 or after f_d
-    f = padded[:-1].cumsum()
-    squares = padded * padded
+    cap = 1.0 - 5 * u
+    hi, lo = h0 * (1.0 - 4 * u), (h1 if d > 1 else 0.0) * (1.0 - 4 * u)
+    while hi * hi + lo * lo > cap:
+        hi, lo = math.nextafter(hi, 0.0), math.nextafter(lo, 0.0)
+    steps = np.zeros(d + 2)  # the jumps f_j - f_{j-1}, with none before f_0 or after f_d
+    steps[1:-1:2], steps[2:-1:2] = hi, lo
+    distance = math.nextafter(math.fsum(memoryview(steps)), -math.inf)
+    f = steps[:-1].cumsum()
+    # the computed jumps of f, and of f moved, each a difference in place
+    np.subtract(f[1:], f[:-1], out=steps[1:-1])
+    squares = steps * steps
+    top = float((squares[1:] + squares[:-1]).max())
+    f /= math.sqrt(top * (1.0 + 4.0 * (5 * u + u * float(f[-1]) * math.sqrt(2.0 / top))))
+    np.subtract(f[1:], f[:-1], out=steps[1:-1])
+    np.multiply(steps, steps, out=squares)
     prof = squares[1:] + squares[:-1]
     c0, step = 0.5 / h0, 0.5 / h1 - 0.5 / h0
     lam = np.arange(d + 1) // 2 * step
@@ -771,11 +761,11 @@ def _lattice_certificate(d, tol):
     conductance = lam[:-1] + lam[1:]
     upper = (math.fsum(memoryview(lam)) + math.fsum(memoryview(0.25 / conductance))) * (1 + 10 * u)
     # c - J^t lambda: node j's net outflow of the bond currents 2 c_j (f_j - f_{j-1})
-    currents = np.concatenate(([1.0], 2.0 * conductance * padded[1:-1], [1.0]))
+    currents = np.concatenate(([1.0], 2.0 * conductance * steps[1:-1], [1.0]))
     residual = currents[1:] - currents[:-1]
     kkt = max(math.sqrt(residual.dot(residual)), float((lam * (1.0 - prof)).max()))
-    certified = bool(prof.max() <= cap and upper - f[-1] <= tol)  # lambda >= 0 by its clip
-    return f, prof, lam, kkt, upper, certified
+    certified = bool(prof.max() <= cap and upper - distance <= tol)  # lambda >= 0 by its clip
+    return (hi, lo), f, prof, lam, distance, kkt, upper, certified
 
 
 def lattice_closed_form(n):

@@ -7,9 +7,12 @@ redoes both sides of a certificate in ``fractions.Fraction`` arithmetic,
 with no rounding at all: every a_i of the returned optimizer is at most 1,
 and the dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 of the
 returned multipliers is at most ``upper_bound`` and within tol of
-``distance``.  An allowance trimmed too far fails here where a
-floating-point test would not.  See Rump, "Verification methods: rigorous
-results using floating-point arithmetic", Acta Numerica 19 (2010).
+``distance``.  A tree pair's ``distance`` is the sum of its path's bond
+jumps, so those are checked too: each a_j they give is at most 1, and their
+sum is at least ``distance``, which is at least f_b - f_a.  An allowance
+trimmed too far fails here where a floating-point test would not.  See
+Rump, "Verification methods: rigorous results using floating-point
+arithmetic", Acta Numerica 19 (2010).
 """
 
 import math
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from graphdirac import Graph, build_binary_tree, build_cycle, build_path, connes, connes_distance
+from graphdirac import (Graph, build_binary_tree, build_cycle, build_path, combinatorial_distance,
+                        connes, connes_distance)
 from graphdirac.connes import DEFAULT_TOL
 
 from conftest import random_connected_graphs
@@ -76,12 +80,28 @@ def _eliminated_resistance(g, lam, a, b):
     return 1 / bonds[a][b]
 
 
+def _audit_jumps(d, distance):
+    """Assert that the bond jumps h_max, h_min of the lattice certificate on
+    d bonds, alternating from h_max, are feasible and sum to at least
+    ``distance``: every a_j is h_max^2, h_min^2 or h_max^2 + h_min^2."""
+    hi, lo = (Fraction(x) for x in connes._lattice_certificate(d, DEFAULT_TOL)[0])
+    assert hi ** 2 <= 1 and hi ** 2 + lo ** 2 <= 1
+    assert (d + 1) // 2 * hi + d // 2 * lo >= Fraction(distance)
+
+
 def _audit(g, a, b, result, resistance):
     """Assert the certificate of ``result``, solved at the default tol,
-    exactly; return upper_bound - U."""
+    exactly; return upper_bound - U.  A tree pair's lower bound is the sum
+    of its path's jumps, at least f_b; a solver's is f_b itself."""
     f = [Fraction(x) for x in result.optimizer.tolist()]
     lam = [Fraction(x) for x in result.multipliers.tolist()]
-    assert f[a] == 0 and Fraction(result.distance) == f[b]
+    distance = Fraction(result.distance)
+    assert f[a] == 0
+    if connes._is_tree(g):
+        _audit_jumps(combinatorial_distance(g, a, b), result.distance)
+        assert f[b] <= distance
+    else:
+        assert distance == f[b]
     assert min(lam) >= 0
     profile = [Fraction(0)] * g.node_count
     for i, k in zip(g.edge_tails.tolist(), g.edge_heads.tolist()):
@@ -89,7 +109,7 @@ def _audit(g, a, b, result, resistance):
     assert max(profile) <= 1
     bound = _exact_sum(lam) + resistance(g, lam, a, b) / 4
     assert Fraction(result.upper_bound) >= bound
-    assert bound - f[b] <= Fraction(DEFAULT_TOL)
+    assert bound - distance <= Fraction(DEFAULT_TOL)
     return Fraction(result.upper_bound) - bound
 
 
@@ -125,6 +145,11 @@ def test_every_lattice_certificate_holds_in_exact_arithmetic():
         result = connes_distance(build_path(d + 1), 0, d)
         assert result.certified, d
         _audit(build_path(d + 1), 0, d, result, _series_resistance)
+    # the jumps' check is O(1) on longer paths too
+    for d in (99_999, 999_999):
+        certificate = connes._lattice_certificate(d, DEFAULT_TOL)
+        assert certificate[-1], d
+        _audit_jumps(d, certificate[4])
 
 
 def test_dual_bound_close_to_a_split_holds_in_exact_arithmetic():

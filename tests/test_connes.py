@@ -33,7 +33,7 @@ from graphdirac import (
     shortest_path,
     tree_distance_closed_form,
 )
-from graphdirac.graph import Graph, _csgraph
+from graphdirac.graph import NODE_CAP, Graph, _csgraph
 
 from conftest import complete_graph, fixture_graphs, random_connected_graphs, star_graph
 
@@ -1234,7 +1234,7 @@ def test_path_pair_is_certified_from_the_closed_form(bonds):
         assert result.kkt_residual <= 1e-7, d
 
 
-@pytest.mark.parametrize("n", [10_000, 20_000, 50_000])
+@pytest.mark.parametrize("n", [10_000, 20_000, 50_000, 100_000])
 def test_long_path_endpoints_certify_at_the_default_tol(n):
     result = connes_distance(build_path(n), 0, n - 1)
     assert result.certified
@@ -1242,48 +1242,18 @@ def test_long_path_endpoints_certify_at_the_default_tol(n):
     assert abs(result.distance - lattice_closed_form(n - 1)) <= connes.DEFAULT_TOL
 
 
-def _scalar_lattice_certificate(d, tol):
-    """The lattice certificate with one greedy step a bond, from the d-long
-    prefix sums: the oracle of ``_lattice_certificate``'s copied periods."""
-    h = lattice_step_profile(d)
-    j = np.arange(d + 1)
-    prefix = ((j + 1) // 2 * h[0] + j // 2 * h[1 % d]).tolist()
-    cap = 1.0 - 5 * connes.UNIT_ROUNDOFF
-    f, left, square = [0.0], 0.0, 0.0
-    for x in prefix[1:]:
-        x = min(x, left + math.sqrt(cap - square))
-        while square + (x - left) * (x - left) > cap:
-            x = math.nextafter(x, -math.inf)
-        f.append(x)
-        left, square = x, (x - left) * (x - left)
-    f = np.array(f)
-    jumps = np.diff(f)
-    prof = np.append(jumps * jumps, 0.0) + np.insert(jumps * jumps, 0, 0.0)
-    c0, step = 0.5 / h[0], 0.5 / h[1 % d] - 0.5 / h[0]
-    lam = np.maximum(np.where(j % 2, c0 - j // 2 * step, j // 2 * step), 0.0)
-    conductance = lam[:-1] + lam[1:]
-    total = math.fsum(lam) + math.fsum(0.25 / conductance)
-    upper = float(total * (1.0 + 10 * connes.UNIT_ROUNDOFF))
-    residual = np.diff(np.concatenate(([1.0], 2.0 * conductance * jumps, [1.0])))
-    kkt = max(math.sqrt(residual @ residual), float((lam * (1.0 - prof)).max()))
-    certified = bool(prof.max() <= cap and (lam >= 0.0).all() and upper - f[-1] <= tol)
-    return f, prof, lam, kkt, upper, certified
-
-
-def test_lattice_certificate_matches_the_scalar_greedy_bit_for_bit():
-    # both parities, and binade edges from 2 to 2^17
-    for d in [*range(1, 601), 1999, 2000, 9999, 10_000, 49_999, 50_000, 199_999]:
-        fast, slow = connes._lattice_certificate(d, 1e-7), _scalar_lattice_certificate(d, 1e-7)
-        for x, y in zip(fast[:3], slow[:3]):
-            assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), d
-        assert fast[3:] == slow[3:] and type(fast[4]) is float, d
-
-
 def test_million_node_path_endpoints_certify_from_the_closed_form():
-    # the odd-d greedy loses 2.39e-5 against the closed form here
-    result = connes_distance(build_path(10 ** 6), 0, 999_999, tol=1e-4)
+    result = connes_distance(build_path(10 ** 6), 0, 999_999)
     assert result.certified
-    assert abs(result.distance - lattice_closed_form(999_999)) <= 3e-5
+    assert abs(result.distance - lattice_closed_form(999_999)) <= 1e-7
+
+
+def test_node_cap_path_pair_certifies_at_the_default_tol():
+    # the longest path a graph may hold: d = NODE_CAP - 1 bonds
+    d = NODE_CAP - 1
+    certificate = connes._lattice_certificate(d, connes.DEFAULT_TOL)
+    assert certificate[-1]
+    assert abs(certificate[4] - lattice_closed_form(d)) <= 1e-7
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
