@@ -43,7 +43,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
@@ -63,6 +62,10 @@ CHUNK_ENTRIES = 1 << 18
 # the fill, such as a tree's with one chord, costs near-dense time that sparse
 # LU avoids
 BAND_FILL = 4
+# dpbtrf factors a band of half-width up to this column by column (LAPACK's
+# ILAENV gives it block size 1 for KD <= 64), so one call factors a stack of
+# blocks each as alone; its blocked code, above, mixes neighbouring blocks
+UNBLOCKED_WIDTH = 64
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -140,15 +143,15 @@ class _NewtonSystems:
     Where that pattern is more than a quarter full (``dense``), a stack of k
     pairs is a (k, n, n) array: r J is written into a zero (k, n, n) buffer
     at J's fixed places, one batched matmul forms J^t diag(r^2) J in a
-    second, and 2 L_c is added at the bonds and the diagonal.  These
-    buffers, and the band that ``_factor`` gathers the factors into, are
-    allocated at the first, largest stack and reused for every smaller one,
-    so a dense system, and the function that solves it, are only valid until
-    the next.  Otherwise the pattern is sparse: it, and the sparse matrix
-    that adds each system's terms into its CSR slots ``keys``, are built
-    once per graph, and a system is a few sparse products over the stack.
-    ``_factor`` turns a system into the function that solves it.  The
-    methods take J's entries as ``jacobian`` gives them, so a caller
+    second, and 2 L_c is added at the bonds and the diagonal.  Otherwise the
+    pattern is sparse: it, and the sparse matrix that adds each system's
+    terms into its CSR slots ``keys``, are built once per graph, and a
+    system is a few sparse products over the stack.  ``_factor`` turns a
+    stack of systems into the function that solves it.  The dense buffers
+    and the band it factors on are allocated at the first, largest stack
+    and reused for every smaller one, so a dense system, and a function
+    that solves on the band, are only valid until the next.  The methods
+    take J's entries as ``jacobian`` gives them, so a caller
     computes them once a point.  Each pair's gauge node gets the identity in
     its row and column, so a solution keeps full length with a zero there.
     """
@@ -179,21 +182,21 @@ class _NewtonSystems:
         # above a quarter full, a dense solve beats the sparse factorizations'
         # overhead
         self.dense = 4 * self.keys.size > n * n
+        self._band = np.zeros((0, 0))
         if self.dense:
             # the flat places in a pair's n x n block of J's entries, of the
             # bonds (i, k) and of the diagonal
             self.jac_places = self.rows * n + cols
             self.bond_places = self.tails * n + self.heads
             self.diagonal_places = nodes * (n + 1)
-            # column c of a C-ordered lower factor L from its diagonal down,
-            # L[c + i, c] at (c, i), as dpbtrs's lower band of half-width
-            # n - 1 holds it; past the block's end the zero L[0, n - 1]
+            # the band holds H[c + i, c] at (c, i), half-width n - 1 in node
+            # order; the places past the block's end are its coupling entries
+            self.order = self.rank = nodes
+            self.width = n - 1
             c, i = np.ogrid[:n, :n]
-            self.band_gather = np.where(c + i < n, (c + i) * n + c, n - 1)
-            self.identity_band = np.zeros((n, n))
-            self.identity_band[:, 0] = 1.0
+            self.band_gather = np.where(c + i < n, (c + i) * n + c, 0).ravel()
+            self.coupling = np.flatnonzero(c + i >= n)
             self._scaled_jac, self._hess = np.zeros((0, n * n)), np.zeros((0, n, n))
-            self._band = np.zeros((0, n))
             self.entries_per_pair = n * n
             return
         pair_row = self.rows[p]
@@ -227,11 +230,11 @@ class _NewtonSystems:
 
     def _sparse_setup(self):
         """In reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
-        lies within ``width`` of the diagonal: its upper entries go to their
-        slots in the Fortran-ordered (width + 1, n) band that dpbtrf takes.
-        ``band`` tells whether the pairs are factored so (``BAND_FILL``) or by
-        sparse LU; a band within BAND_FILL times the pattern's upper triangle
-        needs no trial, a wider one is weighed against one trial LU's fill."""
+        lies within ``width`` of the diagonal: its lower entries go to their
+        slots in the (width + 1, n) lower band that dpbtrf takes.  ``band``
+        tells whether the pairs are factored so (``BAND_FILL``) or by sparse
+        LU; a band within BAND_FILL times the pattern's lower triangle needs
+        no trial, a wider one is weighed against one trial LU's fill."""
         n = self.n
         self.order = csgraph.reverse_cuthill_mckee(
             csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
@@ -240,10 +243,10 @@ class _NewtonSystems:
         self.rank[self.order] = np.arange(n)
         row, col = self.rank[self.key_rows], self.rank[self.indices]
         self.width = w = int(np.abs(row - col).max())
-        self.upper = np.flatnonzero(row <= col)
-        self.band_slots = (col * (w + 1) + w + row - col)[self.upper]
+        self.lower = np.flatnonzero(row >= col)
+        self.band_slots = (col * (w + 1) + row - col)[self.lower]
         self.factor_entries = (w + 1) * n
-        self.band = self.factor_entries <= BAND_FILL * self.upper.size
+        self.band = self.factor_entries <= BAND_FILL * self.lower.size
         if not self.band:
             # a diagonally dominant matrix on the pattern fills as every pair's
             row_len = np.diff(self.indptr)
@@ -326,56 +329,65 @@ class _NewtonSystems:
         """A function that solves hess x = b for a (k, n) stack of right-hand
         sides b, so that a pair's rounding does not depend on its stack.
 
-        A sparse system is factored a pair, as a band (``_band_solve``) or by
-        sparse LU (``_sparse_solve``).  A dense stack is factored by numpy's
-        batched Cholesky, which factors each matrix on its own, and its
-        factors are gathered into the lower band storage of one
-        block-diagonal matrix of half-width n - 1, with one identity block
-        appended: every pair's columns then hold a full-length band, so one
-        dpbtrs call solves the stack (``_stack_solve``) and each pair's bits
-        are as it solves alone.  The systems are positive definite, so a pair
-        whose factorization fails is singular to working precision and solves
-        to NaN.  A failed batch is halved, and each failed half again, down to
-        the pairs that fail alone, whose blocks are the identity."""
-        if not self.dense:
-            factor = self._band_solve if self.band else self._sparse_solve
-            solves = [factor(values) for values in hess]
+        A dense or banded stack is written into one block-diagonal band of
+        half-width w (``_fill``), w identity rows appended so that every
+        pair's columns hold a full-length band, and dpbtrf factors it: in
+        one call up to UNBLOCKED_WIDTH, one call a pair above.  A pair whose
+        factorization fails is singular to working precision: dpbtrf's info
+        names it, or a NaN on its diagonal, which passes the pivot test and
+        would spread through the coupling entries.  Its block becomes the
+        identity, it solves to NaN (``_stack_solve``), and factoring resumes
+        at the next pair, the rest of the band filled again.  Other sparse
+        stacks are factored a pair by sparse LU."""
+        if not (self.dense or self.band):
+            solves = [self._sparse_solve(values) for values in hess]
             return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
-        k, n = len(hess), self.n
-        if k >= len(self._band) // n:
-            self._band = np.empty(((k + 1) * n, n))
-        band = self._band[:(k + 1) * n]
-        failed = self._cholesky_into(hess, band[:k * n].reshape(k, n, n))
-        band[k * n:] = self.identity_band
+        k, n, w = len(hess), self.n, self.width
+        if len(self._band) < k * n + w:
+            self._band = np.empty((k * n + w, w + 1))
+        band, unit = self._band[:k * n + w], np.eye(1, w + 1)
+        failed = np.zeros(k, dtype=bool)
+        start = 0
+        while start < k:
+            stop, end = (k, len(band)) if w <= UNBLOCKED_WIDTH else (start + 1, (start + 1) * n)
+            self._fill(hess[start:stop], band[start * n:stop * n])
+            band[k * n:] = unit
+            info = dpbtrf(band[start * n:end].T, lower=1, overwrite_ab=1)[1]
+            bad = np.isnan(band[start * n:stop * n, 0])
+            if info:
+                bad[info - 1] = True
+            if not bad.any():
+                start = stop
+                continue
+            start += int(bad.argmax()) // n
+            band[start * n:(start + 1) * n] = unit
+            failed[start] = True
+            start += 1
         return lambda b: self._stack_solve(band, failed, b)
 
-    def _cholesky_into(self, hess, out):
-        """Factor the dense stack hess into its pairs' band columns out,
-        halving a stack that fails; which pairs failed alone."""
-        try:
-            factors = cholesky(hess)
-        except LinAlgError:  # a pair is not positive definite
-            if len(hess) == 1:
-                out[0] = self.identity_band
-                return np.ones(1, dtype=bool)
-            half = len(hess) // 2
-            return np.concatenate((self._cholesky_into(hess[:half], out[:half]),
-                                   self._cholesky_into(hess[half:], out[half:])))
-        # the indices are in range; "clip" lets take write into out unbuffered
-        np.take(factors.reshape(len(hess), -1), self.band_gather, axis=1, out=out, mode="clip")
-        return np.zeros(len(hess), dtype=bool)
+    def _fill(self, hess, rows):
+        """Write a stack of systems into its rows of the band: a dense pair's
+        lower band, its coupling entries zeroed, or a sparse pair's pattern."""
+        blocks = rows.reshape(len(hess), -1)
+        if self.dense:
+            # the indices are in range; "clip" lets take write into blocks unbuffered
+            np.take(hess.reshape(len(hess), -1), self.band_gather, axis=1, out=blocks,
+                    mode="clip")
+            blocks[:, self.coupling] = 0.0
+        else:
+            blocks[...] = 0.0
+            blocks[:, self.band_slots] = hess[:, self.lower]
 
     def _stack_solve(self, band, failed, b):
-        """Solve the stack b on the block band of ``_factor``, in one dpbtrs
-        call; a failed pair's right-hand side is zero there, and it solves to
-        NaN.  The band's zero coupling entries turn a neighbour's inf or NaN
-        into NaN (0 * inf), so a pair that solves to a non-finite value in the
-        stack is solved again alone, on its own block and the identity block:
-        only a pair that fails alone stays non-finite."""
+        """Solve the stack b on the band of ``_factor`` in one dpbtrs call; a
+        failed pair's right-hand side is zero there, and it solves to NaN.
+        The zero coupling entries turn a neighbour's inf or NaN into NaN
+        (0 * inf), so a pair that solves to a non-finite value is solved
+        again alone, on its own block and the identity rows."""
         n, k = self.n, len(b)
-        rhs = np.zeros((len(band) // n, n))
-        rhs[:k] = np.where(failed[:, None], 0.0, b)
-        x = dpbtrs(band.T, rhs.ravel(), lower=1, overwrite_b=1)[0].reshape(rhs.shape)[:k]
+        rhs = np.zeros(len(band))
+        rhs[:k * n] = np.where(failed[:, None], 0.0, b[:, self.order]).ravel()
+        x = dpbtrs(band.T, rhs, lower=1, overwrite_b=1)[0][:k * n].reshape(k, n)[:, self.rank]
         x[failed] = np.nan
         if k > 1:
             for r in np.flatnonzero(~(failed | np.isfinite(x).all(axis=1))):
@@ -383,26 +395,12 @@ class _NewtonSystems:
                 x[r] = self._stack_solve(alone, failed[r:r + 1], b[r:r + 1])[0]
         return x
 
-    def _failed(self, b):
-        return np.full(self.n, np.nan)
-
-    def _band_solve(self, values):
-        """A function that solves one pair's system, its values in the slots
-        ``keys``, by banded Cholesky in the order ``order``."""
-        order, rank = self.order, self.rank
-        band = np.zeros((self.n, self.width + 1))
-        band.flat[self.band_slots] = values[self.upper]
-        factor, info = dpbtrf(band.T, overwrite_ab=1)
-        if info:
-            return self._failed
-        return lambda b: dpbtrs(factor, b[order])[0][rank]
-
     def _sparse_solve(self, values):
         """A function that solves one pair's system by sparse LU."""
         try:
             return self._splu(values).solve
         except RuntimeError:  # an exactly zero pivot
-            return self._failed
+            return lambda b: np.full(self.n, np.nan)
 
     def _splu(self, values):
         # the pattern is symmetric, so its CSR arrays are also its CSC ones;
@@ -439,11 +437,15 @@ def _dual_bound(newton, multipliers, gauges, targets):
     any lambda >= 0 gives a bound, so a bond whose halves both underflow to
     zero splits the pair instead of leaving a singular system to factor.
     For any x, q(x) = 2 x_b - x^t L x is at most R, and R - q(x) = r^t L^-1 r
-    with r = e_b - L x.  L^-1 is entrywise nonnegative, so one more solve
-    with |r|, on the same factorization, plus the rounding of r's own
-    evaluation bounds that term.  The sums are correctly rounded, so the
-    allowance for rounding stays a few units in the last place of U however
-    long the graph.
+    with r = e_b - L x.  L^-1 is entrywise nonnegative, so the term is at
+    most d^t L^-1 d for the defect d, |r| plus the rounding of r's own
+    evaluation.  One more solve, on the same factorization, gives y for
+    2 d, and L y, evaluated by its bonds less its rounding, must be at least
+    d at every node off the gauge: L is an M-matrix, so then y >= L^-1 d
+    however the factorization rounded, and d^t y bounds the term.  A pair
+    that fails the check gets U = +inf.  The sums are correctly rounded, so
+    the allowance for rounding stays a few units in the last place of U
+    however long the graph.
     """
     k, n = multipliers.shape
     stack = np.arange(k)
@@ -465,14 +467,26 @@ def _dual_bound(newton, multipliers, gauges, targets):
                                                        + np.abs(xt[newton.heads])))).T
     defect = np.abs(rhs - (newton.tail_sums @ jumps).T) + newton.gamma * spread
     defect[stack, gauges] = 0.0
-    correction = 2.0 * (defect * solve(defect)).sum(axis=1)
+    y = solve(2.0 * defect)
+    yt = y.T
+    # L y by its bonds, less its rounding: gamma, as for the defect, leaves
+    # u to spare for the subtraction
+    flow = newton.tail_sums @ (conductance * (yt[newton.tails] - yt[newton.heads]))
+    flow -= newton.gamma * (newton.tail_sums @ (conductance * (np.abs(yt[newton.tails])
+                                                               + np.abs(yt[newton.heads]))))
+    flow = flow.T
+    flow[stack, gauges] = 0.0
+    verified = (flow >= defect).all(axis=1)
+    y[~verified] = 0.0  # U is +inf there, and y may hold inf
+    # each product, the sum and the scaling round once: (1 - u)^3 (1 + 4u) > 1
+    correction = _exact_sums(defect * y) * (1.0 + 4 * UNIT_ROUNDOFF)
     # correctly rounded sums: each term carries a few roundings, each sum one
     energy = 0.5 * _exact_sums(jumps.T * (xt[newton.tails] - xt[newton.heads]).T)
     reach = 2.0 * x[stack, targets]
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)
     upper = (total * (1.0 + 2 * UNIT_ROUNDOFF) + 0.25 * resistance) * (1.0 + 4 * UNIT_ROUNDOFF)
-    return np.where(split | np.isnan(upper), np.inf, upper)
+    return np.where(split | ~verified | np.isnan(upper), np.inf, upper)
 
 
 def _exact_sums(rows):  # a memoryview hands fsum Python floats, with no list

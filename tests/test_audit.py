@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from graphdirac import (Graph, build_binary_tree, build_cycle, build_path, combinatorial_distance,
-                        connes, connes_distance)
+from graphdirac import (Graph, build_binary_tree, build_cycle, build_path, build_random,
+                        combinatorial_distance, connes, connes_distance)
 from graphdirac.connes import DEFAULT_TOL
 
 from conftest import random_connected_graphs
@@ -171,3 +171,29 @@ def test_dual_bound_close_to_a_split_holds_in_exact_arithmetic():
                 assert upper == math.inf or Fraction(upper) >= bound, (n, tiny, b)
                 finite += upper < math.inf
     assert finite >= 10
+
+
+def test_dual_bound_with_tiny_multipliers_holds_in_exact_arithmetic():
+    # one to three nodes at lambda = 10^-U(5, 320) put rounding-level pivots
+    # in the factorization of L_lambda; the bound checks its extra solve, so
+    # every finite U stays above the exact bound at 2 fl(lambda / 2), the
+    # multipliers it is taken at
+    graphs = [build_path(6), build_path(10), build_cycle(9), build_cycle(12),
+              build_random(8, 0.4, 2), build_random(10, 0.3, 3)]
+    newtons = [connes._NewtonSystems(g) for g in graphs]
+    rng = np.random.default_rng(5)
+    finite = 0
+    for draw in range(300):
+        g, newton = graphs[draw % 6], newtons[draw % 6]
+        n = g.node_count
+        lam = rng.uniform(0.5, 1.5, n)
+        tiny = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+        lam[tiny] = 10.0 ** -rng.uniform(5, 320)
+        a, b = rng.choice(n, 2, replace=False).tolist()
+        upper = connes._dual_bound(newton, lam[None], np.array([a]), np.array([b]))[0]
+        if upper < math.inf:
+            exact = [Fraction(x) for x in (2.0 * (0.5 * lam)).tolist()]
+            bound = _exact_sum(exact) + _eliminated_resistance(g, exact, a, b) / 4
+            assert Fraction(upper) >= bound, (draw, n, a, b)
+            finite += 1
+    assert finite >= 250

@@ -429,18 +429,19 @@ def _count_calls(monkeypatch, name):
     (complete_graph(5), (0, 1), False),
 ])
 def test_factorization_follows_pattern_fill(monkeypatch, g, pair, sparse):
+    # a dense stack and a banded one are both factored by banded Cholesky
+    assert connes._NewtonSystems(g).dense != sparse
     band_calls = _count_calls(monkeypatch, "dpbtrf")
-    dense_calls = _count_calls(monkeypatch, "cholesky")
+    lu_calls = _count_calls(monkeypatch, "splu")
     result = _solve_pair(g, *pair)
     assert result.certified
-    used, unused = (band_calls, dense_calls) if sparse else (dense_calls, band_calls)
-    assert len(used) >= result.iterations > 0
-    assert not unused
+    assert len(band_calls) >= result.iterations > 0
+    assert not lu_calls
 
 
 @pytest.mark.parametrize("g,pair,factorize", [
     (build_path(400), (0, 399), "dpbtrf"),
-    (complete_graph(5), (0, 1), "cholesky"),
+    (complete_graph(5), (0, 1), "dpbtrf"),
 ], ids=["sparse", "dense"])
 def test_one_factorization_per_iteration_and_certificate(monkeypatch, g, pair, factorize):
     # the predictor and the corrector share one factorization, and so do the
@@ -457,12 +458,13 @@ def _indefinite_band(band, **kwargs):
 
 
 def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified(monkeypatch):
-    # no pair's matrix is made dense: a pair whose factorization fails solves
-    # to NaN, and comes back at once, uncertified, with the dual bound +inf
+    # no pair falls back to sparse LU: a pair whose factorization fails
+    # solves to NaN, and comes back at once, uncertified, with the dual bound
+    # +inf
     monkeypatch.setattr(connes, "dpbtrf", _indefinite_band)
-    densified = _count_calls(monkeypatch, "cholesky")
+    lu_calls = _count_calls(monkeypatch, "splu")
     result = _solve_pair(build_path(30), 0, 29)
-    assert not densified
+    assert not lu_calls
     assert not result.certified
     assert result.upper_bound == math.inf
     # the pair stops at its last point, the start, instead of running on NaN
@@ -472,7 +474,7 @@ def test_every_failed_factorization_of_a_large_graph_leaves_the_pair_uncertified
     newton = connes._NewtonSystems(build_path(30))
     bound = connes._dual_bound(newton, np.ones((1, 30)), np.array([0]), np.array([29]))
     assert bound[0] == math.inf
-    assert not densified
+    assert not lu_calls
 
 
 def _tree_with_chord():
@@ -496,17 +498,19 @@ def _stack_of_four(g):
 @pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
                          ids=["dense", "sparse", "sparse_lu"])
 def test_one_failed_factorization_in_a_stack(g):
-    # a zero Hessian for one pair of four fails the stack's batched Cholesky
-    # (dense), its own banded Cholesky (sparse) or its own sparse LU; only
-    # that pair solves to NaN
+    # a zero Hessian for one pair of four fails the stack's banded Cholesky
+    # (dense and sparse) or its own sparse LU; a NaN one passes dpbtrf's
+    # pivot test, and would spread through the band's coupling entries to
+    # the pairs after it.  Either way only that pair solves to NaN
     n = g.node_count
     newton, grad, hess = _stack_of_four(g)
-    hess[2] = 0.0
-    alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in (0, 1, 3)]
-    step = newton._factor(hess)(-grad)
-    for r, expected in zip((0, 1, 3), alone):
-        assert np.array_equal(step[r], expected)
-    assert np.isnan(step[2]).all() and step[2].shape == (n,)
+    for singular in (0.0, np.nan):
+        hess[2] = singular
+        alone = [newton._factor(hess[r:r + 1])(-grad[r:r + 1])[0] for r in (0, 1, 3)]
+        step = newton._factor(hess)(-grad)
+        for r, expected in zip((0, 1, 3), alone):
+            assert np.array_equal(step[r], expected), (singular, r)
+        assert np.isnan(step[2]).all() and step[2].shape == (n,)
 
 
 @pytest.mark.parametrize("g", [complete_graph(5), build_path(30), _tree_with_chord()],
@@ -531,32 +535,47 @@ def test_one_infinite_solve_in_a_stack(g):
     assert not np.isfinite(step[1]).all() and not np.isfinite(alone[1]).all()
 
 
-def _stacks_alone(real):
-    """numpy's cholesky, failing every stack of more than one matrix."""
-    def alone(a):
-        if a.ndim == 3 and len(a) > 1:
-            raise np.linalg.LinAlgError("every pair alone")
-        return real(a)
-    return alone
+@pytest.mark.parametrize("n,calls", [(connes.UNBLOCKED_WIDTH + 1, 1),
+                                     (connes.UNBLOCKED_WIDTH + 2, 3)])
+def test_stacked_band_factors_each_pair_as_alone(monkeypatch, n, calls):
+    # half-width n - 1: at 64 dpbtrf works column by column and one call
+    # factors the stack of three; at 65 its blocked code would mix
+    # neighbouring blocks, so each pair takes its own call.  Either way each
+    # pair solves bit for bit as it does alone
+    newton = connes._NewtonSystems(complete_graph(n))
+    assert newton.dense and newton.width == n - 1
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((3, n, n))
+    hess = m @ m.transpose(0, 2, 1) + n * np.eye(n)
+    b = rng.standard_normal((3, n))
+    alone = [newton._factor(hess[r:r + 1])(b[r:r + 1])[0] for r in range(3)]
+    factorizations = _count_calls(monkeypatch, "dpbtrf")
+    stacked = newton._factor(hess)(b)
+    assert len(factorizations) == calls
+    for r in range(3):
+        assert np.array_equal(stacked[r], alone[r]), r
+        assert np.allclose(hess[r] @ stacked[r], b[r], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-14])
-def test_failed_dense_stack_is_halved(monkeypatch, tol):
-    # below 1e-11 some pairs' batched Cholesky factorizations fail; halving
-    # the failed stacks gives every entry, NaN included, bit for bit as every
-    # pair factored alone
+def test_failed_dense_stack_resumes_at_the_next_pair(monkeypatch, tol):
+    # below 1e-11 some pairs' factorizations fail; the stack's band makes
+    # that pair's block the identity and factors on from the next pair, so
+    # every entry, NaN included, is bit for bit the pair's connes_distance
     g = build_random(20, 0.3, 1)
-    calls = _count_calls(monkeypatch, "cholesky")
-    halved = distance_matrix(g, tol=tol)
-    halving = len(calls)
-    monkeypatch.setattr(connes, "cholesky", _stacks_alone(np.linalg.cholesky))
-    alone = distance_matrix(g, tol=tol)
-    assert np.array_equal(halved.view(np.int64), alone.view(np.int64))
+    calls = _count_calls(monkeypatch, "dpbtrf")
+    m = distance_matrix(g, tol=tol)
+    factorizations = len(calls)
+    monkeypatch.undo()
+    a, b = np.triu_indices(20, 1)
+    alone = [connes_distance(g, i, j, tol=tol) for i, j in zip(a, b)]
+    expected = np.array([r.distance if r.certified else np.nan for r in alone])
+    assert np.array_equal(m[a, b].view(np.int64), expected.view(np.int64))
     if tol == 1e-14:
-        assert np.isnan(halved).any()
+        assert np.isnan(m).any()
     else:
-        # refactoring every pair of a failed stack alone took 668 calls here
-        assert halving < 300
+        # 45 calls here: one a stack, and one more after each failed pair
+        assert factorizations < 100
 
 
 def test_sparse_branch_matches_lattice_closed_form(monkeypatch):
@@ -693,14 +712,14 @@ def test_split_support_gives_no_bound():
 
 def test_split_pair_does_not_fail_its_stack(monkeypatch):
     # the split pair is factored with unit multipliers, so the stack's one
-    # batched factorization holds and no pair is refactored alone
+    # banded factorization holds and no pair is refactored alone
     g = build_path(5)
     lam = np.array([[0.5, 1.0, 2.0, 1.0, 0.5],
                     [1.0, 0.0, 0.0, 0.0, 1.0],
                     [0.3, 0.7, 0.2, 0.9, 0.4]])
     gauges, targets = np.array([0, 0, 1]), np.array([4, 4, 3])
     alone = [_bound(g, lam[r], gauges[r], targets[r]) for r in (0, 2)]
-    factorizations = _count_calls(monkeypatch, "cholesky")
+    factorizations = _count_calls(monkeypatch, "dpbtrf")
     upper = connes._dual_bound(connes._NewtonSystems(g), lam, gauges, targets)
     assert len(factorizations) == 1
     assert upper[1] == math.inf
@@ -1036,15 +1055,22 @@ def test_failed_pair_leaves_its_stack_alone(monkeypatch):
     # stop at once, uncertified, and the rest of their stacks, which take
     # that iteration again, still equal their solves alone bit for bit
     g = build_cycle(30)
-    real = connes._NewtonSystems._band_solve
+    newton = connes._NewtonSystems(g)
+    n, w, column = 30, newton.width, newton.rank[3]
+    real = connes.dpbtrf
 
-    def band_solve(self, values):
-        row = slice(self.indptr[3], self.indptr[4])
-        if values[self.diagonal[3]] == 1.0 and np.count_nonzero(values[row]) == 1:
-            return lambda b: np.full(self.n, np.nan)
-        return real(self, values)
+    def band(ab, **kwargs):
+        # in a stacked band, node 3's column of each block grounded there
+        # holds 1 on the diagonal and nothing below; dpbtrf's info then
+        # reports the first such block's column as not positive definite
+        grounded = [j for j in range(column, ab.shape[1] - w, n)
+                    if ab[0, j] == 1.0 and not ab[1:, j].any()]
+        factor, info = real(ab, **kwargs)
+        if grounded and not info:
+            info = grounded[0] + 1
+        return factor, info
 
-    monkeypatch.setattr(connes._NewtonSystems, "_band_solve", band_solve)
+    monkeypatch.setattr(connes, "dpbtrf", band)
     m = distance_matrix(g)
     assert np.isnan(m[3, 4:]).all()
     assert np.isnan(m).sum() == 2 * 26
@@ -1068,9 +1094,10 @@ def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
     monkeypatch.setattr(connes._NewtonSystems, "_factor", factor)
     monkeypatch.setattr(connes, "dpbtrf", band)
     m = distance_matrix(build_cycle(30))
-    # stacks of k > 1 pairs, and one band of half-width 5 factored a pair
+    # stacks of k > 1 pairs, each factored in one dpbtrf call on one band of
+    # half-width 5: k blocks of 30 columns and 5 identity columns
     assert max(stacks) > 1
-    assert len(bands) == sum(stacks) and set(bands) == {(6, 30)}
+    assert bands == [(6, 30 * k + 5) for k in stacks]
     a, b = np.triu_indices(30, 1)
     # the cycle's matrix is circulant, and each entry is at most the value on
     # the shorter arc, a path
