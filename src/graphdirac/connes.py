@@ -309,11 +309,21 @@ class _NewtonSystems:
         v = 2.0 * (f[self.heads] - f[self.tails])
         return np.concatenate((-(self.tail_sums @ v), v))
 
-    def constraint_steps(self, jac, direction):
-        """J df for each pair, J's entries ``jac``: J's rows sum to zero, so
-        row i sums 2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
+    def steps_and_profile(self, jac, direction):
+        """J df and a(df) for each pair, J's entries ``jac``, from one product
+        over df's jumps: J's rows sum to zero, so row i of J df sums
+        2 (f_k - f_i) (df_k - df_i) over the edges (i, k), in order, as
+        ``_profile`` sums a(df)."""
         d = direction.T
-        return (self.tail_sums @ (jac[self.n:] * (d[self.heads] - d[self.tails]))).T
+        jumps = d[self.heads] - d[self.tails]
+        both = self.tail_sums @ np.hstack((jac[self.n:] * jumps, jumps * jumps))
+        return both[:, :len(direction)].T, both[:, len(direction):].T
+
+    def profile(self, f):
+        """a(f) for each pair of the stack f, summed as ``_profile`` sums it."""
+        d = f.T
+        jumps = d[self.heads] - d[self.tails]
+        return (self.tail_sums @ (jumps * jumps)).T
 
     def stationarity(self, jac, multipliers, gauges, targets):
         """c - J^t lambda for each pair, J's entries ``jac``, with
@@ -510,12 +520,12 @@ def _certificate(newton, f, multipliers, gauges, targets, tol):
     distance is then within tol of the true one, whatever the residual.
     """
     stack = np.arange(len(gauges))
-    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
+    top = newton.profile(f).max(axis=1, keepdims=True)
     top = np.where(top > 0.0, top, 1.0)
     reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
     eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
     f = f / np.sqrt(top * (1.0 + eta))
-    prof = _profile(newton.tails, newton.heads, f)
+    prof = newton.profile(f)
     residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
@@ -579,7 +589,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
-    s = 1.0 - _profile(newton.tails, newton.heads, f)
+    s = 1.0 - newton.profile(f)
     lam = np.full((k, n), 0.1)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
@@ -616,7 +626,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
+        p, q = newton.steps_and_profile(jac, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
@@ -628,7 +638,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
+        p, q = newton.steps_and_profile(jac, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df
@@ -734,10 +744,10 @@ def _lattice_certificate(d, tol):
     the computed h_max^2 + h_min^2 exceeds 1 - 5u (h_max^2 alone at d = 1,
     which has no h_min).  The exact sum of the squares is then at most
     (1 - 5u)(1 + u)^2 < 1, so the alternating jumps are feasible, and their
-    fsum, an ulp below its rounding, is at most their exact sum and so a
-    lower bound on the distance.  The optimizer is their running sum, which
-    rounds, moved onto the feasible side by ``_certificate``'s rule at
-    degree 2, gamma = 5u: its computed profile is at most 1 - gamma, and
+    sum, rounded once and stepped an ulp down, is at most their exact sum
+    and so a lower bound on the distance.  The optimizer is their running
+    sum, which rounds, moved onto the feasible side by ``_certificate``'s
+    rule at degree 2, gamma = 5u: its computed profile is at most 1 - gamma, and
     f_d - f_0 lies below the lower bound by a relative eta / 2 at most,
     about 1.6e-4 at d = 10^6.
 
@@ -758,7 +768,10 @@ def _lattice_certificate(d, tol):
         hi, lo = math.nextafter(hi, 0.0), math.nextafter(lo, 0.0)
     steps = np.zeros(d + 2)  # the jumps f_j - f_{j-1}, with none before f_0 or after f_d
     steps[1:-1:2], steps[2:-1:2] = hi, lo
-    distance = math.nextafter(math.fsum(memoryview(steps)), -math.inf)
+    # the exact sum of ceil(d/2) h_max and floor(d/2) h_min as one ratio of
+    # ints, which Python's int / int rounds correctly, as fsum would
+    (p0, q0), (p1, q1) = hi.as_integer_ratio(), lo.as_integer_ratio()
+    distance = math.nextafter(((d + 1) // 2 * p0 * q1 + d // 2 * p1 * q0) / (q0 * q1), -math.inf)
     f = steps[:-1].cumsum()
     # the computed jumps of f, and of f moved, each a difference in place
     np.subtract(f[1:], f[:-1], out=steps[1:-1])

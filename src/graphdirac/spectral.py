@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 
 from .graph import _as_int, _check_tol, build_binary_tree, build_cycle, build_path, component_count
 from .operators import LinearMap, adjacency_map
@@ -121,10 +121,34 @@ def _start_vector(n):
 
 
 def _extreme_ritz(alphas, betas):
-    """The extreme eigenvalue of T_k of larger magnitude and its Ritz residual beta_k |s_k|."""
-    theta, s = max((eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
-                    for i in (0, len(alphas) - 1)), key=lambda pair: abs(pair[0][0]))
-    return float(theta[0]), betas[-1] * abs(float(s[-1, 0]))
+    """The extreme eigenvalue of T_k of larger magnitude and its Ritz residual beta_k |s_k|.
+
+    The LAPACK calls of ``eigh_tridiagonal(select="i")``, less its wrapper:
+    bisection (dstebz) for each extreme alone, inverse iteration (dstein)
+    for the one kept, so the result is that function's bit for bit."""
+    d, e = np.asarray(alphas, dtype=float), np.asarray(betas[:-1], dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    k = d.size
+    if k == 1:
+        return float(d[0]), betas[-1]
+    ends = []
+    for i in (1, k):  # the index range [i, i], counted from 1; abstol 0, block order
+        *end, info = lapack.dstebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "B")
+        _check_info("dstebz", info)
+        ends.append(end)
+    m, w, iblock, isplit = max(ends, key=lambda end: abs(end[1][0]))
+    s, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    _check_info("dstein", info)
+    return float(w[0]), betas[-1] * abs(float(s[-1, 0]))
+
+
+def _check_info(routine, info):
+    """Raise on a LAPACK routine's nonzero ``info``, as scipy's wrappers do."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
 def lanczos_norm(m, tol=1e-12, max_iter=200_000):
@@ -134,15 +158,20 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     from all-ones: by Perron-Frobenius its norm is the eigenvalue of a
     nonnegative eigenvector, which all-ones is not orthogonal to, and the
     Krylov space of all-ones holds only the graph's main eigenvectors (one
-    per level of a complete binary tree, one on a regular graph), so trees
-    converge in O(depth) steps and regular graphs in one or two; a path still
-    takes O(n).  A signed matrix starts from :func:`_start_vector`, as power
-    iteration does.  At scheduled steps both extreme Ritz values
-    of the tridiagonal T_k are computed; the run stops when the one of larger
-    magnitude, theta, has Ritz residual beta_k * |s_k| <= tol * |theta|,
-    or on breakdown (beta_k negligible, or k = n, where the Krylov space is
-    the whole space).  Checks come every 10 steps, then every k/8 steps, so
-    their O(k) cost stays below that of the matvecs even when k reaches n.
+    per level of a complete binary tree, one on a regular graph), so a
+    binary tree of depth d converges in exactly d + 1 steps and a regular
+    graph in one or two; a path still takes O(n).  A signed matrix starts from
+    :func:`_start_vector`, as power iteration does.  At a Ritz check both
+    extreme Ritz values of the tridiagonal T_k are computed; the run stops
+    when the one of larger magnitude, theta, has Ritz residual
+    beta_k * |s_k| <= tol * |theta|, or on breakdown (beta_k negligible, or
+    k = n, where the Krylov space is the whole space).  Checks come every 10
+    steps, then every k/8 steps, so their O(k) cost stays below that of the
+    matvecs even when k reaches n, and also at any step where
+    beta_k <= tol * scale, scale = max_j hypot(alpha_j, beta_{j-1}) <= ||T_k||:
+    the residual is at most beta_k, so that check passes, and the step
+    where the Krylov space closes ends the run.  The check alone decides
+    ``converged``, so the extra trigger cannot claim a false convergence.
     """
     _check_iteration(tol, max_iter)
     return _lanczos(_symmetric(m), tol, max_iter)
@@ -171,7 +200,9 @@ def _lanczos(M, tol=1e-12, max_iter=200_000):
         # beta ~ 0 or k = n: the Krylov space is invariant (in exact arithmetic),
         # so the eigenvalues of T_k are eigenvalues of M
         breakdown = beta <= 1e-14 * scale or k == n
-        if breakdown or k >= next_check or k == steps:
+        # |theta| = ||T_k|| >= scale, so a Ritz residual, at most beta, is at
+        # most tol |theta| once beta <= tol scale: the check is sure to pass
+        if breakdown or beta <= tol * scale or k >= next_check or k == steps:
             theta, residual = _extreme_ritz(alphas, betas)
             if breakdown or residual <= tol * abs(theta):
                 return PowerIterationResult(abs(theta), k, True, residual, "lanczos")

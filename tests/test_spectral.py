@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from graphdirac import (
     Graph,
@@ -28,7 +29,7 @@ from graphdirac import (
 from graphdirac import spectral
 from graphdirac.spectral import TruncationReport
 
-from conftest import complete_graph, fixture_graphs, random_connected_graphs
+from conftest import complete_graph, fixture_graphs, random_connected_graphs, star_graph
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
@@ -151,10 +152,57 @@ def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
 
 
 def test_lanczos_tree_takes_steps_of_its_depth():
-    # from all-ones the Krylov space holds one vector per level of the tree
-    res = lanczos_norm(adjacency_map(build_binary_tree(14)))
-    assert res.converged and res.iterations <= 20
-    assert abs(res.estimate - TWO_SQRT2 * np.cos(np.pi / 16.0)) <= 1e-12
+    # from all-ones the Krylov space holds one vector per level of the tree:
+    # it closes at step depth + 1, where beta falls below tol * scale
+    for depth in (3, 9, 14, 17):
+        res = lanczos_norm(adjacency_map(build_binary_tree(depth)))
+        assert res.converged and res.iterations == depth + 1
+        assert abs(res.estimate - TWO_SQRT2 * np.cos(np.pi / (depth + 2))) <= 1e-12
+
+
+def test_lanczos_star_takes_two_steps():
+    # all-ones and the hub's indicator span the star's main eigenvectors
+    res = lanczos_norm(adjacency_map(star_graph(1000)))
+    assert res.converged and res.iterations == 2
+    assert abs(res.estimate - np.sqrt(1000.0)) <= 1e-12 * np.sqrt(1000.0)
+
+
+def test_lanczos_stops_only_on_a_small_residual():
+    # a run that stops before k = n stops on its Ritz check, whatever triggered it
+    graphs = list(fixture_graphs().values()) + random_connected_graphs(15, max_nodes=64, seed=6)
+    early = 0
+    for g in graphs:
+        for M in (adjacency_map(g), laplacian_map(g), -2 * laplacian_map(g)):
+            res = lanczos_norm(M)
+            if res.iterations < g.node_count:
+                early += 1
+                assert res.converged and res.residual <= 1e-12 * res.estimate
+    assert early > 0
+
+
+def _two_call_ritz(alphas, betas):
+    theta, s = max((eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
+                    for i in (0, len(alphas) - 1)), key=lambda pair: abs(pair[0][0]))
+    return float(theta[0]), betas[-1] * abs(float(s[-1, 0]))
+
+
+def test_extreme_ritz_matches_eigh_tridiagonal_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for trial in range(1200):
+        k = trial % 60 + 1
+        alphas = rng.standard_normal(k)
+        if trial % 5 == 0:  # a spectrum symmetric about 0: both extremes tie
+            alphas[:] = 0.0
+        betas = np.abs(rng.standard_normal(k))
+        # tiny and zero off-diagonals split T_k into blocks
+        betas[rng.random(k) < 0.2] = (1e-300, 0.0)[trial % 2]
+        alphas, betas = alphas.tolist(), betas.tolist()
+        assert spectral._extreme_ritz(alphas, betas) == _two_call_ritz(alphas, betas)
+
+
+def test_extreme_ritz_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._extreme_ritz([1.0, np.nan], [1.0, 0.5])
 
 
 def test_lanczos_regular_graph_takes_one_step():
