@@ -309,21 +309,11 @@ class _NewtonSystems:
         v = 2.0 * (f[self.heads] - f[self.tails])
         return np.concatenate((-(self.tail_sums @ v), v))
 
-    def steps_and_profile(self, jac, direction):
-        """J df and a(df) for each pair, J's entries ``jac``, from one product
-        over df's jumps: J's rows sum to zero, so row i of J df sums
-        2 (f_k - f_i) (df_k - df_i) over the edges (i, k), in order, as
-        ``_profile`` sums a(df)."""
+    def constraint_steps(self, jac, direction):
+        """J df for each pair, J's entries ``jac``: J's rows sum to zero, so
+        row i sums 2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
         d = direction.T
-        jumps = d[self.heads] - d[self.tails]
-        both = self.tail_sums @ np.hstack((jac[self.n:] * jumps, jumps * jumps))
-        return both[:, :len(direction)].T, both[:, len(direction):].T
-
-    def profile(self, f):
-        """a(f) for each pair of the stack f, summed as ``_profile`` sums it."""
-        d = f.T
-        jumps = d[self.heads] - d[self.tails]
-        return (self.tail_sums @ (jumps * jumps)).T
+        return (self.tail_sums @ (jac[self.n:] * (d[self.heads] - d[self.tails]))).T
 
     def stationarity(self, jac, multipliers, gauges, targets):
         """c - J^t lambda for each pair, J's entries ``jac``, with
@@ -520,12 +510,12 @@ def _certificate(newton, f, multipliers, gauges, targets, tol):
     distance is then within tol of the true one, whatever the residual.
     """
     stack = np.arange(len(gauges))
-    top = newton.profile(f).max(axis=1, keepdims=True)
+    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
     top = np.where(top > 0.0, top, 1.0)
     reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
     eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
     f = f / np.sqrt(top * (1.0 + eta))
-    prof = newton.profile(f)
+    prof = _profile(newton.tails, newton.heads, f)
     residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
@@ -589,7 +579,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
-    s = 1.0 - newton.profile(f)
+    s = 1.0 - _profile(newton.tails, newton.heads, f)
     lam = np.full((k, n), 0.1)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
@@ -626,7 +616,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q = newton.steps_and_profile(jac, df)
+        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
@@ -638,7 +628,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q = newton.steps_and_profile(jac, df)
+        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df

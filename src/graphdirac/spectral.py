@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal
 
 from .graph import _as_int, _check_tol, build_binary_tree, build_cycle, build_path, component_count
 from .operators import LinearMap, adjacency_map
@@ -121,34 +121,10 @@ def _start_vector(n):
 
 
 def _extreme_ritz(alphas, betas):
-    """The extreme eigenvalue of T_k of larger magnitude and its Ritz residual beta_k |s_k|.
-
-    The LAPACK calls of ``eigh_tridiagonal(select="i")``, less its wrapper:
-    bisection (dstebz) for each extreme alone, inverse iteration (dstein)
-    for the one kept, so the result is that function's bit for bit."""
-    d, e = np.asarray(alphas, dtype=float), np.asarray(betas[:-1], dtype=float)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    k = d.size
-    if k == 1:
-        return float(d[0]), betas[-1]
-    ends = []
-    for i in (1, k):  # the index range [i, i], counted from 1; abstol 0, block order
-        *end, info = lapack.dstebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "B")
-        _check_info("dstebz", info)
-        ends.append(end)
-    m, w, iblock, isplit = max(ends, key=lambda end: abs(end[1][0]))
-    s, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    _check_info("dstein", info)
-    return float(w[0]), betas[-1] * abs(float(s[-1, 0]))
-
-
-def _check_info(routine, info):
-    """Raise on a LAPACK routine's nonzero ``info``, as scipy's wrappers do."""
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+    """The extreme eigenvalue of T_k of larger magnitude and its Ritz residual beta_k |s_k|."""
+    theta, s = max((eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
+                    for i in (0, len(alphas) - 1)), key=lambda pair: abs(pair[0][0]))
+    return float(theta[0]), betas[-1] * abs(float(s[-1, 0]))
 
 
 def lanczos_norm(m, tol=1e-12, max_iter=200_000):

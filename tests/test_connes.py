@@ -87,22 +87,6 @@ def test_constraint_profile_is_nonnegative_and_sized():
     assert np.all(prof >= 0)
 
 
-def test_newton_profiles_match_the_public_profile_bit_for_bit():
-    # the Newton loop's CSR sums over each node's edges add in _profile's order
-    # on the dense, band and sparse-LU branches
-    rng = np.random.default_rng(5)
-    for g in (build_random(20, 0.3, 1), build_cycle(30), _tree_with_chord()):
-        newton = connes._NewtonSystems(g)
-        f, df = rng.standard_normal((2, 4, g.node_count))
-        jac = newton.jacobian(f)
-        assert np.array_equal(newton.profile(f), constraint_profile(g, f))
-        steps, prof = newton.steps_and_profile(jac, df)
-        assert np.array_equal(prof, constraint_profile(g, df))
-        for r in range(len(f)):
-            expected = _constraint_jacobian(g, f[r]) @ df[r]
-            assert np.abs(steps[r] - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
 # --- the solver ------------------------------------------------------------------
 
 def test_square_diagonal():
@@ -628,7 +612,7 @@ def test_certificate_matches_dense_jacobian(name):
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
             # the multipliers mu / s moved along df, as the solver moves them
-            steps = newton.steps_and_profile(newton.jacobian(f[None]), direction[None])[0]
+            steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             moved, moved_prof, residual = connes._certificate(
                 newton, f[None], multipliers, np.array([a]), np.array([b]), 1e-7)[:3]
@@ -850,15 +834,20 @@ def test_lattice_step_profile():
             assert h[i] ** 2 + h[i + 1] ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lattice_lower_bound_is_the_fsum_of_its_jumps():
+def _assert_lower_bound_is_the_fsum_of_its_jumps(d, certificate):
     # the lower bound is the sum of the alternating jumps rounded once, then
     # an ulp down: taken from integer ratios, it must equal the fsum of them all
-    for d in list(range(1, 2001)) + [99_999, 999_999, 4_999_999]:
-        certificate = connes._lattice_certificate(d, connes.DEFAULT_TOL)
-        (hi, lo), distance = certificate[0], certificate[4]
-        steps = np.zeros(d)
-        steps[0::2], steps[1::2] = hi, lo
-        assert distance == math.nextafter(math.fsum(memoryview(steps)), -math.inf), d
+    (hi, lo), distance = certificate[0], certificate[4]
+    steps = np.zeros(d)
+    steps[0::2], steps[1::2] = hi, lo
+    assert distance == math.nextafter(math.fsum(memoryview(steps)), -math.inf), d
+
+
+def test_lattice_lower_bound_is_the_fsum_of_its_jumps():
+    # d = 999 999 and NODE_CAP - 1 are checked by the tests that build them
+    for d in list(range(1, 2001)) + [99_999]:
+        _assert_lower_bound_is_the_fsum_of_its_jumps(
+            d, connes._lattice_certificate(d, connes.DEFAULT_TOL))
 
 
 def test_solver_matches_lattice_closed_form():
@@ -1296,10 +1285,15 @@ def test_long_path_endpoints_certify_at_the_default_tol(n):
     assert abs(result.distance - lattice_closed_form(n - 1)) <= connes.DEFAULT_TOL
 
 
-def test_million_node_path_endpoints_certify_from_the_closed_form():
+def test_million_node_path_endpoints_certify_from_the_closed_form(monkeypatch):
+    certificates = []
+    real = connes._lattice_certificate
+    monkeypatch.setattr(connes, "_lattice_certificate",
+                        lambda d, tol: certificates.append(real(d, tol)) or certificates[-1])
     result = connes_distance(build_path(10 ** 6), 0, 999_999)
     assert result.certified
     assert abs(result.distance - lattice_closed_form(999_999)) <= 1e-7
+    _assert_lower_bound_is_the_fsum_of_its_jumps(999_999, certificates[0])
 
 
 def test_node_cap_path_pair_certifies_at_the_default_tol():
@@ -1308,6 +1302,7 @@ def test_node_cap_path_pair_certifies_at_the_default_tol():
     certificate = connes._lattice_certificate(d, connes.DEFAULT_TOL)
     assert certificate[-1]
     assert abs(certificate[4] - lattice_closed_form(d)) <= 1e-7
+    _assert_lower_bound_is_the_fsum_of_its_jumps(d, certificate)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -1398,7 +1393,7 @@ def test_step_length_is_the_boundary_root():
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
             s = 1.0 - constraint_profile(g, f)
-            p = newton.steps_and_profile(newton.jacobian(f[None]), df[None])[0][0]
+            p = newton.constraint_steps(newton.jacobian(f[None]), df[None])[0]
             q = constraint_profile(g, df)
             lam = np.ones(n)
             t = connes._step_length(s[None], p[None], q[None], lam[None], lam[None])[0]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from graphdirac import (
     Graph,
@@ -178,31 +177,6 @@ def test_lanczos_stops_only_on_a_small_residual():
                 early += 1
                 assert res.converged and res.residual <= 1e-12 * res.estimate
     assert early > 0
-
-
-def _two_call_ritz(alphas, betas):
-    theta, s = max((eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(i, i))
-                    for i in (0, len(alphas) - 1)), key=lambda pair: abs(pair[0][0]))
-    return float(theta[0]), betas[-1] * abs(float(s[-1, 0]))
-
-
-def test_extreme_ritz_matches_eigh_tridiagonal_bit_for_bit():
-    rng = np.random.default_rng(34)
-    for trial in range(1200):
-        k = trial % 60 + 1
-        alphas = rng.standard_normal(k)
-        if trial % 5 == 0:  # a spectrum symmetric about 0: both extremes tie
-            alphas[:] = 0.0
-        betas = np.abs(rng.standard_normal(k))
-        # tiny and zero off-diagonals split T_k into blocks
-        betas[rng.random(k) < 0.2] = (1e-300, 0.0)[trial % 2]
-        alphas, betas = alphas.tolist(), betas.tolist()
-        assert spectral._extreme_ritz(alphas, betas) == _two_call_ritz(alphas, betas)
-
-
-def test_extreme_ritz_rejects_non_finite_entries():
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        spectral._extreme_ritz([1.0, np.nan], [1.0, 0.5])
 
 
 def test_lanczos_regular_graph_takes_one_step():
