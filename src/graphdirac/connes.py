@@ -413,7 +413,7 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     """Strictly feasible start with max constraint value ``margin`` in [0, 1)."""
     if not (isinstance(margin, numbers.Real) and 0.0 <= margin < 1.0):  # NaN fails
         raise ValueError(f"margin must be in [0, 1), got {margin!r}")
-    _check_node(g, gauge)
+    _check_node(g, (gauge,))
     f = rng.standard_normal(g.node_count)
     f[gauge] = 0.0
     top = constraint_profile(g, f).max()
@@ -658,7 +658,7 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     returns its round with the smallest gap, not raised; ``iterations``
     still counts every iteration it ran.
     """
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     _check_tol(tol)
     if a != b and not g.connected:
         raise ValueError("distance is only defined on connected graphs")
@@ -830,7 +830,7 @@ def tree_distance_closed_form(g, a, b):
     The unique-path profile extends to the whole tree by constant
     continuation, so the lattice optimum is attained exactly.
     """
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     if not _is_tree(g):
         raise ValueError("closed form only holds for connected acyclic graphs")
     if a == b:
@@ -859,7 +859,7 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     the exact sqrt(max a_i), as (1 + 4 (n + 2) u) (1 - u)^(n + 4) >= 1, and
     the float below the rounded quotient at most the value of f / divisor.
     """
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     if _as_int(grid_points, "grid_points") < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     if g.node_count > BRUTE_FORCE_MAX_NODES:
@@ -964,7 +964,7 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
     sampled and tabulated both ways: either direction occurs in practice, so
     only the minimal-path case is a guaranteed inequality.
     """
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     if a == b:
         raise ValueError("need two distinct nodes")
     dist = connes_distance(g, a, b).distance

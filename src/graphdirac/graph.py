@@ -12,9 +12,11 @@ after construction (the arrays are read-only).
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import operator
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,21 +74,15 @@ class Graph:
     def from_edges(cls, node_count, edges):
         """Build a graph from undirected bonds given as (i, j) pairs, in any order.
 
-        The node count and the indices must be integers, Python or NumPy."""
+        The node count and the indices must be integers, Python or NumPy.  A
+        nonempty list or tuple whose bonds are all tuples, or all lists, of
+        two items is read column by column in C-level passes, with no Python
+        code per bond; an integer array is taken as it is, and any other
+        input goes through ``np.asarray``.  Every route accepts the same
+        bonds, gives the same graph and raises the same errors."""
         node_count = _as_int(node_count, "node count")
         _check_cap(node_count)
-        array = np.asarray(edges)
-        if array.size == 0:
-            array = array.reshape(0, 2)
-        if array.ndim != 2 or array.shape[1] != 2:
-            raise ValueError(f"bonds must be (i, j) pairs, got an array of shape {array.shape}")
-        if not np.can_cast(array.dtype, np.int64):
-            # floats, strings or Python ints beyond int64: name the first bad bond
-            for i, j in edges:
-                if not all(0 <= _as_int(v, f"bond ({i},{j}): node index") < node_count
-                           for v in (i, j)):
-                    raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
-        i, j = array.astype(np.int64, copy=False).T
+        i, j = _bond_columns(edges, node_count)
         _reject((np.minimum(i, j) < 0) | (np.maximum(i, j) >= node_count),
                 f"bond ({{}},{{}}) out of range for {node_count} nodes", i, j)
         _reject(i == j, "self-loop at node {0}, bond ({0},{0})", i)
@@ -268,14 +264,14 @@ def build_random(n, p, seed):
 
 def bfs_distances(g, source):
     """Hop counts from source; -1 marks unreachable nodes."""
-    _check_node(g, source)
+    _check_node(g, (source,))
     dist = csgraph.shortest_path(_csgraph(g), unweighted=True, indices=source)
     return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 def combinatorial_distance(g, a, b):
     """Length of a shortest edge sequence between two nodes."""
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     d = bfs_distances(g, a)[b]
     if d < 0:
         raise ValueError(f"no path between nodes {a} and {b}")
@@ -284,7 +280,7 @@ def combinatorial_distance(g, a, b):
 
 def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
-    _check_node(g, a, b)
+    _check_node(g, (a, b))
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]
     while path[-1] != a:
@@ -304,27 +300,84 @@ def induced_subgraph(g, nodes):
     if not kept:
         raise ValueError("node set must be nonempty")
     new_index = np.full(g.node_count, -1, dtype=np.int64)
-    new_index[_check_node(g, *kept)] = np.arange(len(kept))
+    new_index[_check_node(g, kept)] = np.arange(len(kept))
     tails, heads = new_index[g.edge_tails], new_index[g.edge_heads]
     up = (tails >= 0) & (tails < heads)
     return Graph.from_edges(len(kept), np.column_stack((tails[up], heads[up]))), kept
 
 
-def _check_node(g, *nodes):
-    """The nodes as an int64 array, range-checked in one step.  A ValueError
-    names the first that is not an integer in range(n), as given: nodes that
-    hold a bad one are walked to find it."""
+def _check_node(g, nodes):
+    """The sequence of nodes as an int64 array, range-checked in one step.  A
+    ValueError names the first that is not an integer in range(n), as given:
+    nodes that hold a bad one are walked to find it."""
     n = g.node_count
-    try:
-        index = np.fromiter(map(operator.index, nodes), dtype=np.int64, count=len(nodes))
-    except (TypeError, OverflowError):  # not an integer, or past 64 bits
-        index = None
+    index = _int64s(nodes, len(nodes))
     # read unsigned, a negative index is past n too
     if index is None or np.count_nonzero(index.view(np.uint64) >= n):
         for v in nodes:
             if not 0 <= _as_int(v, "node index") < n:
                 raise ValueError(f"node index {v} out of range (n={n})")
     return index
+
+
+def _int64s(values, count):
+    """The ``count`` integers of ``values`` as an int64 array, or None when one
+    is not an integer (as ``operator.index`` reads it) or does not fit int64.
+
+    A one-dimensional ndarray of integers that int64 holds is taken as it
+    is; any other iterable is read in one C-level pass, by ``struct.pack``,
+    which converts each item through ``__index__``.
+    """
+    if (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64)):
+        return values.astype(np.int64, copy=False)
+    try:
+        return np.frombuffer(struct.pack(f"{count}q", *values), dtype=np.int64)
+    except (struct.error, TypeError):  # not an integer, or past 64 bits
+        return None
+
+
+def _bond_columns(edges, node_count):
+    """The bonds' two columns of node indices, as int64 arrays.
+
+    A nonempty list or tuple of bonds that are all tuples, or all lists, of
+    two items is split into its two columns, each read by :func:`_int64s`.
+    Any other input, or such a list with an item that is not an integer or
+    does not fit int64, goes through ``np.asarray``, and a bond that is not
+    an integer pair is named.  Only tuples and lists are split: numpy reads
+    other items (sets, bytes, dicts) as no pair at all.
+    """
+    m = len(edges) if isinstance(edges, (list, tuple)) else 0
+    if (m and type(edges[0]) in (tuple, list)
+            and operator.countOf(map(type, edges), type(edges[0])) == m
+            and operator.countOf(map(len, edges), 2) == m):
+        i, j = (_int64s(map(operator.itemgetter(k), edges), m) for k in (0, 1))
+        if i is not None and j is not None:
+            return i, j
+    try:
+        array = np.asarray(edges)
+    except ValueError:  # bonds of unequal shapes, which numpy does not name
+        _name_bad_bond(edges, node_count)
+        raise
+    if array.size == 0:
+        array = array.reshape(0, 2)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise ValueError(f"bonds must be (i, j) pairs, got an array of shape {array.shape}")
+    if not np.can_cast(array.dtype, np.int64):
+        # floats, strings or Python ints beyond int64
+        _name_bad_bond(edges, node_count)
+    return array.astype(np.int64, copy=False).T
+
+
+def _name_bad_bond(edges, node_count):
+    """Raise a ValueError naming the first bond that is not a pair of integers in range."""
+    for bond in edges:
+        try:
+            i, j = bond
+        except (TypeError, ValueError):  # not iterable, or not two items long
+            raise ValueError(f"bonds must be (i, j) pairs, got {bond!r}") from None
+        if not all(0 <= _as_int(v, f"bond ({i},{j}): node index") < node_count for v in (i, j)):
+            raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
 
 
 def _check_tol(tol):
@@ -537,11 +590,17 @@ def _parse_json(text):
                               text.count("\n", 0, text.find('"nodes"')) + 1)
     if not isinstance(edges, list):
         raise GraphParseError(f'"edges" must be a list of pairs, got {edges!r}')
-    for pos, pair in enumerate(edges):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise GraphParseError(f"edge #{pos} is not a pair: {pair!r}")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
-            raise GraphParseError(f"edge #{pos} has non-integer endpoints")
+    # every edge a list of two ints, checked in C-level passes; the loop names
+    # the first edge that fails
+    m = len(edges)
+    if not (operator.countOf(map(type, edges), list) == m
+            and operator.countOf(map(len, edges), 2) == m
+            and operator.countOf(map(type, itertools.chain.from_iterable(edges)), int) == 2 * m):
+        for pos, pair in enumerate(edges):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise GraphParseError(f"edge #{pos} is not a pair: {pair!r}")
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in pair):
+                raise GraphParseError(f"edge #{pos} has non-integer endpoints")
     # Graph.from_edges checks range, self-loops and duplicates, naming the bond
     try:
         return Graph.from_edges(n, edges)

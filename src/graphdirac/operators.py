@@ -241,7 +241,7 @@ def cycle_edge_vector(g, nodes):
     """
     if len(nodes) < 3:
         raise ValueError("a cycle needs at least 3 nodes")
-    u = _check_node(g, *nodes)
+    u = _check_node(g, nodes)
     n = g.node_count
     v = np.roll(u, -1)
     # the keys tail * n + head ascend in directed-edge order; the key n * n

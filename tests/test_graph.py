@@ -550,6 +550,23 @@ def test_parse_json_rejects():
             parse_graph(text)
 
 
+@pytest.mark.parametrize("edges,message", [
+    ("[[0, 1], [2]]", "edge #1 is not a pair: [2]"),
+    ("[[0, 1], [1, 2, 0]]", "edge #1 is not a pair: [1, 2, 0]"),
+    ("[[0, 1], 5]", "edge #1 is not a pair: 5"),
+    ('[[0, 1], {"0": 1}]', "edge #1 is not a pair: {'0': 1}"),
+    ("[[0, 1], [true, 2]]", "edge #1 has non-integer endpoints"),
+    ("[[0, 1], [1, 2.0]]", "edge #1 has non-integer endpoints"),
+    ('[[0, 1], [1, "2"]]', "edge #1 has non-integer endpoints"),
+    ("[[0, 1], [1, null], [2]]", "edge #1 has non-integer endpoints"),
+    ("[[0, 1], [2], [1, false]]", "edge #1 is not a pair: [2]"),
+])
+def test_parse_json_names_the_first_malformed_edge(edges, message):
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(f'{{"nodes": 3, "edges": {edges}}}')
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text,bond", [
     ('{"nodes": 2, "edges": [[0, 0]]}', "(0,0)"),
     ('{"nodes": 2, "edges": [[0, 5]]}', "(0,5)"),
@@ -705,6 +722,7 @@ def test_graph_arrays_are_read_only_and_structural():
     (lambda: Graph.from_edges(3, [(1, 2), (0, 1), (1, 2)]), r"duplicate bond \(1,2\)"),
     (lambda: Graph.from_edges(3, [(0, 1), (2, 1), (1, 2)]), r"duplicate bond \(1,2\)"),
     (lambda: Graph.from_edges(3, [(0, 1, 2)]), r"\(i, j\) pairs"),
+    (lambda: Graph.from_edges(5, [(0, 1), (2,)]), r"bonds must be \(i, j\) pairs, got \(2,\)$"),
     (lambda: Graph.from_edges(3, [(0, 1), (1, 2 ** 63)]),
      r"bond \(1,9223372036854775808\) out of range"),
     (lambda: Graph.from_edges(3, [(0.7, 1), (1, 2.9)]),
@@ -716,11 +734,165 @@ def test_graph_arrays_are_read_only_and_structural():
     (lambda: Graph.from_edges(2.5, [(0, 1)]), r"node count 2.5 is not an integer"),
     (lambda: Graph.from_edges("2", [(0, 1)]), r"node count '2' is not an integer"),
 ], ids=["range-bond", "range-negative", "range-int64-bond", "self-loop-bond",
-        "duplicate-bond", "reversed-duplicate", "not-pairs", "range-2to63-bond", "float-bond",
+        "duplicate-bond", "reversed-duplicate", "not-pairs", "ragged", "range-2to63-bond",
+        "float-bond",
         "float-in-int-bonds", "string-bond", "none-bond", "float-count", "string-count"])
 def test_invalid_graphs_name_the_offender(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _seeded_bonds():
+    """The bonds of a seeded random graph, shuffled, about half of them reversed."""
+    g = build_random(30, 0.2, 4)
+    rng = np.random.default_rng(4)
+    bonds = g._bond_ends()[rng.permutation(g.directed_edge_count // 2)]
+    flip = rng.random(len(bonds)) < 0.5
+    bonds[flip] = bonds[flip][:, ::-1]
+    return bonds
+
+
+def test_every_bond_container_gives_the_same_graph():
+    bonds = _seeded_bonds()
+    rows = bonds.tolist()
+    expected = Graph.from_edges(30, bonds)
+    assert expected == build_random(30, 0.2, 4)
+    for edges in ([tuple(r) for r in rows], tuple(map(tuple, rows)), rows, list(bonds),
+                  [tuple(map(np.int64, r)) for r in rows]):
+        g = Graph.from_edges(30, edges)
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
+    # bool is an int: True reads as 1 on every route, np.True_ through np.asarray
+    assert Graph.from_edges(3, [(True, False), (True, 2)]) == build_path(3)
+    assert Graph.from_edges(3, [(np.True_, 0), (1, 2)]) == build_path(3)
+
+
+# a bad endpoint in the last bond of a list, and the message it raises on
+# every route: the columns' read falls back to np.asarray, which names it
+_BAD_ENDPOINTS = [
+    (1.5, "bond (5,1.5): node index 1.5 is not an integer"),
+    (np.float64(2.0), "bond (5,2.0): node index np.float64(2.0) is not an integer"),
+    ("3", "bond (5,3): node index '3' is not an integer"),
+    (None, "bond (5,None): node index None is not an integer"),
+    (2 ** 70, "bond (5,1180591620717411303424) out of range for 30 nodes"),
+    (2 ** 63, "bond (5,9223372036854775808) out of range for 30 nodes"),
+    (-1, "bond (5,-1) out of range for 30 nodes"),
+    (30, "bond (5,30) out of range for 30 nodes"),
+    (5, "self-loop at node 5, bond (5,5)"),
+    (np.array(2.0), "bond (5,2.0): node index array(2.) is not an integer"),
+]
+
+
+@pytest.mark.parametrize("value,message", _BAD_ENDPOINTS,
+                         ids=[repr(v) for v, _ in _BAD_ENDPOINTS])
+def test_bad_endpoints_raise_the_same_message_on_every_route(value, message):
+    rows = _seeded_bonds().tolist()[:5]
+    for edges in ([tuple(r) for r in rows] + [(5, value)], rows + [[5, value]],
+                  tuple(map(tuple, rows)) + ((5, value),)):
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(30, edges)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1, 2), (2, 3, 4)], "bonds must be (i, j) pairs, got an array of shape (2, 3)"),
+    ([(0,)], "bonds must be (i, j) pairs, got an array of shape (1, 1)"),
+    ([(0, 1), (2, 3, 4)], "bonds must be (i, j) pairs, got (2, 3, 4)"),
+    ([[0, 1], [2]], "bonds must be (i, j) pairs, got [2]"),
+    ([(0, 1), 5], "bonds must be (i, j) pairs, got 5"),
+    ([(), ()], "bonds must be (i, j) pairs, got ()"),
+    ([(0, [1])], "bond (0,[1]): node index [1] is not an integer"),
+    ([{0, 1}, {1, 2}], "bonds must be (i, j) pairs, got an array of shape (2,)"),
+    ([b"\x00\x01"], "bonds must be (i, j) pairs, got an array of shape (1,)"),
+    ([{0: 0, 1: 1}], "bonds must be (i, j) pairs, got an array of shape (1,)"),
+    (["01", "12"], "bonds must be (i, j) pairs, got an array of shape (2,)"),
+], ids=["triples", "single", "ragged-triple", "ragged-list", "not-a-bond", "empty-bonds",
+        "nested-endpoint", "sets", "bytes", "dict", "strings"])
+def test_bonds_that_are_not_pairs_are_named(edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, edges)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_empty_bonds_give_isolated_nodes():
+    for edges in ([], (), np.zeros((0, 2), dtype=np.int64)):
+        g = Graph.from_edges(4, edges)
+        assert g.indptr.tolist() == [0] * 5 and g.indices.size == 0
+
+
+_NODE_FORMS = {
+    "list": [0, 1, 2, 3, 4, 5], "tuple": (0, 1, 2, 3, 4, 5), "range": range(6),
+    "int64 array": np.arange(6), "int32 array": np.arange(6, dtype=np.int32),
+    "uint8 array": np.arange(6, dtype=np.uint8), "uint64 array": np.arange(6, dtype=np.uint64),
+    "object array": np.arange(6).astype(object), "list of np.int64": list(np.arange(6)),
+    "list with True": [True, 2, 3, 4, 5, 0],
+}
+_BAD_NODE_FORMS = [
+    (np.arange(6.0), "node index np.float64(0.0) is not an integer"),
+    (np.ones(6, dtype=bool), "node index np.True_ is not an integer"),
+    ([0, 1, 2.0, 3], "node index 2.0 is not an integer"),
+    ([0, 1, 2, -1], "node index -1 out of range (n=6)"),
+    (np.array([0, 1, -1]), "node index -1 out of range (n=6)"),
+    ([0, 1, 6], "node index 6 out of range (n=6)"),
+    (np.arange(12)[::2], "node index 6 out of range (n=6)"),
+    ([0, 1, 2 ** 70], "node index 1180591620717411303424 out of range (n=6)"),
+    (np.array([0, 2 ** 64 - 1, 1], dtype=np.uint64),
+     "node index 18446744073709551615 out of range (n=6)"),
+]
+
+
+def test_node_sequences_give_the_same_result_in_every_form():
+    g = build_cycle(6)
+    walk = gd.cycle_edge_vector(g, [0, 1, 2, 3, 4, 5])
+    sub = induced_subgraph(g, [0, 1, 2, 3, 4, 5])
+    for name, nodes in _NODE_FORMS.items():
+        assert np.array_equal(gd.cycle_edge_vector(g, nodes), walk), name
+        assert induced_subgraph(g, nodes)[0] == sub[0], name
+    assert np.array_equal(gd.cycle_edge_vector(g, np.arange(6)[::-1]),
+                          gd.cycle_edge_vector(g, [5, 4, 3, 2, 1, 0]))
+    with pytest.raises(ValueError, match=re.escape("node index array([0, 1]) is not an integer")):
+        gd.cycle_edge_vector(g, np.arange(6).reshape(3, 2))
+
+
+@pytest.mark.parametrize("nodes,message", _BAD_NODE_FORMS,
+                         ids=[str(i) for i in range(len(_BAD_NODE_FORMS))])
+def test_bad_node_sequences_name_the_node(nodes, message):
+    g = build_cycle(6)
+    for call in (gd.cycle_edge_vector, induced_subgraph):
+        with pytest.raises(ValueError) as info:
+            call(g, nodes)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+_SINGLE_NODES = [
+    (2, 2), (np.int64(2), 2), (np.int32(2), 2), (np.uint64(2), 2), (np.array(2), 2), (True, 1),
+    (2.0, "node index 2.0 is not an integer"),
+    (np.float64(2.0), "node index np.float64(2.0) is not an integer"),
+    (np.array(2.0), "node index array(2.) is not an integer"),
+    (np.True_, "node index np.True_ is not an integer"),
+    ("2", "node index '2' is not an integer"),
+    (None, "node index None is not an integer"),
+    (-1, "node index -1 out of range (n=6)"),
+    (6, "node index 6 out of range (n=6)"),
+    (2 ** 70, "node index 1180591620717411303424 out of range (n=6)"),
+]
+
+
+@pytest.mark.parametrize("node,expected", _SINGLE_NODES,
+                         ids=[repr(node) for node, _ in _SINGLE_NODES])
+def test_single_nodes_give_the_same_result_or_message_in_every_form(node, expected):
+    """``expected`` is the int the node reads as, or the ValueError's message."""
+    path, cycle = build_path(6), build_cycle(6)
+    calls = [lambda v: gd.connes_distance(path, 0, v).distance,
+             lambda v: gd.connes_distance(path, v, 5).distance,
+             lambda v: bfs_distances(cycle, v).tolist()]
+    for call in calls:
+        if isinstance(expected, int):
+            assert call(node) == call(expected)
+        else:
+            with pytest.raises(ValueError) as info:
+                call(node)
+            assert type(info.value) is ValueError and str(info.value) == expected
 
 
 @pytest.mark.parametrize("build", [
