@@ -79,17 +79,25 @@ def constraint_profile(g, f):
     n = g.node_count
     if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"node vector has shape {f.shape}, expected ({n},) or (k, {n})")
-    return _profile(g.edge_tails, g.edge_heads, f)
+    return _profile(_edge_sums(g), _jumps(g.edge_tails, g.edge_heads, f))
 
 
-def _profile(tails, heads, f):
-    """``constraint_profile`` of a checked float f over the edges tails -> heads."""
-    # one bincount for the stack, in which each row sums as it would alone
-    stack = f[None] if f.ndim == 1 else f
-    k, n = stack.shape
-    v = (stack[:, heads] - stack[:, tails]) ** 2
-    bins = (np.arange(k)[:, None] * n + tails).ravel()
-    return np.bincount(bins, weights=v.ravel(), minlength=k * n).reshape(f.shape)
+def _edge_sums(g):
+    """The (n, m) CSR matrix that sums each node's directed edges in edge order."""
+    m = g.directed_edge_count
+    return csr_matrix((np.ones(m), np.arange(m), g.indptr), shape=(g.node_count, m))
+
+
+def _jumps(tails, heads, f):
+    """f_k - f_i on each directed edge (i, k), one column per row of the stack f."""
+    f = f.T
+    return f[heads] - f[tails]
+
+
+def _profile(sums, jumps):
+    """a(f) from f's ``_jumps``, in f's shape and C order: the ``_edge_sums``
+    of their squares, one CSR product in which each row of a stack sums as alone."""
+    return np.ascontiguousarray((sums @ (jumps * jumps)).T)
 
 
 def commutator_norm(g, f):
@@ -140,20 +148,20 @@ class _NewtonSystems:
     i and its neighbours, and both terms of node i live on the ordered pairs
     of that row, so every system has the two-hop pattern.
 
-    Where that pattern is more than a quarter full (``dense``), a stack of k
-    pairs is a (k, n, n) array: r J is written into a zero (k, n, n) buffer
-    at J's fixed places, one batched matmul forms J^t diag(r^2) J in a
-    second, and 2 L_c is added at the bonds and the diagonal.  Otherwise the
-    pattern is sparse: it, and the sparse matrix that adds each system's
-    terms into its CSR slots ``keys``, are built once per graph, and a
-    system is a few sparse products over the stack.  ``_factor`` turns a
-    stack of systems into the function that solves it.  The dense buffers
-    and the band it factors on are allocated at the first, largest stack
-    and reused for every smaller one, so a dense system, and a function
-    that solves on the band, are only valid until the next.  The methods
-    take J's entries as ``jacobian`` gives them, so a caller
-    computes them once a point.  Each pair's gauge node gets the identity in
-    its row and column, so a solution keeps full length with a zero there.
+    The object holds only the graph's fixed arrays; each call allocates what
+    it returns.  The pattern is stored as its sorted flat places ``keys``
+    in the n x n matrix.  Where the two-hop pattern is more than a quarter
+    full (``dense``), it is stored whole, keys = 0..n^2 - 1, and a stack of k
+    pairs is a (k, n, n) array: r J is written into a zero (k, n, n) array at
+    J's fixed places, one batched matmul forms J^t diag(r^2) J, and 2 L_c is
+    added at the bonds and the diagonal.  Otherwise a system is the
+    (k, keys.size) values in those CSR slots, a few sparse products over the
+    stack through ``to_slots``, built once per graph.  Both kinds share one
+    band layout (``_layout``), and ``_factor`` turns a stack of either into
+    the function that solves it.  The methods take J's entries as
+    ``jacobian`` gives them, so a caller computes them once a point.  Each
+    pair's gauge node gets the identity in its row and column, so a
+    solution keeps full length with a zero there.
     """
 
     def __init__(self, g):
@@ -167,7 +175,7 @@ class _NewtonSystems:
         # entries of J: the n diagonal ones, then one per directed edge
         self.rows = np.concatenate((nodes, self.tails))
         cols = np.concatenate((nodes, self.heads))
-        self.tail_sums = csr_matrix((np.ones(m), (self.tails, entries[:m])), shape=(n, m))
+        self.tail_sums = _edge_sums(g)
         self.column_sums = csr_matrix((np.ones(n + m), (cols, entries)), shape=(n, n + m))
         # every ordered pair (p, q) of entries in one row of J
         by_row = np.argsort(self.rows, kind="stable")
@@ -182,65 +190,57 @@ class _NewtonSystems:
         # above a quarter full, a dense solve beats the sparse factorizations'
         # overhead
         self.dense = 4 * self.keys.size > n * n
-        self._band = np.zeros((0, 0))
         if self.dense:
-            # the flat places in a pair's n x n block of J's entries, of the
-            # bonds (i, k) and of the diagonal
+            self.keys = np.arange(n * n)
+            # the flat places in a pair's n x n block of J's entries and of the bonds (i, k)
             self.jac_places = self.rows * n + cols
             self.bond_places = self.tails * n + self.heads
-            self.diagonal_places = nodes * (n + 1)
-            # the band holds H[c + i, c] at (c, i), half-width n - 1 in node
-            # order; the places past the block's end are its coupling entries
-            self.order = self.rank = nodes
-            self.width = n - 1
-            c, i = np.ogrid[:n, :n]
-            self.band_gather = np.where(c + i < n, (c + i) * n + c, 0).ravel()
-            self.coupling = np.flatnonzero(c + i >= n)
-            self._scaled_jac, self._hess = np.zeros((0, n * n)), np.zeros((0, n, n))
-            self.entries_per_pair = n * n
-            return
-        pair_row = self.rows[p]
-        # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and (k, i)
-        # for each neighbour k
-        diag_p, diag_q = p < n, q < n
-        curvature = 2.0 * np.where(
-            p == q, np.where(diag_p, degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
-        # a pair and its mirror share the product r_i^2 J_ip J_iq, so only the
-        # pairs p <= q are multiplied; one sparse matrix adds them, and the
-        # curvature terms c_i hess(a_i), into the Hessian's slots
-        half = p <= q
-        self.half_p, self.half_q = p[half], q[half]
-        size = self.half_p.size
-        mirrored = np.flatnonzero(self.half_p != self.half_q)
-        curved = np.flatnonzero(curvature)
-        mirror_keys = cols[self.half_q[mirrored]] * n + cols[self.half_p[mirrored]]
-        self.to_slots = csr_matrix((
-            np.concatenate((np.ones(size + mirrored.size), curvature[curved])),
-            (np.concatenate((slots[half], np.searchsorted(self.keys, mirror_keys), slots[curved])),
-             np.concatenate((np.arange(size), mirrored, size + pair_row[curved])))),
-            shape=(self.keys.size, size + n))
+            summed = n * n
+        else:
+            pair_row = self.rows[p]
+            # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and
+            # (k, i) for each neighbour k
+            diag_p, diag_q = p < n, q < n
+            curvature = 2.0 * np.where(
+                p == q, np.where(diag_p, degrees[pair_row], 1), np.where(diag_p != diag_q, -1, 0))
+            # a pair and its mirror share the product r_i^2 J_ip J_iq, so only
+            # the pairs p <= q are multiplied; one sparse matrix adds them, and
+            # the curvature terms c_i hess(a_i), into the Hessian's slots
+            half = p <= q
+            self.half_p, self.half_q = p[half], q[half]
+            size = self.half_p.size
+            mirrored = np.flatnonzero(self.half_p != self.half_q)
+            curved = np.flatnonzero(curvature)
+            mirror_keys = cols[self.half_q[mirrored]] * n + cols[self.half_p[mirrored]]
+            self.to_slots = csr_matrix((
+                np.concatenate((np.ones(size + mirrored.size), curvature[curved])),
+                (np.concatenate((slots[half], np.searchsorted(self.keys, mirror_keys),
+                                 slots[curved])),
+                 np.concatenate((np.arange(size), mirrored, size + pair_row[curved])))),
+                shape=(self.keys.size, size + n))
+            summed = size + n
         self.indptr = np.searchsorted(self.keys, np.arange(n + 1) * n)
         self.indices = self.keys % n
         self.key_rows = self.keys // n
         self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
-        self._sparse_setup()
-        # Hessian entries one pair holds: the terms the sparse sum adds up,
-        # and the band or the sparse LU factors it fills
-        self.entries_per_pair = max(size + n, self.factor_entries)
+        self._layout()
+        # Hessian entries one pair holds: the terms summed into it, and the
+        # band or the sparse LU factors it fills
+        self.entries_per_pair = max(summed, self.factor_entries)
 
-    def _sparse_setup(self):
-        """In reverse Cuthill-McKee order (Cuthill and McKee 1969) the pattern
-        lies within ``width`` of the diagonal: its lower entries go to their
-        slots in the (width + 1, n) lower band that dpbtrf takes.  ``band``
-        tells whether the pairs are factored so (``BAND_FILL``) or by sparse
-        LU; a band within BAND_FILL times the pattern's lower triangle needs
-        no trial, a wider one is weighed against one trial LU's fill."""
+    def _layout(self):
+        """In node order when dense, in reverse Cuthill-McKee order (Cuthill
+        and McKee 1969) otherwise, the pattern lies within ``width`` of the
+        diagonal: its ``lower`` entries go to their ``band_slots`` in the
+        (width + 1, n) lower band that dpbtrf takes.  ``band`` tells whether
+        the pairs are factored so (``BAND_FILL``) or by sparse LU; a band
+        within BAND_FILL times the pattern's lower triangle, as a dense one
+        is, needs no trial, a wider one is weighed against one trial LU's."""
         n = self.n
-        self.order = csgraph.reverse_cuthill_mckee(
+        self.order = np.arange(n) if self.dense else csgraph.reverse_cuthill_mckee(
             csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
             symmetric_mode=True)
-        self.rank = np.empty(n, dtype=np.int64)  # of each node in that order
-        self.rank[self.order] = np.arange(n)
+        self.rank = np.argsort(self.order)  # of each node in that order
         row, col = self.rank[self.key_rows], self.rank[self.indices]
         self.width = w = int(np.abs(row - col).max())
         self.lower = np.flatnonzero(row >= col)
@@ -261,25 +261,22 @@ class _NewtonSystems:
         entries ``jac`` as ``jacobian`` gives them, with the identity in the
         row and column of the pair's gauge node; curvature and root are (k, n)
         stacks, gauges a (k,) array of nodes, and a root of None drops the J
-        term with no work on J (the dual bound's).  A dense system is a (k, n, n)
-        view of the reused buffer, a sparse one the (k, keys.size) values in
-        the CSR slots ``keys``."""
+        term with no work on J (the dual bound's).  A dense system is a new
+        (k, n, n) array, a sparse one the (k, keys.size) values in the CSR
+        slots ``keys``."""
         if not self.dense:
             return self._slot_system(jac, curvature, root, gauges)
         n, k, stack = self.n, len(gauges), np.arange(len(gauges))
-        if k > len(self._hess):
-            self._scaled_jac, self._hess = np.zeros((k, n * n)), np.empty((k, n, n))
-        scaled, hess = self._scaled_jac[:k], self._hess[:k]
         if root is None:
-            hess[...] = 0.0
+            hess = np.zeros((k, n, n))
         else:
-            scaled[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
-            rj = scaled.reshape(k, n, n)
-            np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
+            rj = np.zeros((k, n, n))
+            rj.reshape(k, n * n)[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
+            hess = np.matmul(rj.transpose(0, 2, 1), rj)
         flat = hess.reshape(k, n * n)
         weights = 2.0 * (curvature.T[self.tails] + curvature.T[self.heads])
         flat[:, self.bond_places] -= weights.T
-        flat[:, self.diagonal_places] += (self.tail_sums @ weights).T
+        flat[:, self.diagonal] += (self.tail_sums @ weights).T
         hess[stack, gauges] = 0.0
         hess[stack, :, gauges] = 0.0
         hess[stack, gauges, gauges] = 1.0
@@ -305,15 +302,19 @@ class _NewtonSystems:
         """J's entries in the order of ``rows``, one column per pair of the stack
         f so that a gather takes whole rows: minus the sum of row i's jumps at
         (i, i), then 2 (f_k - f_i) at each directed edge (i, k)."""
-        f = f.T
-        v = 2.0 * (f[self.heads] - f[self.tails])
+        v = 2.0 * _jumps(self.tails, self.heads, f)
         return np.concatenate((-(self.tail_sums @ v), v))
 
+    def profile(self, f):
+        """a(f) for each pair of the stack f, as ``constraint_profile``."""
+        return _profile(self.tail_sums, _jumps(self.tails, self.heads, f))
+
     def constraint_steps(self, jac, direction):
-        """J df for each pair, J's entries ``jac``: J's rows sum to zero, so
-        row i sums 2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
-        d = direction.T
-        return (self.tail_sums @ (jac[self.n:] * (d[self.heads] - d[self.tails]))).T
+        """p = J df and q = a(df) for each pair, J's entries ``jac``, from one
+        gather of df's jumps: J's rows sum to zero, so row i of J df sums
+        2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
+        jumps = _jumps(self.tails, self.heads, direction)
+        return (self.tail_sums @ (jac[self.n:] * jumps)).T, _profile(self.tail_sums, jumps)
 
     def stationarity(self, jac, multipliers, gauges, targets):
         """c - J^t lambda for each pair, J's entries ``jac``, with
@@ -329,23 +330,22 @@ class _NewtonSystems:
         """A function that solves hess x = b for a (k, n) stack of right-hand
         sides b, so that a pair's rounding does not depend on its stack.
 
-        A dense or banded stack is written into one block-diagonal band of
-        half-width w (``_fill``), w identity rows appended so that every
-        pair's columns hold a full-length band, and dpbtrf factors it: in
-        one call up to UNBLOCKED_WIDTH, one call a pair above.  A pair whose
-        factorization fails is singular to working precision: dpbtrf's info
-        names it, or a NaN on its diagonal, which passes the pivot test and
-        would spread through the coupling entries.  Its block becomes the
-        identity, it solves to NaN (``_stack_solve``), and factoring resumes
-        at the next pair, the rest of the band filled again.  Other sparse
-        stacks are factored a pair by sparse LU."""
-        if not (self.dense or self.band):
+        A stack on a band (``_layout``) is written into a new block-diagonal
+        band of half-width w (``_fill``), w identity rows appended so that
+        every pair's columns hold a full-length band, and dpbtrf factors it:
+        in one call up to UNBLOCKED_WIDTH, one call a pair above; the
+        function owns that band.  A pair whose factorization fails is
+        singular to working precision: dpbtrf's info names it, or a NaN on
+        its diagonal, which passes the pivot test and would spread through
+        the zero entries between blocks.  Its block becomes the identity, it
+        solves to NaN (``_stack_solve``), and factoring resumes at the next
+        pair, the rest of the band filled again.  Other stacks are factored
+        a pair by sparse LU."""
+        if not self.band:
             solves = [self._sparse_solve(values) for values in hess]
             return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
         k, n, w = len(hess), self.n, self.width
-        if len(self._band) < k * n + w:
-            self._band = np.empty((k * n + w, w + 1))
-        band, unit = self._band[:k * n + w], np.eye(1, w + 1)
+        band, unit = np.empty((k * n + w, w + 1)), np.eye(1, w + 1)
         failed = np.zeros(k, dtype=bool)
         start = 0
         while start < k:
@@ -366,24 +366,18 @@ class _NewtonSystems:
         return lambda b: self._stack_solve(band, failed, b)
 
     def _fill(self, hess, rows):
-        """Write a stack of systems into its rows of the band: a dense pair's
-        lower band, its coupling entries zeroed, or a sparse pair's pattern."""
+        """Write a stack of systems into its rows of the band: each pair's
+        lower entries to their ``band_slots``, every other place zero."""
         blocks = rows.reshape(len(hess), -1)
-        if self.dense:
-            # the indices are in range; "clip" lets take write into blocks unbuffered
-            np.take(hess.reshape(len(hess), -1), self.band_gather, axis=1, out=blocks,
-                    mode="clip")
-            blocks[:, self.coupling] = 0.0
-        else:
-            blocks[...] = 0.0
-            blocks[:, self.band_slots] = hess[:, self.lower]
+        blocks[...] = 0.0
+        blocks[:, self.band_slots] = hess.reshape(len(hess), -1)[:, self.lower]
 
     def _stack_solve(self, band, failed, b):
         """Solve the stack b on the band of ``_factor`` in one dpbtrs call; a
         failed pair's right-hand side is zero there, and it solves to NaN.
-        The zero coupling entries turn a neighbour's inf or NaN into NaN
-        (0 * inf), so a pair that solves to a non-finite value is solved
-        again alone, on its own block and the identity rows."""
+        The band's zero entries between the blocks turn a neighbour's inf or
+        NaN into NaN (0 * inf), so a pair that solves to a non-finite value
+        is solved again alone, on its own block and the identity rows."""
         n, k = self.n, len(b)
         rhs = np.zeros(len(band))
         rhs[:k * n] = np.where(failed[:, None], 0.0, b[:, self.order]).ravel()
@@ -510,12 +504,12 @@ def _certificate(newton, f, multipliers, gauges, targets, tol):
     distance is then within tol of the true one, whatever the residual.
     """
     stack = np.arange(len(gauges))
-    top = _profile(newton.tails, newton.heads, f).max(axis=1, keepdims=True)
+    top = newton.profile(f).max(axis=1, keepdims=True)
     top = np.where(top > 0.0, top, 1.0)
     reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
     eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
     f = f / np.sqrt(top * (1.0 + eta))
-    prof = _profile(newton.tails, newton.heads, f)
+    prof = newton.profile(f)
     residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
@@ -579,7 +573,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
     checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
-    s = 1.0 - _profile(newton.tails, newton.heads, f)
+    s = 1.0 - newton.profile(f)
     lam = np.full((k, n), 0.1)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
@@ -616,7 +610,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
+        p, q = newton.constraint_steps(jac, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
@@ -628,7 +622,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         rhs[rows, b] -= 1.0
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q = newton.constraint_steps(jac, df), _profile(newton.tails, newton.heads, df)
+        p, q = newton.constraint_steps(jac, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df

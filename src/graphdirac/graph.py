@@ -140,7 +140,8 @@ class Graph:
 
     @cached_property
     def connected(self):
-        return component_count(self) <= 1
+        return self.node_count == 0 or csgraph.breadth_first_order(
+            _csgraph(self), 0, return_predecessors=False).size == self.node_count
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -144,10 +144,11 @@ def lanczos_norm(m, tol=1e-12, max_iter=200_000):
     k = n, where the Krylov space is the whole space).  Checks come every 10
     steps, then every k/8 steps, so their O(k) cost stays below that of the
     matvecs even when k reaches n, and also at any step where
-    beta_k <= tol * scale, scale = max_j hypot(alpha_j, beta_{j-1}) <= ||T_k||:
-    the residual is at most beta_k, so that check passes, and the step
-    where the Krylov space closes ends the run.  The check alone decides
-    ``converged``, so the extra trigger cannot claim a false convergence.
+    beta_k <= 2^-26 scale, scale = max_j hypot(alpha_j, beta_{j-1}) <= ||T_k||
+    and 2^-26 the square root of float64's epsilon: where the Krylov space
+    closes, beta_k is rounding noise far below that however the matvecs
+    round, so that step ends the run at any BLAS thread count.  The check
+    alone decides ``converged``, so the trigger cannot claim a false one.
     """
     _check_iteration(tol, max_iter)
     return _lanczos(_symmetric(m), tol, max_iter)
@@ -176,9 +177,9 @@ def _lanczos(M, tol=1e-12, max_iter=200_000):
         # beta ~ 0 or k = n: the Krylov space is invariant (in exact arithmetic),
         # so the eigenvalues of T_k are eigenvalues of M
         breakdown = beta <= 1e-14 * scale or k == n
-        # |theta| = ||T_k|| >= scale, so a Ritz residual, at most beta, is at
-        # most tol |theta| once beta <= tol scale: the check is sure to pass
-        if breakdown or beta <= tol * scale or k >= next_check or k == steps:
+        # beta <= sqrt(eps) scale: the extreme Ritz value is likely converged
+        # (see lanczos_norm), and the check alone decides
+        if breakdown or beta <= 2.0 ** -26 * scale or k >= next_check or k == steps:
             theta, residual = _extreme_ritz(alphas, betas)
             if breakdown or residual <= tol * abs(theta):
                 return PowerIterationResult(abs(theta), k, True, residual, "lanczos")

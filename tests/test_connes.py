@@ -500,8 +500,8 @@ def _stack_of_four(g):
 def test_one_failed_factorization_in_a_stack(g):
     # a zero Hessian for one pair of four fails the stack's banded Cholesky
     # (dense and sparse) or its own sparse LU; a NaN one passes dpbtrf's
-    # pivot test, and would spread through the band's coupling entries to
-    # the pairs after it.  Either way only that pair solves to NaN
+    # pivot test, and would spread through the band's zero entries between
+    # the blocks to the pairs after it.  Either way only that pair solves to NaN
     n = g.node_count
     newton, grad, hess = _stack_of_four(g)
     for singular in (0.0, np.nan):
@@ -519,7 +519,7 @@ def test_one_infinite_solve_in_a_stack(g):
     # the Hessian 1e-310 I factors, and its pair solves to inf (NaN by
     # sparse LU); the dense
     # stack's one band solve would turn that into NaN (0 * inf) through the
-    # zero coupling entries of the pair before it, so a non-finite pair is
+    # zero entries between its block and the one before, so a non-finite pair is
     # solved again alone: every other pair is as it solves alone, bit for bit
     n = g.node_count
     newton, grad, hess = _stack_of_four(g)
@@ -533,6 +533,25 @@ def test_one_infinite_solve_in_a_stack(g):
     for r in (0, 2, 3):
         assert np.isfinite(step[r]).all() and np.array_equal(step[r], alone[r]), r
     assert not np.isfinite(step[1]).all() and not np.isfinite(alone[1]).all()
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), build_path(30)], ids=["dense", "band"])
+def test_solver_outlives_the_next_factorization(g):
+    # each solver owns its band: factoring a second stack after it changes
+    # none of its solutions, and they still solve its own systems
+    n = g.node_count
+    newton, grad, hess = _stack_of_four(g)
+    assert newton.band
+    solve = newton._factor(hess[:2])
+    first = solve(-grad[:2])
+    newton._factor(hess[2:])(-grad[2:])
+    again = solve(-grad[:2])
+    assert np.array_equal(again, first)
+    for r in range(2):
+        H = np.zeros(n * n)
+        H[newton.keys] = hess[r].ravel()
+        residual = H.reshape(n, n) @ again[r] + grad[r]
+        assert np.abs(residual).max() <= 1e-9 * np.abs(grad[r]).max()
 
 
 @pytest.mark.parametrize("n,calls", [(connes.UNBLOCKED_WIDTH + 1, 1),
@@ -612,7 +631,7 @@ def test_certificate_matches_dense_jacobian(name):
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
             # the multipliers mu / s moved along df, as the solver moves them
-            steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])
+            steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])[0]
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             moved, moved_prof, residual = connes._certificate(
                 newton, f[None], multipliers, np.array([a]), np.array([b]), 1e-7)[:3]
@@ -1393,8 +1412,8 @@ def test_step_length_is_the_boundary_root():
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
             s = 1.0 - constraint_profile(g, f)
-            p = newton.constraint_steps(newton.jacobian(f[None]), df[None])[0]
-            q = constraint_profile(g, df)
+            p, q = (x[0] for x in newton.constraint_steps(newton.jacobian(f[None]), df[None]))
+            assert np.array_equal(q, constraint_profile(g, df))
             lam = np.ones(n)
             t = connes._step_length(s[None], p[None], q[None], lam[None], lam[None])[0]
             roots = [r.real for i in range(n) for r in np.roots([q[i], p[i], -s[i]])

@@ -152,7 +152,7 @@ def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
 
 def test_lanczos_tree_takes_steps_of_its_depth():
     # from all-ones the Krylov space holds one vector per level of the tree:
-    # it closes at step depth + 1, where beta falls below tol * scale
+    # it closes at step depth + 1, where beta falls below 2^-26 * scale
     for depth in (3, 9, 14, 17):
         res = lanczos_norm(adjacency_map(build_binary_tree(depth)))
         assert res.converged and res.iterations == depth + 1
