@@ -31,18 +31,22 @@ def _load_graph(path):
         raise ValueError(f"{path}: {exc}")
 
 
-def _emit(text, out):
+def _emit(data, out):
+    """Write the bytes ``data`` to the file ``out``, or to stdout ending in a newline."""
     if out:
         # Opening with O_TRUNC makes ext4 (auto_da_alloc) flush the old data on
         # close; overwrite in place and cut the old tail after writing instead.
         try:
-            with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-                f.write(text)
+            with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+                f.write(data)
                 f.truncate()
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()  # text already written goes first
+        sys.stdout.buffer.write(data)
+        if not data.endswith(b"\n"):
+            sys.stdout.buffer.write(b"\n")
 
 
 def _cmd_gen(args):
@@ -55,8 +59,7 @@ def _cmd_gen(args):
     else:
         g = graph.build_random(_require(args.n, "--n"),
                                _require(args.p, "--p"), args.seed)
-    payload = graph.serialize_graph(g, fmt=args.format).decode("utf-8")
-    _emit(payload, args.out)
+    _emit(graph.serialize_graph(g, fmt=args.format), args.out)
     return 0
 
 
@@ -69,7 +72,7 @@ def _require(value, flag):
 def _cmd_spectral(args):
     g = _load_graph(args.graph)
     bounds = spectral.adjacency_norm_bounds(g)
-    _emit(json.dumps(asdict(bounds)), args.out)
+    _emit(json.dumps(asdict(bounds)).encode(), args.out)
     return 0
 
 
@@ -112,14 +115,14 @@ def _cmd_check(args):
     for name, ok in checks:
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
         all_ok = all_ok and ok
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n").encode(), args.out)
     return 0 if all_ok else 1
 
 
 def _cmd_connes(args):
     g = _load_graph(args.graph)
     result = connes.connes_distance(g, args.src, args.dst, tol=args.tol)
-    _emit(result.to_json(), args.out)
+    _emit(result.to_json().encode(), args.out)
     if not result.certified:
         print(f"warning: solve not certified (gap {result.gap:.3g} to the dual bound, "
               f"kkt residual {result.kkt_residual:.3g})", file=sys.stderr)
@@ -133,7 +136,7 @@ def _cmd_connes_matrix(args):
     n = g.node_count
     lines = ["i,j,distance"]
     lines += [f"{i},{j},{matrix[i, j]:.12g}" for i in range(n) for j in range(i + 1, n)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n").encode(), args.out)
     # an uncertified pair is a NaN entry, written as nan
     return 1 if np.isnan(matrix).any() else 0
 
@@ -143,7 +146,7 @@ def _cmd_truncation(args):
     if args.family in ("path", "cycle"):
         depths = [d for d in depths if d >= (2 if args.family == "path" else 3)]
     report = spectral.truncation_norm_sequence(args.family, depths)
-    _emit(report.to_csv(), args.out)
+    _emit(report.to_csv().encode(), args.out)
     return 0 if report.monotone else 1
 
 

@@ -135,8 +135,11 @@ class Graph:
     def _bond_ends(self):
         """Each bond's lower and higher end, an (m, 2) array in canonical bond order."""
         tails = self.edge_tails
-        up = tails < self.indices
-        return np.column_stack((tails[up], self.indices[up]))
+        up = np.flatnonzero(tails < self.indices)
+        ends = np.empty((len(up), 2), dtype=np.int64)
+        ends[:, 0] = tails.take(up)
+        ends[:, 1] = self.indices.take(up)
+        return ends
 
     @cached_property
     def connected(self):
@@ -430,16 +433,64 @@ def _as_str(text):
 
 
 def serialize_graph(g, fmt="edgelist"):
-    """Canonical byte serialization; parse_graph(serialize_graph(g)) == g."""
-    # read off the CSR arrays; building the cached ``bonds`` tuples costs more
+    """Canonical byte serialization; parse_graph(serialize_graph(g)) == g.
+
+    ``"edgelist"`` writes a ``# nodes: n`` line and one ``i j`` line a bond;
+    ``"json"`` writes the bytes ``json.dumps`` gives for ``{"nodes": n,
+    "edges": [[i, j], ...]}``, and a newline.  Both come from one table
+    writer over the bond ends, read off the CSR arrays in chunks: an end's
+    digits are one or two lookups in a table of 4-byte ASCII words, one per
+    number below 10**4, and no Python object is made per bond."""
     if fmt == "edgelist":
-        ends = tuple(g._bond_ends().ravel().tolist())
-        return (f"# nodes: {g.node_count}\n" + "%d %d\n" * (len(ends) // 2) % ends).encode("utf-8")
-    if fmt == "json":  # the bytes json.dumps writes
-        ends = g._bond_ends()
-        edges = ("[%d, %d], " * len(ends))[:-2] % tuple(ends.ravel().tolist())
-        return f'{{"nodes": {g.node_count}, "edges": [{edges}]}}\n'.encode("utf-8")
+        parts = _decimal_chunks(g._bond_ends(), b" ", b"\n")
+        return b"".join([b"# nodes: %d\n" % g.node_count, *parts])
+    if fmt == "json":
+        parts = _decimal_chunks(g._bond_ends(), b", ", b"], [")
+        if parts:  # "[i, j], [" a bond, less the last "], ["
+            parts = [b"[", *parts[:-1], parts[-1][:-4], b"]"]
+        return b"".join([b'{"nodes": %d, "edges": [' % g.node_count, *parts, b"]}\n"])
     raise ValueError(f"unknown format {fmt!r} (expected 'edgelist' or 'json')")
+
+
+# the 4 ASCII digits of 0..9999 as little-endian words, zero-padded (0042) and
+# with NUL for the leading zeros (\0\042, and \0\0\00 for 0), then one all-NUL
+# word; two words cover every index, as NODE_CAP < 10**8
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_WORDS = np.concatenate((
+    np.where(np.arange(10_000)[:, None] >= [1000, 100, 10, 0], _DIGITS, np.uint8(0)),
+    _DIGITS, np.zeros((1, 4), np.uint8))).view("<u4").ravel()
+# bond ends a pass of _decimal_chunks: its slots stay within 1 MB
+_WRITE_CHUNK = 1 << 16
+
+
+def _decimal_chunks(ends, even_sep, odd_sep):
+    """The decimal text of ``ends`` (an (m, 2) array), each end followed by
+    ``even_sep`` if it is a bond's first end and ``odd_sep`` if its second,
+    as a list of bytes, one a chunk of ends.
+
+    Each end fills a fixed slot: one or two table words, NUL-led, then its
+    separator, NUL-padded; one ``bytes.translate`` a chunk deletes the NULs."""
+    ends = ends.ravel()
+    words = 1 if ends.max(initial=0) < 10_000 else 2
+    seps = max(len(even_sep), len(odd_sep))
+    slots = np.zeros((min(len(ends), _WRITE_CHUNK) // 2, 2), np.dtype(
+        [("digits", "<u4", (words,)), ("sep", f"S{seps}")]))
+    slots["sep"] = even_sep, odd_sep
+    parts = []
+    for a in range(0, len(ends), _WRITE_CHUNK):
+        v = ends[a:a + _WRITE_CHUNK]
+        s = slots[:len(v) // 2]
+        if words == 1:
+            s["digits"][..., 0] = _WORDS.take(v).reshape(-1, 2)
+        else:  # v = 10**4·hi + lo: hi's NUL-led word, then lo's zero-padded one
+            # (below 10**4: v's NUL-led word, then the all-NUL word)
+            hi = v // 10_000
+            big = hi > 0
+            s["digits"][..., 0] = _WORDS.take(np.where(big, hi, v)).reshape(-1, 2)
+            s["digits"][..., 1] = _WORDS.take(
+                np.where(big, v - 10_000 * hi + 10_000, 20_000)).reshape(-1, 2)
+        parts.append(s.tobytes().translate(None, b"\0"))
+    return parts
 
 
 # code point -> 0 for a token character, 1 for whitespace (str.isspace), 2 for

@@ -306,9 +306,14 @@ def _reference_serialize(g, fmt):
 
 @pytest.mark.parametrize("fmt", ["edgelist", "json"])
 def test_serialize_matches_per_bond_writer(fmt):
-    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []),
+    # bonds across every digit-count boundary, written with one table word an
+    # end (all ends below 10**4) and with two (some end above)
+    small = [(10 ** k - 1, 10 ** k) for k in range(1, 4)] + [(0, 9999)]
+    large = [(10 ** k - 1, 10 ** k) for k in range(1, 7)] + [(1, NODE_CAP - 1), (10_003, 2_000_007)]
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(100, []),
               Graph.from_edges(12, [(0, 10), (1, 11)]),  # isolated trailing node
-              Graph.from_edges(1_000_001, [(0, 1_000_000), (9, 10), (99, 100)])]  # digit counts
+              Graph.from_edges(10_000, small), Graph.from_edges(NODE_CAP, large),
+              build_path(graph._WRITE_CHUNK)]  # its bond ends fill more than one chunk
     graphs += [build_binary_tree(depth) for depth in range(12)]
     graphs += [build_random(2000, 0.005, seed) for seed in range(3)]
     for g in graphs:
@@ -317,18 +322,20 @@ def test_serialize_matches_per_bond_writer(fmt):
         assert parse_graph(data) == g
 
 
-def test_million_node_path_json_writes_in_bounded_memory():
-    # one printf over the bond ends, not 10**6 two-element lists (171 MB);
-    # the graph caches no arrays, so its edge tails are made inside the write
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_million_node_path_writes_in_bounded_memory(fmt):
+    # table words over chunks of bond ends, not one printf over 2·10**6 Python
+    # ints (103 MB edge list, 120 MB JSON); the graph caches no arrays, so its
+    # edge tails are made inside the write
     g = build_path(10 ** 6)
     tracemalloc.start()
     try:
-        data = serialize_graph(g, fmt="json")
+        data = serialize_graph(g, fmt=fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data == _reference_serialize(g, "json")
-    assert peak < 140 * 2 ** 20
+    assert data == _reference_serialize(g, fmt)
+    assert peak < 64 * 2 ** 20
 
 
 def test_serialize_json_shape():
