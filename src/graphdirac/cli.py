@@ -101,22 +101,25 @@ def _identity_checks(g):
             d_star.apply(df), 2.0 * delta1.apply(df), atol=1e-12))),
         ("χD + Dχ = 0", ((chi @ D) + (D @ chi)).entrywise_equal(
             operators.LinearMap(0 * chi.matrix, "H", "H"))),
-        ("‖df‖² = (f|-2Δf)", bool(abs(
-            float(np.sum(df ** 2)) - float(f @ ((-2 * lap).apply(f)))) <= 1e-9)),
+        ("‖df‖² = (f|-2Δf)", _energy_identity(f, df, -2 * lap)),
     ]
     return checks
 
 
+def _energy_identity(f, df, minus_2lap):
+    """Whether ‖df‖² = (f|-2Δf) up to the two sums' rounding: each side takes at
+    most len(df) + len(f) roundings, each within eps of a partial sum that
+    |f|·|-2Δ||f| bounds, at any size and BLAS thread count."""
+    rounding = (len(df) + len(f)) * np.finfo(float).eps * float(
+        np.abs(f) @ (abs(minus_2lap.matrix) @ np.abs(f)))
+    return bool(abs(float(np.sum(df ** 2)) - float(f @ minus_2lap.apply(f))) <= rounding)
+
+
 def _cmd_check(args):
-    g = _load_graph(args.graph)
-    checks = _identity_checks(g)
-    all_ok = True
-    lines = []
-    for name, ok in checks:
-        lines.append(f"{name}: {'PASS' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
-    return 0 if all_ok else 1
+    checks = _identity_checks(_load_graph(args.graph))
+    lines = [f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in checks]
+    _emit("".join(lines).encode(), args.out)
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def _cmd_connes(args):

@@ -16,6 +16,7 @@ import itertools
 import json
 import numbers
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -403,33 +404,35 @@ def _as_int(value, name):
 # {"nodes": n, "edges": [[i, j], ...]} with the same validation.
 # ---------------------------------------------------------------------------
 
-# the ASCII code points that str.isspace counts as whitespace
-_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+# the characters str.isspace counts as whitespace (none past U+3000), their code points
+# and kinds: 1 for whitespace, 2 for a line break (str.splitlines), 0 for the last, U+10000
+_SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_CODES = np.array([ord(c) for c in _SPACES] + [0x10000])
+_KINDS = np.array([1 + (c.splitlines() == [""]) for c in _SPACES] + [0], np.uint8)
+# byte -> its kind: as _KINDS for ASCII whitespace, 3 for a lead byte of wider whitespace
+_BYTE_KIND = np.zeros(256, np.uint8)
+_BYTE_KIND[[c.encode()[0] for c in _SPACES]] = np.where(_CODES[:-1] < 128, _KINDS[:-1], 3)
+# the whitespace at the start of a text, as UTF-8
+_LEADING_SPACE = re.compile(b"(?:%s)*" % b"|".join(re.escape(c.encode()) for c in _SPACES))
 
 
 def parse_graph(data):
     """Parse either format (sniffed: JSON starts with '{') from str or UTF-8 bytes.
 
-    ASCII input is read as bytes, other text as code points; both give the
-    same graph, or the same GraphParseError.
-    """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data) if data.isascii() else data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # the first bad byte's line, as splitlines counts
-            head = data[:exc.start].decode("utf-8") + "x"
-            raise GraphParseError("not UTF-8 text", len(head.splitlines())) from None
+    Both are read as UTF-8 bytes, a str encoded once and bytes checked once,
+    and give the same graph, or the same GraphParseError."""
+    if isinstance(data, str):
+        text = data.encode("utf-8", "surrogatepass")
     else:
-        text = data.encode("ascii") if data.isascii() else data
-    stripped = text.lstrip(_ASCII_SPACE) if isinstance(text, bytes) else text.lstrip()
-    if _as_str(stripped[:1]) == "{":
-        return _parse_json(_as_str(text))
+        text = bytes(data)
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the first bad byte's line, as splitlines counts
+            head = text[:exc.start].decode("utf-8") + "x"
+            raise GraphParseError("not UTF-8 text", len(head.splitlines())) from None
+    if text.startswith(b"{", _LEADING_SPACE.match(text).end()):
+        return _parse_json(text.decode("utf-8", "surrogatepass"))
     return _parse_edgelist(text)
-
-
-def _as_str(text):
-    """``text`` as str; bytes reach here only when they are ASCII."""
-    return text.decode("ascii") if isinstance(text, bytes) else text
 
 
 def serialize_graph(g, fmt="edgelist"):
@@ -493,32 +496,34 @@ def _decimal_chunks(ends, even_sep, odd_sep):
     return parts
 
 
-# code point -> 0 for a token character, 1 for whitespace (str.isspace), 2 for
-# a line break (str.splitlines); U+3000 is the highest space, and every code
-# point past the table reads as its last entry, 0
-_KIND = np.zeros(0x3002, dtype=np.uint8)
-_KIND[[c for c in range(0x3001) if chr(c).isspace()]] = 1
-_KIND[[c for c in np.flatnonzero(_KIND).tolist() if chr(c).splitlines() == [""]]] = 2
+def _class_wide(kind, codes):
+    """Class in ``kind`` the characters whose lead bytes it marks 3, by code point:
+    every byte of whitespace is whitespace, and a line break's last byte the break."""
+    lead = np.flatnonzero(kind == 3)
+    b0, b1, b2 = (codes.take(lead + k, mode="clip").astype(np.int32) for k in range(3))
+    three = b0 >= 0xE0  # C2 leads two bytes (b2 is past them, or clipped), E1..E3 three
+    # the code point, read off three bytes, and for two shifted down past the third's
+    cp = ((b0 & 0x1F) << 12 | (b1 & 0x3F) << 6 | b2 & 0x3F) >> 6 * ~three
+    wide = np.searchsorted(_CODES, cp)
+    char = _KINDS[wide] * (_CODES[wide] == cp)
+    kind[lead] = kind[lead + 1] = np.minimum(char, 1)
+    kind[lead + 1 + three] = char
 
 
 def _parse_edgelist(text):
-    """Parse edge-list text (ASCII bytes or str); a malformed file reports its
-    first offending line.
+    """Parse edge-list text, UTF-8 bytes; a malformed file reports its first offending line.
 
-    The text is tokenised as one array of its bytes (ASCII) or code points
-    (tokens are runs of non-whitespace, as ``str.split`` finds them; lines
-    end where ``str.splitlines`` ends them) and the checks run as masks over
-    all lines.  A file that passes them goes to :meth:`Graph.from_edges`,
-    whose sort is the one duplicate check.  Otherwise, or when that check
-    fails, the earliest line any check flags is reported with the message of
-    the first check that line fails.  Lines are sliced out of the text only
-    for comments and messages.
+    Tokens (runs of non-whitespace, as ``str.split`` finds them) and lines (as
+    ``str.splitlines`` ends them) are read off one array of byte kinds; masks over
+    all lines check them, and :meth:`Graph.from_edges` checks range, self-loops and
+    repeats.  A failing file reports the earliest line any check flags, with the
+    message of the first it fails.  Comments and messages are decoded from a line's
+    first token's start to its last token's stop, so no slice cuts a character.
     """
-    if isinstance(text, bytes):
-        codes = np.frombuffer(text, dtype=np.uint8)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    kind = _KIND.take(codes, mode="clip")
+    codes = np.frombuffer(text, dtype=np.uint8)
+    kind = _BYTE_KIND.take(codes)
+    if not text.isascii():
+        _class_wide(kind, codes)
     breaks = np.flatnonzero(kind == 2)
     # "\r\n" is one line break: keep its "\r"
     breaks = breaks[(codes[breaks] != 10) | (codes[breaks - 1] != 13) | (breaks == 0)]
@@ -527,11 +532,10 @@ def _parse_edgelist(text):
     space = np.ones(len(codes) + 2, dtype=bool)
     np.not_equal(kind, 0, out=space[1:-1])
     starts, stops = np.flatnonzero(space[1:] != space[:-1]).reshape(-1, 2).T
-    del kind, space  # the per-character arrays
+    del kind, space  # the per-byte arrays
 
-    def line(k):  # line k stripped, as str.splitlines gives it and str.strip strips it
-        return _as_str(text[breaks[k - 1] + 1 if k else 0:
-                            breaks[k] if k < len(breaks) else len(text)]).strip()
+    def line(t, count):  # the line of tokens t..t + count - 1, stripped, as str
+        return text[starts[t]:stops[t + count - 1]].decode("utf-8", "surrogatepass")
 
     # line k runs from break k - 1 to break k; a text ending in a break gets
     # one more, empty line, which no check flags
@@ -544,7 +548,7 @@ def _parse_edgelist(text):
     declared_nodes = None
     for k in np.flatnonzero(comment).tolist():
         # "# nodes: N" records isolated trailing nodes; other comments ignored
-        body = line(k)[1:].strip()
+        body = line(first[k], counts[k])[1:].strip()
         if body.lower().startswith("nodes:"):
             try:
                 declared_nodes = int(body.split(":", 1)[1])
@@ -554,25 +558,19 @@ def _parse_edgelist(text):
             if declared_nodes > NODE_CAP:
                 errors.append((k, f"{declared_nodes} nodes exceed the {NODE_CAP}-node cap"))
                 break
-    wrong_count = np.flatnonzero((counts > 0) & (counts != 2) & ~comment)
-    if wrong_count.size:
-        k = int(wrong_count[0])
-        errors.append((k, f"expected two indices, got {line(k)!r}"))
+    for k in np.flatnonzero((counts > 0) & (counts != 2) & ~comment)[:1].tolist():
+        errors.append((k, f"expected two indices, got {line(first[k], counts[k])!r}"))
 
     rows = np.flatnonzero((counts == 2) & ~comment)
     tokens = np.concatenate((first[rows], first[rows] + 1))  # each row's i, then each j
     del first, counts, comment  # a 10**6-node path file then peaks at 150 MB, not 167
     ends, parsed = _token_indices(text, codes, starts[tokens], stops[tokens])
     ends, parsed = ends.reshape(2, -1), parsed.reshape(2, -1)
-    i, j = ends
-    integer = parsed[0] & parsed[1]
-    in_range = integer & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < NODE_CAP)
-    loop = in_range & (i == j)
-    max_index = int(ends.max()) if ends.size else -1
-    if not errors and in_range.all() and not loop.any():
+    max_index = int(ends.max(initial=-1))
+    if not errors and parsed.all():
         try:
             g = Graph.from_edges(max(max_index + 1, declared_nodes or 0), ends.T)
-        except ValueError:  # a repeated bond: the one check left to from_edges
+        except ValueError:  # an index out of range, a self-loop or a repeated bond
             pass
         else:
             if declared_nodes is not None and declared_nodes <= max_index:
@@ -580,12 +578,14 @@ def _parse_edgelist(text):
                     f"declared node count {declared_nodes} below max index {max_index}")
             return g
 
+    i, j = ends
+    integer = parsed[0] & parsed[1]
+    in_range = integer & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < NODE_CAP)
+    loop = in_range & (i == j)
     keys = np.minimum(i, j) * NODE_CAP + np.maximum(i, j)
-    valid = np.flatnonzero(in_range & ~loop)
-    # a stable order puts each key's first line first: flag the others
-    order = valid[np.argsort(keys[valid], kind="stable")]
-    repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    repeated = in_range & ~loop  # every valid bond but each key's first line
+    valid = np.flatnonzero(repeated)
+    repeated[valid[np.unique(keys[valid], return_index=True)[1]]] = False
     for bad, message in ((~integer, "non-integer index in {line!r}"),
                          (integer & ~in_range,
                           f"node index outside 0..{NODE_CAP - 1} in {{line!r}}"),
@@ -595,7 +595,7 @@ def _parse_edgelist(text):
         if hits.size:
             r = int(hits[0])
             errors.append((int(rows[r]), message.format(
-                line=line(rows[r]), i=int(i[r]), j=int(j[r]))))
+                line=line(tokens[r], 2), i=int(i[r]), j=int(j[r]))))
     k, message = min(errors)
     raise GraphParseError(message, k + 1)
 
@@ -605,14 +605,14 @@ def _token_indices(text, codes, a, b):
 
     Tokens of at most 18 ASCII digits are read digit by digit across all
     tokens at once, right-aligned at their ends; any other token (a sign,
-    '_', non-ASCII digits, junk) goes through int() itself.
+    '_', non-ASCII digits, junk) is decoded and goes through int() itself.
     """
     length = b - a
     plain = length <= 18
     value = np.zeros(len(a), dtype=np.int64)
     for d in range(int(np.max(length, initial=0, where=plain)), 0, -1):
-        # the d-th code point before each token's end, or 0 before its start;
-        # the unsigned difference puts every non-digit above 9
+        # the d-th byte before each token's end, or 0 before its start; the
+        # unsigned difference puts every non-digit above 9
         digit = (codes.take(b - d, mode="clip") - ord("0")) * (length >= d)
         plain &= digit <= 9
         value *= 10
@@ -620,8 +620,8 @@ def _token_indices(text, codes, a, b):
     parsed = np.ones(len(a), dtype=bool)
     for t in np.flatnonzero(~plain).tolist():
         try:
-            value[t] = min(max(int(_as_str(text[a[t]:b[t]])), -1), NODE_CAP)
-        except ValueError:
+            value[t] = min(max(int(text[a[t]:b[t]].decode()), -1), NODE_CAP)
+        except ValueError:  # no integer, or a lone surrogate (from a str) that does not decode
             parsed[t] = False
     return value, parsed
 

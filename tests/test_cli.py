@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from graphdirac import cli, connes, parse_graph
+from graphdirac import build_path, cli, connes, operators, parse_graph
 from graphdirac.cli import main
 
 
@@ -104,6 +105,34 @@ def test_check_passes_on_random_graph(tmp_path, capsys):
     assert code == 0
     assert "d*d = -2Δ: PASS" in out
     assert "FAIL" not in out
+
+
+def test_energy_identity_holds_to_rounding_on_a_million_node_path():
+    # both sums are 4.0·10**6, where one ulp is 4.7e-10; under one BLAS thread
+    # they differ by 2.8e-9, past the absolute 1e-9 the check once used
+    g = build_path(10 ** 6)
+    f = np.random.default_rng(0).standard_normal(g.node_count)
+    df = operators.coboundary_map(g).apply(f)
+    assert cli._energy_identity(f, df, -2 * operators.laplacian_map(g))
+
+
+def test_check_fails_on_a_laplacian_with_one_wrong_entry(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.edges"
+    run(capsys, "gen", "--family", "random", "--n", "12", "--p", "0.5",
+        "--seed", "3", "--out", str(path))
+    laplacian_map = operators.laplacian_map
+
+    def wrong_laplacian(g):
+        lap = laplacian_map(g)
+        matrix = lap.matrix.copy()
+        matrix[0, 0] += 1
+        return operators.LinearMap(matrix, lap.domain, lap.codomain)
+
+    monkeypatch.setattr(operators, "laplacian_map", wrong_laplacian)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 1
+    assert "d*d = -2Δ: FAIL" in out
+    assert "‖df‖² = (f|-2Δf): FAIL" in out
 
 
 def test_connes_matrix_csv(tmp_path, capsys):
