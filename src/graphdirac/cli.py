@@ -77,33 +77,37 @@ def _cmd_spectral(args):
 
 
 def _identity_checks(g):
-    d = operators.coboundary_map(g)
-    d_star = d.adjoint()
-    d1, d2 = operators.d1_map(g), operators.d2_map(g)
-    delta1 = operators.delta1_map(g)
-    A, V = operators.adjacency_map(g), operators.degree_map(g)
-    lap = operators.laplacian_map(g)
-    B = operators.incidence_map(g)
-    D = operators.dirac_operator(g)
-    chi = operators.chirality_map(g)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(g.node_count)
-    df = d.apply(f)  # antisymmetric: in H1a
+    """The ten identities in order, as (name, holds) pairs.  Each identity
+    builds its own maps and drops them before the next one is built, so the
+    verb's peak memory is its largest identity's, not all ten's."""
+    op = operators
+    f = np.random.default_rng(0).standard_normal(g.node_count)
     checks = [
-        ("d*d = -2Δ", (d_star @ d).entrywise_equal(-2 * lap)),
-        ("d1*d1 = V", (d1.adjoint() @ d1).entrywise_equal(V)),
-        ("d2*d2 = V", (d2.adjoint() @ d2).entrywise_equal(V)),
-        ("d1*d2 = A", (d1.adjoint() @ d2).entrywise_equal(A)),
-        ("B·Bᵗ = V - A", (B @ B.adjoint()).entrywise_equal(V - A)),
-        ("d = d1 - d2", d.entrywise_equal(d1 - d2)),
-        ("d* = δ1 - δ2", d_star.entrywise_equal(delta1 - operators.delta2_map(g))),
-        ("d* = 2δ on H1a", bool(np.allclose(
-            d_star.apply(df), 2.0 * delta1.apply(df), atol=1e-12))),
-        ("χD + Dχ = 0", ((chi @ D) + (D @ chi)).entrywise_equal(
-            operators.LinearMap(0 * chi.matrix, "H", "H"))),
-        ("‖df‖² = (f|-2Δf)", _energy_identity(f, df, -2 * lap)),
+        ("d*d = -2Δ", (op.coboundary_map, op.laplacian_map),
+         lambda d, lap: (d.adjoint() @ d).entrywise_equal(-2 * lap)),
+        ("d1*d1 = V", (op.d1_map, op.degree_map),
+         lambda d1, V: (d1.adjoint() @ d1).entrywise_equal(V)),
+        ("d2*d2 = V", (op.d2_map, op.degree_map),
+         lambda d2, V: (d2.adjoint() @ d2).entrywise_equal(V)),
+        ("d1*d2 = A", (op.d1_map, op.d2_map, op.adjacency_map),
+         lambda d1, d2, A: (d1.adjoint() @ d2).entrywise_equal(A)),
+        ("B·Bᵗ = V - A", (op.incidence_map, op.degree_map, op.adjacency_map),
+         lambda B, V, A: (B @ B.adjoint()).entrywise_equal(V - A)),
+        ("d = d1 - d2", (op.coboundary_map, op.d1_map, op.d2_map),
+         lambda d, d1, d2: d.entrywise_equal(d1 - d2)),
+        ("d* = δ1 - δ2", (op.coboundary_map, op.delta1_map, op.delta2_map),
+         lambda d, delta1, delta2: d.adjoint().entrywise_equal(delta1 - delta2)),
+        # df is antisymmetric: in H1a
+        ("d* = 2δ on H1a", (op.coboundary_map, op.delta1_map),
+         lambda d, delta1: bool(np.allclose(
+             d.adjoint().apply(d.apply(f)), 2.0 * delta1.apply(d.apply(f)), atol=1e-12))),
+        ("χD + Dχ = 0", (op.chirality_map, op.dirac_operator),
+         lambda chi, D: ((chi @ D) + (D @ chi)).entrywise_equal(
+             op.LinearMap(0 * chi.matrix, "H", "H"))),
+        ("‖df‖² = (f|-2Δf)", (op.coboundary_map, op.laplacian_map),
+         lambda d, lap: _energy_identity(f, d.apply(f), -2 * lap)),
     ]
-    return checks
+    return [(name, check(*(build(g) for build in builds))) for name, builds, check in checks]
 
 
 def _energy_identity(f, df, minus_2lap):

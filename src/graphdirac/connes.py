@@ -474,8 +474,11 @@ def _dual_bound(newton, multipliers, gauges, targets):
     y[~verified] = 0.0  # U is +inf there, and y may hold inf
     # each product, the sum and the scaling round once: (1 - u)^3 (1 + 4u) > 1
     correction = _exact_sums(defect * y) * (1.0 + 4 * UNIT_ROUNDOFF)
-    # correctly rounded sums: each term carries a few roundings, each sum one
-    energy = 0.5 * _exact_sums(jumps.T * (xt[newton.tails] - xt[newton.heads]).T)
+    # correctly rounded sums: each term carries a few roundings, each sum one.  A
+    # bond's two directed terms are bit-equal (the conductance sum commutes, the
+    # jump flips sign), so the energy sums each bond once
+    up = newton.tails < newton.heads
+    energy = _exact_sums(jumps[up].T * (xt[newton.tails[up]] - xt[newton.heads[up]]).T)
     reach = 2.0 * x[stack, targets]
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)

@@ -16,8 +16,10 @@ import itertools
 import json
 import numbers
 import operator
+import os
 import re
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +51,9 @@ NODE_CAP = 5_000_000
 # O(n + m), and this cap bounds the time those draws take
 RANDOM_NODE_CAP = 10_000
 # build_random draws this many uniforms at a time, one call's stream: 1 MB stays in L2, and
-# freeing it raises glibc's heap trim threshold to 2 MB, so later small calls keep their pages
+# freeing it raises glibc's heap trim threshold to 2 MB, so later small calls keep their pages.
+# Two drawers take half chunks, and start only when a half holds 2**16 uniforms: a smaller
+# claim costs more in GIL hand-offs than the second core gives back
 _DRAW_CHUNK = 1 << 17
 
 
@@ -232,9 +236,9 @@ def build_random(n, p, seed):
     (seed, t), draws one uniform per node pair i < j in row-major order, and
     the first connected draw is returned.  Raises GenerationError once
     MAX_RANDOM_RETRIES attempts were rejected.  The uniforms are drawn in
-    chunks, which gives the same stream as one draw, and only the kept pairs
-    are stored, so memory is O(n + m); RANDOM_NODE_CAP bounds the time of
-    the n(n-1)/2 draws.
+    chunks, on two threads when the draw is large (``_kept_pairs``), which
+    gives the same stream as one draw, and only the kept pairs are stored, so
+    memory is O(n + m); RANDOM_NODE_CAP bounds the time of the n(n-1)/2 draws.
     """
     n, seed = _as_int(n, "node count"), _as_int(seed, "seed")
     if seed < 0:
@@ -254,17 +258,80 @@ def build_random(n, p, seed):
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * n - rows * (rows + 1) // 2
     for attempt in range(MAX_RANDOM_RETRIES):
-        rng = np.random.default_rng((seed, attempt))
-        # each chunk's uniforms are freed before the next chunk is drawn
-        k = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            np.flatnonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p) + start
-            for start in range(0, pairs, _DRAW_CHUNK)])
+        k = _kept_pairs(pairs, p, (seed, attempt))
         i = np.searchsorted(row_start, k, "right") - 1
         g = Graph.from_edges(n, np.column_stack((i, k - row_start[i] + i + 1)))
         if g.connected:
             return g
     raise GenerationError(
         f"no connected graph with n={n}, p={p} in {MAX_RANDOM_RETRIES} attempts")
+
+
+def _kept_pairs(pairs, p, seed):
+    """The ascending k < pairs whose uniform, the k-th of the PCG64 stream
+    seeded by ``seed``, is below p.
+
+    Drawers claim the chunks in order from a shared counter, and each moves
+    its own copy of the stream forward to the chunk it claims (``advance``,
+    O(log n) steps), so the chunks joined in order are the one stream
+    whichever drawer drew each.  numpy releases the GIL while it draws, so a
+    second drawer on a thread runs on a second CPU, when the process may use
+    one and the draw holds at least four half chunks; claims, not fixed
+    halves, let either drawer take over while the other's CPU is busy.
+    """
+    half = _DRAW_CHUNK // 2
+    two = half >= 1 << 16 and pairs >= 4 * half and _cpu_count() > 1
+    chunk = half if two else _DRAW_CHUNK
+    starts, lock = iter(range(0, pairs, chunk)), threading.Lock()
+    kept = [None] * -(-pairs // chunk)
+    # drawer h draws into its half of the caller's buffers, overwriting its last
+    # chunk: freeing one 1 MB buffer leaves glibc's trim threshold where one
+    # drawer put it, and the thread's own heap holds only the kept indices
+    uniform = np.empty(min(_DRAW_CHUNK, pairs))
+    below = np.empty(uniform.size, dtype=bool)
+
+    def claim():
+        with lock:
+            return next(starts, None)
+
+    def draw(h):
+        bits = np.random.PCG64(seed)
+        uniforms = np.random.Generator(bits).random
+        at = 0
+        for start in iter(claim, None):
+            bits.advance(start - at)
+            at = min(start + chunk, pairs)
+            own = slice(h * chunk, h * chunk + at - start)
+            uniforms(out=uniform[own])
+            kept[start // chunk] = np.flatnonzero(np.less(uniform[own], p, out=below[own])) + start
+
+    failed = []
+
+    def helper():
+        try:
+            draw(1)
+        except BaseException as exc:  # raised again in the caller, after the join
+            failed.append(exc)
+
+    if two:
+        worker = threading.Thread(target=helper)
+        worker.start()
+        try:
+            draw(0)
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
+    else:
+        draw(0)
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + kept)
+
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def bfs_distances(g, source):

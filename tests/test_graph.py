@@ -3,6 +3,8 @@ import hashlib
 import json
 import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
 from collections import deque
@@ -650,6 +652,119 @@ def test_pinned_draws_hold_for_any_chunk(monkeypatch, chunk):
         if chunk == 1 and n > 100:
             continue
         assert hashlib.sha256(serialize_graph(build_random(n, p, seed))).hexdigest() == digest
+
+
+def _cpus(monkeypatch, count):
+    """Let build_random see ``count`` CPUs, and count the threads it starts."""
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: count)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(graph.threading, "Thread", Counted)
+    return started
+
+
+def _drawn(n, p, seed):
+    return hashlib.sha256(serialize_graph(build_random(n, p, seed))).hexdigest()
+
+
+# 724 nodes hold 261 726 pairs, under four half chunks (262 144); 725 hold 262 450
+@pytest.mark.parametrize("n,p,seed", [
+    (724, 0.01, 0), (725, 0.01, 0), (725, 0.009, 0), (1000, 0.008, 2), (2000, 0.005, 3)])
+def test_two_drawers_give_the_one_drawer_pairs(monkeypatch, n, p, seed):
+    started = _cpus(monkeypatch, 1)
+    one = _drawn(n, p, seed)
+    assert not started
+    started = _cpus(monkeypatch, 2)
+    assert _drawn(n, p, seed) == one
+    assert bool(started) == (n >= 725) and not any(t.is_alive() for t in started)
+    if n == 725:
+        expected, _ = _reference_random(n, p, seed)
+        assert build_random(n, p, seed) == expected
+
+
+class _Stream(np.random.PCG64):
+    """PCG64 that runs ``on_advance`` before each of its drawer's chunks."""
+
+    on_advance = None
+
+    def advance(self, delta):
+        type(self).on_advance(self, delta)
+        return super().advance(delta)
+
+
+def _streams(monkeypatch, on_advance, before_caller=lambda: None):
+    """The second drawer's stream runs ``on_advance`` before each of its chunks,
+    and the caller runs ``before_caller`` before it builds its own stream."""
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(_Stream, "on_advance", staticmethod(on_advance))
+
+    def stream(seed):
+        if threading.current_thread() is threading.main_thread():
+            before_caller()
+            return pcg64(seed)
+        return _Stream(seed)
+
+    monkeypatch.setattr(graph.np.random, "PCG64", stream)
+
+
+def test_two_drawers_hold_when_the_worker_takes_the_first_chunks(monkeypatch):
+    n, p, seed, digest = PINNED_DRAWS[0]
+    started = _cpus(monkeypatch, 2)
+    claimed, worker_ahead = [], threading.Event()
+
+    def on_advance(bits, delta):
+        claimed.append(delta)
+        if len(claimed) == 3:
+            worker_ahead.set()
+
+    def caller_waits():  # the caller claims its first chunk after the worker's third
+        assert worker_ahead.wait(timeout=30)
+
+    _streams(monkeypatch, on_advance, caller_waits)
+    assert _drawn(n, p, seed) == digest
+    assert len(started) == 1 and not started[0].is_alive()
+    assert claimed[:3] == [0, 0, 0]  # chunks 0, 1 and 2, each where the last one ended
+
+
+def test_an_error_in_the_worker_reaches_the_caller(monkeypatch):
+    started = _cpus(monkeypatch, 2)
+
+    def on_advance(bits, delta):
+        raise RuntimeError("the worker's chunk failed")
+
+    _streams(monkeypatch, on_advance)
+    with pytest.raises(RuntimeError, match="the worker's chunk failed"):
+        build_random(2000, 0.005, 1)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_one_cpu_starts_no_drawer_thread(monkeypatch, affinity):
+    started = _cpus(monkeypatch, 1)
+    if not affinity:  # os.cpu_count() alone
+        monkeypatch.delattr(graph.os, "sched_getaffinity", raising=False)
+    for n, p, seed, digest in PINNED_DRAWS:
+        assert _drawn(n, p, seed) == digest
+    assert not started
+
+
+def test_two_drawers_hold_the_pinned_draw_under_fast_thread_switching(monkeypatch):
+    n, p, seed, digest = PINNED_DRAWS[0]
+    started = _cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert all(_drawn(n, p, seed) == digest for _ in range(5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 5
 
 
 def _reference_views(n, bonds):
