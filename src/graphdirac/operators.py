@@ -11,9 +11,9 @@ semidefinite) and the exact integer identities
     d* d = -2 Delta,   d1* d1 = d2* d2 = V,   d1* d2 = d2* d1 = A,
     B B^t = V - A
 
-hold entrywise; they are enforced by the test suite.  All matrices are
-assembled as sparse integer (or float, where function values enter) triplets
-and adjoints are structural transposes, never numerical approximations.
+hold entrywise; they are enforced by the test suite.  Every matrix is an integer
+(or float, where function values enter) CSR array built straight from the graph's
+CSR arrays, and adjoints are structural transposes, never numerical approximations.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ class LinearMap:
     def __post_init__(self):
         if self.domain not in VALID_SPACES or self.codomain not in VALID_SPACES:
             raise ValueError(f"unknown space tag on map {self.domain}->{self.codomain}")
-        m = self.matrix
-        if not sp.issparse(m):
-            m = sp.csr_array(np.asarray(m))
-        object.__setattr__(self, "matrix", sp.csr_array(m))
+        object.__setattr__(self, "matrix", sp.csr_array(self.matrix))
 
     @property
     def shape(self):
@@ -91,59 +88,75 @@ class LinearMap:
         return self * (-1)
 
     def max_abs_difference(self, other):
-        self._check_same(other)
-        diff = (self.matrix - other.matrix)
-        return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
+        return float(np.max(np.abs((self - other).matrix.data), initial=0.0))
 
     def entrywise_equal(self, other):
         return self.max_abs_difference(other) == 0
 
 
 def is_antisymmetric(g, e):
-    """v(i,k) = -v(k,i) exactly; sorting the edges by (head, tail) lists
-    each edge's reverse in directed-edge order."""
+    """v(i,k) = -v(k,i) exactly."""
     v = np.asarray(e, dtype=float)
     if v.shape != (g.directed_edge_count,):
         raise ValueError(f"edge vector has shape {v.shape}, expected ({g.directed_edge_count},)")
-    return bool(np.all(v + v[np.lexsort((g.edge_tails, g.edge_heads))] == 0))
+    return bool(np.all(v + v[_reverse_edges(g)] == 0))
 
 
-def _coo(rows, cols, vals, shape, dtype=np.int64):
-    return sp.csr_array(sp.coo_array((np.asarray(vals, dtype=dtype),
-                                      (np.asarray(rows), np.asarray(cols))), shape=shape))
+def _reverse_edges(g):
+    """Position of each edge's reverse: sorted stably by head, (k, i) comes in (i, k)'s order."""
+    return np.argsort(g.edge_heads, kind="stable")
+
+
+def _csr(indices, shape, indptr=None, data=None):
+    """CSR array, one entry a row of ones unless given; empty, as SciPy builds it from a shape."""
+    indptr = np.arange(len(indices) + 1) if indptr is None else indptr
+    data = np.ones(len(indices), dtype=np.int64) if data is None else data
+    if len(data) == 0:
+        return sp.csr_array(shape, dtype=data.dtype)
+    return sp.csr_array((data, indices, indptr), shape=shape)
+
+
+def _diagonal(values, space):
+    return LinearMap(_csr(np.arange(len(values)), (len(values),) * 2, data=values), space, space)
+
+
+def _antidiagonal(upper, lower):
+    """[[0, upper], [lower, 0]] from CSR blocks with sorted columns; int64 offsets never wrap."""
+    a, b = lower.shape[1], upper.shape[1]
+    indptr = np.concatenate((upper.indptr, np.add(lower.indptr[1:], upper.nnz, dtype=np.int64)))
+    indices = np.concatenate((np.add(upper.indices, a, dtype=np.int64), lower.indices))
+    return _csr(indices, (a + b, a + b), indptr, np.concatenate((upper.data, lower.data)))
 
 
 def coboundary_map(g):
-    """d: H0 -> H1, row (i,k) is f_k - f_i."""
-    m, n = g.directed_edge_count, g.node_count
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.column_stack([g.edge_heads, g.edge_tails]).ravel()
-    vals = np.tile([1, -1], m)
-    return LinearMap(_coo(rows, cols, vals, (m, n)), "H0", "H1")
+    """d: H0 -> H1, row (i,k) is f_k - f_i, its two columns in ascending order."""
+    tails, heads = g.edge_tails, g.edge_heads
+    cols = np.column_stack((np.minimum(tails, heads), np.maximum(tails, heads))).ravel()
+    vals = np.outer(np.where(tails < heads, 1, -1), [-1, 1]).ravel()
+    d = _csr(cols, (len(tails), g.node_count), np.arange(0, cols.size + 1, 2), vals)
+    return LinearMap(d, "H0", "H1")
 
 
 def d1_map(g):
     """d1: H0 -> H1, row (i,k) picks up f_k (sum of ingoing directed bonds)."""
-    m, n = g.directed_edge_count, g.node_count
-    return LinearMap(_coo(np.arange(m), g.edge_heads, np.ones(m), (m, n)), "H0", "H1")
+    return LinearMap(_csr(g.edge_heads, (g.directed_edge_count, g.node_count)), "H0", "H1")
 
 
 def d2_map(g):
     """d2: H0 -> H1, row (i,k) picks up f_i (sum of outgoing directed bonds)."""
-    m, n = g.directed_edge_count, g.node_count
-    return LinearMap(_coo(np.arange(m), g.edge_tails, np.ones(m), (m, n)), "H0", "H1")
+    return LinearMap(_csr(g.edge_tails, (g.directed_edge_count, g.node_count)), "H0", "H1")
 
 
 def delta1_map(g):
     """delta1: H1 -> H0, sends a directed edge to its terminal (head) node."""
-    m, n = g.directed_edge_count, g.node_count
-    return LinearMap(_coo(g.edge_heads, np.arange(m), np.ones(m), (n, m)), "H1", "H0")
+    m = g.directed_edge_count
+    return LinearMap(_csr(_reverse_edges(g), (g.node_count, m), g.indptr), "H1", "H0")
 
 
 def delta2_map(g):
     """delta2: H1 -> H0, sends a directed edge to its initial (tail) node."""
-    m, n = g.directed_edge_count, g.node_count
-    return LinearMap(_coo(g.edge_tails, np.arange(m), np.ones(m), (n, m)), "H1", "H0")
+    m = g.directed_edge_count
+    return LinearMap(_csr(np.arange(m), (g.node_count, m), g.indptr), "H1", "H0")
 
 
 def adjacency_map(g):
@@ -153,8 +166,7 @@ def adjacency_map(g):
 
 
 def degree_map(g):
-    n = g.node_count
-    return LinearMap(_coo(np.arange(n), np.arange(n), g.degrees, (n, n)), "H0", "H0")
+    return _diagonal(g.degrees, "H0")
 
 
 def laplacian_map(g):
@@ -163,37 +175,28 @@ def laplacian_map(g):
 
 
 def incidence_map(g, orientation=None):
-    """Incidence matrix B: one +-1 column per undirected bond.
-
-    The default orientation points every bond toward its larger index; an
-    explicit ``orientation`` is a +-1 sequence per bond flipping that choice.
-    B B^t = V - A holds for any orientation.
-    """
-    tails, heads = g._bond_ends().T
-    if orientation is None:
-        orientation = np.ones(len(tails), dtype=np.int64)
-    orientation = np.asarray(orientation)
-    if orientation.shape != (len(tails),) or not np.all(np.abs(orientation) == 1):
+    """Incidence matrix B: bond c's column holds -s at its lower end and +s at
+    its higher end.  The default orientation s = 1 points every bond toward its
+    larger index; an explicit ``orientation`` is a +-1 sequence per bond.
+    B B^t = V - A holds for any orientation."""
+    ends = g._bond_ends()
+    orientation = np.ones(len(ends)) if orientation is None else np.asarray(orientation)
+    if orientation.shape != (len(ends),) or not np.all(np.abs(orientation) == 1):
         raise ValueError("orientation must assign +-1 to every bond")
-    sign = orientation.astype(np.int64)
-    rows = np.column_stack((heads, tails)).ravel()
-    vals = np.column_stack((sign, -sign)).ravel()
-    cols = np.repeat(np.arange(len(tails)), 2)
-    return LinearMap(_coo(rows, cols, vals, (g.node_count, len(tails))), "bonds", "H0")
+    vals = np.outer(orientation.astype(np.int64), [-1, 1]).ravel()
+    bt = _csr(ends.ravel(), (len(ends), g.node_count), np.arange(0, ends.size + 1, 2), vals)
+    return LinearMap(bt.T, "bonds", "H0")
 
 
 def dirac_operator(g):
     """Block operator [[0, d*], [d, 0]] on H = H0 (+) H1."""
     d = coboundary_map(g).matrix
-    return LinearMap(sp.bmat([[None, d.T], [d, None]], format="csr"), "H", "H")
+    return LinearMap(_antidiagonal(d.T.tocsr(), d), "H", "H")
 
 
 def chirality_map(g):
     """Grading operator: +1 on H0, -1 on H1; anticommutes with the Dirac operator."""
-    n, m = g.node_count, g.directed_edge_count
-    vals = np.concatenate([np.ones(n, dtype=np.int64), -np.ones(m, dtype=np.int64)])
-    idx = np.arange(n + m)
-    return LinearMap(_coo(idx, idx, vals, (n + m, n + m)), "H", "H")
+    return _diagonal(np.repeat(np.int64([1, -1]), (g.node_count, g.directed_edge_count)), "H")
 
 
 def conjugation_j(x):
@@ -202,36 +205,32 @@ def conjugation_j(x):
 
 
 def node_function_map(g, f):
-    f = _node_vector(g, f)
-    n = g.node_count
-    return LinearMap(_coo(np.arange(n), np.arange(n), f, (n, n), dtype=float), "H0", "H0")
+    return _diagonal(_node_vector(g, f).copy(), "H0")
 
 
 def edge_function_map(g, f, side="left"):
     """Action of a node function on H1: left scales edge (i,k) by f_i, right by f_k."""
     f = _node_vector(g, f)
-    m = g.directed_edge_count
-    scale = f[g.edge_tails] if side == "left" else f[g.edge_heads] if side == "right" \
-        else None
-    if scale is None:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return LinearMap(_coo(np.arange(m), np.arange(m), scale, (m, m), dtype=float), "H1", "H1")
+    return _diagonal(f[g.edge_tails if side == "left" else g.edge_heads], "H1")
 
 
 def function_representation(g, f):
     """Multiplication operator on H = H0 (+) H1 (left module action on edges)."""
-    f = np.asarray(f, dtype=float)
-    block = sp.block_diag(
-        [node_function_map(g, f).matrix, edge_function_map(g, f, "left").matrix],
-        format="csr")
-    return LinearMap(sp.csr_array(block), "H", "H")
+    f = _node_vector(g, f)
+    return _diagonal(np.concatenate((f, f[g.edge_tails])), "H")
 
 
 def commutator_map(g, f):
-    """[D, f] = D rep(f) - rep(f) D on H; off-diagonal blocks [d, f] and [d*, f]."""
-    D = dirac_operator(g).astype(float)
-    R = function_representation(g, f)
-    return D @ R - R @ D
+    """[D, f] = D rep(f) - rep(f) D: [d, f] holds f_k - f_i at row (i,k), column k,
+    and [d*, f] is minus its transpose; as in the products, f_k = f_i stores no entry."""
+    f = _node_vector(g, f)
+    jumps = f[g.edge_heads] - f[g.edge_tails]
+    kept = jumps != 0
+    lower = _csr(g.edge_heads[kept], (g.directed_edge_count, g.node_count),
+                 np.append(0, np.cumsum(kept)), jumps[kept])
+    return LinearMap(_antidiagonal(-lower.T.tocsr(), lower), "H", "H")
 
 
 def cycle_edge_vector(g, nodes):

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .graph import _as_int, _check_tol, build_binary_tree, build_cycle, build_path, component_count
-from .operators import LinearMap, adjacency_map
+from .operators import LinearMap, _antidiagonal, adjacency_map
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,8 @@ def operator_norm(m):
     """Largest singular value of a general (rectangular) map M: the norm of the
     symmetric block [[0, M], [M^t, 0]], whose eigenvalues are +-sigma_i."""
     M = _as_sparse(m)
-    return _symmetric_norm(sp.bmat([[None, M], [M.T, None]], format="csr"))
+    M = M if M.has_canonical_format else sp.csr_array(M.tocoo())  # equal matrices, equal bits
+    return _symmetric_norm(_antidiagonal(M, M.T.tocsr()))
 
 
 def prefix_average_degrees(g):

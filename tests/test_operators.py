@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphdirac import (
     Graph,
     LinearMap,
     adjacency_map,
+    build_binary_tree,
     build_cycle,
     build_path,
+    build_random,
     chirality_map,
     coboundary_map,
     commutator_map,
@@ -24,10 +27,12 @@ from graphdirac import (
     is_antisymmetric,
     laplacian_map,
     node_function_map,
+    operator_norm,
     shortest_path,
+    spectral_norm,
 )
 
-from conftest import complete_graph, fixture_graphs, random_connected_graphs
+from conftest import complete_graph, fixture_graphs, random_connected_graphs, star_graph
 
 
 def random_node_function(g, rng):
@@ -520,3 +525,113 @@ def test_node_function_map_is_diagonal():
     g = build_path(3)
     M = node_function_map(g, [1.0, 2.0, 3.0]).toarray()
     assert np.array_equal(M, np.diag([1.0, 2.0, 3.0]))
+
+
+# --- arrays against the COO reference -------------------------------------------
+#
+# The reference assembles each map from COO triplets, sp.bmat and sp.block_diag,
+# and the commutator as D rep(f) - rep(f) D.  The CSR arrays built from the
+# graph must match it array for array, in value type and in index type (which
+# depends on the SciPy version, hence the comparison rather than a pinned int64).
+
+def _coo(rows, cols, vals, shape, dtype=np.int64):
+    return sp.csr_array(sp.coo_array((np.asarray(vals, dtype=dtype),
+                                      (np.asarray(rows), np.asarray(cols))), shape=shape))
+
+
+def _reference_maps(g, f, signs):
+    n, m = g.node_count, g.directed_edge_count
+    tails, heads = g.edge_tails, g.edge_heads
+    nodes, edges, ones = np.arange(n), np.arange(m), np.ones(m)
+    d = _coo(np.repeat(edges, 2), np.column_stack([heads, tails]).ravel(), np.tile([1, -1], m),
+             (m, n))
+    low, high = np.array(g.bonds, dtype=np.int64).reshape(-1, 2).T
+    V = _coo(nodes, nodes, g.degrees, (n, n))
+    node_f = _coo(nodes, nodes, f, (n, n), dtype=float)
+    left = _coo(edges, edges, f[tails], (m, m), dtype=float)
+    D = sp.bmat([[None, d.T], [d, None]], format="csr")
+    rep = sp.csr_array(sp.block_diag([node_f, left], format="csr"))
+    oracle = D.astype(float) @ rep - rep @ D.astype(float)
+    oracle.sort_indices()  # the products may leave a row's columns unsorted
+    idx = np.arange(n + m)
+    return {
+        "coboundary_map": (coboundary_map(g), d),
+        "d1_map": (d1_map(g), _coo(edges, heads, ones, (m, n))),
+        "d2_map": (d2_map(g), _coo(edges, tails, ones, (m, n))),
+        "delta1_map": (delta1_map(g), _coo(heads, edges, ones, (n, m))),
+        "delta2_map": (delta2_map(g), _coo(tails, edges, ones, (n, m))),
+        "degree_map": (degree_map(g), V),
+        "laplacian_map": (laplacian_map(g), adjacency_map(g).matrix - V),
+        "incidence_map": (incidence_map(g, signs), _coo(
+            np.column_stack((high, low)).ravel(), np.repeat(np.arange(len(low)), 2),
+            np.column_stack((signs, -signs)).ravel(), (n, len(low)))),
+        "dirac_operator": (dirac_operator(g), D),
+        "chirality_map": (chirality_map(g), _coo(
+            idx, idx, np.concatenate([np.ones(n), -np.ones(m)]), (n + m, n + m))),
+        "node_function_map": (node_function_map(g, f), node_f),
+        "edge_function_map": (edge_function_map(g, f, "left"), left),
+        "edge_function_map right": (edge_function_map(g, f, "right"),
+                                    _coo(edges, edges, f[heads], (m, m), dtype=float)),
+        "function_representation": (function_representation(g, f), rep),
+        "commutator_map": (commutator_map(g, f), oracle),
+    }
+
+
+ORACLE_GRAPHS = {
+    "path": lambda: build_path(6),
+    "cycle": lambda: build_cycle(7),
+    "star": lambda: star_graph(5),
+    "binary tree": lambda: build_binary_tree(3),
+    "random": lambda: build_random(12, 0.4, 3),
+    "one node": lambda: Graph.from_edges(1, []),
+}
+ORACLE_MAPS = list(_reference_maps(build_path(2), np.zeros(2), np.ones(1)))
+
+
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_map_arrays_match_the_coo_reference(graph, name):
+    g = ORACLE_GRAPHS[graph]()
+    rng = np.random.default_rng(g.node_count)
+    signs = np.where(np.arange(len(g.bonds)) % 3 == 0, -1, 1)
+    built, reference = _reference_maps(g, rng.standard_normal(g.node_count), signs)[name]
+    M = built.matrix
+    assert M.shape == reference.shape
+    assert M.dtype == reference.dtype
+    assert M.indptr.dtype == reference.indptr.dtype
+    assert M.indices.dtype == reference.indices.dtype
+    assert np.array_equal(M.indptr, reference.indptr)
+    assert np.array_equal(M.indices, reference.indices)
+    assert np.array_equal(M.data, reference.data)
+
+
+def test_commutator_matches_the_products_where_f_repeats():
+    # equal values at the two ends of a bond: the products store no entry there
+    for g in (build_random(12, 0.4, 3), build_cycle(7), build_path(6)):
+        f = (np.arange(g.node_count) % 3).astype(float)
+        D = dirac_operator(g).astype(float)
+        R = function_representation(g, f)
+        C, oracle = commutator_map(g, f), D @ R - R @ D
+        assert C.entrywise_equal(oracle)
+        assert C.matrix.nnz == oracle.matrix.nnz
+        assert np.all(C.matrix.data != 0)
+    g = build_cycle(5)
+    assert commutator_map(g, np.full(5, 2.0)).matrix.nnz == 0
+
+
+def test_operator_norm_is_the_norm_of_the_bmat_block():
+    # bit for bit: the block is the array sp.bmat assembled
+    rng = np.random.default_rng(9)
+    g = build_random(12, 0.4, 3)
+    maps = [coboundary_map(g).matrix.astype(float), incidence_map(g).matrix.astype(float),
+            sp.csr_array(rng.standard_normal((7, 4))),
+            commutator_map(g, rng.standard_normal(12)).matrix[:12, 12:]]
+    d = maps[0]
+    # each row's columns reversed, and every entry stored twice at half its value
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(d.indptr, d.indptr[1:])])
+    maps.append(sp.csr_array((d.data[order], d.indices[order], d.indptr), shape=d.shape))
+    maps.append(sp.csr_array((np.repeat(d.data / 2, 2), np.repeat(d.indices, 2), 2 * d.indptr),
+                             shape=d.shape))
+    for M in maps:
+        block = sp.bmat([[None, M], [M.T, None]], format="csr")
+        assert operator_norm(M) == spectral_norm(block)
