@@ -643,7 +643,7 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     ``x0``, if given, must be a finite, strictly feasible node vector; it is
     shifted to the gauge f_a = 0.  On a tree the pair is certified from the
     closed form on its a-b path in O(d), with ``iterations`` = 0 and x0
-    unused (``_solve_on_path``).  Otherwise the pair starts from x0 or f = 0
+    unused (``_tree_pair``).  Otherwise the pair starts from x0 or f = 0
     and takes at most MAX_NEWTON primal-dual interior-point iterations with
     Mehrotra's predictor-corrector, as a stack of one through the loop that
     ``distance_matrix`` uses for all its pairs.  When the complementarity
@@ -671,20 +671,44 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
     if a == b:
-        zero = np.zeros(n)
-        return ConnesResult(0.0, zero, constraint_profile(g, zero), zero.copy(),
-                            0.0, 0, True, 0.0, 0.0)
-    if _is_tree(g):
-        return _solve_on_path(g, a, b, tol)
-    fields = _solve_pairs(_NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
-    return ConnesResult(*(x[0] if x.ndim > 1 else x[0].item() for x in fields))
+        return ConnesResult(0.0, np.zeros(n), np.zeros(n), np.zeros(n), 0.0, 0, True, 0.0, 0.0)
+    pair, _ = _route(g)
+    return pair(g, a, b, f, tol)
 
 
 def _is_tree(g):
     return g.connected and g.directed_edge_count == 2 * (g.node_count - 1)
 
 
-def _solve_on_path(g, a, b, tol):
+def _route(g):
+    """The (pair, matrix) solvers for g's shape; a new shape adds its two here."""
+    return (_tree_pair, _tree_matrix) if _is_tree(g) else (_newton_pair, _newton_matrix)
+
+
+def _newton_pair(g, a, b, f, tol):
+    fields = _solve_pairs(_NewtonSystems(g), np.array([a]), np.array([b]), f[None], tol)
+    return ConnesResult(*(x[0] if x.ndim > 1 else x[0].item() for x in fields))
+
+
+def _newton_matrix(g, tol):
+    n = g.node_count
+    out = np.zeros((n, n))
+    gauges, targets = np.triu_indices(n, 1)
+    newton = _NewtonSystems(g)
+    chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
+    for start in range(0, gauges.size, chunk):
+        a, b = gauges[start:start + chunk], targets[start:start + chunk]
+        distance, *_, certified, _, _ = _solve_pairs(newton, a, b, np.zeros((a.size, n)), tol)
+        out[a, b] = out[b, a] = np.where(certified, distance, np.nan)
+    return out
+
+
+def _tree_matrix(g, tol):
+    hops = csgraph.shortest_path(_csgraph(g), unweighted=True).astype(np.int64)
+    return np.array([lattice_closed_form(d) for d in range(int(hops.max()) + 1)])[hops]
+
+
+def _tree_pair(g, a, b, f, tol):
     """The result for the pair (a, b) of the tree g, a != b, with no solve.
 
     A subtree hanging off the a-b path meets it at one node v; holding it at
@@ -920,18 +944,8 @@ def distance_matrix(g, tol=DEFAULT_TOL):
         return np.zeros((n, n))
     if not g.connected:
         raise ValueError("distance is only defined on connected graphs")
-    if _is_tree(g):
-        hops = csgraph.shortest_path(_csgraph(g), unweighted=True).astype(np.int64)
-        return np.array([lattice_closed_form(d) for d in range(int(hops.max()) + 1)])[hops]
-    out = np.zeros((n, n))
-    gauges, targets = np.triu_indices(n, 1)
-    newton = _NewtonSystems(g)
-    chunk = max(1, CHUNK_ENTRIES // newton.entries_per_pair)
-    for start in range(0, gauges.size, chunk):
-        a, b = gauges[start:start + chunk], targets[start:start + chunk]
-        distance, *_, certified, _, _ = _solve_pairs(newton, a, b, np.zeros((a.size, n)), tol)
-        out[a, b] = out[b, a] = np.where(certified, distance, np.nan)
-    return out
+    _, matrix = _route(g)
+    return matrix(g, tol)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ RANDOM_NODE_CAP = 10_000
 # Two drawers take half chunks, and start only when a half holds 2**16 uniforms: a smaller
 # claim costs more in GIL hand-offs than the second core gives back
 _DRAW_CHUNK = 1 << 17
+_UNIT = np.ones(1)  # the weight every _csgraph view repeats with stride 0
+_UNIT.flags.writeable = False
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -178,9 +180,11 @@ def _reject(bad, message, *columns):
 
 
 def _csgraph(g):
-    # float64 data: scipy.sparse.csgraph copies any other dtype to float64 on every call
+    # every csgraph call made here (BFS, components, unweighted shortest paths)
+    # reads only indptr and indices: one read-only float64 1.0 serves every edge
     n = g.node_count
-    return sp.csr_array((np.ones(g.directed_edge_count), g.indices, g.indptr), shape=(n, n))
+    ones = np.ndarray((g.directed_edge_count,), buffer=_UNIT, strides=(0,))
+    return sp.csr_array((ones, g.indices, g.indptr), shape=(n, n))
 
 
 def component_labels(g):

@@ -132,6 +132,26 @@ def test_same_node_short_circuit():
     assert result.certified and result.iterations == 0
 
 
+def test_same_node_builds_no_edge_sums(monkeypatch):
+    # a == b returns zero slacks without classifying the graph or building
+    # the edge-sum matrix; x0 is still checked
+    graphs = [build_path(3), build_cycle(5), Graph.from_edges(1, []),
+              Graph.from_edges(4, [(0, 1), (2, 3)])]
+    sums = _count_calls(monkeypatch, "_edge_sums")
+    routes = _count_calls(monkeypatch, "_route")
+    results = [connes_distance(g, 0, 0) for g in graphs]
+    assert not sums and not routes
+    monkeypatch.undo()
+    for g, result in zip(graphs, results):
+        zero = np.zeros(g.node_count)
+        for field in ("optimizer", "slacks", "multipliers"):
+            assert np.array_equal(getattr(result, field), zero)
+        assert result.slacks.tobytes() == constraint_profile(g, zero).tobytes()
+        assert result.distance == result.upper_bound == result.gap == 0.0 and result.certified
+    with pytest.raises(ValueError, match="not strictly feasible"):
+        connes_distance(build_path(3), 1, 1, x0=np.array([0.0, 0.0, 2.0]))
+
+
 def test_solver_validates_input():
     g = build_path(3)
     with pytest.raises(ValueError):
@@ -1191,6 +1211,30 @@ def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     monkeypatch.setattr(connes, "_certificate", forced)
     nan = np.isnan(distance_matrix(build_cycle(5)))
     assert nan[1, 3] and nan[3, 1] and nan.sum() == 2
+
+
+# --- one route per graph shape -----------------------------------------------------
+
+_ROUTES = ("tree", "newton")
+
+
+@pytest.mark.parametrize("g,route", [(build_binary_tree(3), "tree"), (build_cycle(7), "newton")],
+                         ids=["tree3", "cycle7"])
+def test_one_classification_a_call_picks_the_route(monkeypatch, g, route):
+    # connes_distance and distance_matrix each classify the graph once, and
+    # reach only the solvers of the route its shape implies
+    trees = _count_calls(monkeypatch, "_is_tree")
+    routes = _count_calls(monkeypatch, "_route")
+    calls = {f"_{r}_{q}": _count_calls(monkeypatch, f"_{r}_{q}")
+             for r in _ROUTES for q in ("pair", "matrix")}
+    result = connes_distance(g, 0, 5)
+    assert len(routes) == len(trees) == 1
+    assert (result.iterations == 0) == (route == "tree")
+    m = distance_matrix(g)
+    assert len(routes) == len(trees) == 2
+    assert {name: len(c) for name, c in calls.items()} == {
+        f"_{r}_{q}": int(r == route) for r in _ROUTES for q in ("pair", "matrix")}
+    assert m[0, 5] == pytest.approx(result.distance, abs=1e-7)
 
 
 # --- trees solve on the a-b path ---------------------------------------------------

@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 import graphdirac as gd
 from graphdirac import (
@@ -834,6 +836,28 @@ def test_views_match_reference_for_any_bond_order(name, g):
     # component ids are numbered in order of each component's smallest node
     firsts = [labels.index(c) for c in range(max(labels) + 1)]
     assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("name,g", _view_graphs().items())
+def test_csgraph_view_shares_one_unit_weight(name, g):
+    # the view's data repeats one read-only 1.0 with stride 0, and csgraph
+    # reads the same traversals and components off it as off a view of np.ones
+    view = graph._csgraph(g)
+    assert view.data.strides == (0,) and view.data.dtype == np.float64
+    assert not view.data.flags.writeable
+    assert np.all(view.data == 1.0)
+    ones = sp.csr_array((np.ones(g.directed_edge_count), g.indices, g.indptr),
+                        shape=view.shape)
+    for source in range(g.node_count):
+        for actual, expected in zip(
+                csgraph.breadth_first_order(view, source, return_predecessors=True),
+                csgraph.breadth_first_order(ones, source, return_predecessors=True)):
+            assert np.array_equal(actual, expected), (name, source)
+    assert np.array_equal(csgraph.shortest_path(view, unweighted=True),
+                          csgraph.shortest_path(ones, unweighted=True))
+    for actual, expected in zip(csgraph.connected_components(view, directed=False),
+                                csgraph.connected_components(ones, directed=False)):
+        assert np.array_equal(actual, expected), name
 
 
 def test_graph_arrays_are_read_only_and_structural():
