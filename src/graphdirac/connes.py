@@ -862,7 +862,7 @@ def tree_distance_closed_form(g, a, b):
 BRUTE_FORCE_MAX_NODES = 6
 
 
-def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
+def brute_force_distance(g, a, b, resolution=1e-3, grid_points=17):
     """Independent oracle: nested grid search over gauge-fixed node functions.
 
     Each round scans a hypercube around the incumbent (half-width shrinking
@@ -897,9 +897,9 @@ def brute_force_distance(g, a, b, resolution=1e-3, rounds=3, grid_points=17):
     best_point = center.copy()
     completed = 0
     spacing = np.inf
-    # keep refining until the scanned spacing beats the requested resolution,
-    # for at most 12 rounds
-    while completed < 12 and (completed < rounds or spacing > resolution):
+    # at least 3 rounds, then keep refining until the scanned spacing beats
+    # the requested resolution, for at most 12 rounds
+    while completed < 12 and (completed < 3 or spacing > resolution):
         spacing = 2.0 * width / (grid_points - 1)
         axes = [np.linspace(c - width, c + width, grid_points) for c in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(free))
@@ -979,9 +979,9 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
     if a == b:
         raise ValueError("need two distinct nodes")
     dist = connes_distance(g, a, b).distance
-    d = combinatorial_distance(g, a, b)
-    dist_path = lattice_closed_form(d)
     path_nodes = shortest_path(g, a, b)
+    d = len(path_nodes) - 1
+    dist_path = lattice_closed_form(d)
 
     rng = np.random.default_rng(seed)
     samples = []

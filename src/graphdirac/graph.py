@@ -53,7 +53,7 @@ RANDOM_NODE_CAP = 10_000
 # build_random draws this many uniforms at a time, one call's stream: 1 MB stays in L2, and
 # freeing it raises glibc's heap trim threshold to 2 MB, so later small calls keep their pages.
 # Two drawers take half chunks, and start only when a half holds 2**16 uniforms: a smaller
-# claim costs more in GIL hand-offs than the second core gives back
+# chunk costs more in GIL hand-offs than the second core gives back
 _DRAW_CHUNK = 1 << 17
 _UNIT = np.ones(1)  # the weight every _csgraph view repeats with stride 0
 _UNIT.flags.writeable = False
@@ -275,18 +275,17 @@ def _kept_pairs(pairs, p, seed):
     """The ascending k < pairs whose uniform, the k-th of the PCG64 stream
     seeded by ``seed``, is below p.
 
-    Drawers claim the chunks in order from a shared counter, and each moves
-    its own copy of the stream forward to the chunk it claims (``advance``,
-    O(log n) steps), so the chunks joined in order are the one stream
-    whichever drawer drew each.  numpy releases the GIL while it draws, so a
-    second drawer on a thread runs on a second CPU, when the process may use
-    one and the draw holds at least four half chunks; claims, not fixed
-    halves, let either drawer take over while the other's CPU is busy.
+    Of two drawers, drawer h draws chunks h, h + 2, h + 4, ... and moves its
+    own copy of the stream forward past the other drawer's chunk each time
+    (``advance``, O(log n) steps); one drawer draws every chunk.  So the
+    chunks joined in order are the one stream whichever drawer drew each.
+    numpy releases the GIL while it draws, so a second drawer on a thread
+    runs on a second CPU, when the process may use one and the draw holds at
+    least four half chunks.
     """
     half = _DRAW_CHUNK // 2
     two = half >= 1 << 16 and pairs >= 4 * half and _cpu_count() > 1
-    chunk = half if two else _DRAW_CHUNK
-    starts, lock = iter(range(0, pairs, chunk)), threading.Lock()
+    chunk, drawers = (half, 2) if two else (_DRAW_CHUNK, 1)
     kept = [None] * -(-pairs // chunk)
     # drawer h draws into its half of the caller's buffers, overwriting its last
     # chunk: freeing one 1 MB buffer leaves glibc's trim threshold where one
@@ -294,15 +293,11 @@ def _kept_pairs(pairs, p, seed):
     uniform = np.empty(min(_DRAW_CHUNK, pairs))
     below = np.empty(uniform.size, dtype=bool)
 
-    def claim():
-        with lock:
-            return next(starts, None)
-
     def draw(h):
         bits = np.random.PCG64(seed)
         uniforms = np.random.Generator(bits).random
         at = 0
-        for start in iter(claim, None):
+        for start in range(h * chunk, pairs, drawers * chunk):
             bits.advance(start - at)
             at = min(start + chunk, pairs)
             own = slice(h * chunk, h * chunk + at - start)

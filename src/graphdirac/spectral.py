@@ -160,14 +160,16 @@ def _lanczos(M, tol=1e-12, max_iter=200_000):
     if n == 0:
         return PowerIterationResult(0.0, 0, True, 0.0, "lanczos")
     v = np.full(n, n ** -0.5) if (M.data >= 0.0).all() else _start_vector(n)
-    v_prev = np.zeros(n)
+    v_prev, prod = np.zeros(n), np.empty(n)
     alphas, betas = [], []
     beta, scale = 0.0, 0.0
     steps = min(max_iter, n)
     theta, residual, next_check = 0.0, np.inf, 10
     for k in range(1, steps + 1):
         w = M @ v
-        alpha = float(v @ w)
+        # numpy's pairwise sum: BLAS ddot's error grows with n on a constant v,
+        # 1.3e-11 on the 5·10^6 − 1-node cycle at one thread, 1.8e-12 at two
+        alpha = float(np.multiply(v, w, out=prod).sum())
         w -= alpha * v
         w -= beta * v_prev
         scale = max(scale, np.hypot(alpha, beta))  # a lower bound on ||M||

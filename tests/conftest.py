@@ -1,4 +1,7 @@
-"""Shared fixture graphs and random-graph streams for the test suite."""
+"""Shared fixture graphs, random-graph streams and a traced-peak helper for the
+test suite."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +52,15 @@ def random_connected_graphs(count, max_nodes, seed, min_nodes=2):
         p = float(rng.uniform(0.3, 0.9))
         out.append(build_random(n, p, int(rng.integers(0, 2 ** 32))))
     return out
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

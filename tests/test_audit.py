@@ -146,10 +146,15 @@ def test_every_lattice_certificate_holds_in_exact_arithmetic():
         assert result.certified, d
         _audit(build_path(d + 1), 0, d, result, _series_resistance)
     # the jumps' check is O(1) on longer paths too
-    for d in (99_999, 999_999):
+    for d in (20_353, 99_999, 999_999):
         certificate = connes._lattice_certificate(d, DEFAULT_TOL)
         assert certificate[-1], d
         _audit_jumps(d, certificate[4])
+    # d = 20 353 is the first path whose scaled jumps step down an ulp
+    hi, lo = connes._lattice_certificate(20_353, DEFAULT_TOL)[0]
+    h0, h1 = connes._lattice_steps(20_353)
+    scale = 1 - 4 * float(connes.UNIT_ROUNDOFF)
+    assert hi < h0 * scale and lo < h1 * scale
 
 
 def test_dual_bound_close_to_a_split_holds_in_exact_arithmetic():

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +34,8 @@ from graphdirac import (
 )
 from graphdirac.graph import NODE_CAP, Graph, _csgraph
 
-from conftest import complete_graph, fixture_graphs, random_connected_graphs, star_graph
+from conftest import (complete_graph, fixture_graphs, random_connected_graphs, star_graph,
+                      traced_peak)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -667,12 +667,7 @@ def test_certificate_matches_dense_jacobian(name):
 def test_path_of_ten_thousand_nodes_in_linear_memory():
     n = 10_000
     g = build_path(n)
-    tracemalloc.start()
-    try:
-        result = _solve_pair(g, 0, n - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(_solve_pair, g, 0, n - 1)
     assert result.certified
     assert peak < 64 * 2 ** 20  # the dense n x n Jacobian alone was 763 MiB
     assert abs(result.distance - lattice_closed_form(n - 1)) <= n * connes.DEFAULT_TOL / 2
@@ -680,12 +675,7 @@ def test_path_of_ten_thousand_nodes_in_linear_memory():
 
 def test_path_of_ten_thousand_nodes_to_rounding_level():
     n = 10_000
-    tracemalloc.start()
-    try:
-        result = _solve_pair(build_path(n), 0, n - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: _solve_pair(build_path(n), 0, n - 1))  # the build traced too
     exact = lattice_closed_form(n - 1)
     assert result.certified
     assert abs(result.distance - exact) <= 1e-9 * exact
@@ -1063,12 +1053,7 @@ def test_wide_band_with_little_fill_takes_sparse_lu(monkeypatch):
     assert newton.width == 1000 and not newton.band
     band_calls = _count_calls(monkeypatch, "dpbtrf")
     lu_calls = _count_calls(monkeypatch, "splu")
-    tracemalloc.start()
-    try:
-        result = connes_distance(g, 0, 1023)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(connes_distance, g, 0, 1023)
     assert result.certified
     assert len(lu_calls) > result.iterations > 0 and not band_calls
     assert peak < 8 * 2 ** 20

@@ -6,7 +6,6 @@ import re
 import sys
 import threading
 import time
-import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -35,7 +34,7 @@ from graphdirac import (
 from graphdirac import graph
 from graphdirac.graph import MAX_RANDOM_RETRIES, NODE_CAP, RANDOM_NODE_CAP
 
-from conftest import fixture_graphs, random_connected_graphs
+from conftest import fixture_graphs, random_connected_graphs, traced_peak
 
 
 def test_path_smallest():
@@ -169,24 +168,14 @@ def test_chunked_draw_matches_reference(monkeypatch, chunk):
 
 
 def test_random_at_its_cap_in_small_memory():
-    tracemalloc.start()
-    try:
-        g = build_random(RANDOM_NODE_CAP, 0.002, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(build_random, RANDOM_NODE_CAP, 0.002, 0)
     assert g.node_count == RANDOM_NODE_CAP and g.connected
     assert peak < 32 * 2 ** 20
 
 
 def test_random_draw_stays_small():
     # one chunk of 2**20 uniforms alone would be 8 MB
-    tracemalloc.start()
-    try:
-        build_random(2000, 0.005, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build_random, 2000, 0.005, 1)
     assert peak < 2 * 2 ** 20
 
 
@@ -332,12 +321,7 @@ def test_million_node_path_writes_in_bounded_memory(fmt):
     # ints (103 MB edge list, 120 MB JSON); the graph caches no arrays, so its
     # edge tails are made inside the write
     g = build_path(10 ** 6)
-    tracemalloc.start()
-    try:
-        data = serialize_graph(g, fmt=fmt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, peak = traced_peak(serialize_graph, g, fmt)
     assert data == _reference_serialize(g, fmt)
     assert peak < 64 * 2 ** 20
 
@@ -541,12 +525,7 @@ def test_million_node_path_file_parses_in_bounded_memory(variant):
         data = "# café\n".encode() + data
     elif variant == "separators":
         data = data.replace(b" ", "\u3000".encode())
-    tracemalloc.start()
-    try:
-        parsed = parse_graph(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    parsed, peak = traced_peak(parse_graph, data)
     assert parsed == g
     assert peak <= 165e6
 
@@ -691,57 +670,20 @@ def test_two_drawers_give_the_one_drawer_pairs(monkeypatch, n, p, seed):
         assert build_random(n, p, seed) == expected
 
 
-class _Stream(np.random.PCG64):
-    """PCG64 that runs ``on_advance`` before each of its drawer's chunks."""
-
-    on_advance = None
-
-    def advance(self, delta):
-        type(self).on_advance(self, delta)
-        return super().advance(delta)
-
-
-def _streams(monkeypatch, on_advance, before_caller=lambda: None):
-    """The second drawer's stream runs ``on_advance`` before each of its chunks,
-    and the caller runs ``before_caller`` before it builds its own stream."""
-    pcg64 = np.random.PCG64
-    monkeypatch.setattr(_Stream, "on_advance", staticmethod(on_advance))
-
-    def stream(seed):
-        if threading.current_thread() is threading.main_thread():
-            before_caller()
-            return pcg64(seed)
-        return _Stream(seed)
-
-    monkeypatch.setattr(graph.np.random, "PCG64", stream)
-
-
-def test_two_drawers_hold_when_the_worker_takes_the_first_chunks(monkeypatch):
-    n, p, seed, digest = PINNED_DRAWS[0]
-    started = _cpus(monkeypatch, 2)
-    claimed, worker_ahead = [], threading.Event()
-
-    def on_advance(bits, delta):
-        claimed.append(delta)
-        if len(claimed) == 3:
-            worker_ahead.set()
-
-    def caller_waits():  # the caller claims its first chunk after the worker's third
-        assert worker_ahead.wait(timeout=30)
-
-    _streams(monkeypatch, on_advance, caller_waits)
-    assert _drawn(n, p, seed) == digest
-    assert len(started) == 1 and not started[0].is_alive()
-    assert claimed[:3] == [0, 0, 0]  # chunks 0, 1 and 2, each where the last one ended
-
-
 def test_an_error_in_the_worker_reaches_the_caller(monkeypatch):
     started = _cpus(monkeypatch, 2)
+    pcg64 = np.random.PCG64
 
-    def on_advance(bits, delta):
-        raise RuntimeError("the worker's chunk failed")
+    class Failing(pcg64):
+        def advance(self, delta):
+            raise RuntimeError("the worker's chunk failed")
 
-    _streams(monkeypatch, on_advance)
+    def stream(seed):  # the worker's stream fails before its first chunk
+        if threading.current_thread() is threading.main_thread():
+            return pcg64(seed)
+        return Failing(seed)
+
+    monkeypatch.setattr(graph.np.random, "PCG64", stream)
     with pytest.raises(RuntimeError, match="the worker's chunk failed"):
         build_random(2000, 0.005, 1)
     assert len(started) == 1 and not started[0].is_alive()
