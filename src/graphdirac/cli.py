@@ -214,7 +214,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, graph.GenerationError) as exc:  # usage and input errors
+    except (ValueError, graph.GenerationError, MemoryError) as exc:  # usage and input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

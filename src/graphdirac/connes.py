@@ -860,9 +860,10 @@ def tree_distance_closed_form(g, a, b):
 
 
 BRUTE_FORCE_MAX_NODES = 6
+BRUTE_FORCE_GRID_POINTS = 17  # per axis and round
 
 
-def brute_force_distance(g, a, b, resolution=1e-3, grid_points=17):
+def brute_force_distance(g, a, b, resolution=1e-3):
     """Independent oracle: nested grid search over gauge-fixed node functions.
 
     Each round scans a hypercube around the incumbent (half-width shrinking
@@ -881,8 +882,6 @@ def brute_force_distance(g, a, b, resolution=1e-3, grid_points=17):
     the float below the rounded quotient at most the value of f / divisor.
     """
     _check_node(g, (a, b))
-    if _as_int(grid_points, "grid_points") < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
     if g.node_count > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes")
     if a == b:
@@ -900,8 +899,8 @@ def brute_force_distance(g, a, b, resolution=1e-3, grid_points=17):
     # at least 3 rounds, then keep refining until the scanned spacing beats
     # the requested resolution, for at most 12 rounds
     while completed < 12 and (completed < 3 or spacing > resolution):
-        spacing = 2.0 * width / (grid_points - 1)
-        axes = [np.linspace(c - width, c + width, grid_points) for c in center]
+        spacing = 2.0 * width / (BRUTE_FORCE_GRID_POINTS - 1)
+        axes = [np.linspace(c - width, c + width, BRUTE_FORCE_GRID_POINTS) for c in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(free))
         for block in np.array_split(grid, max(1, grid.shape[0] // 200_000)):
             F = np.zeros((block.shape[0], n))

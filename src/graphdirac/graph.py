@@ -444,8 +444,11 @@ def _name_bad_bond(edges, node_count):
     """Raise a ValueError naming the first bond that is not a pair of integers in range."""
     for bond in edges:
         try:
+            # numpy reads a set, dict, bytes or str as one scalar, even of two items
+            if type(bond) not in (tuple, list) and np.asarray(bond, dtype=object).ndim == 0:
+                raise TypeError
             i, j = bond
-        except (TypeError, ValueError):  # not iterable, or not two items long
+        except (TypeError, ValueError):  # a scalar, or not two items long
             raise ValueError(f"bonds must be (i, j) pairs, got {bond!r}") from None
         if not all(0 <= _as_int(v, f"bond ({i},{j}): node index") < node_count for v in (i, j)):
             raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")

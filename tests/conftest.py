@@ -1,5 +1,5 @@
 """Shared fixture graphs, random-graph streams and a traced-peak helper for the
-test suite."""
+test suite, which runs with every RuntimeWarning raised as an error."""
 
 import tracemalloc
 
@@ -61,6 +61,12 @@ def traced_peak(call, *args):
         return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def pytest_configure(config):
+    # the library emits no RuntimeWarning; set here rather than in pyproject.toml,
+    # so that only this suite raises it and `pytest bench` keeps its own filters
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphdirac import build_path, cli, connes, operators, parse_graph
+from graphdirac import build_path, cli, connes, operators, parse_graph, serialize_graph
 from graphdirac.cli import main
 
 
@@ -170,6 +174,20 @@ def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     assert len(rows) == 7
 
 
+def test_connes_matrix_that_does_not_fit_is_usage_error(tmp_path, capsys, monkeypatch):
+    graph_path = tmp_path / "p.edges"
+    run(capsys, "gen", "--family", "path", "--n", "3", "--out", str(graph_path))
+
+    def no_memory(g, tol):
+        raise MemoryError("Unable to allocate 7.82 GiB for an array with shape (32767, 32767)")
+
+    monkeypatch.setattr(connes, "distance_matrix", no_memory)
+    code, out, err = run(capsys, "connes-matrix", "--graph", str(graph_path))
+    assert code == 2
+    assert out == "" and err == ("error: Unable to allocate 7.82 GiB for an array"
+                                 " with shape (32767, 32767)\n")
+
+
 def test_connes_matrix_disconnected_graph_is_usage_error(tmp_path, capsys):
     graph_path = tmp_path / "two.edges"
     graph_path.write_text("# nodes: 3\n0 1\n")
@@ -260,3 +278,16 @@ def test_noncertified_solve_is_nonzero_exit(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["certified"] is False
     assert "not certified" in err
+
+
+def test_module_run_exits_across_the_process_boundary(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "graphdirac.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    done = child("gen", "--family", "path", "--n", "3")
+    assert done.returncode == 0 and done.stdout == serialize_graph(build_path(3))
+    done = child("connes", "--graph", str(tmp_path / "missing.edges"), "--from", "0", "--to", "1")
+    assert done.returncode == 2 and done.stdout == b"" and done.stderr.startswith(b"error:")

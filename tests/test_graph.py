@@ -904,8 +904,12 @@ def test_bad_endpoints_raise_the_same_message_on_every_route(value, message):
     ([b"\x00\x01"], "bonds must be (i, j) pairs, got an array of shape (1,)"),
     ([{0: 0, 1: 1}], "bonds must be (i, j) pairs, got an array of shape (1,)"),
     (["01", "12"], "bonds must be (i, j) pairs, got an array of shape (2,)"),
+    ([(0, 1), {1, 2}], "bonds must be (i, j) pairs, got {1, 2}"),
+    ([(0, 1), {1: 2, 2: 0}], "bonds must be (i, j) pairs, got {1: 2, 2: 0}"),
+    ([(0, 1), b"\x01\x02"], "bonds must be (i, j) pairs, got b'\\x01\\x02'"),
 ], ids=["triples", "single", "ragged-triple", "ragged-list", "not-a-bond", "empty-bonds",
-        "nested-endpoint", "sets", "bytes", "dict", "strings"])
+        "nested-endpoint", "sets", "bytes", "dict", "strings", "pair-then-set",
+        "pair-then-dict", "pair-then-bytes"])
 def test_bonds_that_are_not_pairs_are_named(edges, message):
     with pytest.raises(ValueError) as info:
         Graph.from_edges(3, edges)
