@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,9 @@ class ConnesResult:
         })
 
 
+_Workspace = namedtuple("_Workspace", "rj hess band")
+
+
 class _NewtonSystems:
     """Newton systems for a stack of pairs of one graph on one fixed pattern:
     the primal-dual step's and the dual bound's.
@@ -148,20 +152,22 @@ class _NewtonSystems:
     i and its neighbours, and both terms of node i live on the ordered pairs
     of that row, so every system has the two-hop pattern.
 
-    The object holds only the graph's fixed arrays; each call allocates what
-    it returns.  The pattern is stored as its sorted flat places ``keys``
-    in the n x n matrix.  Where the two-hop pattern is more than a quarter
-    full (``dense``), it is stored whole, keys = 0..n^2 - 1, and a stack of k
-    pairs is a (k, n, n) array: r J is written into a zero (k, n, n) array at
-    J's fixed places, one batched matmul forms J^t diag(r^2) J, and 2 L_c is
-    added at the bonds and the diagonal.  Otherwise a system is the
-    (k, keys.size) values in those CSR slots, a few sparse products over the
-    stack through ``to_slots``, built once per graph.  Both kinds share one
-    band layout (``_layout``), and ``_factor`` turns a stack of either into
-    the function that solves it.  The methods take J's entries as
-    ``jacobian`` gives them, so a caller computes them once a point.  Each
-    pair's gauge node gets the identity in its row and column, so a
-    solution keeps full length with a zero there.
+    The object holds only the graph's fixed arrays.  A call given a
+    ``workspace`` writes its dense system and its band there, to be
+    overwritten by the next; any other call allocates what it returns, and
+    a solver owns its band.  The pattern is stored as its sorted flat
+    places ``keys`` in the n x n matrix.  Where the two-hop pattern is more
+    than a quarter full (``dense``), it is stored whole, keys = 0..n^2 - 1,
+    and a stack of k pairs is a (k, n, n) array: r J is written into a zero
+    (k, n, n) array at J's fixed places, one batched matmul forms
+    J^t diag(r^2) J, and 2 L_c is added at the bonds and the diagonal.
+    Otherwise a system is the (k, keys.size) values in those CSR slots, a
+    few sparse products over the stack through ``to_slots``, built once per
+    graph.  Both kinds share one band layout (``_layout``), and ``_factor``
+    turns a stack of either into the function that solves it.  The methods
+    take J's entries as ``jacobian`` gives them, so a caller computes them
+    once a point.  Each pair's gauge node gets the identity in its row and
+    column, so a solution keeps full length with a zero there.
     """
 
     def __init__(self, g):
@@ -256,23 +262,44 @@ class _NewtonSystems:
             if not self.band:
                 self.factor_entries = lu.L.nnz + lu.U.nnz
 
-    def system(self, jac, curvature, root, gauges):
+    def workspace(self, k):
+        """Views (rj, hess, band) of one block for every system and
+        factorization of a solve of at most k pairs: a dense stack's r J,
+        zero off J's fixed places, and its Hessian, and ``_factor``'s band;
+        None where unused.  Freed whole, one block keeps its pages for the
+        next solve: freeing a mapped block raises glibc's trim threshold to
+        twice its size."""
+        n, w = self.n, self.width
+        entries = k * n * n if self.dense else 0
+        start = entries + entries % 2  # each view 16-byte aligned, as malloc's arrays are
+        block = np.empty(2 * start + ((k * n + w) * (w + 1) if self.band else 0))
+        rj = hess = band = None
+        if self.dense:
+            rj, hess = (block[at:at + entries].reshape(k, n, n) for at in (0, start))
+            rj[...] = 0.0
+        if self.band:
+            band = block[2 * start:].reshape(-1, w + 1)
+        return _Workspace(rj, hess, band)
+
+    def system(self, jac, curvature, root, gauges, work=None):
         """2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
         entries ``jac`` as ``jacobian`` gives them, with the identity in the
         row and column of the pair's gauge node; curvature and root are (k, n)
         stacks, gauges a (k,) array of nodes, and a root of None drops the J
-        term with no work on J (the dual bound's).  A dense system is a new
-        (k, n, n) array, a sparse one the (k, keys.size) values in the CSR
-        slots ``keys``."""
+        term with no work on J (the dual bound's).  A dense system is a
+        (k, n, n) array, the first k of ``work``'s (a ``workspace``) or a new
+        one, a sparse one the (k, keys.size) values in the CSR slots
+        ``keys``."""
         if not self.dense:
             return self._slot_system(jac, curvature, root, gauges)
         n, k, stack = self.n, len(gauges), np.arange(len(gauges))
+        rj, hess = ((np.zeros((k, n, n)), np.empty((k, n, n))) if work is None
+                    else (work.rj[:k], work.hess[:k]))
         if root is None:
-            hess = np.zeros((k, n, n))
+            hess[...] = 0.0
         else:
-            rj = np.zeros((k, n, n))
             rj.reshape(k, n * n)[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
-            hess = np.matmul(rj.transpose(0, 2, 1), rj)
+            np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
         flat = hess.reshape(k, n * n)
         weights = 2.0 * (curvature.T[self.tails] + curvature.T[self.heads])
         flat[:, self.bond_places] -= weights.T
@@ -326,26 +353,28 @@ class _NewtonSystems:
         residual[stack, gauges] -= 1.0
         return residual
 
-    def _factor(self, hess):
+    def _factor(self, hess, work=None):
         """A function that solves hess x = b for a (k, n) stack of right-hand
         sides b, so that a pair's rounding does not depend on its stack.
 
-        A stack on a band (``_layout``) is written into a new block-diagonal
-        band of half-width w (``_fill``), w identity rows appended so that
-        every pair's columns hold a full-length band, and dpbtrf factors it:
-        in one call up to UNBLOCKED_WIDTH, one call a pair above; the
-        function owns that band.  A pair whose factorization fails is
-        singular to working precision: dpbtrf's info names it, or a NaN on
-        its diagonal, which passes the pivot test and would spread through
-        the zero entries between blocks.  Its block becomes the identity, it
-        solves to NaN (``_stack_solve``), and factoring resumes at the next
-        pair, the rest of the band filled again.  Other stacks are factored
-        a pair by sparse LU."""
+        A stack on a band (``_layout``) is written into a block-diagonal band
+        of half-width w (``_fill``), w identity rows appended so that every
+        pair's columns hold a full-length band, and dpbtrf factors it: in one
+        call up to UNBLOCKED_WIDTH, one call a pair above.  The band is the
+        first k n + w rows of ``work``'s (a ``workspace``), valid until its
+        next factorization, or else a new one that the function owns.  A pair
+        whose factorization fails is singular to working precision: dpbtrf's
+        info names it, or a NaN on its diagonal, which passes the pivot test
+        and would spread through the zero entries between blocks.  Its block
+        becomes the identity, it solves to NaN (``_stack_solve``), and
+        factoring resumes at the next pair, the rest of the band filled
+        again.  Other stacks are factored a pair by sparse LU."""
         if not self.band:
             solves = [self._sparse_solve(values) for values in hess]
             return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
         k, n, w = len(hess), self.n, self.width
-        band, unit = np.empty((k * n + w, w + 1)), np.eye(1, w + 1)
+        band = np.empty((k * n + w, w + 1)) if work is None else work.band[:k * n + w]
+        unit = np.eye(1, w + 1)
         failed = np.zeros(k, dtype=bool)
         start = 0
         while start < k:
@@ -416,9 +445,10 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _dual_bound(newton, multipliers, gauges, targets):
+def _dual_bound(newton, multipliers, gauges, targets, work=None):
     """The Lagrange dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 on
-    each pair's distance, rounding included.
+    each pair's distance, rounding included, its system and factorization
+    in ``work`` (a ``workspace``) if given.
 
     R_lambda is the effective resistance under bond conductances
     lambda_i + lambda_k, solved on the whole graph with a grounded: L x = e_b.
@@ -450,7 +480,7 @@ def _dual_bound(newton, multipliers, gauges, targets):
     # cannot fail the stack's; its U is +inf whatever they give
     multipliers = np.where(split[:, None], 1.0, multipliers)
     conductance = np.where(split, 2.0, conductance)
-    solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges))
+    solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges, work), work)
     rhs = np.zeros((k, n))
     rhs[stack, targets] = 1.0
     x = solve(rhs)
@@ -490,11 +520,12 @@ def _exact_sums(rows):  # a memoryview hands fsum Python floats, with no list
     return np.array([math.fsum(memoryview(row)) for row in rows])
 
 
-def _certificate(newton, f, multipliers, gauges, targets, tol):
+def _certificate(newton, f, multipliers, gauges, targets, tol, work=None):
     """The certificate of a stack of points f with multipliers lambda >= 0:
     f moved onto the constraint boundary, its computed profile, the KKT
     residual max(||c - J^t lambda||, max lambda_i (1 - a_i)) there, the dual
-    bound U(lambda), the gap U - (f_b - f_a) and the verdict; a zero f stays.
+    bound U(lambda), solved in ``work`` (a ``workspace``) if given, the gap
+    U - (f_b - f_a) and the verdict; a zero f stays.
 
     f / sqrt(max a_i) is on the boundary by homogeneity, but the max and the
     scaling round.  A computed a_i is within a relative gamma =
@@ -517,7 +548,7 @@ def _certificate(newton, f, multipliers, gauges, targets, tol):
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
     kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
-    upper = _dual_bound(newton, multipliers, gauges, targets)
+    upper = _dual_bound(newton, multipliers, gauges, targets, work)
     gap = upper - (f[stack, targets] - f[stack, gauges])
     feasible = prof.max(axis=1) <= 1.0 - newton.gamma
     return f, prof, kkt, upper, gap, feasible & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
@@ -567,6 +598,10 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     before it is due again.  An uncertified pair returns its round with the
     smallest gap, and ``iterations`` counts all its iterations, later rounds
     included.  The rows of f are the working stack and are overwritten.
+
+    One ``workspace`` of k pairs holds every iteration's and certificate
+    round's dense system and band: no stack is larger, and no solver is
+    used after the next factorization.
     """
     k, n = f.shape
     out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
@@ -578,6 +613,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     pairs = np.arange(k)  # where each pair on the stack reports
     s = 1.0 - newton.profile(f)
     lam = np.full((k, n), 0.1)
+    work = newton.workspace(k)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
         gap = (s * lam).sum(axis=1)
@@ -594,7 +630,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
             parked = []
             checked[pairs] = iterations[pairs]
             bf, prof, kkt, upper, gap, certified = _certificate(
-                newton, f, lam, gauges[pairs], targets[pairs], tol)
+                newton, f, lam, gauges[pairs], targets[pairs], tol, work)
             # a pair keeps its round with the smallest gap, or its certified one
             best = certified | ~(gap >= out_gap[pairs])
             for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_certified, out_upper,
@@ -608,7 +644,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         e_b = np.zeros(f.shape)
         e_b[rows, b] = 1.0
         jac = newton.jacobian(f)
-        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a))
+        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a, work), work)
         df = solve(e_b)
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point

@@ -166,8 +166,9 @@ ROWS = [
     Row("connes-path-5e6", 60, 1600, connes("path5m.txt", 0, 4999998), certified_near(4999998)),
     Row("all-pairs-path-2000", 10, None, py(PATH_PAIRS)),
     # one BLAS thread: a wide band's many small BLAS-3 calls each wait for a
-    # thread on a busy core, and the last bits depend on the count
-    Row("connes-random-2000", 10, None, connes("random2000.txt", 0, 1999),
+    # thread on a busy core, and the last bits depend on the count.  One 57 MB
+    # band is alive at a time: 172 MB peak RSS, where two read 214 MB
+    Row("connes-random-2000", 10, 195, connes("random2000.txt", 0, 1999),
         lambda out: json.loads(out)["certified"], ONE_BLAS),
     # build_random draws its stream on two threads when it may use two CPUs and
     # on one when pinned to one; both give the bytes the one-drawer writer gave

@@ -767,9 +767,9 @@ def test_every_certificate_sees_positive_multipliers(monkeypatch, solve):
     seen = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol):
+    def recorded(newton, f, multipliers, gauges, targets, tol, work):
         seen.append(multipliers.min())
-        return real(newton, f, multipliers, gauges, targets, tol)
+        return real(newton, f, multipliers, gauges, targets, tol, work)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     solve()
@@ -1056,6 +1056,20 @@ def test_wide_band_with_little_fill_takes_sparse_lu(monkeypatch):
     assert result.distance == pytest.approx(lattice_closed_form(10), abs=1e-7)
 
 
+def test_wide_band_solve_holds_one_band():
+    # pair (0, 799) runs on a band of half-width 681, 7.7 MiB; its 21
+    # iterations and its certificate all factor into one workspace, where a
+    # band a factorization kept the last solver's alive beside the next
+    # (2.4 bands traced)
+    g = build_random(800, 0.008, 1)
+    newton = connes._NewtonSystems(g)
+    assert newton.band and not newton.dense and newton.width == 681
+    band = (newton.width + 1) * (g.node_count + newton.width) * 8
+    result, peak = traced_peak(connes_distance, g, 0, 799)
+    assert result.certified
+    assert peak < 1.75 * band
+
+
 @pytest.mark.parametrize("g,sample,dense", [
     (build_cycle(30), None, False),
     (_tree_with_chord(), None, False),
@@ -1118,9 +1132,9 @@ def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
     stacks, bands = [], []
     real_factor, real_band = connes._NewtonSystems._factor, connes.dpbtrf
 
-    def factor(self, hess):
+    def factor(self, hess, work=None):
         stacks.append(len(hess))
-        return real_factor(self, hess)
+        return real_factor(self, hess, work)
 
     def band(ab, **kwargs):
         bands.append(ab.shape)
@@ -1168,9 +1182,9 @@ def test_distance_matrix_certifies_in_one_round(monkeypatch):
     certificates = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol):
+    def recorded(newton, f, multipliers, gauges, targets, tol, work):
         certificates.append(len(gauges))
-        return real(newton, f, multipliers, gauges, targets, tol)
+        return real(newton, f, multipliers, gauges, targets, tol, work)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     m = distance_matrix(build_random(20, 0.3, 1))
@@ -1181,10 +1195,10 @@ def test_distance_matrix_certifies_in_one_round(monkeypatch):
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     real = connes._certificate
 
-    def forced(newton, f, multipliers, gauges, targets, tol):
+    def forced(newton, f, multipliers, gauges, targets, tol, work):
         # a tolerance no gap meets leaves the pair (1, 3) uncertified
-        *fields, certified = real(newton, f, multipliers, gauges, targets, tol)
-        strict = real(newton, f, multipliers, gauges, targets, 1e-300)[-1]
+        *fields, certified = real(newton, f, multipliers, gauges, targets, tol, work)
+        strict = real(newton, f, multipliers, gauges, targets, 1e-300, work)[-1]
         pair = (gauges == 1) & (targets == 3)
         return (*fields, np.where(pair, strict, certified))
 
@@ -1365,8 +1379,8 @@ def test_uncertified_pair_returns_its_best_round(monkeypatch):
     gaps = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol):
-        fields = real(newton, f, multipliers, gauges, targets, tol)
+    def recorded(newton, f, multipliers, gauges, targets, tol, work):
+        fields = real(newton, f, multipliers, gauges, targets, tol, work)
         gaps.extend(fields[4])
         return fields
 
