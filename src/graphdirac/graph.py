@@ -16,10 +16,8 @@ import itertools
 import json
 import numbers
 import operator
-import os
 import re
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,9 +49,7 @@ NODE_CAP = 5_000_000
 # O(n + m), and this cap bounds the time those draws take
 RANDOM_NODE_CAP = 10_000
 # build_random draws this many uniforms at a time, one call's stream: 1 MB stays in L2, and
-# freeing it raises glibc's heap trim threshold to 2 MB, so later small calls keep their pages.
-# Two drawers take half chunks, and start only when a half holds 2**16 uniforms: a smaller
-# chunk costs more in GIL hand-offs than the second core gives back
+# freeing it raises glibc's heap trim threshold to 2 MB, so later small calls keep their pages
 _DRAW_CHUNK = 1 << 17
 _UNIT = np.ones(1)  # the weight every _csgraph view repeats with stride 0
 _UNIT.flags.writeable = False
@@ -240,9 +236,10 @@ def build_random(n, p, seed):
     (seed, t), draws one uniform per node pair i < j in row-major order, and
     the first connected draw is returned.  Raises GenerationError once
     MAX_RANDOM_RETRIES attempts were rejected.  The uniforms are drawn in
-    chunks, on two threads when the draw is large (``_kept_pairs``), which
-    gives the same stream as one draw, and only the kept pairs are stored, so
-    memory is O(n + m); RANDOM_NODE_CAP bounds the time of the n(n-1)/2 draws.
+    chunks (``_drawn_bonds``), which gives the same stream as one draw, and
+    only the kept pairs are stored, so memory is O(n + m); an attempt stops at
+    the first node left with no bond.  RANDOM_NODE_CAP bounds the time of the
+    n(n-1)/2 draws.
     """
     n, seed = _as_int(n, "node count"), _as_int(seed, "seed")
     if seed < 0:
@@ -257,80 +254,47 @@ def build_random(n, p, seed):
     if n > RANDOM_NODE_CAP:
         raise ValueError(f"build_random draws one uniform per node pair; n={n} exceeds "
                          f"its {RANDOM_NODE_CAP}-node cap")
-    pairs = n * (n - 1) // 2
-    # pair k of the row-major order is bond (i, k - row_start[i] + i + 1)
-    rows = np.arange(n, dtype=np.int64)
-    row_start = rows * n - rows * (rows + 1) // 2
     for attempt in range(MAX_RANDOM_RETRIES):
-        k = _kept_pairs(pairs, p, (seed, attempt))
-        i = np.searchsorted(row_start, k, "right") - 1
-        g = Graph.from_edges(n, np.column_stack((i, k - row_start[i] + i + 1)))
-        if g.connected:
-            return g
+        bonds = _drawn_bonds(n, p, (seed, attempt))
+        if bonds is not None:
+            g = Graph.from_edges(n, bonds)
+            if g.connected:
+                return g
     raise GenerationError(
         f"no connected graph with n={n}, p={p} in {MAX_RANDOM_RETRIES} attempts")
 
 
-def _kept_pairs(pairs, p, seed):
-    """The ascending k < pairs whose uniform, the k-th of the PCG64 stream
-    seeded by ``seed``, is below p.
-
-    Of two drawers, drawer h draws chunks h, h + 2, h + 4, ... and moves its
-    own copy of the stream forward past the other drawer's chunk each time
-    (``advance``, O(log n) steps); one drawer draws every chunk.  So the
-    chunks joined in order are the one stream whichever drawer drew each.
-    numpy releases the GIL while it draws, so a second drawer on a thread
-    runs on a second CPU, when the process may use one and the draw holds at
-    least four half chunks.
+def _drawn_bonds(n, p, seed):
+    """The bonds (i, j), i < j, in row-major order, whose uniform is below p:
+    pair k of that order takes the k-th uniform of the PCG64 stream seeded by
+    ``seed``.  None once a node whose pairs are all drawn has no bond, since
+    no later draw can connect it.
     """
-    half = _DRAW_CHUNK // 2
-    two = half >= 1 << 16 and pairs >= 4 * half and _cpu_count() > 1
-    chunk, drawers = (half, 2) if two else (_DRAW_CHUNK, 1)
-    kept = [None] * -(-pairs // chunk)
-    # drawer h draws into its half of the caller's buffers, overwriting its last
-    # chunk: freeing one 1 MB buffer leaves glibc's trim threshold where one
-    # drawer put it, and the thread's own heap holds only the kept indices
+    # pair k of the row-major order is bond (i, k - row_start[i] + i + 1); node i's
+    # pairs are all drawn once the draw passes row_end[i]
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2
+    row_end = np.append(row_start[1:], row_start[-1])
+    pairs = int(row_end[-1])
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random
+    # one buffer pair for every chunk: freeing 1 MB leaves glibc's trim threshold at 2 MB
     uniform = np.empty(min(_DRAW_CHUNK, pairs))
     below = np.empty(uniform.size, dtype=bool)
-
-    def draw(h):
-        bits = np.random.PCG64(seed)
-        uniforms = np.random.Generator(bits).random
-        at = 0
-        for start in range(h * chunk, pairs, drawers * chunk):
-            bits.advance(start - at)
-            at = min(start + chunk, pairs)
-            own = slice(h * chunk, h * chunk + at - start)
-            uniforms(out=uniform[own])
-            kept[start // chunk] = np.flatnonzero(np.less(uniform[own], p, out=below[own])) + start
-
-    failed = []
-
-    def helper():
-        try:
-            draw(1)
-        except BaseException as exc:  # raised again in the caller, after the join
-            failed.append(exc)
-
-    if two:
-        worker = threading.Thread(target=helper)
-        worker.start()
-        try:
-            draw(0)
-        finally:
-            worker.join()
-        if failed:
-            raise failed[0]
-    else:
-        draw(0)
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + kept)
-
-
-def _cpu_count():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    degree = np.zeros(n, dtype=np.int64)
+    bonds, done = [np.zeros((0, 2), dtype=np.int64)], 0
+    for start in range(0, pairs, _DRAW_CHUNK):
+        end = min(start + _DRAW_CHUNK, pairs)
+        uniforms(out=uniform[:end - start])
+        k = np.flatnonzero(np.less(uniform[:end - start], p, out=below[:end - start])) + start
+        if k.size:
+            i = np.searchsorted(row_start, k, "right") - 1
+            bonds.append(np.column_stack((i, k - row_start[i] + i + 1)))
+            np.add.at(degree, bonds[-1], 1)
+        if end >= row_end[done]:
+            drawn, done = done, np.searchsorted(row_end, end, "right")
+            if not degree[drawn:done].all():
+                return None
+    return np.concatenate(bonds)
 
 
 def bfs_distances(g, source):

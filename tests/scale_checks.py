@@ -53,7 +53,7 @@ GEN = {
     "cycle60.txt": "--family cycle --n 60",
 }
 
-Row = namedtuple("Row", "id seconds mb argv check env exit", defaults=(None, {}, 0))
+Row = namedtuple("Row", "id seconds mb argv check env exit err", defaults=(None, {}, 0, ""))
 ONE_BLAS = {"OPENBLAS_NUM_THREADS": "1"}
 
 
@@ -170,11 +170,17 @@ ROWS = [
     # band is alive at a time: 172 MB peak RSS, where two read 214 MB
     Row("connes-random-2000", 10, 195, connes("random2000.txt", 0, 1999),
         lambda out: json.loads(out)["certified"], ONE_BLAS),
-    # build_random draws its stream on two threads when it may use two CPUs and
-    # on one when pinned to one; both give the bytes the one-drawer writer gave
+    # build_random draws its stream in one loop of chunks, on one CPU whether
+    # pinned or not; both rows hold the bytes of the earlier writers
     *(Row(f"gen-random-1e4-{label}", 60, None, pin + RANDOM_10000, lambda out: hashlib.sha256(
         out).hexdigest() == "a2195c88b14325902ebcb671a40ab9490f15f561c380f366dd72ee517aa6b203")
       for label, pin in (("pinned", ["taskset", "-c", "0"]), ("unpinned", []))),
+    # far below the connectivity threshold: each of the 200 attempts stops at its
+    # first node with no bond (0.2 s), where 200 full draws took 15 s
+    Row("gen-random-1e4-hopeless", 10, None, cli("gen", "--family", "random", "--n", "10000",
+                                                 "--p", "0.0003", "--seed", "1"),
+        lambda out: out == b"", exit=2,
+        err="error: no connected graph with n=10000, p=0.0003 in 200 attempts\n"),
     # a tol below rounding: every pair ends uncertified, every row written
     Row("matrix-cycle-30-uncertified", 30, None, matrix("cycle30.txt", "--tol", "1e-15"),
         csv_lines(436, nan=True), exit=1),
@@ -226,6 +232,6 @@ def test_row(row, files):
     err, report = err.rsplit(b"\n", 1)
     code, wall, peak = map(float, report.split())
     print(f"{row.id}: exit {code:.0f}, {wall:.1f} s, {peak:.0f} MB peak RSS")
-    assert (code, err.decode(errors="replace")) == (row.exit, "")
+    assert (code, err.decode(errors="replace")) == (row.exit, row.err)
     assert row.mb is None or peak <= row.mb
     assert row.check is None or row.check(out)
