@@ -50,6 +50,7 @@ from scipy.sparse.linalg import splu
 
 from .graph import (_as_int, _check_node, _check_tol, _csgraph, combinatorial_distance,
                     induced_subgraph, shortest_path)
+from .operators import _node_vector
 
 DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
@@ -103,10 +104,7 @@ def _profile(sums, jumps):
 
 def commutator_norm(g, f):
     """sup_i sqrt(a_i); equals the operator norm of the assembled commutator."""
-    f = np.asarray(f, dtype=float)
-    if not np.isfinite(f).all():
-        raise ValueError("node vector has non-finite entries")
-    prof = constraint_profile(g, f)
+    prof = constraint_profile(g, _node_vector(g, f))
     return float(np.sqrt(prof.max())) if prof.size else 0.0
 
 
@@ -152,10 +150,10 @@ class _NewtonSystems:
     i and its neighbours, and both terms of node i live on the ordered pairs
     of that row, so every system has the two-hop pattern.
 
-    The object holds only the graph's fixed arrays.  A call given a
-    ``workspace`` writes its dense system and its band there, to be
-    overwritten by the next; any other call allocates what it returns, and
-    a solver owns its band.  The pattern is stored as its sorted flat
+    The object holds the graph's fixed arrays and one block, its
+    ``workspace``, where each dense system and band is written over the last:
+    a system is valid until the next, and a solver until the next
+    factorization.  The pattern is stored as its sorted flat
     places ``keys`` in the n x n matrix.  Where the two-hop pattern is more
     than a quarter full (``dense``), it is stored whole, keys = 0..n^2 - 1,
     and a stack of k pairs is a (k, n, n) array: r J is written into a zero
@@ -233,6 +231,7 @@ class _NewtonSystems:
         # Hessian entries one pair holds: the terms summed into it, and the
         # band or the sparse LU factors it fills
         self.entries_per_pair = max(summed, self.factor_entries)
+        self.held, self.work = 0, None  # the pairs the workspace fits, and it
 
     def _layout(self):
         """In node order when dense, in reverse Cuthill-McKee order (Cuthill
@@ -263,38 +262,40 @@ class _NewtonSystems:
                 self.factor_entries = lu.L.nnz + lu.U.nnz
 
     def workspace(self, k):
-        """Views (rj, hess, band) of one block for every system and
-        factorization of a solve of at most k pairs: a dense stack's r J,
+        """Views (rj, hess, band) of the one block for every system and
+        factorization of a stack of at most k pairs: a dense stack's r J,
         zero off J's fixed places, and its Hessian, and ``_factor``'s band;
-        None where unused.  Freed whole, one block keeps its pages for the
-        next solve: freeing a mapped block raises glibc's trim threshold to
-        twice its size."""
-        n, w = self.n, self.width
-        entries = k * n * n if self.dense else 0
-        start = entries + entries % 2  # each view 16-byte aligned, as malloc's arrays are
-        block = np.empty(2 * start + ((k * n + w) * (w + 1) if self.band else 0))
-        rj = hess = band = None
-        if self.dense:
-            rj, hess = (block[at:at + entries].reshape(k, n, n) for at in (0, start))
-            rj[...] = 0.0
-        if self.band:
-            band = block[2 * start:].reshape(-1, w + 1)
-        return _Workspace(rj, hess, band)
+        None where unused.  It is replaced only when a larger stack arrives.
+        Freed whole, one block keeps its pages for the next: freeing a mapped
+        block raises glibc's trim threshold to twice its size."""
+        if k > self.held:
+            n, w = self.n, self.width
+            entries = k * n * n if self.dense else 0
+            start = entries + entries % 2  # each view 16-byte aligned, as malloc's arrays are
+            block = np.empty(2 * start + ((k * n + w) * (w + 1) if self.band else 0))
+            rj = hess = band = None
+            if self.dense:
+                rj, hess = (block[at:at + entries].reshape(k, n, n) for at in (0, start))
+                rj[...] = 0.0
+            if self.band:
+                band = block[2 * start:].reshape(-1, w + 1)
+            self.held, self.work = k, _Workspace(rj, hess, band)
+        return self.work
 
-    def system(self, jac, curvature, root, gauges, work=None):
+    def system(self, jac, curvature, root, gauges):
         """2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
         entries ``jac`` as ``jacobian`` gives them, with the identity in the
         row and column of the pair's gauge node; curvature and root are (k, n)
         stacks, gauges a (k,) array of nodes, and a root of None drops the J
-        term with no work on J (the dual bound's).  A dense system is a
-        (k, n, n) array, the first k of ``work``'s (a ``workspace``) or a new
-        one, a sparse one the (k, keys.size) values in the CSR slots
+        term with no work on J (the dual bound's).  A dense system is the
+        first k of the ``workspace``'s (k, n, n) arrays, valid until the next
+        system, a sparse one the (k, keys.size) values in the CSR slots
         ``keys``."""
         if not self.dense:
             return self._slot_system(jac, curvature, root, gauges)
         n, k, stack = self.n, len(gauges), np.arange(len(gauges))
-        rj, hess = ((np.zeros((k, n, n)), np.empty((k, n, n))) if work is None
-                    else (work.rj[:k], work.hess[:k]))
+        work = self.workspace(k)
+        rj, hess = work.rj[:k], work.hess[:k]
         if root is None:
             hess[...] = 0.0
         else:
@@ -353,7 +354,7 @@ class _NewtonSystems:
         residual[stack, gauges] -= 1.0
         return residual
 
-    def _factor(self, hess, work=None):
+    def _factor(self, hess):
         """A function that solves hess x = b for a (k, n) stack of right-hand
         sides b, so that a pair's rounding does not depend on its stack.
 
@@ -361,19 +362,19 @@ class _NewtonSystems:
         of half-width w (``_fill``), w identity rows appended so that every
         pair's columns hold a full-length band, and dpbtrf factors it: in one
         call up to UNBLOCKED_WIDTH, one call a pair above.  The band is the
-        first k n + w rows of ``work``'s (a ``workspace``), valid until its
-        next factorization, or else a new one that the function owns.  A pair
-        whose factorization fails is singular to working precision: dpbtrf's
-        info names it, or a NaN on its diagonal, which passes the pivot test
-        and would spread through the zero entries between blocks.  Its block
-        becomes the identity, it solves to NaN (``_stack_solve``), and
-        factoring resumes at the next pair, the rest of the band filled
-        again.  Other stacks are factored a pair by sparse LU."""
+        first k n + w rows of the ``workspace``'s, and the function is valid
+        until the next factorization.  A pair whose factorization fails is
+        singular to working precision: dpbtrf's info names it, or a NaN on its
+        diagonal, which passes the pivot test and would spread through the zero
+        entries between blocks.  Its block becomes the identity, it solves to
+        NaN (``_stack_solve``), and factoring resumes at the next pair, the
+        rest of the band filled again.  Other stacks are factored a pair by
+        sparse LU."""
         if not self.band:
             solves = [self._sparse_solve(values) for values in hess]
             return lambda b: np.array([solve(row) for solve, row in zip(solves, b)])
         k, n, w = len(hess), self.n, self.width
-        band = np.empty((k * n + w, w + 1)) if work is None else work.band[:k * n + w]
+        band = self.workspace(k).band[:k * n + w]
         unit = np.eye(1, w + 1)
         failed = np.zeros(k, dtype=bool)
         start = 0
@@ -445,10 +446,9 @@ def random_feasible_point(g, gauge, rng, margin=0.5):
     return f * math.sqrt(margin / top)
 
 
-def _dual_bound(newton, multipliers, gauges, targets, work=None):
+def _dual_bound(newton, multipliers, gauges, targets):
     """The Lagrange dual bound U(lambda) = sum lambda_i + R_lambda(a, b) / 4 on
-    each pair's distance, rounding included, its system and factorization
-    in ``work`` (a ``workspace``) if given.
+    each pair's distance, rounding included.
 
     R_lambda is the effective resistance under bond conductances
     lambda_i + lambda_k, solved on the whole graph with a grounded: L x = e_b.
@@ -480,7 +480,7 @@ def _dual_bound(newton, multipliers, gauges, targets, work=None):
     # cannot fail the stack's; its U is +inf whatever they give
     multipliers = np.where(split[:, None], 1.0, multipliers)
     conductance = np.where(split, 2.0, conductance)
-    solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges, work), work)
+    solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges))
     rhs = np.zeros((k, n))
     rhs[stack, targets] = 1.0
     x = solve(rhs)
@@ -520,12 +520,11 @@ def _exact_sums(rows):  # a memoryview hands fsum Python floats, with no list
     return np.array([math.fsum(memoryview(row)) for row in rows])
 
 
-def _certificate(newton, f, multipliers, gauges, targets, tol, work=None):
+def _certificate(newton, f, multipliers, gauges, targets, tol):
     """The certificate of a stack of points f with multipliers lambda >= 0:
     f moved onto the constraint boundary, its computed profile, the KKT
     residual max(||c - J^t lambda||, max lambda_i (1 - a_i)) there, the dual
-    bound U(lambda), solved in ``work`` (a ``workspace``) if given, the gap
-    U - (f_b - f_a) and the verdict; a zero f stays.
+    bound U(lambda), the gap U - (f_b - f_a) and the verdict; a zero f stays.
 
     f / sqrt(max a_i) is on the boundary by homogeneity, but the max and the
     scaling round.  A computed a_i is within a relative gamma =
@@ -548,7 +547,7 @@ def _certificate(newton, f, multipliers, gauges, targets, tol, work=None):
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
     kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
-    upper = _dual_bound(newton, multipliers, gauges, targets, work)
+    upper = _dual_bound(newton, multipliers, gauges, targets)
     gap = upper - (f[stack, targets] - f[stack, gauges])
     feasible = prof.max(axis=1) <= 1.0 - newton.gamma
     return f, prof, kkt, upper, gap, feasible & (multipliers >= 0.0).all(axis=1) & (gap <= tol)
@@ -599,9 +598,8 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     smallest gap, and ``iterations`` counts all its iterations, later rounds
     included.  The rows of f are the working stack and are overwritten.
 
-    One ``workspace`` of k pairs holds every iteration's and certificate
-    round's dense system and band: no stack is larger, and no solver is
-    used after the next factorization.
+    Every dense system and band is written into ``newton``'s ``workspace``,
+    and no solver is used after the next factorization.
     """
     k, n = f.shape
     out_f, out_prof, out_lam = np.empty((k, n)), np.empty((k, n)), np.empty((k, n))
@@ -613,7 +611,6 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     pairs = np.arange(k)  # where each pair on the stack reports
     s = 1.0 - newton.profile(f)
     lam = np.full((k, n), 0.1)
-    work = newton.workspace(k)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
     while True:
         gap = (s * lam).sum(axis=1)
@@ -630,7 +627,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
             parked = []
             checked[pairs] = iterations[pairs]
             bf, prof, kkt, upper, gap, certified = _certificate(
-                newton, f, lam, gauges[pairs], targets[pairs], tol, work)
+                newton, f, lam, gauges[pairs], targets[pairs], tol)
             # a pair keeps its round with the smallest gap, or its certified one
             best = certified | ~(gap >= out_gap[pairs])
             for out, value in zip((out_f, out_prof, out_lam, out_kkt, out_certified, out_upper,
@@ -644,7 +641,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         e_b = np.zeros(f.shape)
         e_b[rows, b] = 1.0
         jac = newton.jacobian(f)
-        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a, work), work)
+        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a))
         df = solve(e_b)
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point

@@ -47,8 +47,8 @@ class LinearMap:
 
     def apply(self, x):
         x = np.asarray(x)
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"length mismatch: map expects {self.shape[1]}, got {x.shape[0]}")
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"length mismatch: map expects {self.shape[1]}, got shape {x.shape}")
         return self.matrix @ x
 
     def adjoint(self):

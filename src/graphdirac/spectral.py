@@ -58,16 +58,17 @@ class TruncationReport:
 
 
 def _as_sparse(m):
-    """``m`` as a float CSR array (float CSR input is not copied); NaN or inf raise."""
+    """2-D ``m`` as a float CSR array (float CSR input is not copied); NaN or inf raise."""
     if isinstance(m, LinearMap):
         m = m.matrix
-    if sp.issparse(m):
-        M = sp.csr_array(m)
-        if M.dtype != float:
-            # the constructor converts the data alone; astype would copy the indices too
-            M = sp.csr_array(M, dtype=float)
-    else:
-        M = sp.csr_array(np.asarray(m, dtype=float))
+    if not sp.issparse(m):
+        m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    M = sp.csr_array(m)
+    if M.dtype != float:
+        # the constructor converts the data alone; astype would copy the indices too
+        M = sp.csr_array(M, dtype=float)
     if not np.isfinite(M.data).all():
         raise ValueError("matrix has non-finite entries")
     return M
@@ -318,9 +319,10 @@ def cycle_space_dims(g):
 def rational_rank(matrix):
     """Exact rank over the rationals by fraction-free Gaussian elimination.
 
-    Oracle for the dimension theorems; intended for small integer matrices.
+    Oracle for the dimension theorems, for small matrices; integer, bool and
+    float entries are read exactly, and NaN raises.
     """
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix)]
+    rows = [[Fraction(x) for x in row] for row in np.asarray(matrix).tolist()]
     rank = 0
     n_cols = len(rows[0]) if rows else 0
     pivot_row = 0

@@ -160,8 +160,8 @@ def test_connes_matrix_uncertified_pair_is_nan(tmp_path, capsys, monkeypatch):
     run(capsys, "gen", "--family", "cycle", "--n", "4", "--out", str(graph_path))
     certify = connes._certificate
 
-    def one_pair_uncertified(newton, f, multipliers, gauges, targets, tol, work):
-        *fields, certified = certify(newton, f, multipliers, gauges, targets, tol, work)
+    def one_pair_uncertified(newton, f, multipliers, gauges, targets, tol):
+        *fields, certified = certify(newton, f, multipliers, gauges, targets, tol)
         return (*fields, certified & ~((gauges == 0) & (targets == 2)))
 
     monkeypatch.setattr(connes, "_certificate", one_pair_uncertified)

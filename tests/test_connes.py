@@ -80,6 +80,14 @@ def test_commutator_norm_rejects_non_finite_f():
             commutator_map(g, f)
 
 
+def test_commutator_norm_takes_one_node_vector():
+    # a (k, n) stack is rejected, as commutator_map rejects it, not maxed over
+    g = build_path(3)
+    for norm in (commutator_norm, commutator_map):
+        with pytest.raises(ValueError, match=r"node vector has shape \(2, 3\), expected \(3,\)"):
+            norm(g, np.zeros((2, 3)))
+
+
 def test_constraint_profile_is_nonnegative_and_sized():
     g = fixture_graphs()["random8"]
     prof = constraint_profile(g, np.arange(8, dtype=float))
@@ -550,25 +558,6 @@ def test_one_infinite_solve_in_a_stack(g):
     assert not np.isfinite(step[1]).all() and not np.isfinite(alone[1]).all()
 
 
-@pytest.mark.parametrize("g", [complete_graph(5), build_path(30)], ids=["dense", "band"])
-def test_solver_outlives_the_next_factorization(g):
-    # each solver owns its band: factoring a second stack after it changes
-    # none of its solutions, and they still solve its own systems
-    n = g.node_count
-    newton, grad, hess = _stack_of_four(g)
-    assert newton.band
-    solve = newton._factor(hess[:2])
-    first = solve(-grad[:2])
-    newton._factor(hess[2:])(-grad[2:])
-    again = solve(-grad[:2])
-    assert np.array_equal(again, first)
-    for r in range(2):
-        H = np.zeros(n * n)
-        H[newton.keys] = hess[r].ravel()
-        residual = H.reshape(n, n) @ again[r] + grad[r]
-        assert np.abs(residual).max() <= 1e-9 * np.abs(grad[r]).max()
-
-
 @pytest.mark.parametrize("n,calls", [(connes.UNBLOCKED_WIDTH + 1, 1),
                                      (connes.UNBLOCKED_WIDTH + 2, 3)])
 def test_stacked_band_factors_each_pair_as_alone(monkeypatch, n, calls):
@@ -767,9 +756,9 @@ def test_every_certificate_sees_positive_multipliers(monkeypatch, solve):
     seen = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol, work):
+    def recorded(newton, f, multipliers, gauges, targets, tol):
         seen.append(multipliers.min())
-        return real(newton, f, multipliers, gauges, targets, tol, work)
+        return real(newton, f, multipliers, gauges, targets, tol)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     solve()
@@ -1132,9 +1121,9 @@ def test_distance_matrix_sparse_branch_stacks_blocks(monkeypatch):
     stacks, bands = [], []
     real_factor, real_band = connes._NewtonSystems._factor, connes.dpbtrf
 
-    def factor(self, hess, work=None):
+    def factor(self, hess):
         stacks.append(len(hess))
-        return real_factor(self, hess, work)
+        return real_factor(self, hess)
 
     def band(ab, **kwargs):
         bands.append(ab.shape)
@@ -1176,15 +1165,34 @@ def test_distance_matrix_partial_last_chunk(monkeypatch):
     assert np.nanmax(np.abs(chunked - whole)) <= 1e-12
 
 
+def test_distance_matrix_sweep_holds_one_workspace(monkeypatch):
+    # 780 pairs in five chunks, the largest first: every chunk's systems and
+    # bands are written into the block of the first
+    g = build_random(40, 0.3, 1)
+    newton = connes._NewtonSystems(g)
+    assert newton.dense and connes.CHUNK_ENTRIES // newton.entries_per_pair == 163
+    blocks = []
+    real = connes._NewtonSystems.workspace
+
+    def recorded(self, k):
+        work = real(self, k)
+        blocks.append(work.hess.base)
+        return work
+
+    monkeypatch.setattr(connes._NewtonSystems, "workspace", recorded)
+    distance_matrix(g)
+    assert len({id(block) for block in blocks}) == 1
+
+
 def test_distance_matrix_certifies_in_one_round(monkeypatch):
     # every pair is parked when it is due, and the parked pairs are certified
     # together once the working stack is empty
     certificates = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol, work):
+    def recorded(newton, f, multipliers, gauges, targets, tol):
         certificates.append(len(gauges))
-        return real(newton, f, multipliers, gauges, targets, tol, work)
+        return real(newton, f, multipliers, gauges, targets, tol)
 
     monkeypatch.setattr(connes, "_certificate", recorded)
     m = distance_matrix(build_random(20, 0.3, 1))
@@ -1195,10 +1203,10 @@ def test_distance_matrix_certifies_in_one_round(monkeypatch):
 def test_uncertified_pair_is_nan_in_its_own_entry_only(monkeypatch):
     real = connes._certificate
 
-    def forced(newton, f, multipliers, gauges, targets, tol, work):
+    def forced(newton, f, multipliers, gauges, targets, tol):
         # a tolerance no gap meets leaves the pair (1, 3) uncertified
-        *fields, certified = real(newton, f, multipliers, gauges, targets, tol, work)
-        strict = real(newton, f, multipliers, gauges, targets, 1e-300, work)[-1]
+        *fields, certified = real(newton, f, multipliers, gauges, targets, tol)
+        strict = real(newton, f, multipliers, gauges, targets, 1e-300)[-1]
         pair = (gauges == 1) & (targets == 3)
         return (*fields, np.where(pair, strict, certified))
 
@@ -1379,8 +1387,8 @@ def test_uncertified_pair_returns_its_best_round(monkeypatch):
     gaps = []
     real = connes._certificate
 
-    def recorded(newton, f, multipliers, gauges, targets, tol, work):
-        fields = real(newton, f, multipliers, gauges, targets, tol, work)
+    def recorded(newton, f, multipliers, gauges, targets, tol):
+        fields = real(newton, f, multipliers, gauges, targets, tol)
         gaps.extend(fields[4])
         return fields
 

@@ -78,8 +78,9 @@ def test_apply_d_square_valuations():
 
 
 def test_apply_d_length_mismatch():
-    with pytest.raises(ValueError):
-        coboundary_map(build_path(3)).apply([0.0, 1.0])
+    for x in ([0.0, 1.0], 1.0):
+        with pytest.raises(ValueError, match="length mismatch: map expects 3"):
+            coboundary_map(build_path(3)).apply(x)
 
 
 def test_delta1_on_basis_edge():

@@ -219,6 +219,15 @@ def test_norms_reject_non_finite_matrices(bad, form):
             norm(m)
 
 
+@pytest.mark.parametrize("m,shape", [(np.ones(3), r"\(3,\)"), ([], r"\(0,\)"), (2.0, r"\(\)")],
+                         ids=["vector", "empty", "scalar"])
+@pytest.mark.parametrize("norm", [spectral_norm, lanczos_norm, power_iteration_norm,
+                                  operator_norm])
+def test_norms_reject_a_shape_that_is_not_2d(norm, m, shape):
+    with pytest.raises(ValueError, match=f"expected a 2-D matrix, got shape {shape}"):
+        norm(m)
+
+
 def test_spectral_norm_rejects_nonsymmetric():
     # [[0, 2], [0, 0]] has largest singular value 2; unchecked, Lanczos gave
     # 1.414 and power iteration 0.0, both with converged=True
@@ -447,3 +456,6 @@ def test_rank_matches_rational_oracle():
     # a wide matrix of full row rank stops once every row holds a pivot
     assert rational_rank(np.array([[1, 0, 2, 3], [0, 1, 1, 1]])) == 2
     assert rational_rank(np.array([[1, 2, 3]])) == 1
+    # non-integer entries are read exactly, not truncated
+    assert rational_rank([[1, 0.5], [2, 1]]) == 1
+    assert rational_rank([[0.5]]) == 1
