@@ -163,24 +163,23 @@ class _NewtonSystems:
     few sparse products over the stack through ``to_slots``, built once per
     graph.  Both kinds share one band layout (``_layout``), and ``_factor``
     turns a stack of either into the function that solves it.  The methods
-    take J's entries as ``jacobian`` gives them, so a caller computes them
-    once a point.  Each pair's gauge node gets the identity in its row and
-    column, so a solution keeps full length with a zero there.
+    take J's entries as ``jacobian`` gives them once a point, or their edge
+    part.  Each pair's gauge node gets the identity in its row and column,
+    so a solution keeps full length with a zero there.
     """
 
     def __init__(self, g):
-        n, m = g.node_count, g.directed_edge_count
+        n = g.node_count
         self.n = n
         self.tails, self.heads, degrees = g.edge_tails, g.edge_heads, g.degrees
         self.max_degree = int(degrees.max()) if n else 0
         # relative rounding of a sum over one node's edges, such as a_i
         self.gamma = (self.max_degree + 3) * UNIT_ROUNDOFF
-        nodes, entries = np.arange(n), np.arange(n + m)
+        nodes = np.arange(n)
         # entries of J: the n diagonal ones, then one per directed edge
         self.rows = np.concatenate((nodes, self.tails))
         cols = np.concatenate((nodes, self.heads))
         self.tail_sums = _edge_sums(g)
-        self.column_sums = csr_matrix((np.ones(n + m), (cols, entries)), shape=(n, n + m))
         # every ordered pair (p, q) of entries in one row of J
         by_row = np.argsort(self.rows, kind="stable")
         row_len = degrees + 1
@@ -337,19 +336,21 @@ class _NewtonSystems:
         """a(f) for each pair of the stack f, as ``constraint_profile``."""
         return _profile(self.tail_sums, _jumps(self.tails, self.heads, f))
 
-    def constraint_steps(self, jac, direction):
-        """p = J df and q = a(df) for each pair, J's entries ``jac``, from one
-        gather of df's jumps: J's rows sum to zero, so row i of J df sums
-        2 (f_k - f_i) (df_k - df_i) over the edges (i, k)."""
+    def constraint_steps(self, edges, direction):
+        """p = J df, q = a(df) and df's jumps (half J(df)'s edge entries) for
+        each pair, J's edge entries ``edges``, from one gather: J's rows sum to
+        zero, so row i of J df sums 2 (f_k - f_i) (df_k - df_i) over (i, k)."""
         jumps = _jumps(self.tails, self.heads, direction)
-        return (self.tail_sums @ (jac[self.n:] * jumps)).T, _profile(self.tail_sums, jumps)
+        return (self.tail_sums @ (edges * jumps)).T, _profile(self.tail_sums, jumps), jumps
 
-    def stationarity(self, jac, multipliers, gauges, targets):
-        """c - J^t lambda for each pair, J's entries ``jac``, with
-        c = e_b - e_a (a != b)."""
+    def stationarity(self, terms, gauges, targets):
+        """c - sum of J(g)^t lambda over the ``terms`` (edges, lambda) for each
+        pair, c = e_b - e_a (a != b), ``edges`` J(g)'s edge entries 2 (g_k - g_i).
+        J(g)^t lambda is 2 L_lambda g: one product adds every term's bond
+        flows (lambda_i + lambda_k) 2 (g_k - g_i) to c by their tails."""
         stack = np.arange(len(gauges))
-        residual = np.ascontiguousarray(
-            -(self.column_sums @ (jac * multipliers.T[self.rows])).T)
+        flows = [edges * (lam.T[self.tails] + lam.T[self.heads]) for edges, lam in terms]
+        residual = np.ascontiguousarray((self.tail_sums @ sum(flows[1:], flows[0])).T)
         residual[stack, targets] += 1.0
         residual[stack, gauges] -= 1.0
         return residual
@@ -542,8 +543,9 @@ def _certificate(newton, f, multipliers, gauges, targets, tol):
     reach = np.abs(f).max(axis=1, keepdims=True) / np.sqrt(top)
     eta = 4.0 * (newton.gamma + UNIT_ROUNDOFF * reach * math.sqrt(newton.max_degree))
     f = f / np.sqrt(top * (1.0 + eta))
-    prof = newton.profile(f)
-    residual = newton.stationarity(newton.jacobian(f), multipliers, gauges, targets)
+    jumps = _jumps(newton.tails, newton.heads, f)
+    prof = _profile(newton.tail_sums, jumps)
+    residual = newton.stationarity(((2.0 * jumps, multipliers),), gauges, targets)
     # Row-wise dot products on contiguous rows, rounded as np.linalg.norm rounds one row.
     squares = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
     kkt = np.maximum(np.sqrt(squares), (multipliers * (1.0 - prof)).max(axis=1))
@@ -578,7 +580,7 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     s = 1 - a(f) and lambda = 0.1.  With mu = s^t lambda / n and the Newton
     matrix H = 2 L_lambda + J^t diag(lambda / s) J, each iteration solves
     the predictor H df = e_b and, on the same factorization, the corrector
-    H df = e_b - J^t w - J(df_aff)^t dlam_aff with
+    H df = e_b - J^t w - J(df_aff)^t dlam_aff, one ``stationarity`` product, with
     w = (sigma mu + p dlam_aff + lambda q) / s: p, q and dlam_aff are the
     predictor's J df, a(df) and multiplier step, and sigma = (mu_aff / mu)^3
     from the predictor's best step.  The q and J(df_aff) terms are the
@@ -646,19 +648,17 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q = newton.constraint_steps(jac, df)
+        p, q, jumps = newton.constraint_steps(jac[n:], df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
         w = ((mu_aff / mu) ** 3 * mu)[:, None] / s + (p * dlam + lam * q) / s
-        # c - J^t w, less the predictor's bilinear term J(df)^t dlam, which
-        # otherwise stalls stationarity where lambda is not unique
-        rhs = (newton.stationarity(jac, w, a, b)
-               + newton.stationarity(newton.jacobian(df), dlam, a, b))
-        rhs[rows, b] -= 1.0
+        # c - J^t w, less the predictor's bilinear term J(df)^t dlam from df's
+        # jumps; without it stationarity stalls where lambda is not unique
+        rhs = newton.stationarity(((jac[n:], w), (2.0 * jumps, dlam)), a, b)
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q = newton.constraint_steps(jac, df)
+        p, q, _ = newton.constraint_steps(jac[n:], df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df

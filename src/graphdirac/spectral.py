@@ -58,14 +58,17 @@ class TruncationReport:
 
 
 def _as_sparse(m):
-    """2-D ``m`` as a float CSR array (float CSR input is not copied); NaN or inf raise."""
+    """2-D real ``m`` as a float CSR array (float CSR input is not copied);
+    NaN, inf or a complex dtype raise."""
     if isinstance(m, LinearMap):
         m = m.matrix
     if not sp.issparse(m):
-        m = np.asarray(m, dtype=float)
+        m = np.asarray(m)
+    if m.dtype.kind == "c":  # a float conversion would drop the imaginary part
+        raise ValueError(f"expected a real matrix, got dtype {m.dtype}")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    M = sp.csr_array(m)
+    M = sp.csr_array(m if sp.issparse(m) else m.astype(float, copy=False))
     if M.dtype != float:
         # the constructor converts the data alone; astype would copy the indices too
         M = sp.csr_array(M, dtype=float)
@@ -320,9 +323,15 @@ def rational_rank(matrix):
     """Exact rank over the rationals by fraction-free Gaussian elimination.
 
     Oracle for the dimension theorems, for small matrices; integer, bool and
-    float entries are read exactly, and NaN raises.
+    float entries are read exactly, and a shape that is not 2-D or an entry
+    that is not finite raises.
     """
-    rows = [[Fraction(x) for x in row] for row in np.asarray(matrix).tolist()]
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
+    if matrix.dtype.kind == "f" and not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
+    rows = [[Fraction(x) for x in row] for row in matrix.tolist()]
     rank = 0
     n_cols = len(rows[0]) if rows else 0
     pivot_row = 0

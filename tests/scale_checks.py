@@ -145,10 +145,10 @@ ROWS = [
     # where one BLAS thread leaves them 3 ulp (2.8e-9) apart.  Each identity
     # builds and drops its own maps: 714 MB on 2 vCPU, 1 164 MB with all held
     Row("check-path-1e6", 60, 900, cli("check", "--graph", "path1m.txt"), all_pass, ONE_BLAS),
-    # the node cap: 14.6 s and 3 203 MB on 2 vCPU with the maps built straight
-    # from the graph's CSR arrays, 20.6 s and 3 204 MB through COO.  The
-    # χD + Dχ = 0 identity sets the peak
-    Row("check-path-5e6", 60, 3500, cli("check", "--graph", "path5m.txt"), all_pass, ONE_BLAS),
+    # the node cap: 9.7–16.3 s and 2 021 MB on 2 vCPU with χD + Dχ = 0 read in
+    # one pass over D, 11.6 s and 3 203 MB through the two products.  Building D
+    # sets the peak
+    Row("check-path-5e6", 60, 2300, cli("check", "--graph", "path5m.txt"), all_pass, ONE_BLAS),
     # the table writer measured 2.0–2.6 s and 489 MB in either format on 2 vCPU;
     # the printf writer it replaced, 3.8–4.9 s at 719 MB (edge list) and 788 MB (JSON)
     *(Row(f"gen-path-5e6-{fmt}", 30, 600, cli("gen", "--family", "path", "--n", "4999999",

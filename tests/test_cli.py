@@ -11,6 +11,8 @@ import pytest
 from graphdirac import build_path, cli, connes, operators, parse_graph, serialize_graph
 from graphdirac.cli import main
 
+from conftest import fixture_graphs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -137,6 +139,41 @@ def test_check_fails_on_a_laplacian_with_one_wrong_entry(tmp_path, capsys, monke
     assert code == 1
     assert "d*d = -2Δ: FAIL" in out
     assert "‖df‖² = (f|-2Δf): FAIL" in out
+
+
+def _product_verdict(chi, D):
+    """χD + Dχ = 0 through the two sparse products, entry by entry."""
+    return ((chi @ D) + (D @ chi)).entrywise_equal(operators.LinearMap(0 * chi.matrix, "H", "H"))
+
+
+def test_anticommutation_in_one_pass_matches_the_products(tmp_path, capsys, monkeypatch):
+    for g in fixture_graphs().values():
+        chi, D = operators.chirality_map(g), operators.dirac_operator(g)
+        assert (cli._anticommutes(chi.matrix, D.matrix), _product_verdict(chi, D)) == (True, True)
+    # D's first stored entry, in the block H0 -> H1, moved into the block H0 -> H0
+    dirac_operator = operators.dirac_operator
+
+    def moved_entry(g):
+        D = dirac_operator(g)
+        coo = D.matrix.tocoo()
+        first = np.flatnonzero(coo.row < g.node_count)[0]
+        coo.col[first] = (coo.row[first] + 1) % g.node_count
+        return operators.LinearMap(coo.tocsr(), D.domain, D.codomain)
+
+    g = build_path(5)
+    chi, D = operators.chirality_map(g), moved_entry(g)
+    assert (cli._anticommutes(chi.matrix, D.matrix), _product_verdict(chi, D)) == (False, False)
+    # a grading with an entry off its diagonal is not the diagonal one the pass reads
+    skew = chi.matrix.tolil()
+    skew[0, 1] = 1
+    assert not cli._anticommutes(skew.tocsr(), dirac_operator(g).matrix)
+    path = tmp_path / "p.edges"
+    path.write_bytes(serialize_graph(g))
+    monkeypatch.setattr(operators, "dirac_operator", moved_entry)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 1
+    assert "χD + Dχ = 0: FAIL" in out
+    assert out.count("FAIL") == 1
 
 
 def test_connes_matrix_csv(tmp_path, capsys):

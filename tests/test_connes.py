@@ -383,7 +383,7 @@ def _primal_dual_system(g, newton, f, lam, w, gauges, targets):
     matrix at a stack of points f with multipliers lam, as the solver builds
     them."""
     jac = newton.jacobian(f)
-    grad = -newton.stationarity(jac, w, gauges, targets)
+    grad = -newton.stationarity(((jac[newton.n:], w),), gauges, targets)
     grad[np.arange(len(f)), gauges] = 0.0
     s = 1.0 - constraint_profile(g, f)
     return grad, newton.system(jac, lam, np.sqrt(lam / s), gauges)
@@ -425,6 +425,30 @@ def test_sparse_step_matches_dense_assembly(name):
         step = newton._factor(hess)(-grad[None])[0]
         assert step[gauge] == 0.0
         assert np.allclose(ref_H @ step, -ref_grad, rtol=0, atol=1e-9 * np.abs(ref_grad).max())
+
+
+@pytest.mark.parametrize("name", sorted(fixture_graphs()))
+def test_corrector_right_hand_side_matches_dense_jacobians(name):
+    # c - J(f)^t w - J(df)^t dlam, with J(df)'s entries from the jumps that
+    # gave p and q, as the corrector forms it in one stationarity product
+    g = fixture_graphs()[name]
+    n = g.node_count
+    rng = np.random.default_rng(n + 2)
+    newton = connes._NewtonSystems(g)
+    for _ in range(3):
+        a = int(rng.integers(n))
+        b = (a + 1 + int(rng.integers(n - 1))) % n
+        f = random_feasible_point(g, a, rng, margin=0.9)
+        df, w, dlam = rng.standard_normal((3, n))
+        edges = newton.jacobian(f[None])[n:]
+        jumps = newton.constraint_steps(edges, df[None])[2]
+        rhs = newton.stationarity(((edges, w[None]), (2.0 * jumps, dlam[None])),
+                                  np.array([a]), np.array([b]))[0]
+        rhs[a] = 0.0
+        ref = -(_constraint_jacobian(g, f).T @ w + _constraint_jacobian(g, df).T @ dlam)
+        ref[b] += 1.0
+        ref[a] = 0.0
+        assert np.abs(rhs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _solve_pair(g, a, b, tol=connes.DEFAULT_TOL):
@@ -635,7 +659,7 @@ def test_certificate_matches_dense_jacobian(name):
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
             # the multipliers mu / s moved along df, as the solver moves them
-            steps = newton.constraint_steps(newton.jacobian(f[None]), direction[None])[0]
+            steps = newton.constraint_steps(newton.jacobian(f[None])[n:], direction[None])[0]
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             moved, moved_prof, residual = connes._certificate(
                 newton, f[None], multipliers, np.array([a]), np.array([b]), 1e-7)[:3]
@@ -1458,7 +1482,8 @@ def test_step_length_is_the_boundary_root():
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
             s = 1.0 - constraint_profile(g, f)
-            p, q = (x[0] for x in newton.constraint_steps(newton.jacobian(f[None]), df[None]))
+            edges = newton.jacobian(f[None])[n:]
+            p, q, _ = (x[0] for x in newton.constraint_steps(edges, df[None]))
             assert np.array_equal(q, constraint_profile(g, df))
             lam = np.ones(n)
             t = connes._step_length(s[None], p[None], q[None], lam[None], lam[None])[0]

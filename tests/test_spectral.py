@@ -228,6 +228,16 @@ def test_norms_reject_a_shape_that_is_not_2d(norm, m, shape):
         norm(m)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("norm", [spectral_norm, lanczos_norm, power_iteration_norm,
+                                  operator_norm])
+def test_norms_reject_a_complex_matrix(norm, sparse):
+    # Hermitian with norm 1; read as float it lost its imaginary part and gave 0.0
+    m = np.array([[0, 1j], [-1j, 0]])
+    with pytest.raises(ValueError, match="expected a real matrix, got dtype complex128"):
+        norm(sp.csr_array(m) if sparse else m)
+
+
 def test_spectral_norm_rejects_nonsymmetric():
     # [[0, 2], [0, 0]] has largest singular value 2; unchecked, Lanczos gave
     # 1.414 and power iteration 0.0, both with converged=True
@@ -459,3 +469,9 @@ def test_rank_matches_rational_oracle():
     # non-integer entries are read exactly, not truncated
     assert rational_rank([[1, 0.5], [2, 1]]) == 1
     assert rational_rank([[0.5]]) == 1
+    for m, message in (([1, 2], r"2-D matrix, got shape \(2,\)"),
+                       (3, r"2-D matrix, got shape \(\)"),
+                       ([[1, np.inf]], "non-finite entries"),
+                       ([[np.nan, 1]], "non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            rational_rank(m)
