@@ -48,7 +48,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import (_as_int, _check_node, _check_tol, _csgraph, combinatorial_distance,
+from .graph import (_as_count, _check_node, _check_tol, _csgraph, combinatorial_distance,
                     induced_subgraph, shortest_path)
 from .operators import _node_vector
 
@@ -163,9 +163,9 @@ class _NewtonSystems:
     few sparse products over the stack through ``to_slots``, built once per
     graph.  Both kinds share one band layout (``_layout``), and ``_factor``
     turns a stack of either into the function that solves it.  The methods
-    take J's entries as ``jacobian`` gives them once a point, or their edge
-    part.  Each pair's gauge node gets the identity in its row and column,
-    so a solution keeps full length with a zero there.
+    take J as its edge entries 2 (f_k - f_i), one column per pair.  Each
+    pair's gauge node gets the identity in its row and column, so a solution
+    keeps full length with a zero there.
     """
 
     def __init__(self, g):
@@ -177,18 +177,18 @@ class _NewtonSystems:
         self.gamma = (self.max_degree + 3) * UNIT_ROUNDOFF
         nodes = np.arange(n)
         # entries of J: the n diagonal ones, then one per directed edge
-        self.rows = np.concatenate((nodes, self.tails))
+        rows = np.concatenate((nodes, self.tails))
         cols = np.concatenate((nodes, self.heads))
         self.tail_sums = _edge_sums(g)
         # every ordered pair (p, q) of entries in one row of J
-        by_row = np.argsort(self.rows, kind="stable")
+        by_row = np.argsort(rows, kind="stable")
         row_len = degrees + 1
         row_start = np.cumsum(row_len) - row_len
-        block = row_len[self.rows[by_row]]
+        block = row_len[rows[by_row]]
         block_end = np.cumsum(block)
         within = np.arange(block_end[-1]) - np.repeat(block_end - block, block)
         p = np.repeat(by_row, block)
-        q = by_row[np.repeat(row_start[self.rows[by_row]], block) + within]
+        q = by_row[np.repeat(row_start[rows[by_row]], block) + within]
         self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
         # above a quarter full, a dense solve beats the sparse factorizations'
         # overhead
@@ -196,11 +196,11 @@ class _NewtonSystems:
         if self.dense:
             self.keys = np.arange(n * n)
             # the flat places in a pair's n x n block of J's entries and of the bonds (i, k)
-            self.jac_places = self.rows * n + cols
+            self.jac_places = rows * n + cols
             self.bond_places = self.tails * n + self.heads
             summed = n * n
         else:
-            pair_row = self.rows[p]
+            pair_row = rows[p]
             # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and
             # (k, i) for each neighbour k
             diag_p, diag_q = p < n, q < n
@@ -281,24 +281,27 @@ class _NewtonSystems:
             self.held, self.work = k, _Workspace(rj, hess, band)
         return self.work
 
-    def system(self, jac, curvature, root, gauges):
+    def system(self, edges, curvature, root, gauges):
         """2 L_curvature + J^t diag(root^2) J for each pair of the stack, J's
-        entries ``jac`` as ``jacobian`` gives them, with the identity in the
-        row and column of the pair's gauge node; curvature and root are (k, n)
-        stacks, gauges a (k,) array of nodes, and a root of None drops the J
-        term with no work on J (the dual bound's).  A dense system is the
-        first k of the ``workspace``'s (k, n, n) arrays, valid until the next
-        system, a sparse one the (k, keys.size) values in the CSR slots
-        ``keys``."""
+        edge entries ``edges`` as ``constraint_steps`` takes them, with the
+        identity in the row and column of the pair's gauge node; curvature and
+        root are (k, n) stacks, gauges a (k,) array of nodes, and a root of
+        None drops the J term with no work on J (the dual bound's).  A dense
+        system is the first k of the ``workspace``'s (k, n, n) arrays, valid
+        until the next system, a sparse one the (k, keys.size) values in the
+        CSR slots ``keys``."""
+        # r_i J_ip, the n diagonal entries first: J's rows sum to zero, so J_ii = -sum_k J_ik
+        u = None if root is None else np.concatenate(
+            (-(self.tail_sums @ edges) * root.T, edges * root.T[self.tails]))
         if not self.dense:
-            return self._slot_system(jac, curvature, root, gauges)
+            return self._slot_system(u, curvature, gauges)
         n, k, stack = self.n, len(gauges), np.arange(len(gauges))
         work = self.workspace(k)
         rj, hess = work.rj[:k], work.hess[:k]
-        if root is None:
+        if u is None:
             hess[...] = 0.0
         else:
-            rj.reshape(k, n * n)[:, self.jac_places] = (jac * root.T[self.rows]).T  # r_i J_ip
+            rj.reshape(k, n * n)[:, self.jac_places] = u.T
             np.matmul(rj.transpose(0, 2, 1), rj, out=hess)
         flat = hess.reshape(k, n * n)
         weights = 2.0 * (curvature.T[self.tails] + curvature.T[self.heads])
@@ -309,13 +312,12 @@ class _NewtonSystems:
         hess[stack, gauges, gauges] = 1.0
         return hess
 
-    def _slot_system(self, jac, curvature, root, gauges):
+    def _slot_system(self, u, curvature, gauges):
         n, size = self.n, self.half_p.size
         terms = np.empty((size + n, len(gauges)))
-        if root is None:
+        if u is None:
             terms[:size] = 0.0
         else:
-            u = jac * root.T[self.rows]  # r_i J_ip
             # the indices are in range; "clip" lets take write into terms unbuffered
             np.take(u, self.half_p, axis=0, out=terms[:size], mode="clip")
             terms[:size] *= u[self.half_q]
@@ -324,13 +326,6 @@ class _NewtonSystems:
         hess[(self.key_rows == gauges[:, None]) | (self.indices == gauges[:, None])] = 0.0
         hess[np.arange(len(gauges)), self.diagonal[gauges]] = 1.0
         return hess
-
-    def jacobian(self, f):
-        """J's entries in the order of ``rows``, one column per pair of the stack
-        f so that a gather takes whole rows: minus the sum of row i's jumps at
-        (i, i), then 2 (f_k - f_i) at each directed edge (i, k)."""
-        v = 2.0 * _jumps(self.tails, self.heads, f)
-        return np.concatenate((-(self.tail_sums @ v), v))
 
     def profile(self, f):
         """a(f) for each pair of the stack f, as ``constraint_profile``."""
@@ -642,23 +637,23 @@ def _solve_pairs(newton, gauges, targets, f, tol):
         mu = gap / n
         e_b = np.zeros(f.shape)
         e_b[rows, b] = 1.0
-        jac = newton.jacobian(f)
-        solve = newton._factor(newton.system(jac, lam, np.sqrt(lam / s), a))
+        edges = 2.0 * _jumps(newton.tails, newton.heads, f)  # J's edge entries
+        solve = newton._factor(newton.system(edges, lam, np.sqrt(lam / s), a))
         df = solve(e_b)
         failed[pairs] = ~np.isfinite(df).all(axis=1)
         if failed[pairs].any():  # those pairs are due at their last point
             continue
-        p, q, jumps = newton.constraint_steps(jac[n:], df)
+        p, q, jumps = newton.constraint_steps(edges, df)
         dlam = lam * (p / s - 1.0)
         t = _step_length(s, p, q, lam, dlam)[:, None]
         mu_aff = ((s - t * (p + t * q)) * (lam + t * dlam)).sum(axis=1) / n
         w = ((mu_aff / mu) ** 3 * mu)[:, None] / s + (p * dlam + lam * q) / s
         # c - J^t w, less the predictor's bilinear term J(df)^t dlam from df's
         # jumps; without it stationarity stalls where lambda is not unique
-        rhs = newton.stationarity(((jac[n:], w), (2.0 * jumps, dlam)), a, b)
+        rhs = newton.stationarity(((edges, w), (2.0 * jumps, dlam)), a, b)
         rhs[rows, a] = 0.0
         df = solve(rhs)
-        p, q, _ = newton.constraint_steps(jac[n:], df)
+        p, q, _ = newton.constraint_steps(edges, df)
         dlam = w - lam + lam * p / s
         t = 0.995 * _step_length(s, p, q, lam, dlam)[:, None]
         f += t * df
@@ -845,9 +840,7 @@ def lattice_closed_form(n):
     sqrt(floor(n^2/2)) for n even, sqrt(floor(n^2/2) + 1) for n odd; 0 and 1
     for n = 0, 1.  Monotone increasing in n.
     """
-    n = _as_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _as_count(n, "n")
     half = (n * n) // 2
     return math.sqrt(half if n % 2 == 0 else half + 1)
 
@@ -860,9 +853,7 @@ def lattice_step_profile(n):
     sqrt(1/2); odd n alternates h_max = A/sqrt(1+A^2) and 1/sqrt(1+A^2) with
     A = 1 + 1/floor(n/2), starting and ending on h_max.
     """
-    n = _as_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _as_count(n, "n")
     profile = np.empty(n)
     profile[0::2], profile[1::2] = _lattice_steps(n)
     return profile
@@ -915,6 +906,7 @@ def brute_force_distance(g, a, b, resolution=1e-3):
     the float below the rounded quotient at most the value of f / divisor.
     """
     _check_node(g, (a, b))
+    _check_tol(resolution, "resolution")
     if g.node_count > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes")
     if a == b:
@@ -1010,6 +1002,7 @@ def comparison_suite(g, a, b, subgraph_trials=5, seed=0):
     _check_node(g, (a, b))
     if a == b:
         raise ValueError("need two distinct nodes")
+    subgraph_trials, seed = _as_count(subgraph_trials, "subgraph_trials"), _as_count(seed, "seed")
     dist = connes_distance(g, a, b).distance
     path_nodes = shortest_path(g, a, b)
     d = len(path_nodes) - 1

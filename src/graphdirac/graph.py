@@ -219,9 +219,7 @@ def build_binary_tree(depth):
     2i+1 and 2i+2).  The root has degree 2, interior nodes degree 3 and
     leaves degree 1.
     """
-    depth = _as_int(depth, "depth")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    depth = _as_count(depth, "depth")
     n = 2 ** (depth + 1) - 1
     if n > NODE_CAP:
         raise ValueError(f"depth {depth} exceeds the {NODE_CAP}-node cap")
@@ -241,9 +239,7 @@ def build_random(n, p, seed):
     the first node left with no bond.  RANDOM_NODE_CAP bounds the time of the
     n(n-1)/2 draws.
     """
-    n, seed = _as_int(n, "node count"), _as_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    n, seed = _as_int(n, "node count"), _as_count(seed, "seed")
     if not isinstance(p, numbers.Real):
         raise ValueError(f"bond probability p {p!r} is not a real number")
     if not 0.0 < p <= 1.0:
@@ -418,9 +414,9 @@ def _name_bad_bond(edges, node_count):
             raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
 
 
-def _check_tol(tol):
+def _check_tol(tol, name="tol"):
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):  # NaN fails both
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def _as_int(value, name):
@@ -429,6 +425,13 @@ def _as_int(value, name):
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
+def _as_count(value, name):
+    """``_as_int(value, name)``, or a ValueError naming a negative one."""
+    if (value := _as_int(value, name)) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +457,8 @@ def parse_graph(data):
 
     Both are read as UTF-8 bytes, a str encoded once and bytes checked once,
     and give the same graph, or the same GraphParseError."""
+    if not isinstance(data, (str, bytes, bytearray, memoryview)):
+        raise ValueError(f"graph text must be str or bytes, got {type(data).__name__}")
     if isinstance(data, str):
         text = data.encode("utf-8", "surrogatepass")
     else:

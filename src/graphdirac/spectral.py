@@ -59,12 +59,12 @@ class TruncationReport:
 
 def _as_sparse(m):
     """2-D real ``m`` as a float CSR array (float CSR input is not copied);
-    NaN, inf or a complex dtype raise."""
+    NaN, inf or a dtype that is not bool, integer or real float raise."""
     if isinstance(m, LinearMap):
         m = m.matrix
     if not sp.issparse(m):
         m = np.asarray(m)
-    if m.dtype.kind == "c":  # a float conversion would drop the imaginary part
+    if m.dtype.kind not in "biuf":  # float would drop an imaginary part, or parse text
         raise ValueError(f"expected a real matrix, got dtype {m.dtype}")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")

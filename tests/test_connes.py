@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -382,11 +383,11 @@ def _primal_dual_system(g, newton, f, lam, w, gauges, targets):
     """The primal-dual gradient J^t w - e_b, zero at the gauge, and Newton
     matrix at a stack of points f with multipliers lam, as the solver builds
     them."""
-    jac = newton.jacobian(f)
-    grad = -newton.stationarity(((jac[newton.n:], w),), gauges, targets)
+    edges = 2.0 * connes._jumps(newton.tails, newton.heads, f)
+    grad = -newton.stationarity(((edges, w),), gauges, targets)
     grad[np.arange(len(f)), gauges] = 0.0
     s = 1.0 - constraint_profile(g, f)
-    return grad, newton.system(jac, lam, np.sqrt(lam / s), gauges)
+    return grad, newton.system(edges, lam, np.sqrt(lam / s), gauges)
 
 
 def _step_graphs():
@@ -440,7 +441,7 @@ def test_corrector_right_hand_side_matches_dense_jacobians(name):
         b = (a + 1 + int(rng.integers(n - 1))) % n
         f = random_feasible_point(g, a, rng, margin=0.9)
         df, w, dlam = rng.standard_normal((3, n))
-        edges = newton.jacobian(f[None])[n:]
+        edges = 2.0 * connes._jumps(newton.tails, newton.heads, f[None])
         jumps = newton.constraint_steps(edges, df[None])[2]
         rhs = newton.stationarity(((edges, w[None]), (2.0 * jumps, dlam[None])),
                                   np.array([a]), np.array([b]))[0]
@@ -659,7 +660,8 @@ def test_certificate_matches_dense_jacobian(name):
         short *= 0.5 / np.abs(J @ short / s).max()
         for direction in (step[0], short):
             # the multipliers mu / s moved along df, as the solver moves them
-            steps = newton.constraint_steps(newton.jacobian(f[None])[n:], direction[None])[0]
+            edges = 2.0 * connes._jumps(newton.tails, newton.heads, f[None])
+            steps = newton.constraint_steps(edges, direction[None])[0]
             multipliers = np.maximum(0.0, mu / s * (1.0 + steps / s))
             moved, moved_prof, residual = connes._certificate(
                 newton, f[None], multipliers, np.array([a]), np.array([b]), 1e-7)[:3]
@@ -958,11 +960,19 @@ def test_brute_force_same_node_and_disconnected():
 
 
 def test_brute_force_is_a_lower_bound_at_its_round_cap():
-    # resolution 0 runs all 12 rounds, to a spacing of 2.5e-12; rescaling
-    # without a rounding allowance returned 1.4142135623730954 here, above
-    # the supremum sqrt(2) = 1.4142135623730951
-    value = brute_force_distance(build_path(3), 0, 2, resolution=0)
+    # a resolution below 2.5e-12, the 12th round's spacing, runs all 12
+    # rounds; rescaling without a rounding allowance returned
+    # 1.4142135623730954 here, above the supremum sqrt(2) = 1.4142135623730951
+    value = brute_force_distance(build_path(3), 0, 2, resolution=1e-13)
     assert SQRT2 - 1e-11 <= value <= SQRT2
+
+
+@pytest.mark.parametrize("resolution", [0, -1, 0.0, math.nan, math.inf, "a", None])
+def test_brute_force_rejects_a_resolution_that_is_not_positive(resolution):
+    # 0 and -1 ran all 12 rounds, NaN stopped after 3 and "a" raised a TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"resolution must be positive and finite, got {resolution!r}")):
+        brute_force_distance(build_path(3), 0, 2, resolution=resolution)
 
 
 def test_solver_agrees_with_brute_force():
@@ -1482,7 +1492,7 @@ def test_step_length_is_the_boundary_root():
             f = random_feasible_point(g, 0, rng, margin=rng.uniform(0.1, 0.99))
             df = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
             s = 1.0 - constraint_profile(g, f)
-            edges = newton.jacobian(f[None])[n:]
+            edges = 2.0 * connes._jumps(newton.tails, newton.heads, f[None])
             p, q, _ = (x[0] for x in newton.constraint_steps(edges, df[None]))
             assert np.array_equal(q, constraint_profile(g, df))
             lam = np.ones(n)
@@ -1555,6 +1565,19 @@ def test_minimal_path_distance_is_the_lattice_closed_form():
 def test_comparison_rejects_equal_pair():
     with pytest.raises(ValueError):
         comparison_suite(build_path(3), 1, 1)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("subgraph_trials", 1.5, "subgraph_trials 1.5 is not an integer"),  # was a TypeError in range()
+    ("subgraph_trials", -1, "subgraph_trials must be nonnegative, got -1"),  # sampled nothing
+    ("seed", 1.5, "seed 1.5 is not an integer"),  # was a TypeError in SeedSequence
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("seed", "1", "seed '1' is not an integer"),
+])
+def test_comparison_rejects_a_count_or_seed_that_is_not_a_nonnegative_integer(name, value,
+                                                                              message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        comparison_suite(build_cycle(4), 0, 2, **{name: value})
 
 
 # --- rescaling ---------------------------------------------------------------------------

@@ -399,6 +399,15 @@ def test_parse_rejects_bytes_that_are_not_utf8(data, lineno):
     assert str(err.value) == f"line {lineno}: not UTF-8 text"
 
 
+@pytest.mark.parametrize("data", [5, [48, 32, 49], (48, 32, 49), None,
+                                  np.frombuffer(b"0 1", np.uint8)])
+def test_parse_rejects_what_is_not_text(data):
+    # bytes() would read 5 as five NUL bytes and [48, 32, 49] as "0 1"
+    with pytest.raises(ValueError, match=f"must be str or bytes, got {type(data).__name__}$"):
+        parse_graph(data)
+    assert parse_graph(memoryview(b"0 1")) == build_path(2)
+
+
 def test_json_is_sniffed_past_any_leading_whitespace():
     # str.lstrip strips "\x1c" and "\x1f" (json.loads does not) and U+3000
     text = '\x1c\x1f {"nodes": 2, "edges": [[0, 1]]}'

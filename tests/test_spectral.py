@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -236,6 +238,15 @@ def test_norms_reject_a_complex_matrix(norm, sparse):
     m = np.array([[0, 1j], [-1j, 0]])
     with pytest.raises(ValueError, match="expected a real matrix, got dtype complex128"):
         norm(sp.csr_array(m) if sparse else m)
+    if not sparse:
+        # read as float, text such as [["0", "1"], ["1", "0"]] gave 1.0
+        for m in (np.array([["0", "1"], ["1", "0"]]), np.array([[b"0", b"1"], [b"1", b"0"]]),
+                  np.array([[0, 1], [1, 0]], dtype=object),
+                  np.array([[0, 1], [1, 0]], dtype="datetime64[D]"),
+                  np.array([[0, 1], [1, 0]], dtype="timedelta64[s]")):
+            message = f"expected a real matrix, got dtype {m.dtype}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                norm(m)
 
 
 def test_spectral_norm_rejects_nonsymmetric():
