@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import connes, graph, operators, spectral
+# every verb reads or writes a graph; each imports the rest of what it calls
+from . import graph
 
 
 def _load_graph(path):
@@ -70,6 +71,8 @@ def _require(value, flag):
 
 
 def _cmd_spectral(args):
+    from . import spectral
+
     g = _load_graph(args.graph)
     bounds = spectral.adjacency_norm_bounds(g)
     _emit(json.dumps(asdict(bounds)).encode(), args.out)
@@ -80,7 +83,8 @@ def _identity_checks(g):
     """The ten identities in order, as (name, holds) pairs.  Each identity
     builds its own maps and drops them before the next one is built, so the
     verb's peak memory is its largest identity's, not all ten's."""
-    op = operators
+    from . import operators as op
+
     f = np.random.default_rng(0).standard_normal(g.node_count)
     checks = [
         ("d*d = -2Δ", (op.coboundary_map, op.laplacian_map),
@@ -139,6 +143,8 @@ def _cmd_check(args):
 
 
 def _cmd_connes(args):
+    from . import connes
+
     g = _load_graph(args.graph)
     result = connes.connes_distance(g, args.src, args.dst, tol=args.tol)
     _emit(result.to_json().encode(), args.out)
@@ -150,6 +156,8 @@ def _cmd_connes(args):
 
 
 def _cmd_connes_matrix(args):
+    from . import connes
+
     g = _load_graph(args.graph)
     matrix = connes.distance_matrix(g, tol=args.tol)
     n = g.node_count
@@ -161,6 +169,8 @@ def _cmd_connes_matrix(args):
 
 
 def _cmd_truncation(args):
+    from . import spectral
+
     depths = list(range(1, args.max_depth + 1))
     if args.family in ("path", "cycle"):
         depths = [d for d in depths if d >= (2 if args.family == "path" else 3)]
@@ -199,13 +209,13 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--from", dest="src", type=int, required=True)
     p.add_argument("--to", dest="dst", type=int, required=True)
-    p.add_argument("--tol", type=float, default=connes.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=graph.DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_connes)
 
     p = sub.add_parser("connes-matrix", help="all-pairs distances as CSV")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=connes.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=graph.DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_connes_matrix)
 

@@ -48,11 +48,9 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .graph import (_as_count, _check_node, _check_tol, _csgraph, combinatorial_distance,
-                    induced_subgraph, shortest_path)
-from .operators import _node_vector
+from .graph import (DEFAULT_TOL, _as_count, _check_node, _check_tol, _csgraph,
+                    _node_vector, combinatorial_distance, induced_subgraph, shortest_path)
 
-DEFAULT_TOL = 1e-7
 MAX_NEWTON = 60  # primal-dual iterations a pair
 # cap on the Hessian entries (the terms summed into it, or its dense or banded
 # form) that one chunk of distance_matrix's pairs holds at once: 2 MB an array,

@@ -351,6 +351,15 @@ def _check_node(g, nodes):
     return index
 
 
+def _node_vector(g, f):
+    f = np.asarray(f, dtype=float)
+    if f.shape != (g.node_count,):
+        raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("node vector has non-finite entries")
+    return f
+
+
 def _int64s(values, count):
     """The ``count`` integers of ``values`` as an int64 array, or None when one
     is not an integer (as ``operator.index`` reads it) or does not fit int64.
@@ -412,6 +421,9 @@ def _name_bad_bond(edges, node_count):
             raise ValueError(f"bonds must be (i, j) pairs, got {bond!r}") from None
         if not all(0 <= _as_int(v, f"bond ({i},{j}): node index") < node_count for v in (i, j)):
             raise ValueError(f"bond ({i},{j}) out of range for {node_count} nodes")
+
+
+DEFAULT_TOL = 1e-7  # the Connes solves' absolute tolerance, here for the CLI's default
 
 
 def _check_tol(tol, name="tol"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _check_node, _reject
+from .graph import _check_node, _node_vector, _reject
 
 VALID_SPACES = ("H0", "H1", "H", "bonds")
 
@@ -79,7 +79,16 @@ class LinearMap:
         self._check_same(other)
         return LinearMap(self.matrix - other.matrix, self.domain, self.codomain)
 
+    __array_ufunc__ = None  # an ndarray operand defers to __rmul__, which rejects it
+
     def __mul__(self, scalar):
+        """The map scaled by a real scalar; composition is ``@``."""
+        if isinstance(scalar, LinearMap):
+            return NotImplemented
+        operand = np.asarray(scalar)
+        if operand.ndim or operand.dtype.kind not in "biuf":
+            raise ValueError(f"a map scales only by a real scalar, "
+                             f"got {type(scalar).__name__} of shape {operand.shape}")
         return LinearMap(self.matrix * scalar, self.domain, self.codomain)
 
     __rmul__ = __mul__
@@ -252,12 +261,3 @@ def cycle_edge_vector(g, nodes):
     vals = np.zeros(g.directed_edge_count)
     np.add.at(vals, found, np.repeat([1.0, -1.0], u.size))
     return vals
-
-
-def _node_vector(g, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (g.node_count,):
-        raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("node vector has non-finite entries")
-    return f

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,7 +250,9 @@ def adjacency_norm_bounds(g):
     if not (lower <= estimate + 1e-8 and estimate <= upper + 1e-8):
         raise RuntimeError(
             f"norm estimate {estimate} outside its bounds [{lower}, {upper}]")
-    return NormBounds(lower, upper, estimate)
+    # within 1e-8 of a bound, a rounded estimate is put back inside it: on a
+    # regular graph lower = upper, and the estimate is off by an ulp or so
+    return NormBounds(lower, upper, min(max(estimate, lower), upper))
 
 
 _FAMILIES = {
@@ -331,6 +332,8 @@ def rational_rank(matrix):
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     if matrix.dtype.kind == "f" and not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
+    from fractions import Fraction  # only this oracle needs it
+
     rows = [[Fraction(x) for x in row] for row in matrix.tolist()]
     rank = 0
     n_cols = len(rows[0]) if rows else 0

@@ -513,6 +513,23 @@ def test_map_space_tags_and_negation():
     assert np.array_equal(minus.toarray(), -d.toarray())
 
 
+def test_map_scales_only_by_a_real_scalar():
+    a = adjacency_map(build_cycle(5))
+    for scalar in (-2, 0.5, True, np.int64(3), np.float64(-1.5), np.array(2.0)):
+        for scaled in (a * scalar, scalar * a):
+            assert np.array_equal(scaled.toarray(), a.toarray() * scalar)
+            assert (scaled.domain, scaled.codomain) == (a.domain, a.codomain)
+    for operand, shape in ((np.ones(5), r"\(5,\)"), (np.ones((5, 5)), r"\(5, 5\)"),
+                           ([1, 2], r"\(2,\)"), (1j, r"\(\)"), ("2", r"\(\)")):
+        for product in (lambda: a * operand, lambda: operand * a):
+            with pytest.raises(ValueError, match=f"real scalar, got .* of shape {shape}"):
+                product()
+    # composition is @; * between maps is left to the other operand, and fails
+    assert a.__mul__(a) is NotImplemented
+    with pytest.raises(TypeError):
+        a * a
+
+
 def test_apply_checks_length():
     with pytest.raises(ValueError):
         coboundary_map(build_path(3)).apply(np.zeros(5))

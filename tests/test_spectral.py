@@ -340,6 +340,22 @@ def test_bounds_violation_raises(monkeypatch):
         adjacency_norm_bounds(build_path(4))
 
 
+def test_bounds_triple_is_ordered_on_regular_graphs_and_fixtures():
+    # on a regular graph lower = upper exactly, and the computed norm lands an
+    # ulp either side of it (C5 below, C7 above) unless put back in order
+    graphs = [build_path(2), *map(build_cycle, range(3, 60)), *fixture_graphs().values()]
+    for g in graphs:
+        b = adjacency_norm_bounds(g)
+        assert b.lower <= b.estimate <= b.upper, (g.node_count, b)
+
+
+def test_bounds_put_a_rounded_estimate_back_inside(monkeypatch):
+    monkeypatch.setattr(spectral, "_symmetric_norm", lambda *args, **kwargs: 2.0 + 1e-12)
+    assert adjacency_norm_bounds(build_cycle(5)).estimate == 2.0
+    monkeypatch.setattr(spectral, "_symmetric_norm", lambda *args, **kwargs: 2.0 - 1e-12)
+    assert adjacency_norm_bounds(build_cycle(5)).estimate == 2.0
+
+
 def test_bounds_of_the_empty_graph():
     b = adjacency_norm_bounds(Graph.from_edges(0, []))
     assert (b.lower, b.upper, b.estimate) == (0.0, 0.0, 0.0)
