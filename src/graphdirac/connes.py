@@ -146,7 +146,7 @@ class _NewtonSystems:
     c = lambda and r^2 = lambda / s; the dual bound's Laplacian L_lambda
     c = lambda / 2 and r = 0.  Row i of the constraint Jacobian J holds node
     i and its neighbours, and both terms of node i live on the ordered pairs
-    of that row, so every system has the two-hop pattern.
+    of that row, so every system has J^t J's two-hop pattern, (A + I)^2.
 
     The object holds the graph's fixed arrays and one block, its
     ``workspace``, where each dense system and band is written over the last:
@@ -159,11 +159,12 @@ class _NewtonSystems:
     J^t diag(r^2) J, and 2 L_c is added at the bonds and the diagonal.
     Otherwise a system is the (k, keys.size) values in those CSR slots, a
     few sparse products over the stack through ``to_slots``, built once per
-    graph.  Both kinds share one band layout (``_layout``), and ``_factor``
-    turns a stack of either into the function that solves it.  The methods
-    take J as its edge entries 2 (f_k - f_i), one column per pair.  Each
-    pair's gauge node gets the identity in its row and column, so a solution
-    keeps full length with a zero there.
+    graph from the ordered pairs of each row of J.  Both kinds share one
+    band layout (``_layout``), and ``_factor`` turns a stack of either into
+    the function that solves it.  The methods take J as its edge entries
+    2 (f_k - f_i), one column per pair.  Each pair's gauge node gets the
+    identity in its row and column, so a solution keeps full length with a
+    zero there.
     """
 
     def __init__(self, g):
@@ -178,19 +179,13 @@ class _NewtonSystems:
         rows = np.concatenate((nodes, self.tails))
         cols = np.concatenate((nodes, self.heads))
         self.tail_sums = _edge_sums(g)
-        # every ordered pair (p, q) of entries in one row of J
-        by_row = np.argsort(rows, kind="stable")
-        row_len = degrees + 1
-        row_start = np.cumsum(row_len) - row_len
-        block = row_len[rows[by_row]]
-        block_end = np.cumsum(block)
-        within = np.arange(block_end[-1]) - np.repeat(block_end - block, block)
-        p = np.repeat(by_row, block)
-        q = by_row[np.repeat(row_start[rows[by_row]], block) + within]
-        self.keys, slots = np.unique(cols[p] * n + cols[q], return_inverse=True)
-        # above a quarter full, a dense solve beats the sparse factorizations'
-        # overhead
-        self.dense = 4 * self.keys.size > n * n
+        # J's entries row by row, each row's diagonal one first
+        entries, starts = np.argsort(rows, kind="stable"), g.indptr + np.arange(n + 1)
+        # J's 0/1 pattern is A + I, symmetric, so J^t J's is (A + I)^2
+        ones = csr_matrix((np.ones(rows.size), cols[entries], starts), shape=(n, n))
+        pattern = (ones @ ones).sorted_indices()
+        # above a quarter full, a dense solve beats sparse factorizations' overhead
+        self.dense = 4 * pattern.nnz > n * n
         if self.dense:
             self.keys = np.arange(n * n)
             # the flat places in a pair's n x n block of J's entries and of the bonds (i, k)
@@ -198,7 +193,14 @@ class _NewtonSystems:
             self.bond_places = self.tails * n + self.heads
             summed = n * n
         else:
+            self.keys = np.repeat(nodes, np.diff(pattern.indptr)) * n + pattern.indices
+            # every ordered pair (p, q) of entries in one row of J, row by row
+            row_len = degrees + 1
+            by_row = csr_matrix((np.ones(rows.size), entries, starts), shape=(n, rows.size))
+            p = np.repeat(entries, np.repeat(row_len, row_len))
+            q = by_row[np.repeat(nodes, row_len)].indices
             pair_row = rows[p]
+            slots = np.searchsorted(self.keys, cols[p] * n + cols[q])
             # hess(a_i): 2 deg_i at (i, i), and 2 at (k, k), -2 at (i, k) and
             # (k, i) for each neighbour k
             diag_p, diag_q = p < n, q < n
@@ -224,24 +226,24 @@ class _NewtonSystems:
         self.indices = self.keys % n
         self.key_rows = self.keys // n
         self.diagonal = np.searchsorted(self.keys, nodes * (n + 1))
-        self._layout()
+        self._layout(pattern)
         # Hessian entries one pair holds: the terms summed into it, and the
         # band or the sparse LU factors it fills
         self.entries_per_pair = max(summed, self.factor_entries)
         self.held, self.work = 0, None  # the pairs the workspace fits, and it
 
-    def _layout(self):
+    def _layout(self, pattern):
         """In node order when dense, in reverse Cuthill-McKee order (Cuthill
-        and McKee 1969) otherwise, the pattern lies within ``width`` of the
-        diagonal: its ``lower`` entries go to their ``band_slots`` in the
-        (width + 1, n) lower band that dpbtrf takes.  ``band`` tells whether
-        the pairs are factored so (``BAND_FILL``) or by sparse LU; a band
-        within BAND_FILL times the pattern's lower triangle, as a dense one
-        is, needs no trial, a wider one is weighed against one trial LU's."""
+        and McKee 1969) of the CSR ``pattern`` otherwise, the pattern lies
+        within ``width`` of the diagonal: its ``lower`` entries go to their
+        ``band_slots`` in the (width + 1, n) lower band that dpbtrf takes.
+        ``band`` tells whether the pairs are factored so (``BAND_FILL``) or
+        by sparse LU; a band within BAND_FILL times the pattern's lower
+        triangle, as a dense one is, needs no trial, a wider one is weighed
+        against one trial LU's."""
         n = self.n
         self.order = np.arange(n) if self.dense else csgraph.reverse_cuthill_mckee(
-            csr_matrix((np.ones(self.keys.size), self.indices, self.indptr), shape=(n, n)),
-            symmetric_mode=True)
+            pattern, symmetric_mode=True)
         self.rank = np.argsort(self.order)  # of each node in that order
         row, col = self.rank[self.key_rows], self.rank[self.indices]
         self.width = w = int(np.abs(row - col).max())
@@ -423,7 +425,9 @@ class _NewtonSystems:
     def _splu(self, values):
         # the pattern is symmetric, so its CSR arrays are also its CSC ones;
         # symmetric ordering, no pivoting: both systems are positive definite
-        return splu(csc_matrix((values, self.indices, self.indptr), shape=(self.n, self.n)),
+        # a row of a stack's values may be strided; gstrf takes contiguous arrays
+        return splu(csc_matrix((np.ascontiguousarray(values), self.indices, self.indptr),
+                               shape=(self.n, self.n)),
                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
 
 
@@ -587,11 +591,11 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     parked, and the others take that iteration again.  When the working
     stack is empty, the parked pairs are moved onto the boundary and
     certified in one round; a pair leaves when it is certified, failed or at
-    MAX_NEWTON iterations, and goes back on the working stack with its own
-    (f, s, lambda) and iteration count otherwise, to take one more iteration
-    before it is due again.  An uncertified pair returns its round with the
-    smallest gap, and ``iterations`` counts all its iterations, later rounds
-    included.  The rows of f are the working stack and are overwritten.
+    MAX_NEWTON iterations, and otherwise takes its next iteration at once,
+    from its own (f, s, lambda) and iteration count, before it can be due
+    again.  An uncertified pair returns its round with the smallest gap, and
+    ``iterations`` counts all its iterations, later rounds included.  The
+    rows of f are the working stack and are overwritten.
 
     Every dense system and band is written into ``newton``'s ``workspace``,
     and no solver is used after the next factorization.
@@ -602,25 +606,19 @@ def _solve_pairs(newton, gauges, targets, f, tol):
     out_gap = np.full(k, np.nan)  # NaN until a pair's first round
     iterations = np.zeros(k, dtype=int)
     failed = np.zeros(k, dtype=bool)  # pairs that no factorization served
-    checked = np.full(k, -1)  # the iteration count at each pair's last certificate
     pairs = np.arange(k)  # where each pair on the stack reports
     s = 1.0 - newton.profile(f)
     lam = np.full((k, n), 0.1)
     parked = []  # (pairs, f, s, lambda) of the due pairs, one tuple a park
-    while True:
+    while pairs.size:
         gap = (s * lam).sum(axis=1)
-        count = iterations[pairs]
-        due = (((gap <= 1e-4 * tol) | (count == MAX_NEWTON)) & (count > checked[pairs])
-               | failed[pairs])
+        due = (gap <= 1e-4 * tol) | (iterations[pairs] == MAX_NEWTON) | failed[pairs]
         if due.any():
             parked.append((pairs[due], f[due], s[due], lam[due]))
             pairs, f, s, lam, gap = (x[~due] for x in (pairs, f, s, lam, gap))
         if not pairs.size:
-            if not parked:
-                break
             pairs, f, s, lam = (np.concatenate(x) for x in zip(*parked))
             parked = []
-            checked[pairs] = iterations[pairs]
             bf, prof, kkt, upper, gap, certified = _certificate(
                 newton, f, lam, gauges[pairs], targets[pairs], tol)
             # a pair keeps its round with the smallest gap, or its certified one
@@ -630,7 +628,9 @@ def _solve_pairs(newton, gauges, targets, f, tol):
                 out[pairs[best]] = value[best]
             done = certified | (iterations[pairs] == MAX_NEWTON) | failed[pairs]
             pairs, f, s, lam = (x[~done] for x in (pairs, f, s, lam))
-            continue
+            if not pairs.size:
+                break
+            gap = (s * lam).sum(axis=1)  # the rest take their next step
         rows, a, b = np.arange(pairs.size), gauges[pairs], targets[pairs]
         mu = gap / n
         e_b = np.zeros(f.shape)

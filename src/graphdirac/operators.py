@@ -18,6 +18,7 @@ CSR arrays, and adjoints are structural transposes, never numerical approximatio
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +68,20 @@ class LinearMap:
             raise ValueError(f"cannot compose {self.domain}<-... with ...->{other.codomain}")
         return LinearMap(self.matrix @ other.matrix, other.domain, self.codomain)
 
-    def _check_same(self, other):
+    def _combine(self, other, op):
+        """op on the matrices of two maps on one space; a non-map operand is
+        left to the other side, as for ``@``."""
+        if not isinstance(other, LinearMap):
+            return NotImplemented
         if self.shape != other.shape or (self.domain, self.codomain) != (other.domain, other.codomain):
             raise ValueError("maps live on different spaces")
+        return LinearMap(op(self.matrix, other.matrix), self.domain, self.codomain)
 
     def __add__(self, other):
-        self._check_same(other)
-        return LinearMap(self.matrix + other.matrix, self.domain, self.codomain)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return LinearMap(self.matrix - other.matrix, self.domain, self.codomain)
+        return self._combine(other, operator.sub)
 
     __array_ufunc__ = None  # an ndarray operand defers to __rmul__, which rejects it
 

@@ -47,6 +47,7 @@ GEN = {
     "path1m.json": "--family path --n 1000000 --format json",
     "path5m.txt": "--family path --n 4999999",
     "random2000.txt": "--family random --n 2000 --p 0.005 --seed 1",
+    "random400.txt": "--family random --n 400 --p 0.3 --seed 1",
     "cycle30.txt": "--family cycle --n 30",
     "random20.txt": "--family random --n 20 --p 0.3 --seed 1",
     "random40.txt": "--family random --n 40 --p 0.3 --seed 1",
@@ -170,6 +171,10 @@ ROWS = [
     # band is alive at a time: 172 MB peak RSS, where two read 214 MB
     Row("connes-random-2000", 10, 195, connes("random2000.txt", 0, 1999),
         lambda out: json.loads(out)["certified"], ONE_BLAS),
+    # the dense branch: its pattern is one sparse product, 0.9–1.6 s and 87 MB
+    # on 2 vCPU; enumerating its 5.8·10⁶ pairs of Jacobian entries took 476 MB
+    Row("connes-random-400-dense", 10, 200, connes("random400.txt", 0, 399),
+        lambda out: json.loads(out)["certified"]),
     # build_random draws its stream in one loop of chunks, on one CPU whether
     # pinned or not; both rows hold the bytes of the earlier writers
     *(Row(f"gen-random-1e4-{label}", 60, None, pin + RANDOM_10000, lambda out: hashlib.sha256(

@@ -1095,6 +1095,33 @@ def test_wide_band_solve_holds_one_band():
     assert peak < 1.75 * band
 
 
+def test_sparse_lu_stack_of_two_pairs():
+    # a stack's values reach splu as rows of a transposed array, two floats
+    # apart for two pairs; SciPy copies wider strides, but handed this one
+    # on and its LU raised.  Each pair solves as it does alone
+    g = _tree_with_chord()
+    newton = connes._NewtonSystems(g)
+    assert not newton.dense and not newton.band
+    a, b = np.array([0, 15]), np.array([30, 2])
+    stack = connes._solve_pairs(newton, a, b, np.zeros((2, g.node_count)), connes.DEFAULT_TOL)
+    assert stack[6].all()  # certified
+    for r in range(2):
+        alone = connes._solve_pairs(newton, a[r:r + 1], b[r:r + 1], np.zeros((1, g.node_count)),
+                                    connes.DEFAULT_TOL)
+        for field, one in zip(stack, alone):
+            assert np.array_equal(field[r], one[0]), r
+
+
+def test_dense_setup_enumerates_no_row_pairs():
+    # the pattern comes from one sparse product and is found dense before
+    # anything else; enumerating the 2.5·10⁶ pairs of entries within a row of
+    # J, as a sparse pattern needs, traced 174 MiB on this graph
+    g = build_random(300, 0.3, 1)
+    newton, peak = traced_peak(connes._NewtonSystems, g)
+    assert newton.dense
+    assert peak < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("g,sample,dense", [
     (build_cycle(30), None, False),
     (_tree_with_chord(), None, False),

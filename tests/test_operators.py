@@ -504,6 +504,20 @@ def test_map_composition_checks_spaces():
         coboundary_map(g) @ "H0"
 
 
+def test_map_sum_and_difference_take_only_maps():
+    # a non-map operand is left to the other side, as for @: Python raises a
+    # TypeError naming both types, and an ndarray refuses a map operand
+    # (__array_ufunc__ = None); the comparisons go through -
+    a = adjacency_map(build_cycle(5))
+    for call, message in ((lambda: a + 1, "'LinearMap' and 'int'"),
+                          (lambda: a.max_abs_difference(3), "'LinearMap' and 'int'"),
+                          (lambda: a - np.ones(5), "'LinearMap' does not support ufuncs"),
+                          (lambda: a.entrywise_equal(np.eye(5)),
+                           "'LinearMap' does not support ufuncs")):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 def test_map_space_tags_and_negation():
     with pytest.raises(ValueError, match="unknown space tag on map H0->H2"):
         LinearMap(np.eye(2), "H0", "H2")
