@@ -49,7 +49,7 @@ from scipy.sparse import csc_matrix, csgraph, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .graph import (DEFAULT_TOL, _as_count, _check_node, _check_tol, _csgraph,
-                    _node_vector, combinatorial_distance, induced_subgraph, shortest_path)
+                    _node_vector, _real, combinatorial_distance, induced_subgraph, shortest_path)
 
 MAX_NEWTON = 60  # primal-dual iterations a pair
 # cap on the Hessian entries (the terms summed into it, or its dense or banded
@@ -75,7 +75,7 @@ def constraint_profile(g, f):
     ``f`` is one node vector or a (k, n) stack of them; the profile has the
     same shape.
     """
-    f = np.asarray(f, dtype=float)
+    f = _real(f, "node vector").astype(float, copy=False)
     n = g.node_count
     if f.ndim not in (1, 2) or f.shape[-1] != n:
         raise ValueError(f"node vector has shape {f.shape}, expected ({n},) or (k, {n})")
@@ -478,25 +478,25 @@ def _dual_bound(newton, multipliers, gauges, targets):
     # cannot fail the stack's; its U is +inf whatever they give
     multipliers = np.where(split[:, None], 1.0, multipliers)
     conductance = np.where(split, 2.0, conductance)
+
+    def by_bonds(v):
+        """L v by its bonds, and the sums of |terms| that bound its rounding."""
+        tails, heads = v.T[newton.tails], v.T[newton.heads]
+        return ((newton.tail_sums @ (conductance * (tails - heads))).T,
+                (newton.tail_sums @ (conductance * (np.abs(tails) + np.abs(heads)))).T)
+
     solve = newton._factor(newton.system(None, 0.5 * multipliers, None, gauges))
     rhs = np.zeros((k, n))
     rhs[stack, targets] = 1.0
     x = solve(rhs)
-    xt = x.T
-    # |e_b - L x| plus its rounding, L x by its bonds; the gauge's row is dropped
-    jumps = conductance * (xt[newton.tails] - xt[newton.heads])
-    spread = rhs + (newton.tail_sums @ (conductance * (np.abs(xt[newton.tails])
-                                                       + np.abs(xt[newton.heads])))).T
-    defect = np.abs(rhs - (newton.tail_sums @ jumps).T) + newton.gamma * spread
+    # |e_b - L x| plus its rounding; the gauge's row is dropped
+    lx, size = by_bonds(x)
+    defect = np.abs(rhs - lx) + newton.gamma * (rhs + size)
     defect[stack, gauges] = 0.0
     y = solve(2.0 * defect)
-    yt = y.T
-    # L y by its bonds, less its rounding: gamma, as for the defect, leaves
-    # u to spare for the subtraction
-    flow = newton.tail_sums @ (conductance * (yt[newton.tails] - yt[newton.heads]))
-    flow -= newton.gamma * (newton.tail_sums @ (conductance * (np.abs(yt[newton.tails])
-                                                               + np.abs(yt[newton.heads]))))
-    flow = flow.T
+    # L y less its rounding: gamma, as for the defect, leaves u to spare for the subtraction
+    ly, size = by_bonds(y)
+    flow = ly - newton.gamma * size
     flow[stack, gauges] = 0.0
     verified = (flow >= defect).all(axis=1)
     y[~verified] = 0.0  # U is +inf there, and y may hold inf
@@ -506,7 +506,8 @@ def _dual_bound(newton, multipliers, gauges, targets):
     # bond's two directed terms are bit-equal (the conductance sum commutes, the
     # jump flips sign), so the energy sums each bond once
     up = newton.tails < newton.heads
-    energy = _exact_sums(jumps[up].T * (xt[newton.tails[up]] - xt[newton.heads[up]]).T)
+    jumps = x.T[newton.tails[up]] - x.T[newton.heads[up]]
+    energy = _exact_sums((conductance[up] * jumps * jumps).T)
     reach = 2.0 * x[stack, targets]
     resistance = reach - energy + correction + 8 * UNIT_ROUNDOFF * (np.abs(reach) + energy)
     total = _exact_sums(multipliers)
@@ -688,12 +689,8 @@ def connes_distance(g, a, b, tol=DEFAULT_TOL, x0=None):
     n = g.node_count
     f = np.zeros(n)
     if x0 is not None:
-        f = np.array(x0, dtype=float)
-        if f.shape != (n,):
-            raise ValueError(f"x0 has shape {f.shape}, expected ({n},)")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("x0 has non-finite entries")
-        f -= f[a]  # enforce the gauge
+        f = _node_vector(g, x0, "x0")
+        f = f - f[a]  # enforce the gauge, on a copy: f may be the caller's x0
         if constraint_profile(g, f).max() >= 1.0:
             raise ValueError("x0 is not strictly feasible")
     if a == b:

@@ -351,12 +351,24 @@ def _check_node(g, nodes):
     return index
 
 
-def _node_vector(g, f):
-    f = np.asarray(f, dtype=float)
+def _real(values, name):
+    """``values`` as an ndarray, a SciPy sparse array as it is, whose dtype is
+    bool, integer or real float; any other raises a ValueError naming it.  Read
+    as float, complex would drop its imaginary part, text would be parsed and a
+    date read as its count; Python ints past 64 bits arrive as dtype object."""
+    array = values if sp.issparse(values) else np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"expected a real {name}, got dtype {array.dtype} of shape {array.shape}")
+    return array
+
+
+def _node_vector(g, f, name="node vector"):
+    """``f`` as a float vector of n finite entries; the caller's own float array may come back."""
+    f = _real(f, name).astype(float, copy=False)
     if f.shape != (g.node_count,):
-        raise ValueError(f"node vector has shape {f.shape}, expected ({g.node_count},)")
+        raise ValueError(f"{name} has shape {f.shape}, expected ({g.node_count},)")
     if not np.all(np.isfinite(f)):
-        raise ValueError("node vector has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
     return f
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _check_node, _node_vector, _reject
+from .graph import _check_node, _node_vector, _real, _reject
 
 VALID_SPACES = ("H0", "H1", "H", "bonds")
 
@@ -89,10 +89,9 @@ class LinearMap:
         """The map scaled by a real scalar; composition is ``@``."""
         if isinstance(scalar, LinearMap):
             return NotImplemented
-        operand = np.asarray(scalar)
-        if operand.ndim or operand.dtype.kind not in "biuf":
+        if _real(scalar, "scalar").ndim:
             raise ValueError(f"a map scales only by a real scalar, "
-                             f"got {type(scalar).__name__} of shape {operand.shape}")
+                             f"got {type(scalar).__name__} of shape {np.shape(scalar)}")
         return LinearMap(self.matrix * scalar, self.domain, self.codomain)
 
     __rmul__ = __mul__
@@ -109,7 +108,7 @@ class LinearMap:
 
 def is_antisymmetric(g, e):
     """v(i,k) = -v(k,i) exactly."""
-    v = np.asarray(e, dtype=float)
+    v = _real(e, "edge vector").astype(float, copy=False)
     if v.shape != (g.directed_edge_count,):
         raise ValueError(f"edge vector has shape {v.shape}, expected ({g.directed_edge_count},)")
     return bool(np.all(v + v[_reverse_edges(g)] == 0))
@@ -193,7 +192,7 @@ def incidence_map(g, orientation=None):
     larger index; an explicit ``orientation`` is a +-1 sequence per bond.
     B B^t = V - A holds for any orientation."""
     ends = g._bond_ends()
-    orientation = np.ones(len(ends)) if orientation is None else np.asarray(orientation)
+    orientation = np.ones(len(ends)) if orientation is None else _real(orientation, "orientation")
     if orientation.shape != (len(ends),) or not np.all(np.abs(orientation) == 1):
         raise ValueError("orientation must assign +-1 to every bond")
     vals = np.outer(orientation.astype(np.int64), [-1, 1]).ravel()

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .graph import _as_int, _check_tol, build_binary_tree, build_cycle, build_path, component_count
+from .graph import (_as_int, _check_tol, _real, build_binary_tree, build_cycle, build_path,
+                    component_count)
 from .operators import LinearMap, _antidiagonal, adjacency_map
 
 
@@ -59,12 +60,7 @@ class TruncationReport:
 def _as_sparse(m):
     """2-D real ``m`` as a float CSR array (float CSR input is not copied);
     NaN, inf or a dtype that is not bool, integer or real float raise."""
-    if isinstance(m, LinearMap):
-        m = m.matrix
-    if not sp.issparse(m):
-        m = np.asarray(m)
-    if m.dtype.kind not in "biuf":  # float would drop an imaginary part, or parse text
-        raise ValueError(f"expected a real matrix, got dtype {m.dtype}")
+    m = _real(m.matrix if isinstance(m, LinearMap) else m, "matrix")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     M = sp.csr_array(m if sp.issparse(m) else m.astype(float, copy=False))
@@ -276,7 +272,7 @@ def truncation_norm_sequence(family, depths):
         raise ValueError("need at least one depth")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("depths must be strictly increasing")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     graphs = [_FAMILIES[family](d) for d in depths]
     norms = [_symmetric_norm(_as_sparse(adjacency_map(g))) for g in graphs]
@@ -324,10 +320,10 @@ def rational_rank(matrix):
     """Exact rank over the rationals by fraction-free Gaussian elimination.
 
     Oracle for the dimension theorems, for small matrices; integer, bool and
-    float entries are read exactly, and a shape that is not 2-D or an entry
-    that is not finite raises.
+    float entries are read exactly, and a shape that is not 2-D, an entry
+    that is not finite or any other dtype raises.
     """
-    matrix = np.asarray(matrix)
+    matrix = _real(matrix, "matrix")
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     if matrix.dtype.kind == "f" and not np.isfinite(matrix).all():

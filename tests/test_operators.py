@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,9 @@ from graphdirac import (
     chirality_map,
     coboundary_map,
     commutator_map,
+    commutator_norm,
+    connes_distance,
+    constraint_profile,
     conjugation_j,
     cycle_edge_vector,
     d1_map,
@@ -28,6 +33,7 @@ from graphdirac import (
     laplacian_map,
     node_function_map,
     operator_norm,
+    rational_rank,
     shortest_path,
     spectral_norm,
 )
@@ -542,6 +548,36 @@ def test_map_scales_only_by_a_real_scalar():
     assert a.__mul__(a) is NotImplemented
     with pytest.raises(TypeError):
         a * a
+
+
+# each entry point that reads a real array from its caller, with a valid argument
+REAL_INTAKES = {
+    "commutator_norm": (commutator_norm, np.arange(5.0)),
+    "constraint_profile": (constraint_profile, np.arange(5.0)),
+    "node_function_map": (node_function_map, np.arange(5.0)),
+    "edge_function_map": (edge_function_map, np.arange(5.0)),
+    "function_representation": (function_representation, np.arange(5.0)),
+    "commutator_map": (commutator_map, np.arange(5.0)),
+    "connes_distance_x0": (lambda g, x0: connes_distance(g, 0, 2, x0=x0), np.zeros(5)),
+    "is_antisymmetric": (is_antisymmetric, np.zeros(10)),
+    "incidence_map": (incidence_map, np.ones(5)),
+    "map_times_scalar": (lambda g, s: adjacency_map(g) * s, np.array(2.0)),
+    "spectral_norm": (lambda g, m: spectral_norm(m), np.eye(5)),
+    "operator_norm": (lambda g, m: operator_norm(m), np.eye(5)),
+    "rational_rank": (lambda g, m: rational_rank(m), np.eye(5)),
+}
+
+
+@pytest.mark.parametrize("dtype", [complex, str, object])
+@pytest.mark.parametrize("name", REAL_INTAKES)
+def test_real_intakes_reject_every_other_dtype(name, dtype):
+    # read as float, complex lost its imaginary part and text was parsed as numbers
+    call, valid = REAL_INTAKES[name]
+    g = build_cycle(5)
+    call(g, valid)
+    bad = valid.astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {bad.dtype}")):
+        call(g, bad)
 
 
 def test_apply_checks_length():

@@ -415,6 +415,8 @@ def test_truncation_validates_input():
         truncation_norm_sequence("binary_tree", [3, 3])
     with pytest.raises(ValueError):
         truncation_norm_sequence("moebius", [1, 2])
+    with pytest.raises(ValueError, match=r"unknown family \['tree'\]"):
+        truncation_norm_sequence(["tree"], [1])
 
 
 def test_truncation_csv():
@@ -496,9 +498,14 @@ def test_rank_matches_rational_oracle():
     # non-integer entries are read exactly, not truncated
     assert rational_rank([[1, 0.5], [2, 1]]) == 1
     assert rational_rank([[0.5]]) == 1
+    # int64 entries are not read through float, which would make this matrix singular
+    assert rational_rank(np.array([[2**62 + 1, 2**62], [2**62, 2**62 - 1]])) == 2
     for m, message in (([1, 2], r"2-D matrix, got shape \(2,\)"),
                        (3, r"2-D matrix, got shape \(\)"),
                        ([[1, np.inf]], "non-finite entries"),
-                       ([[np.nan, 1]], "non-finite entries")):
+                       ([[np.nan, 1]], "non-finite entries"),
+                       ([["1", "2"], ["2", "4"]], "got dtype <U1"),
+                       ([[1j, 0], [0, 1]], "got dtype complex128"),
+                       (np.array([[0, 1]], dtype="datetime64[D]"), r"got dtype datetime64\[D\]")):
         with pytest.raises(ValueError, match=message):
             rational_rank(m)
