@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 
 class GraphParseError(ValueError):
@@ -146,6 +145,7 @@ class Graph:
 
     @cached_property
     def connected(self):
+        from scipy.sparse import csgraph
         return self.node_count == 0 or csgraph.breadth_first_order(
             _csgraph(self), 0, return_predecessors=False).size == self.node_count
 
@@ -177,7 +177,9 @@ def _reject(bad, message, *columns):
 
 def _csgraph(g):
     # every csgraph call made here (BFS, components, unweighted shortest paths)
-    # reads only indptr and indices: one read-only float64 1.0 serves every edge
+    # reads only indptr and indices: one read-only float64 1.0 serves every edge.
+    # Its callers import csgraph on first use: it loads scipy.sparse.linalg and
+    # scipy.linalg, which the spectral, check and truncation verbs never need
     n = g.node_count
     ones = np.ndarray((g.directed_edge_count,), buffer=_UNIT, strides=(0,))
     return sp.csr_array((ones, g.indices, g.indptr), shape=(n, n))
@@ -185,10 +187,12 @@ def _csgraph(g):
 
 def component_labels(g):
     """Per-node component id, assigned in order of first traversal."""
+    from scipy.sparse import csgraph
     return csgraph.connected_components(_csgraph(g), directed=False)[1].astype(np.int64)
 
 
 def component_count(g):
+    from scipy.sparse import csgraph
     return int(csgraph.connected_components(_csgraph(g), directed=False)[0])
 
 
@@ -295,6 +299,7 @@ def _drawn_bonds(n, p, seed):
 
 def bfs_distances(g, source):
     """Hop counts from source; -1 marks unreachable nodes."""
+    from scipy.sparse import csgraph
     _check_node(g, (source,))
     dist = csgraph.shortest_path(_csgraph(g), unweighted=True, indices=source)
     return np.where(np.isinf(dist), -1, dist).astype(np.int64)
@@ -311,6 +316,7 @@ def combinatorial_distance(g, a, b):
 
 def shortest_path(g, a, b):
     """One minimal path from a to b as a node list (BFS parents)."""
+    from scipy.sparse import csgraph
     _check_node(g, (a, b))
     _, parent = csgraph.breadth_first_order(_csgraph(g), a, return_predecessors=True)
     path = [b]

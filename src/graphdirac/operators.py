@@ -47,7 +47,11 @@ class LinearMap:
         return self.matrix.shape
 
     def apply(self, x):
+        """The map applied to ``x``, a bool, integer, real or complex vector
+        (or stack of columns); any other dtype raises a ValueError naming it."""
         x = np.asarray(x)
+        if x.dtype.kind not in "biufc":
+            raise ValueError(f"expected a numeric vector, got dtype {x.dtype} of shape {x.shape}")
         if x.shape[:1] != self.shape[1:]:
             raise ValueError(f"length mismatch: map expects {self.shape[1]}, got shape {x.shape}")
         return self.matrix @ x

@@ -580,6 +580,21 @@ def test_real_intakes_reject_every_other_dtype(name, dtype):
         call(g, bad)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float32, float, complex])
+def test_apply_takes_numeric_vectors(dtype):
+    A = adjacency_map(build_cycle(5))
+    x = np.array([0, 1, 1, 0, 1]).astype(dtype)
+    assert np.array_equal(A.apply(x), A.toarray() @ x)
+
+
+@pytest.mark.parametrize("dtype", [str, bytes, object, "datetime64[D]"])
+def test_apply_names_a_dtype_it_cannot_apply(dtype):
+    # left to SciPy, these raise its TypeError or a NumPy DTypePromotionError, naming no argument
+    x = np.arange(5).astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {x.dtype} of shape (5,)")):
+        adjacency_map(build_cycle(5)).apply(x)
+
+
 def test_apply_checks_length():
     with pytest.raises(ValueError):
         coboundary_map(build_path(3)).apply(np.zeros(5))

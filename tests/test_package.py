@@ -105,3 +105,35 @@ def test_each_import_and_verb_loads_only_its_modules(tmp_path):
         (["cli", "connes", "graph"], False),
         (["cli", "connes", "graph"], False),
     ]
+
+
+# Runs the statement, then prints the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def _scipy_loaded_after(statement):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, statement], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_verbs_load_csgraph_and_scipy_linalg_only_where_they_use_them(tmp_path):
+    # csgraph brings in scipy.sparse.linalg and scipy.linalg; a verb whose
+    # Lanczos checks stay at small k has no use for either
+    g, out = str(tmp_path / "g.txt"), str(tmp_path / "out")
+    (tmp_path / "g.txt").write_bytes(graphdirac.serialize_graph(graphdirac.build_cycle(9)))
+    run = "from graphdirac import cli; assert cli.main({!r}) == 0".format
+    sparse = _scipy_loaded_after("import scipy.sparse")
+    for argv in (["spectral", "--graph", g, "--out", out],
+                 ["check", "--graph", g, "--out", out],
+                 ["truncation", "--family", "tree", "--max-depth", "4", "--out", out],
+                 ["gen", "--family", "cycle", "--n", "5", "--out", out]):
+        assert _scipy_loaded_after(run(argv)) - sparse == set(), argv[0]
+    for argv in (["gen", "--family", "random", "--n", "9", "--p", "0.5", "--out", out],
+                 ["connes", "--graph", g, "--from", "0", "--to", "4", "--out", out]):
+        assert "scipy.sparse.csgraph" in _scipy_loaded_after(run(argv)), argv[0]

@@ -152,6 +152,52 @@ def test_lanczos_checks_stay_few_on_clustered_spectrum(monkeypatch):
     assert len(checks) <= 50 and sum(checks) <= 12 * n  # every 10 steps: 500 and 250 n
 
 
+def _ritz_both_routes(monkeypatch, alphas, betas):
+    """:func:`_extreme_ritz` of one T_k by the dense route, then by the tridiagonal one."""
+    pairs = []
+    for limit in (len(alphas), len(alphas) - 1):
+        monkeypatch.setattr(spectral, "_DENSE_RITZ", limit)
+        pairs.append(spectral._extreme_ritz(alphas, betas))
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 31, 32, 33, 40, 64])
+def test_ritz_routes_agree_on_either_side_of_the_threshold(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    for trial in range(8):
+        # odd trials have a zero diagonal, whose spectrum is symmetric: the two
+        # ends agree in magnitude and residual up to rounding, so either may be taken
+        alphas = (trial % 2 == 0) * rng.standard_normal(k)
+        betas = np.abs(rng.standard_normal(k))
+        (dense, r_dense), (tri, r_tri) = _ritz_both_routes(
+            monkeypatch, alphas.tolist(), betas.tolist())
+        if trial % 2 == 0:
+            assert np.sign(dense) == np.sign(tri)
+        assert abs(abs(dense) - abs(tri)) <= 16 * np.spacing(abs(tri))
+        assert abs(r_dense - r_tri) <= 1e-13 * betas[-1]
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_ritz_routes_take_the_lower_of_two_equal_ends(monkeypatch, k):
+    # T_k splits into 1 x 1 blocks whose ends are +-2 exactly; -2's Ritz vector
+    # is the last basis vector, so its residual is beta_k, and 2's is 0
+    alphas = [2.0, *np.linspace(-1.5, 1.5, k - 2), -2.0]
+    betas = [0.0] * (k - 1) + [1e-3]
+    assert _ritz_both_routes(monkeypatch, alphas, betas) == [(-2.0, 1e-3)] * 2
+
+
+def test_lanczos_checks_past_the_dense_ritz_threshold(monkeypatch):
+    # from all-ones the 200-node path takes 100 steps, so its last checks
+    # take the tridiagonal route
+    checks = []
+    ritz = spectral._extreme_ritz
+    monkeypatch.setattr(spectral, "_extreme_ritz",
+                        lambda alphas, betas: checks.append(len(alphas)) or ritz(alphas, betas))
+    res = lanczos_norm(adjacency_map(build_path(200)))
+    assert res.converged and checks[0] <= spectral._DENSE_RITZ < checks[-1] == res.iterations
+    assert abs(res.estimate - 2.0 * np.cos(np.pi / 201.0)) <= 1e-10
+
+
 def test_lanczos_tree_takes_steps_of_its_depth():
     # from all-ones the Krylov space holds one vector per level of the tree:
     # it closes at step depth + 1, where beta falls below 2^-26 * scale
@@ -500,12 +546,17 @@ def test_rank_matches_rational_oracle():
     assert rational_rank([[0.5]]) == 1
     # int64 entries are not read through float, which would make this matrix singular
     assert rational_rank(np.array([[2**62 + 1, 2**62], [2**62, 2**62 - 1]])) == 2
+    # a SciPy sparse matrix is read densified, as the oracle it is
+    assert rational_rank(sp.csr_array([[1, 2], [2, 4]])) == 1
+    assert rational_rank(sp.csr_matrix([[1.0, 0.5], [2.0, 1.5]])) == 2
     for m, message in (([1, 2], r"2-D matrix, got shape \(2,\)"),
                        (3, r"2-D matrix, got shape \(\)"),
                        ([[1, np.inf]], "non-finite entries"),
                        ([[np.nan, 1]], "non-finite entries"),
                        ([["1", "2"], ["2", "4"]], "got dtype <U1"),
                        ([[1j, 0], [0, 1]], "got dtype complex128"),
-                       (np.array([[0, 1]], dtype="datetime64[D]"), r"got dtype datetime64\[D\]")):
+                       (np.array([[0, 1]], dtype="datetime64[D]"), r"got dtype datetime64\[D\]"),
+                       (sp.csr_array([[1.0, np.nan]]), "non-finite entries"),
+                       (sp.csr_array([[1j, 0], [0, 1]]), "got dtype complex128")):
         with pytest.raises(ValueError, match=message):
             rational_rank(m)
